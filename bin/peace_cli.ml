@@ -1074,7 +1074,7 @@ let stats trace profile_out profile params_src url_size =
     (fun () -> valid (Group_sig.verify gpk ~msg s));
   row
     (Printf.sprintf "verify |URL|=%d" url_size)
-    (expect ~pairings:(3 + url_size) ~g1_mul:8 ~gt_exp:1 ~hash_to_g1:4)
+    (expect ~pairings:(3 + url_size) ~g1_mul:8 ~gt_exp:1 ~hash_to_g1:2)
     (fun () -> valid (Group_sig.verify gpk ~url ~msg s));
   row
     (Printf.sprintf "verify_fast table=%d" (Group_sig.fast_table_size table_small))

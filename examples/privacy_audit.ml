@@ -61,7 +61,8 @@ let () =
     (fun entry ->
       match
         Law_authority.audit_only (Deployment.operator d)
-          ~msg:entry.Mesh_router.le_transcript entry.Mesh_router.le_gsig
+          ~msg:entry.Mesh_router.le_transcript
+          (Option.get (Mesh_router.logged_signature router entry))
       with
       | Some finding ->
         Printf.printf "  session %s... -> %s\n"

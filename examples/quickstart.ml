@@ -80,10 +80,11 @@ let () =
 
   (* 6. Accountability: the operator can attribute the logged session to
         Company X — and only to Company X. *)
+  let entry = List.hd (Mesh_router.access_log router) in
   (match
      Law_authority.audit_only (Deployment.operator deployment)
-       ~msg:(List.hd (Mesh_router.access_log router)).Mesh_router.le_transcript
-       (List.hd (Mesh_router.access_log router)).Mesh_router.le_gsig
+       ~msg:entry.Mesh_router.le_transcript
+       (Option.get (Mesh_router.logged_signature router entry))
    with
   | Some finding ->
     Printf.printf

@@ -40,7 +40,8 @@ let () =
   let entry = List.hd (Mesh_router.access_log router) in
   (match
      Network_operator.audit (Deployment.operator d)
-       ~msg:entry.Mesh_router.le_transcript entry.Mesh_router.le_gsig
+       ~msg:entry.Mesh_router.le_transcript
+       (Option.get (Mesh_router.logged_signature router entry))
    with
   | Some finding ->
     Printf.printf "audit of the suspicious session: user group %d, key index %d\n"

@@ -1,7 +1,7 @@
-(* Montgomery multiplication (CIOS) on 30-bit limbs.
+(* Montgomery multiplication (fused CIOS) on 30-bit limbs.
 
-   All elements are int arrays of exactly [ctx.k] limbs. The CIOS loop keeps
-   every intermediate below 2^62, within OCaml's native int. *)
+   All elements are int arrays of exactly [ctx.k] limbs. The product loop
+   keeps every intermediate below 2^62, within OCaml's native int. *)
 
 let limb_bits = Bigint.Internal.limb_bits
 let limb_mask = Bigint.Internal.limb_mask
@@ -34,15 +34,14 @@ let fixed_width k mag =
 
 let to_mag v = v
 
-(* compare fixed-width a with modulus limbs *)
+(* compare fixed-width a with modulus limbs, top limb first; a loop, not a
+   local closure, so the comparison allocates nothing *)
 let geq_mod a m k =
-  let rec scan i =
-    if i < 0 then true
-    else if a.(i) > m.(i) then true
-    else if a.(i) < m.(i) then false
-    else scan (i - 1)
-  in
-  scan (k - 1)
+  let i = ref (k - 1) in
+  while !i >= 0 && a.(!i) = m.(!i) do
+    decr i
+  done;
+  !i < 0 || a.(!i) > m.(!i)
 
 let sub_mod_in_place a m k =
   let borrow = ref 0 in
@@ -52,37 +51,39 @@ let sub_mod_in_place a m k =
     else (a.(i) <- d; borrow := 0)
   done
 
+(* One pass per limb a_i computes t <- (t + a_i·b + u·m) / 2^30, with u
+   chosen so the low limb cancels. With limbs below 2^30 and carries below
+   2^32, every intermediate stays below 2^30 + 2·(2^30−1)² + 2^32 < 2^62.
+   Operands below m keep t below 2m, so t is the k-limb result plus a top
+   limb [hi] of 0 or 1. The width guard makes the unchecked indexing safe:
+   [ctx.m] has k limbs by construction. *)
 let mont_mul ctx a b =
   let k = ctx.k and m = ctx.m and m' = ctx.m' in
-  let t = Array.make (k + 2) 0 in
+  if Array.length a <> k || Array.length b <> k then
+    invalid "Mont.mul: operand width differs from the context";
+  let r = Array.make k 0 in
+  let b0 = Array.unsafe_get b 0 and m0 = Array.unsafe_get m 0 in
+  let hi = ref 0 in
   for i = 0 to k - 1 do
-    let ai = a.(i) in
-    (* t += a_i * b *)
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = t.(j) + (ai * b.(j)) + !c in
-      t.(j) <- s land limb_mask;
-      c := s lsr limb_bits
-    done;
-    let s = t.(k) + !c in
-    t.(k) <- s land limb_mask;
-    t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-    (* reduce one limb *)
-    let u = (t.(0) * m') land limb_mask in
-    let s0 = t.(0) + (u * m.(0)) in
-    let c = ref (s0 lsr limb_bits) in
+    let ai = Array.unsafe_get a i in
+    let s = Array.unsafe_get r 0 + (ai * b0) in
+    let u = (s * m') land limb_mask in
+    let c = ref ((s + (u * m0)) lsr limb_bits) in
     for j = 1 to k - 1 do
-      let s = t.(j) + (u * m.(j)) + !c in
-      t.(j - 1) <- s land limb_mask;
+      let s =
+        Array.unsafe_get r j
+        + (ai * Array.unsafe_get b j)
+        + (u * Array.unsafe_get m j)
+        + !c
+      in
+      Array.unsafe_set r (j - 1) (s land limb_mask);
       c := s lsr limb_bits
     done;
-    let s = t.(k) + !c in
-    t.(k - 1) <- s land limb_mask;
-    t.(k) <- t.(k + 1) + (s lsr limb_bits);
-    t.(k + 1) <- 0
+    let s = !hi + !c in
+    Array.unsafe_set r (k - 1) (s land limb_mask);
+    hi := s lsr limb_bits
   done;
-  let r = Array.sub t 0 k in
-  if t.(k) > 0 || geq_mod r ctx.m k then sub_mod_in_place r ctx.m k;
+  if !hi > 0 || geq_mod r m k then sub_mod_in_place r m k;
   r
 
 let create modulus =

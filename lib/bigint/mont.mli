@@ -1,6 +1,6 @@
 (** Montgomery-domain modular arithmetic over a fixed odd modulus.
 
-    A [ctx] precomputes everything needed for constant-shape CIOS
+    A [ctx] precomputes everything needed for constant-shape fused CIOS
     multiplication on 30-bit limbs. Elements ([elt]) are fixed-width limb
     vectors in Montgomery representation; they are only meaningful relative
     to the context that created them.
@@ -33,7 +33,13 @@ val add : ctx -> elt -> elt -> elt
 val sub : ctx -> elt -> elt -> elt
 val neg : ctx -> elt -> elt
 val mul : ctx -> elt -> elt -> elt
+(** Allocates only its result.
+    @raise Invalid_argument if an operand's width is not the context's,
+    as when it was made by a context for a different modulus. *)
+
 val sqr : ctx -> elt -> elt
+(** [sqr ctx a = mul ctx a a]. *)
+
 val equal : ctx -> elt -> elt -> bool
 val is_zero : ctx -> elt -> bool
 

@@ -77,29 +77,27 @@ let invoice no ~router meter =
   let by_group = Hashtbl.create 8 in
   List.iter
     (fun usage ->
-      let entry =
-        List.find_opt
-          (fun e -> e.Mesh_router.le_session_id = usage.u_session_id)
-          log
+      let ( let* ) = Option.bind in
+      let finding =
+        let* entry =
+          List.find_opt
+            (fun e -> e.Mesh_router.le_session_id = usage.u_session_id)
+            log
+        in
+        let* gsig = Mesh_router.logged_signature router entry in
+        Network_operator.audit no ~msg:entry.Mesh_router.le_transcript gsig
       in
-      match entry with
+      match finding with
       | None -> ()
-      | Some entry -> begin
-        match
-          Network_operator.audit no ~msg:entry.Mesh_router.le_transcript
-            entry.Mesh_router.le_gsig
-        with
-        | None -> ()
-        | Some finding ->
-          let group_id = finding.Network_operator.found_group_id in
-          let sessions, bytes, duration =
-            Option.value ~default:(0, 0, 0) (Hashtbl.find_opt by_group group_id)
-          in
-          Hashtbl.replace by_group group_id
-            ( sessions + 1,
-              bytes + usage.u_bytes_up + usage.u_bytes_down,
-              duration + usage.u_duration_ms )
-      end)
+      | Some finding ->
+        let group_id = finding.Network_operator.found_group_id in
+        let sessions, bytes, duration =
+          Option.value ~default:(0, 0, 0) (Hashtbl.find_opt by_group group_id)
+        in
+        Hashtbl.replace by_group group_id
+          ( sessions + 1,
+            bytes + usage.u_bytes_up + usage.u_bytes_down,
+            duration + usage.u_duration_ms ))
     meter.closed;
   Hashtbl.fold
     (fun il_group_id (il_sessions, il_bytes, il_duration_ms) acc ->

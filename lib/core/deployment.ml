@@ -186,9 +186,10 @@ let trace_session t router ~session_id =
   match entry with
   | None -> None
   | Some entry ->
-    Law_authority.trace t.no
-      ~group_manager_of:(fun group_id -> Hashtbl.find_opt t.gms group_id)
-      ~msg:entry.Mesh_router.le_transcript entry.Mesh_router.le_gsig
+    Option.bind (Mesh_router.logged_signature router entry) (fun gsig ->
+        Law_authority.trace t.no
+          ~group_manager_of:(fun group_id -> Hashtbl.find_opt t.gms group_id)
+          ~msg:entry.Mesh_router.le_transcript gsig)
 
 let rotate_epoch t =
   let batches = Network_operator.rotate_epoch t.no in

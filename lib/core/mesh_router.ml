@@ -34,7 +34,7 @@ type log_entry = {
   le_session_id : string;
   le_ts : int;
   le_transcript : string;
-  le_gsig : Group_sig.signature;
+  le_gsig_bytes : string;
 }
 
 type outstanding_beacon = {
@@ -311,7 +311,7 @@ let finalize t (m : Messages.access_request) ob transcript =
       le_session_id = Session.id session;
       le_ts = m.Messages.ts2;
       le_transcript = transcript;
-      le_gsig = m.Messages.gsig;
+      le_gsig_bytes = Group_sig.signature_to_bytes t.gpk m.Messages.gsig;
     }
     :: t.log;
   (* (M.3): E_K(MR_k, g^{r_j}, g^{r_R}) *)
@@ -419,6 +419,9 @@ let handle_access_requests_batch ?(domains = 1) t ms =
 let session_count t = Hashtbl.length t.sessions
 let find_session t ~id = Hashtbl.find_opt t.sessions id
 let access_log t = t.log
+
+let logged_signature t entry =
+  Group_sig.signature_of_bytes t.gpk entry.le_gsig_bytes
 let verifications_performed t = t.verifications
 let requests_rejected_cheaply t = t.cheap_rejections
 let enable_resend_cache t = t.resend_cache <- true

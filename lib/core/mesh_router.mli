@@ -13,12 +13,13 @@ open Peace_groupsig
 
 type t
 
-(** A logged (M.2) for the audit trail of §IV-D. *)
+(** A logged (M.2) for the audit trail of §IV-D. The group signature is
+    kept as its wire bytes; {!logged_signature} decodes it for an audit. *)
 type log_entry = {
   le_session_id : string;
   le_ts : int;
   le_transcript : string;
-  le_gsig : Group_sig.signature;
+  le_gsig_bytes : string;
 }
 
 val create :
@@ -101,6 +102,10 @@ val find_session : t -> id:string -> Session.t option
 
 val access_log : t -> log_entry list
 (** Most recent first. *)
+
+val logged_signature : t -> log_entry -> Group_sig.signature option
+(** The entry's group signature, decoded; [None] only if its bytes were
+    not written by this router's parameters. *)
 
 val verifications_performed : t -> int
 (** Number of group-signature verifications this router has executed —

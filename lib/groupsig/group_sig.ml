@@ -197,40 +197,49 @@ let sign gpk gsk ~rng ~msg =
     s_delta = Modular.add r_delta (Modular.mul c delta q) q;
   }
 
-let proof_ok gpk ~msg signature =
+(* The proof check. Returns the bases (û, v̂) it derived when the proof
+   holds, so a revocation scan or an open reuses them instead of hashing
+   them again. *)
+let checked_bases gpk ~msg signature =
   Trace.with_span "groupsig.proof_check" @@ fun () ->
   let params = gpk.params in
   let q = params.Params.q in
   let { r_nonce; t1; t2; c; s_alpha; s_x; s_delta } = signature in
-  String.length r_nonce = scalar_width params
-  && G1.on_curve params t1 && G1.on_curve params t2
-  && (not (G1.is_infinity t1))
-  && Bigint.compare c q < 0 && Bigint.sign c >= 0
-  && Bigint.compare s_alpha q < 0 && Bigint.compare s_x q < 0
-  && Bigint.compare s_delta q < 0
-  &&
-  let u, v = bases gpk ~msg ~r_nonce in
-  (* R̃1 = s_α·u − c·T1 *)
-  let r1 =
-    G1.add params (G1.mul params s_alpha u) (G1.neg params (G1.mul params c t1))
+  let well_formed =
+    String.length r_nonce = scalar_width params
+    && G1.on_curve params t1 && G1.on_curve params t2
+    && (not (G1.is_infinity t1))
+    && Bigint.compare c q < 0 && Bigint.sign c >= 0
+    && Bigint.compare s_alpha q < 0 && Bigint.compare s_x q < 0
+    && Bigint.compare s_delta q < 0
   in
-  (* R̃2 = e(T2, s_x·g2 + c·w) · e(v, −s_α·w − s_δ·g2) · e(g1,g2)^{−c} *)
-  let arg1 = G1.add params (G1.mul params s_x gpk.g2) (G1.mul params c gpk.w) in
-  let arg2 =
-    G1.add params
-      (G1.mul params (Modular.sub Bigint.zero s_alpha q) gpk.w)
-      (G1.mul params (Modular.sub Bigint.zero s_delta q) gpk.g2)
-  in
-  let r2 =
-    Pairing.Gt.mul params
-      (Pairing.tate_product params [ (t2, arg1); (v, arg2) ])
-      (Pairing.Gt.pow params gpk.e_g1_g2 (Bigint.neg c))
-  in
-  (* R̃3 = s_x·T1 − s_δ·u *)
-  let r3 =
-    G1.add params (G1.mul params s_x t1) (G1.neg params (G1.mul params s_delta u))
-  in
-  Bigint.equal c (challenge gpk ~msg ~r_nonce ~t1 ~t2 ~r1 ~r2 ~r3)
+  if not well_formed then None
+  else begin
+    let u, v = bases gpk ~msg ~r_nonce in
+    (* R̃1 = s_α·u − c·T1 *)
+    let r1 =
+      G1.add params (G1.mul params s_alpha u) (G1.neg params (G1.mul params c t1))
+    in
+    (* R̃2 = e(T2, s_x·g2 + c·w) · e(v, −s_α·w − s_δ·g2) · e(g1,g2)^{−c} *)
+    let arg1 = G1.add params (G1.mul params s_x gpk.g2) (G1.mul params c gpk.w) in
+    let arg2 =
+      G1.add params
+        (G1.mul params (Modular.sub Bigint.zero s_alpha q) gpk.w)
+        (G1.mul params (Modular.sub Bigint.zero s_delta q) gpk.g2)
+    in
+    let r2 =
+      Pairing.Gt.mul params
+        (Pairing.tate_product params [ (t2, arg1); (v, arg2) ])
+        (Pairing.Gt.pow params gpk.e_g1_g2 (Bigint.neg c))
+    in
+    (* R̃3 = s_x·T1 − s_δ·u *)
+    let r3 =
+      G1.add params (G1.mul params s_x t1) (G1.neg params (G1.mul params s_delta u))
+    in
+    if Bigint.equal c (challenge gpk ~msg ~r_nonce ~t1 ~t2 ~r1 ~r2 ~r3) then
+      Some (u, v)
+    else None
+  end
 
 (* Eq. 3: is token A encoded in (T1, T2)?  e(T2 − A, û) = e(T1, v̂) *)
 let revocation_matches gpk ~u ~v ~e_t1_v signature token =
@@ -248,15 +257,14 @@ let verify gpk ?(url = []) ~msg signature =
   Trace.with_span "groupsig.verify"
     ~attrs:[ ("url", string_of_int (List.length url)) ]
   @@ fun () ->
-  if not (proof_ok gpk ~msg signature) then Invalid_proof
-  else if url = [] then Valid
-  else begin
-    let u, v = bases gpk ~msg ~r_nonce:signature.r_nonce in
+  match checked_bases gpk ~msg signature with
+  | None -> Invalid_proof
+  | Some _ when url = [] -> Valid
+  | Some (u, v) ->
     let e_t1_v = Pairing.tate gpk.params signature.t1 v in
     if List.exists (revocation_matches gpk ~u ~v ~e_t1_v signature) url then
       Revoked
     else Valid
-  end
 
 type fast_table = (string, unit) Hashtbl.t
 
@@ -278,7 +286,7 @@ let verify_fast gpk table ~msg signature =
   if gpk.base_mode <> Fixed_bases then
     invalid_arg "Group_sig.verify_fast: gpk must use Fixed_bases";
   Trace.with_span "groupsig.verify_fast" @@ fun () ->
-  if not (proof_ok gpk ~msg signature) then Invalid_proof
+  if Option.is_none (checked_bases gpk ~msg signature) then Invalid_proof
   else begin
     let params = gpk.params in
     (* revoked iff e(A, û) = e(T2, û) / e(T1, v̂) for some table entry *)
@@ -292,16 +300,15 @@ let verify_fast gpk table ~msg signature =
 
 let open_signature gpk ~grt ~msg signature =
   Trace.with_span "groupsig.open" @@ fun () ->
-  if not (proof_ok gpk ~msg signature) then None
-  else begin
-    let u, v = bases gpk ~msg ~r_nonce:signature.r_nonce in
+  match checked_bases gpk ~msg signature with
+  | None -> None
+  | Some (u, v) ->
     let e_t1_v = Pairing.tate gpk.params signature.t1 v in
     List.find_map
       (fun (token, tag) ->
         if revocation_matches gpk ~u ~v ~e_t1_v signature token then Some tag
         else None)
       grt
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)

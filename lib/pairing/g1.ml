@@ -173,64 +173,83 @@ let jac_add fp p q =
       Jac { jx = x3; jy = y3; jz = Mont.mul fp (Mont.mul fp a.jz b.jz) h }
     end
 
+(* k·(px, py), left in Jacobian coordinates *)
+let mul_jac fp k px py =
+  let nbits = Bigint.num_bits k in
+  if nbits = 0 then Jinf
+  else if nbits <= 8 then begin
+    (* short scalars: plain double-and-add, no table overhead *)
+    let acc = ref Jinf in
+    for i = nbits - 1 downto 0 do
+      acc := jac_double fp !acc;
+      if Bigint.testbit k i then acc := jac_add_affine fp !acc px py
+    done;
+    !acc
+  end
+  else begin
+    (* 4-bit fixed window *)
+    let table = Array.make 16 Jinf in
+    table.(1) <- Jac { jx = px; jy = py; jz = Mont.one fp };
+    for i = 2 to 15 do
+      table.(i) <- jac_add_affine fp table.(i - 1) px py
+    done;
+    let nwin = (nbits + 3) / 4 in
+    let window w =
+      let v = ref 0 in
+      for b = 3 downto 0 do
+        let idx = (4 * w) + b in
+        v := (!v lsl 1) lor (if idx < nbits && Bigint.testbit k idx then 1 else 0)
+      done;
+      !v
+    in
+    let acc = ref table.(window (nwin - 1)) in
+    for w = nwin - 2 downto 0 do
+      acc := jac_double fp !acc;
+      acc := jac_double fp !acc;
+      acc := jac_double fp !acc;
+      acc := jac_double fp !acc;
+      let v = window w in
+      if v <> 0 then acc := jac_add fp !acc table.(v)
+    done;
+    !acc
+  end
+
 let mul_uncounted params k p =
   let fp = params.Params.fp in
   if Bigint.sign k < 0 then invalid_arg "G1.mul: negative scalar";
   match p with
   | Infinity -> Infinity
-  | Affine { x = px; y = py } ->
-    let nbits = Bigint.num_bits k in
-    if nbits = 0 then Infinity
-    else if nbits <= 8 then begin
-      (* short scalars: plain double-and-add, no table overhead *)
-      let acc = ref Jinf in
-      for i = nbits - 1 downto 0 do
-        acc := jac_double fp !acc;
-        if Bigint.testbit k i then acc := jac_add_affine fp !acc px py
-      done;
-      jac_to_affine fp !acc
-    end
-    else begin
-      (* 4-bit fixed window *)
-      let table = Array.make 16 Jinf in
-      table.(1) <- Jac { jx = px; jy = py; jz = Mont.one fp };
-      for i = 2 to 15 do
-        table.(i) <- jac_add_affine fp table.(i - 1) px py
-      done;
-      let nwin = (nbits + 3) / 4 in
-      let window w =
-        let v = ref 0 in
-        for b = 3 downto 0 do
-          let idx = (4 * w) + b in
-          v := (!v lsl 1) lor (if idx < nbits && Bigint.testbit k idx then 1 else 0)
-        done;
-        !v
-      in
-      let acc = ref table.(window (nwin - 1)) in
-      for w = nwin - 2 downto 0 do
-        acc := jac_double fp !acc;
-        acc := jac_double fp !acc;
-        acc := jac_double fp !acc;
-        acc := jac_double fp !acc;
-        let v = window w in
-        if v <> 0 then acc := jac_add fp !acc table.(v)
-      done;
-      jac_to_affine fp !acc
-    end
+  | Affine { x; y } -> jac_to_affine fp (mul_jac fp k x y)
+
+(* q·(x, y) = O, read off the Jacobian result: no inversion back to affine.
+   Every Jacobian point the formulas build has Z ≠ 0, so O is only Jinf. *)
+let killed_by_q params x y =
+  match mul_jac params.Params.fp params.Params.q x y with
+  | Jinf -> true
+  | Jac _ -> false
 
 let mul params k p =
   Counters.count_g1_mul ();
   mul_uncounted params k p
 
-let in_subgroup params p =
-  is_infinity p
-  || (on_curve params p && is_infinity (mul_uncounted params params.Params.q p))
+let in_subgroup params = function
+  | Infinity -> true
+  | Affine { x; y } -> on_curve_raw params.Params.fp x y && killed_by_q params x y
 
 let field_width params = (Bigint.num_bits params.Params.p + 7) / 8
 
+(* A square root of x³ + x, all in the cached field context. For
+   p ≡ 3 (mod 4), r = rhs^((p+1)/4) is a root exactly when r² = rhs; when
+   rhs is a non-residue r² = −rhs instead, so no Jacobi symbol is needed. *)
+let sqrt_rhs params x =
+  let fp = params.Params.fp in
+  let rhs = Mont.add fp (Mont.mul fp (Mont.sqr fp x) x) x in
+  let r = Mont.pow fp rhs params.Params.sqrt_exp in
+  if Mont.equal fp (Mont.sqr fp r) rhs then Some r else None
+
 let hash_to_point params msg =
   Counters.count_hash_to_g1 ();
-  let p = params.Params.p in
+  let fp = params.Params.fp in
   let width = field_width params in
   let rec attempt counter =
     if counter > 1000 then failwith "G1.hash_to_point: no point found"
@@ -238,17 +257,12 @@ let hash_to_point params msg =
       let seed =
         Hmac.hkdf ~info:"peace-h2c" (msg ^ string_of_int counter) (width + 8)
       in
-      let x = Bigint.erem (Bigint.of_bytes_be seed) p in
-      let rhs = Modular.add (Modular.powm x (Bigint.of_int 3) p) x p in
-      match Modular.sqrt rhs p with
-      | None -> attempt (counter + 1)
-      | Some y ->
-        if Bigint.is_zero y then attempt (counter + 1)
-        else begin
-          let pt = of_affine params ~x ~y in
-          let cleared = mul_uncounted params params.Params.h pt in
-          if is_infinity cleared then attempt (counter + 1) else cleared
-        end
+      let x = Mont.of_bigint fp (Bigint.of_bytes_be seed) in
+      match sqrt_rhs params x with
+      | Some y when not (Mont.is_zero fp y) ->
+        let cleared = mul_uncounted params params.Params.h (Affine { x; y }) in
+        if is_infinity cleared then attempt (counter + 1) else cleared
+      | Some _ | None -> attempt (counter + 1)
     end
   in
   attempt 0
@@ -276,19 +290,20 @@ let decode params s =
       let x = Bigint.of_bytes_be (String.sub s 1 width) in
       if Bigint.compare x params.Params.p >= 0 then None
       else begin
-        let p = params.Params.p in
-        let rhs = Modular.add (Modular.powm x (Bigint.of_int 3) p) x p in
-        match Modular.sqrt rhs p with
+        let fp = params.Params.fp in
+        let x = Mont.of_bigint fp x in
+        match sqrt_rhs params x with
         | None -> None
-        | Some y0 ->
+        | Some r ->
           let want_even = s.[0] = '\x02' in
-          let y = if Bigint.is_even y0 = want_even then y0 else Bigint.sub p y0 in
-          let pt = of_affine params ~x ~y in
+          let y =
+            if Bigint.is_even (Mont.to_bigint fp r) = want_even then r
+            else Mont.neg fp r
+          in
           (* unlike the paper's prime-order MNT G1, the type-A curve has a
              large cofactor: reject on-curve points outside the q-subgroup
              at the trust boundary (small-subgroup defence) *)
-          if is_infinity (mul_uncounted params params.Params.q pt) then Some pt
-          else None
+          if killed_by_q params x y then Some (Affine { x; y }) else None
       end
     | _ -> None
 

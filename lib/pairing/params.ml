@@ -6,12 +6,14 @@ type t = {
   q : Bigint.t;
   h : Bigint.t;
   fp : Mont.ctx;
+  sqrt_exp : Bigint.t;
   gx : Bigint.t;
   gy : Bigint.t;
 }
 
 let make ~name ~p ~q ~h ~gx ~gy =
-  { name; p; q; h; fp = Mont.create p; gx; gy }
+  let sqrt_exp = Bigint.shift_right (Bigint.succ p) 2 in
+  { name; p; q; h; fp = Mont.create p; sqrt_exp; gx; gy }
 
 let of_hex = Bigint.of_string
 

@@ -221,7 +221,10 @@ let test_group_binding () =
   let session, _ = ok (Deployment.authenticate d ~user ~router ~group_id:1 ()) in
   ignore session;
   let entry = List.hd (Mesh_router.access_log router) in
-  (match Network_operator.audit no ~msg:entry.Mesh_router.le_transcript entry.Mesh_router.le_gsig with
+  (match
+     Network_operator.audit no ~msg:entry.Mesh_router.le_transcript
+       (Option.get (Mesh_router.logged_signature router entry))
+   with
   | Some finding ->
     Alcotest.(check int) "attributed to group 1" 1
       finding.Network_operator.found_group_id

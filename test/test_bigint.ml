@@ -248,6 +248,97 @@ let test_mont () =
   Alcotest.(check bool) "mont one" true
     (Bigint.is_one (Mont.to_bigint ctx (Mont.one ctx)))
 
+(* --- the Montgomery kernel against plain Bigint arithmetic --- *)
+
+let limb_bits = Bigint.Internal.limb_bits
+let limb_mask = Bigint.Internal.limb_mask
+
+(* odd moduli of exactly [k] limbs: the largest top limb, the smallest,
+   and a random one *)
+let kernel_moduli rng k =
+  let unit = Bigint.shift_left Bigint.one (limb_bits * (k - 1)) in
+  let with_top top =
+    let low = Bigint.random_below rng unit in
+    Bigint.logor (Bigint.add (Bigint.mul_int unit top) low) Bigint.one
+  in
+  let random_top =
+    2 + Bigint.to_int (Bigint.random_below rng (Bigint.of_int (limb_mask - 2)))
+  in
+  [ with_top limb_mask; with_top (if k = 1 then 3 else 1); with_top random_top ]
+
+let preset_moduli =
+  let p params = (Lazy.force params).Peace_pairing.Params.p in
+  [ p Peace_pairing.Params.tiny; p Peace_pairing.Params.light ]
+
+(* 0, 1, m − 1, R mod m and random residues, canonical *)
+let kernel_operands rng m k =
+  let radix = Bigint.shift_left Bigint.one (limb_bits * k) in
+  [ Bigint.zero; Bigint.one; Bigint.pred m; Bigint.erem radix m ]
+  @ List.init 4 (fun _ -> Bigint.random_below rng m)
+
+(* every product and square, then a chain of 1 000 products fed back into
+   the kernel: a result left at or above m would drift from the reference
+   or fail to match the canonical encoding of the reference value *)
+let check_kernel rng m =
+  let ctx = Mont.create m in
+  let k = Mont.num_limbs ctx in
+  let same what expected got =
+    if
+      not
+        (Bigint.equal expected (Mont.to_bigint ctx got)
+        && Mont.equal ctx got (Mont.of_bigint ctx expected))
+    then
+      Alcotest.failf "%d limbs, m = %s: %s: want %s" k (Bigint.to_hex m) what
+        (Bigint.to_hex expected)
+  in
+  let ops = kernel_operands rng m k in
+  List.iter
+    (fun a ->
+      let ma = Mont.of_bigint ctx a in
+      same "sqr" (Modular.mul a a m) (Mont.sqr ctx ma);
+      List.iter
+        (fun b ->
+          same "mul" (Modular.mul a b m) (Mont.mul ctx ma (Mont.of_bigint ctx b)))
+        ops)
+    ops;
+  let b = Bigint.random_below rng m in
+  let mb = Mont.of_bigint ctx b in
+  let x = ref (Bigint.pred m) and mx = ref (Mont.of_bigint ctx (Bigint.pred m)) in
+  for i = 1 to 1000 do
+    if i mod 7 = 0 then begin
+      x := Modular.mul !x !x m;
+      mx := Mont.sqr ctx !mx
+    end
+    else begin
+      x := Modular.mul !x b m;
+      mx := Mont.mul ctx !mx mb
+    end
+  done;
+  same "chain of 1000" !x !mx
+
+let test_mont_kernel () =
+  let rng = test_rng 23 in
+  List.iter
+    (fun k -> List.iter (check_kernel rng) (kernel_moduli rng k))
+    [ 1; 2; 3; 6; 18; 35 ];
+  List.iter (check_kernel rng) preset_moduli
+
+let test_mont_width_guard () =
+  let rng = test_rng 29 in
+  let narrow = Mont.create (List.nth preset_moduli 0) in
+  let wide = Mont.create (List.nth preset_moduli 1) in
+  let a = Mont.of_bigint narrow (Bigint.random_below rng (Mont.modulus narrow)) in
+  let b = Mont.of_bigint wide (Bigint.random_below rng (Mont.modulus wide)) in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: mixed widths accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "narrow ctx, wide operand" (fun () -> Mont.mul narrow a b);
+  raises "narrow ctx, wide first operand" (fun () -> Mont.mul narrow b a);
+  raises "wide ctx, narrow operand" (fun () -> Mont.mul wide b a);
+  raises "sqr of a foreign element" (fun () -> Mont.sqr wide a)
+
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -414,6 +505,8 @@ let suite =
         Alcotest.test_case "primality" `Quick test_primes;
         Alcotest.test_case "randomness" `Quick test_random;
         Alcotest.test_case "montgomery" `Quick test_mont;
+        Alcotest.test_case "montgomery kernel vs modular" `Quick test_mont_kernel;
+        Alcotest.test_case "montgomery width guard" `Quick test_mont_width_guard;
       ] );
     ("bigint-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -307,9 +307,14 @@ let test_audit_and_trace () =
   let entry = List.hd (Mesh_router.access_log router) in
   Alcotest.(check string) "log entry matches session" sid
     entry.Mesh_router.le_session_id;
+  (* the log keeps the signature's wire bytes, not the decoded points *)
+  Alcotest.(check int) "log keeps wire bytes"
+    (Group_sig.signature_size (Deployment.gpk d))
+    (String.length entry.Mesh_router.le_gsig_bytes);
   (match
      Law_authority.audit_only (Deployment.operator d)
-       ~msg:entry.Mesh_router.le_transcript entry.Mesh_router.le_gsig
+       ~msg:entry.Mesh_router.le_transcript
+       (Option.get (Mesh_router.logged_signature router entry))
    with
   | None -> Alcotest.fail "audit found nothing"
   | Some finding ->

@@ -453,7 +453,7 @@ let test_op_counts () =
         (count (fun () ->
              Alcotest.check vres "valid" Group_sig.Valid
                (Group_sig.verify gpk ~url ~msg s)))
-        ~pairings:(3 + n) ~g1_mul:8 ~gt_exp:1 ~hash_to_g1:4)
+        ~pairings:(3 + n) ~g1_mul:8 ~gt_exp:1 ~hash_to_g1:2)
     [ 1; 6 ];
   (* verify_fast: |URL|-independent — identical counts for 4 and 24 tokens *)
   let fi = Group_sig.setup ~base_mode:Group_sig.Fixed_bases tiny (test_rng 91) in

@@ -276,6 +276,110 @@ let qcheck_tests =
           (G1.mul params (Modular.mul a b params.Params.q) g));
   ]
 
+(* --- decode, in_subgroup and hash_to_point on the cached field context,
+   each against the generic composition it replaced --- *)
+
+(* x³ + x and its square root through generic [Modular] (a fresh Montgomery
+   context per call, a Jacobi symbol first), the composition G1 used before
+   it moved onto [params.fp] *)
+let reference_root params x =
+  let p = params.Params.p in
+  Modular.sqrt (Modular.add (Modular.powm x (Bigint.of_int 3) p) x p) p
+
+let reference_in_subgroup params pt =
+  G1.is_infinity pt
+  || (G1.on_curve params pt
+     && G1.is_infinity (G1.mul params params.Params.q pt))
+
+let reference_decode params s =
+  let width = Params.group_element_bytes params - 1 in
+  if String.length s <> width + 1 then None
+  else
+    match s.[0] with
+    | '\x00' ->
+      if String.for_all (fun c -> c = '\000') s then Some G1.infinity else None
+    | '\x02' | '\x03' -> begin
+      let p = params.Params.p in
+      let x = Bigint.of_bytes_be (String.sub s 1 width) in
+      if Bigint.compare x p >= 0 then None
+      else
+        match reference_root params x with
+        | None -> None
+        | Some y0 ->
+          let want_even = s.[0] = '\x02' in
+          let y = if Bigint.is_even y0 = want_even then y0 else Bigint.sub p y0 in
+          let pt = G1.of_affine params ~x ~y in
+          if G1.is_infinity (G1.mul params params.Params.q pt) then Some pt
+          else None
+    end
+    | _ -> None
+
+let reference_hash_to_point params msg =
+  let p = params.Params.p in
+  let width = Params.group_element_bytes params - 1 in
+  let rec attempt counter =
+    let seed =
+      Peace_hash.Hmac.hkdf ~info:"peace-h2c" (msg ^ string_of_int counter) (width + 8)
+    in
+    let x = Bigint.erem (Bigint.of_bytes_be seed) p in
+    match reference_root params x with
+    | Some y when not (Bigint.is_zero y) ->
+      let cleared = G1.mul params params.Params.h (G1.of_affine params ~x ~y) in
+      if G1.is_infinity cleared then attempt (counter + 1) else cleared
+    | Some _ | None -> attempt (counter + 1)
+  in
+  attempt 0
+
+(* an on-curve point outside the q-subgroup: walk x up from [start] *)
+let rec rogue_point params start =
+  match reference_root params start with
+  | Some y when not (Bigint.is_zero y) ->
+    let pt = G1.of_affine params ~x:start ~y in
+    if reference_in_subgroup params pt then rogue_point params (Bigint.succ start)
+    else pt
+  | Some _ | None -> rogue_point params (Bigint.succ start)
+
+let same_decode params s =
+  match (G1.decode params s, reference_decode params s) with
+  | None, None -> true
+  | Some a, Some b -> G1.encode params a = G1.encode params b && G1.equal params a b
+  | Some _, None | None, Some _ -> false
+
+let decode_tests params ~count =
+  let name what = Printf.sprintf "%s (%s)" what params.Params.name in
+  let width = Params.group_element_bytes params - 1 in
+  let seed = QCheck.make ~print:string_of_int QCheck.Gen.int in
+  let random_point seed = G1.random params (test_rng seed) in
+  [
+    QCheck.Test.make ~name:(name "decode x") ~count seed (fun seed ->
+        let rng = test_rng seed in
+        let prefix = if seed land 1 = 0 then "\x02" else "\x03" in
+        (* full-width random bytes: some x land at or above p; x = 0 has
+           the root 0, a 2-torsion point of either parity *)
+        same_decode params (prefix ^ rng width)
+        && same_decode params (prefix ^ String.make width '\000'));
+    QCheck.Test.make ~name:(name "decode points") ~count seed (fun seed ->
+        let pt = random_point seed in
+        same_decode params (G1.encode params pt)
+        && same_decode params (G1.encode params (G1.neg params pt)));
+    QCheck.Test.make ~name:(name "decode rogue") ~count seed (fun seed ->
+        let start = Bigint.random_below (test_rng seed) params.Params.p in
+        let rogue = rogue_point params start in
+        G1.decode params (G1.encode params rogue) = None
+        && same_decode params (G1.encode params rogue)
+        && same_decode params (G1.encode params (G1.neg params rogue)));
+    QCheck.Test.make ~name:(name "in_subgroup") ~count seed (fun seed ->
+        let start = Bigint.random_below (test_rng seed) params.Params.p in
+        let rogue = rogue_point params start and pt = random_point seed in
+        List.for_all
+          (fun p -> G1.in_subgroup params p = reference_in_subgroup params p)
+          [ rogue; pt; G1.infinity ]);
+    QCheck.Test.make ~name:(name "hash_to_point") ~count seed (fun seed ->
+        let msg = Printf.sprintf "h2p-%d" seed in
+        let got = G1.hash_to_point params msg in
+        G1.encode params got = G1.encode params (reference_hash_to_point params msg));
+  ]
+
 let suite =
   [
     ( "params",
@@ -316,6 +420,9 @@ let suite =
         Alcotest.test_case "counters" `Quick test_pairing_counters;
       ] );
     ("pairing-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ( "g1-cached-field",
+      List.map QCheck_alcotest.to_alcotest
+        (decode_tests tiny ~count:100 @ decode_tests light ~count:8) );
   ]
 
 let () = Alcotest.run "peace-pairing" suite
