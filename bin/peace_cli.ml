@@ -540,7 +540,7 @@ let simulate trace profile_out timeline faults_spec no_hardening invoices
     Printf.eprintf "timeline: %d series, %d samples -> %s\n" n_series
       (Peace_obs.Timeseries.sample_count sampler)
       path;
-    Peace_obs.Export.series_summary Format.err_formatter sampler
+    Peace_obs.Expo.series_summary Format.err_formatter sampler
 
 let simulate_cmd =
   let scenario =
@@ -1092,7 +1092,7 @@ let stats trace profile_out profile params_src url_size =
       Peace_obs.Profile.report Format.std_formatter p;
       print_newline ());
     print_endline "registry:";
-    Peace_obs.Export.summary Format.std_formatter;
+    Peace_obs.Expo.summary Format.std_formatter;
     if !failures > 0 then begin
       Printf.eprintf "error: %d row(s) diverge from the paper's formulas\n"
         !failures;
@@ -1272,7 +1272,7 @@ let make_testbed params_src seed n_users =
   end;
   Service.Testbed.make ~params:(load_params params_src) ~seed ~n_users ()
 
-let serve_auth trace params_src testbed_seed n_users addr workers verify_domains
+let serve_auth trace params_src testbed_seed n_users addr workers
     beacon_period_ms announce duration audit_path metrics_port metrics_announce
     alerts_src =
   Peace_sock.ignore_sigpipe ();
@@ -1345,7 +1345,7 @@ let serve_auth trace params_src testbed_seed n_users addr workers verify_domains
         (List.length rules)));
   let server =
     or_die
-      (Service.Authority.start ~workers ~verify_domains ~beacon_period_ms
+      (Service.Authority.start ~workers ~beacon_period_ms
          ~config:testbed.Service.Testbed.tb_config
          ~router:testbed.Service.Testbed.tb_router addr)
   in
@@ -1399,10 +1399,10 @@ let serve_auth trace params_src testbed_seed n_users addr workers verify_domains
            | Ok () -> ()
            | Error msg -> Printf.eprintf "metrics listener: %s\n%!" msg)));
   Printf.eprintf
-    "peace serve-auth: authority on %s (%d workers, %d verify domains, %d \
-     users; ctrl-c to stop)\n\
+    "peace serve-auth: authority on %s (%d workers, %d users; ctrl-c to \
+     stop)\n\
      %!"
-    bound workers verify_domains n_users;
+    bound workers n_users;
   let interrupted = Atomic.make false in
   let on_signal _ = Atomic.set interrupted true in
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
@@ -1425,14 +1425,6 @@ let serve_auth_cmd =
     Arg.(
       value & opt int 2
       & info [ "workers" ] ~docv:"N" ~doc:"Connection worker domains.")
-  in
-  let verify_domains =
-    Arg.(
-      value & opt int 0
-      & info [ "verify-domains" ] ~docv:"N"
-          ~doc:
-            "Extra domains for group-signature verification (0 = verify \
-             inline on the connection worker).")
   in
   let beacon_period =
     Arg.(
@@ -1510,7 +1502,7 @@ let serve_auth_cmd =
     Term.(
       const serve_auth $ trace_arg $ params_arg $ testbed_seed_arg $ users_arg
       $ addr_arg ~default:(Peace_sock.Tcp ("127.0.0.1", 7464))
-      $ workers $ verify_domains $ beacon_period $ announce $ duration
+      $ workers $ beacon_period $ announce $ duration
       $ audit $ metrics_port $ metrics_announce $ alerts)
 
 let concurrency_arg =
@@ -1576,8 +1568,8 @@ let loadgen_cmd =
       $ concurrency_arg $ rate_arg $ duration_arg $ impair_arg $ lg_seed_arg
       $ timeout)
 
-let slo params_src n_users workers verify_domains concurrency rate duration
-    impair seed json_out trace_out rev =
+let slo params_src n_users workers concurrency rate duration impair seed
+    json_out trace_out rev =
   Peace_sock.ignore_sigpipe ();
   (* --trace-out captures BOTH sides of every handshake: client and
      server live in this one process, so one sink sees the loadgen root
@@ -1591,8 +1583,7 @@ let slo params_src n_users workers verify_domains concurrency rate duration
   match
     with_trace_out (fun () ->
         Service.Slo.run ~params:(load_params params_src) ~n_users ~workers
-          ~verify_domains ~concurrency ?rate ~duration_s:duration ~impair ~seed
-          ())
+          ~concurrency ?rate ~duration_s:duration ~impair ~seed ())
   with
   | Error e ->
     prerr_endline ("error: " ^ e);
@@ -1616,12 +1607,6 @@ let slo_cmd =
     Arg.(
       value & opt int 2
       & info [ "workers" ] ~docv:"N" ~doc:"Server connection worker domains.")
-  in
-  let verify_domains =
-    Arg.(
-      value & opt int 0
-      & info [ "verify-domains" ] ~docv:"N"
-          ~doc:"Extra server domains for signature verification.")
   in
   let json_out =
     Arg.(
@@ -1655,9 +1640,8 @@ let slo_cmd =
          "Self-driving SLO probe: boot the authority on a private socket, \
           load it, and report latency percentiles plus server counters")
     Term.(
-      const slo $ params_arg $ users_arg $ workers $ verify_domains
-      $ concurrency_arg $ rate_arg $ duration_arg $ impair_arg $ lg_seed_arg
-      $ json_out $ trace_out $ rev)
+      const slo $ params_arg $ users_arg $ workers $ concurrency_arg $ rate_arg
+      $ duration_arg $ impair_arg $ lg_seed_arg $ json_out $ trace_out $ rev)
 
 (* --- watch --- *)
 

@@ -227,27 +227,37 @@ let cheap_reject t err =
   audit_reject t.router_id err;
   err
 
-(* the pre-verification half of (M.2) processing: cheap checks (freshness,
-   matching beacon, replay cache, puzzle), then replay-cache insertion and
-   the verification counter. [Ready] carries everything the signature
-   check and the finalisation need. *)
-type precheck_outcome =
-  | Rejected of Protocol_error.t
-  | Ready of outstanding_beacon * string (* transcript *)
-  | Resend of Messages.access_confirm * Session.t
-      (* duplicate of an already-answered (M.2): idempotent replay of the
-         cached (M.3), only when the resend cache is enabled *)
+(* the three-phase split of (M.2) handling, exposed so a caller that
+   serialises router state behind a lock (the live Authority server) can
+   run the expensive signature check outside it: [access_precheck] and
+   [access_finish] touch router state and must be called under the
+   caller's lock; the verification between them only needs the immutable
+   transcript, gpk and URL snapshot. *)
 
-let precheck t (m : Messages.access_request) =
+type access_ticket = {
+  at_beacon : outstanding_beacon;
+  at_transcript : string;
+}
+
+let url_tokens t = match t.url with Some u -> Url.tokens u | None -> []
+
+(* the pre-verification half: cheap checks (freshness, matching beacon,
+   replay cache, puzzle), then replay-cache insertion and the
+   verification counter. [`Verify] carries everything the signature
+   check and the finalisation need; [`Resend] is the idempotent replay
+   of an already-answered (M.2), only when the resend cache is enabled. *)
+let access_precheck t (m : Messages.access_request) =
+  Obs.Counter.incr c_requests;
+  Obs.Histogram.time h_precheck @@ fun () ->
   let params = t.config.Config.pairing in
   let t_now = now t in
   note_request_arrival t;
   (* cheap checks first: freshness, matching beacon, puzzle *)
   if abs (t_now - m.Messages.ts2) > t.config.Config.ts_window_ms then
-    Rejected (cheap_reject t Protocol_error.Stale_timestamp)
+    `Reject (cheap_reject t Protocol_error.Stale_timestamp)
   else begin
     match Hashtbl.find_opt t.outstanding (G1.encode params m.Messages.ar_g_rr) with
-    | None -> Rejected (cheap_reject t Protocol_error.Unknown_session)
+    | None -> `Reject (cheap_reject t Protocol_error.Unknown_session)
     | Some ob ->
       let transcript =
         Messages.auth_transcript t.config m.Messages.g_rj m.Messages.ar_g_rr
@@ -268,10 +278,10 @@ let precheck t (m : Messages.access_request) =
           match Hashtbl.find_opt t.sessions session_id with
           | Some session ->
             t.resends <- t.resends + 1;
-            Resend (confirm, session)
-          | None -> Rejected (cheap_reject t Protocol_error.Stale_timestamp)
+            `Resend (confirm, session)
+          | None -> `Reject (cheap_reject t Protocol_error.Stale_timestamp)
         end
-        | None -> Rejected (cheap_reject t Protocol_error.Stale_timestamp)
+        | None -> `Reject (cheap_reject t Protocol_error.Stale_timestamp)
       end
       else begin
         let pass () =
@@ -280,22 +290,22 @@ let precheck t (m : Messages.access_request) =
              retried *)
           Hashtbl.replace t.seen_requests fingerprint m.Messages.ts2;
           t.verifications <- t.verifications + 1;
-          Ready (ob, transcript)
+          let url = url_tokens t in
+          Obs.Histogram.observe h_url_scan (List.length url);
+          `Verify ({ at_beacon = ob; at_transcript = transcript }, transcript, url)
         in
         match ob.ob_puzzle with
         | Some puzzle when t.puzzle_difficulty <> None -> begin
           match m.Messages.puzzle_solution with
-          | None -> Rejected (cheap_reject t Protocol_error.Puzzle_required)
+          | None -> `Reject (cheap_reject t Protocol_error.Puzzle_required)
           | Some solution ->
             if not (Puzzle.check puzzle solution) then
-              Rejected (cheap_reject t Protocol_error.Bad_puzzle_solution)
+              `Reject (cheap_reject t Protocol_error.Bad_puzzle_solution)
             else pass ()
         end
         | _ -> pass ()
       end
   end
-
-let url_tokens t = match t.url with Some u -> Url.tokens u | None -> []
 
 (* the post-verification half: key agreement, audit log, (M.3) *)
 let finalize t (m : Messages.access_request) ob transcript =
@@ -335,40 +345,16 @@ let finalize t (m : Messages.access_request) ob transcript =
     ];
   Ok (confirm, session)
 
-let conclude t (m : Messages.access_request) ob transcript = function
+let access_finish t (m : Messages.access_request) ticket verdict =
+  Obs.Histogram.time h_finalize @@ fun () ->
+  match verdict with
   | Group_sig.Invalid_proof ->
     audit_reject t.router_id Protocol_error.Invalid_group_signature;
     Error Protocol_error.Invalid_group_signature
   | Group_sig.Revoked ->
     audit_reject t.router_id Protocol_error.User_revoked;
     Error Protocol_error.User_revoked
-  | Group_sig.Valid -> finalize t m ob transcript
-
-(* the three-phase split, exposed so a caller that serialises router state
-   behind a lock (the live Authority server) can run the expensive
-   signature check outside it: [access_precheck] and [access_finish] touch
-   router state and must be called under the caller's lock; the
-   verification between them only needs the immutable transcript, gpk and
-   URL snapshot. *)
-
-type access_ticket = {
-  at_beacon : outstanding_beacon;
-  at_transcript : string;
-}
-
-let access_precheck t (m : Messages.access_request) =
-  Obs.Counter.incr c_requests;
-  match Obs.Histogram.time h_precheck (fun () -> precheck t m) with
-  | Rejected err -> `Reject err
-  | Resend (confirm, session) -> `Resend (confirm, session)
-  | Ready (ob, transcript) ->
-    let url = url_tokens t in
-    Obs.Histogram.observe h_url_scan (List.length url);
-    `Verify ({ at_beacon = ob; at_transcript = transcript }, transcript, url)
-
-let access_finish t (m : Messages.access_request) ticket verdict =
-  Obs.Histogram.time h_finalize (fun () ->
-      conclude t m ticket.at_beacon ticket.at_transcript verdict)
+  | Group_sig.Valid -> finalize t m ticket.at_beacon ticket.at_transcript
 
 let current_gpk t = t.gpk
 
@@ -380,41 +366,6 @@ let handle_access_request t (m : Messages.access_request) =
     Obs.Histogram.time h_verify (fun () ->
         Group_sig.verify t.gpk ~url ~msg:transcript m.Messages.gsig)
     |> access_finish t m ticket
-
-let handle_access_requests_batch ?(domains = 1) t ms =
-  (* prechecks run in arrival order (they mutate the replay cache and the
-     auto-defense window exactly as the sequential path would), then the
-     surviving signatures are verified as one batch over the farm, and the
-     valid ones are finalised back in arrival order *)
-  let prechecked = List.map (fun m -> (m, precheck t m)) ms in
-  Obs.Counter.add c_requests (List.length ms);
-  let jobs =
-    List.filter_map
-      (function
-        | (m : Messages.access_request), Ready (_, transcript) ->
-          Some { Peace_parallel.Batch_verify.msg = transcript; gsig = m.Messages.gsig }
-        | _, (Rejected _ | Resend _) -> None)
-      prechecked
-  in
-  let url = url_tokens t in
-  List.iter
-    (fun (_ : Peace_parallel.Batch_verify.job) ->
-      Obs.Histogram.observe h_url_scan (List.length url))
-    jobs;
-  let verdicts =
-    Peace_parallel.Batch_verify.verify_batch ~domains ~url t.gpk jobs
-  in
-  let rec assemble prechecked verdicts =
-    match (prechecked, verdicts) with
-    | [], _ -> []
-    | (_, Rejected err) :: rest, verdicts -> Error err :: assemble rest verdicts
-    | (_, Resend (confirm, session)) :: rest, verdicts ->
-      Ok (confirm, session) :: assemble rest verdicts
-    | (m, Ready (ob, transcript)) :: rest, verdict :: verdicts ->
-      conclude t m ob transcript verdict :: assemble rest verdicts
-    | (_, Ready _) :: _, [] -> assert false (* one verdict per Ready job *)
-  in
-  assemble prechecked verdicts
 
 let session_count t = Hashtbl.length t.sessions
 let find_session t ~id = Hashtbl.find_opt t.sessions id

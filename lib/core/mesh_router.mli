@@ -55,8 +55,8 @@ val handle_access_request :
     {!handle_access_request} in three phases, for callers that serialise
     router state behind a lock but want the expensive group-signature
     check outside it (the live {!Peace_service.Authority} server: cheap
-    phases under its router mutex, verification on the
-    {!Peace_parallel.Batch_verify} farm). {!access_precheck} and
+    phases under its router mutex, verification on the connection
+    worker with the mutex released). {!access_precheck} and
     {!access_finish} mutate router state (replay cache, sessions, audit
     log) and must run under whatever lock guards the router; the verify
     inputs they hand over — transcript, URL snapshot, {!current_gpk} —
@@ -85,17 +85,6 @@ val access_finish :
 
 val current_gpk : t -> Group_sig.gpk
 (** The group public key this router currently verifies against. *)
-
-val handle_access_requests_batch :
-  ?domains:int -> t -> Messages.access_request list ->
-  (Messages.access_confirm * Session.t, Protocol_error.t) result list
-(** Batched verification mode for draining a burst of queued (M.2)s: cheap
-    checks run per request in arrival order, the surviving group
-    signatures are verified as one batch over a
-    {!Peace_parallel.Batch_verify} farm of [domains] workers (default 1 =
-    the sequential path), and results come back in arrival order. For any
-    request list, the results — including all router state updates — are
-    identical to folding {!handle_access_request} over the list. *)
 
 val session_count : t -> int
 val find_session : t -> id:string -> Session.t option

@@ -87,15 +87,14 @@ let checkpoint_locked t ~final =
   t.n_checkpoints <- t.n_checkpoints + 1;
   t.since_ckpt <- 0
 
-let create ?(checkpoint_every = 32) ?(capacity = 4096) ?signer ?sink
-    ?(meta = []) () =
+let create ?(checkpoint_every = 32) ?signer ?sink ?(meta = []) () =
   if checkpoint_every <= 0 then invalid_arg "Audit.create: checkpoint_every";
   let t =
     {
       every = checkpoint_every;
       signer;
       sink;
-      ring = Array.make (Stdlib.max 16 capacity) None;
+      ring = Array.make 4096 None;
       mu = Mutex.create ();
       next_seq = 0;
       prev = zero_hash;

@@ -35,7 +35,6 @@ type signer = { s_algo : string; s_pk : string; s_sign : string -> string }
 
 val create :
   ?checkpoint_every:int ->
-  ?capacity:int ->
   ?signer:signer ->
   ?sink:(string -> unit) ->
   ?meta:(string * string) list ->
@@ -44,8 +43,8 @@ val create :
 (** A fresh ledger. Appends the genesis record (seq 0) immediately, which
     embeds the chain parameters, the signer identity (or [algo=none]) and
     [meta]. [checkpoint_every] is K (default 32 event records between
-    checkpoints); [capacity] bounds the in-memory ring behind {!since}
-    (default 4096). [sink] receives every rendered line (no trailing
+    checkpoints); the in-memory ring behind {!since} keeps the last 4096
+    records. [sink] receives every rendered line (no trailing
     newline), serialised under the ledger lock. *)
 
 val append : t -> kind:string -> (string * string) list -> int
@@ -73,9 +72,9 @@ val head_json : t -> string
 
 val since : t -> int -> string list
 (** Rendered records with sequence number strictly greater than the
-    argument, oldest first — the [/audit?since=SEQ] body. Bounded by
-    [capacity]: records that have left the ring are not replayed (read
-    the JSONL sink for the full history). *)
+    argument, oldest first — the [/audit?since=SEQ] body. Bounded by the
+    ring: records that have left it are not replayed (read the JSONL
+    sink for the full history). *)
 
 (** {1 The installed ledger}
 

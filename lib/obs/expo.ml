@@ -1,6 +1,7 @@
 (* Exposition formats: Chrome trace-event JSON (Perfetto), folded stacks
-   (flamegraph.pl / speedscope), and Prometheus text exposition over the
-   registry. *)
+   (flamegraph.pl / speedscope), Prometheus text exposition over the
+   registry, and the human renderings (registry summary table, sampler
+   sparklines). *)
 
 (* --- event recorder ---
 
@@ -34,10 +35,10 @@ let events r =
    a matching end (still open when the recorder detached) are dropped so
    the output always balances. The end event reuses the begin's tid: a
    handle may be finished by another domain, and Chrome pairs B/E per
-   (pid, tid). [ts_div] converts recorded timestamps to the microseconds
-   the format requires (default 1e3: wall nanoseconds -> us). *)
+   (pid, tid). Recorded timestamps are nanoseconds; the format wants
+   microseconds. *)
 
-let chrome ?(ts_div = 1e3) evs =
+let chrome evs =
   let ends = Hashtbl.create 64 and btid = Hashtbl.create 64 in
   List.iter
     (fun (ev, dom) ->
@@ -51,7 +52,7 @@ let chrome ?(ts_div = 1e3) evs =
   let sep () =
     if !first then first := false else Buffer.add_string buf ",\n "
   in
-  let us ts = Printf.sprintf "%.3f" (float_of_int ts /. ts_div) in
+  let us ts = Printf.sprintf "%.3f" (float_of_int ts /. 1e3) in
   List.iter
     (fun (ev, dom) ->
       match ev with
@@ -142,7 +143,8 @@ let with_label labels extra =
     ^ String.sub labels 1 (String.length labels - 2)
     ^ "," ^ extra ^ "}"
 
-let prometheus ?(prefix = "peace_") () =
+let prometheus () =
+  let prefix = "peace_" in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let simple kind series =
@@ -183,3 +185,104 @@ let prometheus ?(prefix = "peace_") () =
         rows)
     (by_family prefix hists);
   Buffer.contents buf
+
+(* --- human summary of the registry --- *)
+
+let is_ns name =
+  let n = String.length name in
+  n >= 3 && String.sub name (n - 3) 3 = "_ns"
+
+let ms ns = float_of_int ns /. 1e6
+
+let summary fmt =
+  let counters = Registry.counters () in
+  let gauges = Registry.gauges () in
+  let histograms = Registry.histograms () in
+  if counters <> [] then begin
+    Format.fprintf fmt "counters:@.";
+    List.iter
+      (fun (name, v) -> Format.fprintf fmt "  %-32s %d@." name v)
+      counters
+  end;
+  if gauges <> [] then begin
+    Format.fprintf fmt "gauges:@.";
+    List.iter
+      (fun (name, v) -> Format.fprintf fmt "  %-32s %d@." name v)
+      gauges
+  end;
+  let live = List.filter (fun (_, h) -> Registry.Histogram.count h > 0) histograms in
+  if live <> [] then begin
+    Format.fprintf fmt "histograms:@.";
+    List.iter
+      (fun (name, h) ->
+        let n = Registry.Histogram.count h in
+        let mean = Option.value ~default:0.0 (Registry.Histogram.mean h) in
+        let p50 = Option.value ~default:0.0 (Registry.Histogram.quantile h 50.0) in
+        let p95 = Option.value ~default:0.0 (Registry.Histogram.quantile h 95.0) in
+        if is_ns name then
+          Format.fprintf fmt
+            "  %-32s n=%-6d mean=%.3fms p50~%.3fms p95~%.3fms@." name n
+            (ms (int_of_float mean)) (ms (int_of_float p50))
+            (ms (int_of_float p95))
+        else
+          Format.fprintf fmt "  %-32s n=%-6d mean=%.2f p50~%.1f p95~%.1f@."
+            name n mean p50 p95)
+      live
+  end;
+  if counters = [] && gauges = [] && live = [] then
+    Format.fprintf fmt "(no metrics recorded)@."
+
+(* --- time-series rendering --- *)
+
+let spark_blocks = [| "▁"; "▂"; "▃"; "▄"; "▅"; "▆"; "▇"; "█" |]
+
+let sparkline ?(width = 40) points =
+  match points with
+  | [] -> ""
+  | points ->
+    let values = List.map snd points in
+    let lo = List.fold_left Float.min (List.hd values) values in
+    let hi = List.fold_left Float.max (List.hd values) values in
+    let n = List.length values in
+    let width = Stdlib.min width n in
+    (* resample to [width] columns: each column is the mean of its slice *)
+    let sums = Array.make width 0.0 and counts = Array.make width 0 in
+    List.iteri
+      (fun i v ->
+        let col = Stdlib.min (width - 1) (i * width / n) in
+        sums.(col) <- sums.(col) +. v;
+        counts.(col) <- counts.(col) + 1)
+      values;
+    let buf = Buffer.create (3 * width) in
+    for col = 0 to width - 1 do
+      if counts.(col) > 0 then begin
+        let v = sums.(col) /. float_of_int counts.(col) in
+        let level =
+          if hi -. lo <= 0.0 then 3
+          else
+            Stdlib.min 7
+              (int_of_float ((v -. lo) /. (hi -. lo) *. 8.0))
+        in
+        Buffer.add_string buf spark_blocks.(level)
+      end
+    done;
+    Buffer.contents buf
+
+let series_summary fmt sampler =
+  let all = Timeseries.series sampler in
+  let live = List.filter (fun s -> Timeseries.Series.length s > 0) all in
+  if live = [] then Format.fprintf fmt "(no series sampled)@."
+  else
+    List.iter
+      (fun s ->
+        let points = Timeseries.Series.points s in
+        let values = List.map snd points in
+        let lo = List.fold_left Float.min (List.hd values) values in
+        let hi = List.fold_left Float.max (List.hd values) values in
+        let last = List.nth values (List.length values - 1) in
+        Format.fprintf fmt "  %-28s %s  min=%g max=%g last=%g n=%d/%d@."
+          (Timeseries.Series.name s)
+          (sparkline points) lo hi last
+          (Timeseries.Series.length s)
+          (Timeseries.Series.stride s * Timeseries.Series.length s))
+      live

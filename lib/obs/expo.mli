@@ -1,7 +1,8 @@
 (** Exposition formats over the span stream and the registry: Chrome
     trace-event JSON (load in Perfetto / [chrome://tracing]), folded
-    stacks ([flamegraph.pl] / speedscope), and the Prometheus text
-    exposition {!Serve} publishes on [/metrics]. *)
+    stacks ([flamegraph.pl] / speedscope), the Prometheus text
+    exposition {!Serve} publishes on [/metrics], and the human renderings
+    [peace stats] and [peace simulate --timeline] print. *)
 
 (** {1 Recording the span stream} *)
 
@@ -21,21 +22,35 @@ val events : recorder -> (Trace.event * int) list
 
 (** {1 Renderers} *)
 
-val chrome : ?ts_div:float -> (Trace.event * int) list -> string
+val chrome : (Trace.event * int) list -> string
 (** Chrome trace-event JSON: one ["ph":"B"]/["ph":"E"] pair per completed
     span ([tid] = emitting domain; unmatched begins are dropped so pairs
-    always balance). [ts_div] converts recorded timestamps to the
-    microseconds the format wants — default [1e3] (wall ns -> us); pass
-    [1e-3] for simulated-milliseconds spans. *)
+    always balance). Recorded timestamps are read as nanoseconds and
+    written as the microseconds the format wants. *)
 
 val folded : Profile.t -> string
 (** Folded stacks: one ["root;child;leaf <self>"] line per call-tree path
     with non-zero self time, value in the profile's time unit. *)
 
-val prometheus : ?prefix:string -> unit -> string
+val prometheus : unit -> string
 (** The whole registry in Prometheus text exposition format. Base metric
     names are sanitised to the exposition grammar (dots -> underscores)
-    and prefixed (default ["peace_"]); label suffixes are emitted as
+    and prefixed with ["peace_"]; label suffixes are emitted as
     stored ({!Registry.encode_labels} already escapes values). Histograms
     render as cumulative [_bucket{le="..."}] series over the log-bucket
     upper bounds, plus [_sum] and [_count]. *)
+
+(** {1 Human renderings} *)
+
+val summary : Format.formatter -> unit
+(** Human-readable dump: counters, gauges, then non-empty histograms.
+    Histogram names ending in [_ns] are rendered in milliseconds. *)
+
+val sparkline : ?width:int -> (int * float) list -> string
+(** Render [(ts, value)] points as a Unicode block sparkline (▁▂…█),
+    resampled to at most [width] columns (default 40, mean per column).
+    A constant series renders at mid height; empty input is [""]. *)
+
+val series_summary : Format.formatter -> Timeseries.t -> unit
+(** One line per non-empty series of the sampler: name, sparkline,
+    min/max/last, and stored-out-of-raw point counts. *)

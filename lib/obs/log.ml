@@ -61,18 +61,6 @@ let capacity () = Array.length (Atomic.get ring).slots
 
 let clear () = set_capacity (capacity ())
 
-(* optional JSONL sink, same contract as Trace's: one line per event,
-   no trailing newline, serialised under a lock *)
-let sink_lock = Mutex.create ()
-let sink : (string -> unit) option ref = ref None
-
-let set_sink s =
-  Mutex.lock sink_lock;
-  sink := s;
-  Mutex.unlock sink_lock
-
-let sink_active () = !sink <> None
-
 let events_total = Registry.counter_family ~label:"level" "log.events_total"
 
 let entry_json e =
@@ -103,14 +91,7 @@ let event ?(attrs = []) lvl msg =
     let r = Atomic.get ring in
     let i = Atomic.fetch_and_add r.cursor 1 in
     Atomic.set r.slots.(i mod Array.length r.slots) (Some e);
-    Registry.Counter.incr (events_total (level_to_string lvl));
-    if sink_active () then begin
-      Mutex.lock sink_lock;
-      (match !sink with
-      | None -> ()
-      | Some write -> ( try write (entry_json e) with _ -> ()));
-      Mutex.unlock sink_lock
-    end
+    Registry.Counter.incr (events_total (level_to_string lvl))
   end
 
 let debug ?attrs msg = event ?attrs Debug msg
@@ -148,17 +129,3 @@ let recent ?min_level ?label ?n () =
 let recent_jsonl ?min_level ?label ?n () =
   String.concat ""
     (List.map (fun e -> entry_json e ^ "\n") (recent ?min_level ?label ?n ()))
-
-let with_file path f =
-  let oc = open_out path in
-  set_sink
-    (Some
-       (fun line ->
-         output_string oc line;
-         output_char oc '\n';
-         flush oc));
-  Fun.protect
-    ~finally:(fun () ->
-      set_sink None;
-      close_out oc)
-    f

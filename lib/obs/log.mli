@@ -8,12 +8,7 @@
     operations on acceptance; no locks, safe from any domain.
 
     Each accepted event also bumps the registry counter
-    [log.events_total{level="..."}], and — when a JSONL sink is installed
-    — emits one JSON object per line:
-
-    {v
-    {"ts_ns":...,"level":"warn","msg":"queue full","dom":3,"attrs":{...}}
-    v} *)
+    [log.events_total{level="..."}]. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -21,7 +16,7 @@ val level_to_string : level -> string
 val level_of_string : string -> level option
 
 val set_level : level -> unit
-(** Minimum level recorded (ring, counters, and sink all honour it).
+(** Minimum level recorded (ring and counters both honour it).
     Default: [Debug] — the flight recorder wants everything. *)
 
 val level : unit -> level
@@ -60,7 +55,11 @@ val recent :
 val recent_jsonl :
   ?min_level:level -> ?label:string * string -> ?n:int -> unit -> string
 (** {!recent} rendered as JSONL (each line newline-terminated) — the
-    body of the [/flight] endpoint. *)
+    body of the [/flight] endpoint. One object per event:
+
+    {v
+    {"ts_ns":...,"level":"warn","msg":"queue full","dom":3,"attrs":{...}}
+    v} *)
 
 val capacity : unit -> int
 
@@ -68,18 +67,3 @@ val set_capacity : int -> unit
 (** Resize the ring. Discards current contents. Default capacity 1024. *)
 
 val clear : unit -> unit
-
-(** {1 JSONL sink} *)
-
-val entry_json : entry -> string
-(** One event as a JSON object (no trailing newline). *)
-
-val set_sink : (string -> unit) option -> unit
-(** Install (or remove) the line sink; called under a lock, one JSON
-    line per event without the trailing newline. *)
-
-val sink_active : unit -> bool
-
-val with_file : string -> (unit -> 'a) -> 'a
-(** Write events to a file (one line each, flushed) while the thunk
-    runs, then remove the sink and close the file. *)

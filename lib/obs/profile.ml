@@ -46,8 +46,8 @@ type t = {
   p_shards : (int, shard) Hashtbl.t;
 }
 
-let create ?(ops = default_ops) () =
-  let p_ops = Array.of_list ops in
+let create () =
+  let p_ops = Array.of_list default_ops in
   {
     p_ops;
     p_counters = Array.map (fun n -> Registry.counter n) p_ops;
@@ -172,12 +172,6 @@ let collector t = ingest t
 let install t = Trace.set_collector (Some (ingest t))
 let uninstall () = Trace.set_collector None
 
-let with_profile ?ops f =
-  let t = create ?ops () in
-  install t;
-  let v = Fun.protect ~finally:uninstall f in
-  (v, t)
-
 let dropped t =
   List.fold_left (fun n sh -> n + sh.sh_dropped) 0 (all_shards t)
 
@@ -215,43 +209,6 @@ let merged_table t =
       Mutex.unlock sh.sh_lock)
     (all_shards t);
   tbl
-
-let merge ~into src =
-  let tbl = merged_table src in
-  let sh = shard_for into in
-  Mutex.lock sh.sh_lock;
-  Hashtbl.iter
-    (fun path (c, total, ops) ->
-      let a =
-        match Hashtbl.find_opt sh.sh_nodes path with
-        | Some a -> a
-        | None ->
-          let a =
-            {
-              a_count = 0;
-              a_total_ns = 0;
-              a_ops = Array.make (Array.length into.p_ops) 0;
-            }
-          in
-          Hashtbl.replace sh.sh_nodes path a;
-          a
-      in
-      a.a_count <- a.a_count + c;
-      a.a_total_ns <- a.a_total_ns + total;
-      (* op columns line up by name, not position: src may track a
-         different op list *)
-      Array.iteri
-        (fun i opname ->
-          match
-            Array.to_list src.p_ops
-            |> List.mapi (fun j n -> (n, j))
-            |> List.assoc_opt opname
-          with
-          | Some j -> a.a_ops.(i) <- a.a_ops.(i) + ops.(j)
-          | None -> ())
-        into.p_ops)
-    tbl;
-  Mutex.unlock sh.sh_lock
 
 (* intermediate build node: totals recorded directly plus a child table *)
 type tnode = {
@@ -325,8 +282,6 @@ let roots t =
   in
   Hashtbl.fold (fun n ch acc -> freeze [] n ch :: acc) top.b_children []
   |> List.sort (fun a b -> compare a.name b.name)
-
-let tracked_ops t = Array.to_list t.p_ops
 
 let ms ns = float_of_int ns /. 1e6
 

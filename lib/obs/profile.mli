@@ -20,11 +20,12 @@
 type t
 
 val default_ops : string list
-(** The counters attributed per span by default: [pairing.ops],
+(** The counters attributed per span: [pairing.ops],
     [pairing.exp_g1], [pairing.exp_gt], [pairing.hash_to_g1],
     [ec.scalar_mul]. *)
 
-val create : ?ops:string list -> unit -> t
+val create : unit -> t
+(** An empty profile attributing {!default_ops}. *)
 
 val collector : t -> Trace.event -> unit
 (** The ingestion function, for composing with other collectors before
@@ -34,15 +35,6 @@ val install : t -> unit
 (** [Trace.set_collector] with this profile's {!collector}. *)
 
 val uninstall : unit -> unit
-
-val with_profile : ?ops:string list -> (unit -> 'a) -> 'a * t
-(** Create, install, run the thunk, uninstall — returns the result and
-    the filled profile. *)
-
-val merge : into:t -> t -> unit
-(** Fold [src]'s accumulated tree into [into] (summing counts, times, and
-    ops matched by counter name). Open spans of [src] are not carried
-    over. *)
 
 val dropped : t -> int
 (** End events that matched no open begin in any shard (span begun before
@@ -65,8 +57,6 @@ val roots : t -> node list
 (** The merged call tree, roots sorted by name. Time units are whatever
     the span timestamps used (wall nanoseconds, or simulated time for
     handle-based sim spans). *)
-
-val tracked_ops : t -> string list
 
 val report : Format.formatter -> t -> unit
 (** Human-readable tree: count, total/self ms, and the non-zero attributed

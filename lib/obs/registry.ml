@@ -227,12 +227,6 @@ let counters () = dump counters_tbl Counter.value
 let gauges () = dump gauges_tbl Gauge.value
 let histograms () = dump histograms_tbl (fun h -> h)
 
-let reset_all () =
-  with_lock (fun () ->
-      Hashtbl.iter (fun _ c -> Counter.reset c) counters_tbl;
-      Hashtbl.iter (fun _ g -> Gauge.reset g) gauges_tbl;
-      Hashtbl.iter (fun _ h -> Histogram.reset h) histograms_tbl)
-
 (* Resolve a metric name to one float for rule evaluation (Alert):
    an exact gauge or counter wins; otherwise all labelled series whose
    base name matches are summed (counters, then gauges); otherwise the
@@ -268,10 +262,3 @@ let lookup name =
             in
             Some (float_of_int sum /. float_of_int count)
           end)))
-
-let delta ~before ~after =
-  List.filter_map
-    (fun (name, v) ->
-      let b = Option.value ~default:0 (List.assoc_opt name before) in
-      if v = b then None else Some (name, v - b))
-    after

@@ -131,12 +131,3 @@ val lookup : string -> float option
     [service.errors_total{kind=...}]); otherwise the count-weighted mean
     of matching histograms. [None] when no metric matches or matching
     histograms hold no observations. *)
-
-val reset_all : unit -> unit
-(** Zero every registered metric (registrations survive). *)
-
-val delta :
-  before:(string * int) list -> after:(string * int) list ->
-  (string * int) list
-(** [delta ~before ~after] is the per-name difference, dropping zeros —
-    the shape of a per-run report ({!Peace_sim.Engine} uses it). *)

@@ -4,8 +4,8 @@
    major slice, far too heavy for a periodic sampler) plus
    /proc/self/statm and publishes the numbers as gauges, so they show up
    in /metrics, in Timeseries samplers, and in `peace watch` deltas
-   without any consumer knowing where they came from. [start] runs the
-   sampling loop on its own domain on a wall-clock period. *)
+   without any consumer knowing where they came from. The caller owns
+   the sampling loop (serve-auth ticks it next to its Timeseries). *)
 
 let started_at = lazy (Registry.now_ns ())
 
@@ -66,29 +66,3 @@ let gauge_names =
   ]
 
 let track ts = List.iter (fun n -> ignore (Timeseries.track_gauge ts n)) gauge_names
-
-type t = { r_stop : bool Atomic.t; r_dom : unit Domain.t }
-
-let start ?(period_s = 1.0) () =
-  sample ();
-  let stop = Atomic.make false in
-  let dom =
-    Domain.spawn (fun () ->
-        (* sleep in short slices so [stop] reacts promptly even with a
-           long period *)
-        let slice = 0.05 in
-        let rec wait left =
-          if (not (Atomic.get stop)) && left > 0.0 then begin
-            Unix.sleepf (Stdlib.min slice left);
-            wait (left -. slice)
-          end
-        in
-        while not (Atomic.get stop) do
-          wait period_s;
-          if not (Atomic.get stop) then sample ()
-        done)
-  in
-  { r_stop = stop; r_dom = dom }
-
-let stop t =
-  if not (Atomic.exchange t.r_stop true) then Domain.join t.r_dom

@@ -18,13 +18,3 @@ val gauge_names : string list
 val track : Timeseries.t -> unit
 (** Register every runtime gauge as a probe on the sampler, so each
     {!Timeseries.sample} tick also records the runtime series. *)
-
-type t
-(** A running background sampler (its own domain). *)
-
-val start : ?period_s:float -> unit -> t
-(** Sample immediately, then keep sampling every [period_s] wall-clock
-    seconds (default 1.0) on a fresh domain until {!stop}. *)
-
-val stop : t -> unit
-(** Stop and join the sampling domain. Idempotent. *)

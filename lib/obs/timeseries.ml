@@ -104,10 +104,6 @@ let track t name read =
   t.probes <- ({ p_name = name; p_read = read }, series) :: t.probes;
   series
 
-let track_counter t name =
-  let c = Registry.counter name in
-  track t name (fun () -> float_of_int (Registry.Counter.value c))
-
 let track_gauge t name =
   let g = Registry.gauge name in
   track t name (fun () -> float_of_int (Registry.Gauge.value g))
@@ -119,9 +115,8 @@ let sample t =
 
 let sample_count t = t.samples
 let series t = List.rev_map snd t.probes
-let find t name = List.assoc_opt name (List.map (fun (p, s) -> (p.p_name, s)) t.probes)
 
-(* --- exporters --- *)
+(* --- exporter --- *)
 
 let to_jsonl t write =
   List.iter
@@ -137,18 +132,6 @@ let to_jsonl t write =
             (Printf.sprintf "{\"kind\":\"sample\",\"series\":%s,\"ts\":%d,\"v\":%s}"
                (Obs_json.str (Series.name s))
                ts
-               (Obs_json.num_to_string v)))
-        (Series.points s))
-    (series t)
-
-let to_csv t write =
-  write "series,ts,value";
-  List.iter
-    (fun s ->
-      List.iter
-        (fun (ts, v) ->
-          write
-            (Printf.sprintf "%s,%d,%s" (Series.name s) ts
                (Obs_json.num_to_string v)))
         (Series.points s))
     (series t)

@@ -1,6 +1,6 @@
 (** Longitudinal telemetry: a clock-driven sampler that snapshots
-    registry counters/gauges (or arbitrary probes) into fixed-capacity
-    ring-buffer series.
+    registry gauges (or arbitrary probes) into fixed-capacity ring-buffer
+    series.
 
     Point-in-time counters ({!Registry}) answer "how many?"; these series
     answer "how did it evolve?" — queue depth over a simulated hour,
@@ -60,9 +60,6 @@ val track : t -> string -> (unit -> float) -> Series.t
 (** Register a custom probe, returning its series.
     @raise Invalid_argument on a duplicate series name. *)
 
-val track_counter : t -> string -> Series.t
-(** Probe the registry counter of that name (created if absent). *)
-
 val track_gauge : t -> string -> Series.t
 (** Probe the registry gauge of that name (created if absent). *)
 
@@ -75,12 +72,7 @@ val sample_count : t -> int
 val series : t -> Series.t list
 (** All series, in track order. *)
 
-val find : t -> string -> Series.t option
-
 val to_jsonl : t -> (string -> unit) -> unit
 (** One [{"kind":"series",...}] header line per series followed by its
     [{"kind":"sample","series":...,"ts":...,"v":...}] points (no trailing
     newlines). *)
-
-val to_csv : t -> (string -> unit) -> unit
-(** A [series,ts,value] header line, then one CSV row per point. *)

@@ -35,46 +35,23 @@ let fan_out pool ~chunk verify_one jobs =
      throttles submission if the batch outruns the workers *)
   List.concat_map Domain_pool.await (slices 0)
 
-let verify_seq verify_one jobs = List.map verify_one jobs
-
 let one_scan gpk url j = Group_sig.verify gpk ~url ~msg:j.msg j.gsig
-let one_fast gpk table j = Group_sig.verify_fast gpk table ~msg:j.msg j.gsig
-
-let verify_batch_in ?chunk ?(url = []) pool gpk jobs =
-  let chunk = check_chunk chunk in
-  fan_out pool ~chunk (one_scan gpk url) jobs
-
-let verify_batch_fast_in ?chunk pool gpk table jobs =
-  let chunk = check_chunk chunk in
-  fan_out pool ~chunk (one_fast gpk table) jobs
-
-let with_pool ~domains f =
-  if domains < 1 then invalid_arg "Batch_verify: domains must be >= 1";
-  Domain_pool.run ~domains f
-
-let verify_batch ?chunk ?(url = []) ~domains gpk jobs =
-  ignore (check_chunk chunk);
-  if domains = 1 then verify_seq (one_scan gpk url) jobs
-  else with_pool ~domains (fun pool -> verify_batch_in ?chunk ~url pool gpk jobs)
 
 let verify_batch_with_stats ?chunk ?(url = []) ~domains gpk jobs =
-  ignore (check_chunk chunk);
-  if domains = 1 then (verify_seq (one_scan gpk url) jobs, [||])
+  let chunk = check_chunk chunk in
+  if domains = 1 then (List.map (one_scan gpk url) jobs, [||])
   else begin
     if domains < 1 then invalid_arg "Batch_verify: domains must be >= 1";
     let pool = Domain_pool.create ~domains () in
     let results =
       Fun.protect
         ~finally:(fun () -> Domain_pool.shutdown pool)
-        (fun () -> verify_batch_in ?chunk ~url pool gpk jobs)
+        (fun () -> fan_out pool ~chunk (one_scan gpk url) jobs)
     in
     (* stats are only exact after shutdown, which Fun.protect guarantees
        has happened by now *)
     (results, Domain_pool.stats pool)
   end
 
-let verify_batch_fast ?chunk ~domains gpk table jobs =
-  ignore (check_chunk chunk);
-  if domains = 1 then verify_seq (one_fast gpk table) jobs
-  else
-    with_pool ~domains (fun pool -> verify_batch_fast_in ?chunk pool gpk table jobs)
+let verify_batch ?chunk ?url ~domains gpk jobs =
+  fst (verify_batch_with_stats ?chunk ?url ~domains gpk jobs)

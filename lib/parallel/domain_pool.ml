@@ -44,12 +44,9 @@ let rec worker_loop queue stats i =
     Peace_obs.Registry.Counter.incr c_jobs_total;
     worker_loop queue stats i
 
-let create ?queue_capacity ~domains () =
+let create ~domains () =
   if domains < 1 then invalid_arg "Domain_pool.create: domains must be >= 1";
-  let capacity =
-    match queue_capacity with Some c -> c | None -> 4 * domains
-  in
-  let queue = Bounded_queue.create ~capacity in
+  let queue = Bounded_queue.create ~capacity:(4 * domains) in
   let stats = Array.make domains { jobs = 0; busy_ns = 0L } in
   let workers =
     Array.init domains (fun i -> Domain.spawn (fun () -> worker_loop queue stats i))
@@ -112,6 +109,6 @@ let total stats =
       { jobs = acc.jobs + s.jobs; busy_ns = Int64.add acc.busy_ns s.busy_ns })
     { jobs = 0; busy_ns = 0L } stats
 
-let run ?queue_capacity ~domains f =
-  let pool = create ?queue_capacity ~domains () in
+let run ~domains f =
+  let pool = create ~domains () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)

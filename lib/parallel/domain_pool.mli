@@ -15,10 +15,9 @@ type worker_stats = {
   busy_ns : int64;  (** wall-clock nanoseconds spent inside jobs *)
 }
 
-val create : ?queue_capacity:int -> domains:int -> unit -> t
+val create : domains:int -> unit -> t
 (** Spawns [domains] worker domains pulling from a job queue of
-    [queue_capacity] slots (default [4 * domains]); submitters block when
-    the queue is full.
+    [4 * domains] slots; submitters block when the queue is full.
     @raise Invalid_argument if [domains < 1]. *)
 
 val size : t -> int
@@ -47,6 +46,6 @@ val total : worker_stats array -> worker_stats
     ["pool.queue_depth"] and ["pool.workers_busy"] gauges and the
     ["pool.jobs_total"] counter. *)
 
-val run : ?queue_capacity:int -> domains:int -> (t -> 'a) -> 'a
+val run : domains:int -> (t -> 'a) -> 'a
 (** [run ~domains f] brackets [f] between {!create} and {!shutdown}; the
     pool is shut down even if [f] raises. *)

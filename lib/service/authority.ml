@@ -42,7 +42,6 @@ type t = {
   config : Config.t;
   router : Mesh_router.t;
   router_mu : Mutex.t;
-  pool : Peace_parallel.Domain_pool.t option;
   beacon_period_ms : int;
   mutable cached_beacon : (int * Messages.beacon) option;
   mutable acceptor : unit Domain.t option;
@@ -76,7 +75,7 @@ let reply_rejected fd err =
     (Frames.rejected_payload ~code ~detail:(Protocol_error.to_string err))
 
 (* one (M.2): decode, cheap phases under the router mutex, signature check
-   off-lock (inline or on the verify farm), finalize under the mutex *)
+   off-lock on this connection worker, finalize under the mutex *)
 let handle_access t fd payload =
   let gpk = Mesh_router.current_gpk t.router in
   let request =
@@ -99,19 +98,8 @@ let handle_access t fd payload =
       let verdict =
         Trace.with_span "service.verify" (fun () ->
             Obs.Histogram.time h_verify (fun () ->
-                match t.pool with
-                | None ->
-                  Peace_groupsig.Group_sig.verify gpk ~url ~msg:transcript
-                    m.Messages.gsig
-                | Some pool -> (
-                  match
-                    Peace_parallel.Batch_verify.verify_batch_in ~url pool gpk
-                      [ { Peace_parallel.Batch_verify.msg = transcript;
-                          gsig = m.Messages.gsig;
-                        } ]
-                  with
-                  | [ v ] -> v
-                  | _ -> assert false)))
+                Peace_groupsig.Group_sig.verify gpk ~url ~msg:transcript
+                  m.Messages.gsig))
       in
       match with_router t (fun () -> Mesh_router.access_finish t.router m ticket verdict) with
       | Error err -> reply_rejected fd err
@@ -300,33 +288,23 @@ let unregister_health_checks () =
   Serve.unregister_health "authority.queue";
   Serve.unregister_health "authority.errors"
 
-let start ?(workers = 2) ?(verify_domains = 0) ?(beacon_period_ms = 1000)
-    ?queue_capacity ~config ~router addr =
+let start ?(workers = 2) ?(beacon_period_ms = 1000) ~config ~router addr =
   if workers < 1 then invalid_arg "Authority.start: workers must be >= 1";
-  if verify_domains < 0 then
-    invalid_arg "Authority.start: verify_domains must be >= 0";
   if beacon_period_ms < 1 then
     invalid_arg "Authority.start: beacon_period_ms must be >= 1";
   match Peace_sock.listen addr with
   | Error _ as e -> e
   | Ok (listener, bound) ->
     Unix.set_nonblock listener;
-    let capacity =
-      match queue_capacity with Some c -> Stdlib.max 1 c | None -> 4 * workers
-    in
     let t =
       {
         listener;
         bound;
         stop_flag = Atomic.make false;
-        conns = Bq.create ~capacity;
+        conns = Bq.create ~capacity:(4 * workers);
         config;
         router;
         router_mu = Mutex.create ();
-        pool =
-          (if verify_domains > 0 then
-             Some (Peace_parallel.Domain_pool.create ~domains:verify_domains ())
-           else None);
         beacon_period_ms;
         cached_beacon = None;
         acceptor = None;
@@ -350,9 +328,6 @@ let stop t =
     Bq.close t.conns;
     (match t.acceptor with Some d -> Domain.join d | None -> ());
     List.iter Domain.join t.workers;
-    (match t.pool with
-    | Some pool -> Peace_parallel.Domain_pool.shutdown pool
-    | None -> ());
     Peace_sock.close_noerr t.listener;
     match t.bound with
     | Peace_sock.Unix_path path -> Peace_sock.unlink_noerr path

@@ -16,8 +16,8 @@
     serialised behind one mutex, but only the {e cheap} phases of (M.2)
     handling hold it ({!Mesh_router.access_precheck} /
     [access_finish]); the group-signature verification between them runs
-    lock-free — inline on the connection worker, or fanned out through a
-    {!Peace_parallel.Batch_verify} farm of [verify_domains] extra domains.
+    on the connection worker with the mutex released, so up to [workers]
+    verifications proceed in parallel.
 
     {2 Observability}
 
@@ -57,20 +57,17 @@ type t
 
 val start :
   ?workers:int ->
-  ?verify_domains:int ->
   ?beacon_period_ms:int ->
-  ?queue_capacity:int ->
   config:Config.t ->
   router:Mesh_router.t ->
   Peace_sock.addr ->
   (t, string) result
-(** Binds [addr] and begins serving. Defaults: 2 connection workers, 0
-    verify domains (verification inline on the connection worker), a
-    1000 ms beacon refresh period (one broadcast beacon serves every
+(** Binds [addr] and begins serving. Defaults: 2 connection workers and
+    a 1000 ms beacon refresh period (one broadcast beacon serves every
     handshake inside the period, as in the paper's §IV-B broadcast
-    model), queue capacity [4 * workers]. A bind failure (e.g.
-    [EADDRINUSE]) is [Error].
-    @raise Invalid_argument if [workers < 1] or [verify_domains < 0]. *)
+    model). The connection queue holds [4 * workers] accepted
+    connections. A bind failure (e.g. [EADDRINUSE]) is [Error].
+    @raise Invalid_argument if [workers < 1] or [beacon_period_ms < 1]. *)
 
 val bound_addr : t -> Peace_sock.addr
 (** The resolved listen address (kernel-assigned port filled in). *)

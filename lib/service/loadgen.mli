@@ -11,12 +11,13 @@
     Two driving modes:
     - {e closed loop} ([rate] absent): each worker issues handshakes
       back-to-back — the saturation-throughput probe. Recorded latency
-      is the (M.2)->(M.3) round trip, i.e. the server-side
-      authentication SLO.
+      is the whole M.1 -> M.3 handshake: the beacon fetch, the client's
+      signing and the (M.2) -> (M.3) round trip.
     - {e open loop} ([rate] given): arrivals follow a Poisson process of
       [rate] handshakes/s spread over the workers, and latency is
-      measured from the {e scheduled} arrival time, so queueing delay is
-      charged to the server (no coordinated omission).
+      measured from the {e scheduled} arrival time: the same M.1 -> M.3
+      span plus the wait for the worker, so queueing delay is charged
+      to the server (no coordinated omission).
 
     Impairments make the client adversarial: per-handshake probabilistic
     connection drops, malformed (M.2) payloads, truncated frames cut
@@ -37,8 +38,6 @@ val is_no_impairments : impairments -> bool
 val impairments_of_string : string -> (impairments, string) result
 (** Comma-separated tokens: [jitter:MS | drop:P | malformed:P |
     truncate:P], e.g. ["drop:0.05,malformed:0.1,jitter:2"]. *)
-
-val impairments_grammar : string
 
 type report = {
   lr_duration_s : float;  (** measured wall-clock run length *)

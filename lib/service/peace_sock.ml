@@ -71,7 +71,7 @@ let resolved_addr fd addr =
 let describe what addr err =
   Printf.sprintf "cannot %s %s: %s" what (addr_to_string addr) (Unix.error_message err)
 
-let listen ?(backlog = 64) addr =
+let listen addr =
   ignore_sigpipe ();
   match sockaddr_of addr with
   | Error _ as e -> e
@@ -83,7 +83,7 @@ let listen ?(backlog = 64) addr =
        | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
        | Unix_path path -> unlink_noerr path);
        Unix.bind fd sockaddr;
-       Unix.listen fd backlog
+       Unix.listen fd 64
      with
     | () -> Ok (fd, resolved_addr fd addr)
     | exception Unix.Unix_error (err, _, _) ->

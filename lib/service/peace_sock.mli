@@ -29,8 +29,8 @@ val addr_to_string : addr -> string
 val ignore_sigpipe : unit -> unit
 (** Idempotent; a no-op on platforms without [SIGPIPE]. *)
 
-val listen : ?backlog:int -> addr -> (Unix.file_descr * addr, string) result
-(** Bind and listen (default [backlog] 64). Returns the listening socket
+val listen : addr -> (Unix.file_descr * addr, string) result
+(** Bind and listen (backlog 64). Returns the listening socket
     and the {e resolved} address: for [Tcp (host, 0)] the kernel-assigned
     port is filled in. [SO_REUSEADDR] is set on TCP sockets; a leftover
     socket file is unlinked before a Unix-domain bind (listeners own

@@ -24,8 +24,7 @@ let fresh_socket_dir () =
 
 let rmdir_noerr dir = try Unix.rmdir dir with Unix.Unix_error _ -> ()
 
-let run ?params ?(n_users = 4) ?(workers = 2) ?(verify_domains = 0)
-    ?(concurrency = 2) ?rate ?(duration_s = 2.0)
+let run ?params ?(n_users = 4) ?(workers = 2) ?(concurrency = 2) ?rate ?(duration_s = 2.0)
     ?(impair = Loadgen.no_impairments) ?(seed = 42) () =
   if concurrency > n_users then
     Error
@@ -41,9 +40,8 @@ let run ?params ?(n_users = 4) ?(workers = 2) ?(verify_domains = 0)
         ~finally:(fun () -> rmdir_noerr dir)
         (fun () ->
           match
-            Authority.start ~workers ~verify_domains
-              ~config:testbed.Testbed.tb_config ~router:testbed.Testbed.tb_router
-              addr
+            Authority.start ~workers ~config:testbed.Testbed.tb_config
+              ~router:testbed.Testbed.tb_router addr
           with
           | Error _ as e -> e
           | Ok server ->

@@ -14,7 +14,6 @@ val run :
   ?params:Peace_pairing.Params.t ->
   ?n_users:int ->
   ?workers:int ->
-  ?verify_domains:int ->
   ?concurrency:int ->
   ?rate:float ->
   ?duration_s:float ->
@@ -22,10 +21,9 @@ val run :
   ?seed:int ->
   unit ->
   (result_, string) result
-(** Defaults: 4 users, 2 connection workers, verification inline,
-    concurrency 2, closed loop, 2 s. The authority and the load workers
-    share one in-process {!Testbed}, so key material agrees by
-    construction. The server is always stopped (and its socket removed)
+(** Defaults: 4 users, 2 connection workers, concurrency 2, closed
+    loop, 2 s. The authority and the load workers share one in-process
+    {!Testbed}, so key material agrees by construction. The server is always stopped (and its socket removed)
     before [run] returns, including on load-generator failure. *)
 
 val print : result_ -> unit

@@ -11,7 +11,6 @@ type t = {
   queue : (unit -> unit) Event_queue.t;
   clock : Clock.t;
   mutable running : bool;
-  mutable last_obs : (string * int) list;
 }
 
 let create ?(start = 1_000_000) () =
@@ -19,7 +18,6 @@ let create ?(start = 1_000_000) () =
     queue = Event_queue.create ();
     clock = Clock.manual ~start ();
     running = false;
-    last_obs = [];
   }
 
 let clock t = t.clock
@@ -47,9 +45,6 @@ let schedule_every t ~period ?until handler =
 let run ?until t =
   if t.running then invalid_arg "Engine.run: reentrant run";
   t.running <- true;
-  (* bracket the run with registry snapshots: the per-run counter delta
-     (crypto ops, router traffic, ...) becomes part of the run's report *)
-  let obs_before = Peace_obs.Registry.counters () in
   let horizon = match until with None -> max_int | Some h -> h in
   let rec loop () =
     match Event_queue.peek_time t.queue with
@@ -66,20 +61,13 @@ let run ?until t =
         handler ();
         loop ())
   in
-  Fun.protect
-    ~finally:(fun () ->
-      t.running <- false;
-      t.last_obs <-
-        Peace_obs.Registry.delta ~before:obs_before
-          ~after:(Peace_obs.Registry.counters ()))
-    loop;
+  Fun.protect ~finally:(fun () -> t.running <- false) loop;
   (* land the clock on the horizon so subsequent scheduling is sane *)
   match until with
   | Some h when h > now t -> Clock.set t.clock h
   | _ -> ()
 
 let pending t = Event_queue.size t.queue
-let last_run_obs t = t.last_obs
 
 let attach_sampler t ~period ?until sampler =
   (* the sampler reads simulated, not wall, time from here on: a 1-hour

@@ -27,12 +27,6 @@ val run : ?until:int -> t -> unit
 
 val pending : t -> int
 
-val last_run_obs : t -> (string * int) list
-(** Per-name delta of the {!Peace_obs.Registry} counters across the most
-    recent {!run} — the crypto-op and router-traffic bill of that run.
-    Empty before the first run. Feed it to {!Metrics.absorb} to fold the
-    observability counters into a simulation report. *)
-
 val attach_sampler :
   t -> period:int -> ?until:int -> Peace_obs.Timeseries.t -> unit
 (** Drive a {!Peace_obs.Timeseries} sampler on simulated time: rebinds

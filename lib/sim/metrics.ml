@@ -3,7 +3,7 @@ type series_state = {
   mutable n : int;
   mutable sum : float;
   (* cached ascending sort, invalidated by [sample]: repeated percentile
-     reads (pp_summary, result records) must not re-sort every call *)
+     reads (result records) must not re-sort every call *)
   mutable sorted : float array option;
 }
 
@@ -23,7 +23,6 @@ let counter_ref t name =
     r
 
 let incr t name = incr (counter_ref t name)
-let incr_by t name n = counter_ref t name := !(counter_ref t name) + n
 let count t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 let counters t =
@@ -81,18 +80,3 @@ let percentile t name p =
       let frac = rank -. float_of_int lo in
       Some (sorted.(lo) +. (frac *. (sorted.(lo + 1) -. sorted.(lo))))
     end
-
-let absorb t pairs = List.iter (fun (name, n) -> incr_by t name n) pairs
-
-let pp_summary fmt t =
-  List.iter
-    (fun (name, v) -> Format.fprintf fmt "%-40s %d@." name v)
-    (counters t);
-  Hashtbl.iter
-    (fun name _ ->
-      match (mean t name, percentile t name 95.0) with
-      | Some m, Some p95 ->
-        Format.fprintf fmt "%-40s mean=%.2f p95=%.2f n=%d@." name m p95
-          (List.length (samples t name))
-      | _ -> ())
-    t.series

@@ -4,7 +4,6 @@ type t
 
 val create : unit -> t
 val incr : t -> string -> unit
-val incr_by : t -> string -> int -> unit
 val count : t -> string -> int
 val counters : t -> (string * int) list
 (** Sorted by name. *)
@@ -23,10 +22,3 @@ val percentile : t -> string -> float -> float option
     interpolation between closest ranks (numpy's default method). The
     ascending sort is cached between samples, so reading several
     percentiles in a row costs one sort, not one per call. *)
-
-val absorb : t -> (string * int) list -> unit
-(** Add each [(name, n)] pair into the counters — the shape
-    {!Peace_obs.Export.to_metrics} and {!Peace_obs.Registry.delta}
-    produce. *)
-
-val pp_summary : Format.formatter -> t -> unit

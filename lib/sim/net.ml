@@ -19,7 +19,6 @@ type t = {
   faults : Faults.link option;
   nodes : (address, node) Hashtbl.t;
   mutable bytes_sent : int;
-  mutable frames_sent : int;
   mutable frames_lost : int;
   mutable frames_out_of_range : int;
   mutable frames_dropped_unknown : int;
@@ -36,7 +35,6 @@ let create engine rand ?(base_latency_ms = 2.0) ?(latency_per_m = 0.01)
     faults;
     nodes = Hashtbl.create 64;
     bytes_sent = 0;
-    frames_sent = 0;
     frames_lost = 0;
     frames_out_of_range = 0;
     frames_dropped_unknown = 0;
@@ -79,7 +77,6 @@ let deliver t ~dst ~delay payload =
 
 let transmit t ~dst ~dist payload =
   t.bytes_sent <- t.bytes_sent + String.length payload;
-  t.frames_sent <- t.frames_sent + 1;
   if t.loss_prob > 0.0 && Sim_rand.bool t.rand ~p:t.loss_prob then
     t.frames_lost <- t.frames_lost + 1
   else begin
@@ -94,8 +91,7 @@ let transmit t ~dst ~dist payload =
           (fun i (extra, copy) ->
             if i > 0 then begin
               (* a duplicate occupies air time like any other frame *)
-              t.bytes_sent <- t.bytes_sent + String.length copy;
-              t.frames_sent <- t.frames_sent + 1
+              t.bytes_sent <- t.bytes_sent + String.length copy
             end;
             deliver t ~dst ~delay:(delay + extra) copy)
           copies
@@ -152,6 +148,5 @@ let nearest t ~of_ ~among =
 
 let bytes_sent t = t.bytes_sent
 let frames_out_of_range t = t.frames_out_of_range
-let frames_sent t = t.frames_sent
 let frames_lost t = t.frames_lost
 let frames_dropped_unknown t = t.frames_dropped_unknown

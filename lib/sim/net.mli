@@ -45,7 +45,6 @@ val nearest : t -> of_:address -> among:address list -> address option
 val bytes_sent : t -> int
 (** Total bytes put on the air (including lost frames). *)
 
-val frames_sent : t -> int
 val frames_lost : t -> int
 
 val frames_out_of_range : t -> int

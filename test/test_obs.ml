@@ -1,10 +1,10 @@
 (* Peace_obs tests: lock-free metric semantics (including exactness under
    concurrent domains), the enabled switch, span nesting and JSONL trace
-   well-formedness, registry enumeration/delta, and the exporters. *)
+   well-formedness, registry enumeration, and the exporters. *)
 
 module R = Peace_obs.Registry
 module Trace = Peace_obs.Trace
-module Export = Peace_obs.Export
+module Expo = Peace_obs.Expo
 
 (* --- tiny fixed-field JSONL scanner (the trace emitter writes fields in
    a fixed order, so substring scanning is enough for tests) --- *)
@@ -134,10 +134,16 @@ let test_registry_enumeration_and_delta () =
     (before = List.sort compare before);
   R.Counter.add c1 3;
   let after = R.counters () in
-  let d = R.delta ~before ~after in
-  Alcotest.(check (list (pair string int))) "delta keeps only movement"
+  let moved =
+    List.filter_map
+      (fun (name, v) ->
+        let b = Option.value ~default:0 (List.assoc_opt name before) in
+        if v = b then None else Some (name, v - b))
+      after
+  in
+  Alcotest.(check (list (pair string int))) "two enumerations differ by the movement"
     [ ("test.obs.enum_a", 3) ]
-    (List.filter (fun (n, _) -> String.length n >= 13 && String.sub n 0 13 = "test.obs.enum") d)
+    (List.filter (fun (n, _) -> String.length n >= 13 && String.sub n 0 13 = "test.obs.enum") moved)
 
 (* --- spans --- *)
 
@@ -224,28 +230,13 @@ let test_with_file () =
 
 (* --- exporters --- *)
 
-let test_export () =
+let test_summary () =
   let c = R.counter "test.obs.export" in
   R.Counter.reset c;
   R.Counter.add c 9;
-  let metrics = Export.to_metrics () in
-  Alcotest.(check (option int)) "to_metrics carries the counter" (Some 9)
-    (List.assoc_opt "test.obs.export" metrics);
-  let jsonl = ref [] in
-  Export.jsonl (fun l -> jsonl := l :: !jsonl);
-  Alcotest.(check bool) "jsonl emits the counter" true
-    (List.exists
-       (fun l ->
-         str_field l "name" = Some "test.obs.export" && int_field l "value" = Some 9)
-       !jsonl);
-  List.iter
-    (fun l ->
-      Alcotest.(check bool) "jsonl lines are objects" true
-        (String.length l > 1 && l.[0] = '{' && l.[String.length l - 1] = '}'))
-    !jsonl;
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
-  Export.summary fmt;
+  Expo.summary fmt;
   Format.pp_print_flush fmt ();
   let text = Buffer.contents buf in
   Alcotest.(check bool) "summary names the counter" true
@@ -369,16 +360,12 @@ let test_sampler_clock_and_export () =
     (fun l ->
       Alcotest.(check bool) "jsonl lines parse" true
         (match J.parse l with Ok _ -> true | Error _ -> false))
-    jsonl;
-  let csv = ref [] in
-  Ts.to_csv sampler (fun l -> csv := l :: !csv);
-  Alcotest.(check (option string)) "csv header" (Some "series,ts,value")
-    (match List.rev !csv with h :: _ -> Some h | [] -> None)
+    jsonl
 
 let test_sparkline () =
-  Alcotest.(check string) "empty" "" (Export.sparkline []);
+  Alcotest.(check string) "empty" "" (Expo.sparkline []);
   let line =
-    Export.sparkline ~width:8
+    Expo.sparkline ~width:8
       (List.init 8 (fun i -> (i, float_of_int i)))
   in
   Alcotest.(check bool) "ramp ends on the tallest block" true
@@ -484,13 +471,20 @@ let test_histogram_buckets () =
 (* --- span-tree profiler --- *)
 
 module Profile = Peace_obs.Profile
-module Expo = Peace_obs.Expo
+
+let with_profile f =
+  let p = Profile.create () in
+  Profile.install p;
+  let v = Fun.protect ~finally:Profile.uninstall f in
+  (v, p)
 
 let test_profile_tree () =
-  let ops_c = R.counter "test.obs.profops" in
-  R.Counter.reset ops_c;
+  (* one of the attributed counters, bumped by hand: nothing else runs on
+     this domain while the profile is installed *)
+  let ops_c = R.counter "ec.scalar_mul" in
+  let attributed (n : Profile.node) = List.assoc "ec.scalar_mul" n.Profile.ops in
   let (), p =
-    Profile.with_profile ~ops:[ "test.obs.profops" ] (fun () ->
+    with_profile (fun () ->
         for _ = 1 to 3 do
           Trace.with_span "p.outer" (fun () ->
               R.Counter.add ops_c 2;
@@ -516,17 +510,17 @@ let test_profile_tree () =
   Alcotest.(check bool) "self <= total on every node" true
     (outer.Profile.self_ns <= outer.Profile.total_ns
     && inner.Profile.self_ns <= inner.Profile.total_ns);
-  Alcotest.(check (list (pair string int))) "ops attributed to the whole span"
-    [ ("test.obs.profops", 9) ] outer.Profile.ops;
-  Alcotest.(check (list (pair string int))) "children's ops subtracted for self"
-    [ ("test.obs.profops", 6) ] outer.Profile.self_ops;
-  Alcotest.(check (list (pair string int))) "inner keeps its own ops"
-    [ ("test.obs.profops", 3) ] inner.Profile.ops
+  Alcotest.(check (list string)) "every default op is a column"
+    Profile.default_ops (List.map fst outer.Profile.ops);
+  Alcotest.(check int) "ops attributed to the whole span" 9 (attributed outer);
+  Alcotest.(check int) "children's ops subtracted for self" 6
+    (List.assoc "ec.scalar_mul" outer.Profile.self_ops);
+  Alcotest.(check int) "inner keeps its own ops" 3 (attributed inner)
 
 let test_profile_multidomain () =
   let jobs = 24 in
   let (), p =
-    Profile.with_profile (fun () ->
+    with_profile (fun () ->
         Peace_parallel.Domain_pool.run ~domains:3 (fun pool ->
             let futs =
               List.init jobs (fun i ->
@@ -636,7 +630,7 @@ let test_folded_export () =
     ignore (Sys.opaque_identity !x)
   in
   let (), p =
-    Profile.with_profile (fun () ->
+    with_profile (fun () ->
         Trace.with_span "f.outer" (fun () -> Trace.with_span "f.inner" spin))
   in
   let out = Expo.folded p in
@@ -892,16 +886,13 @@ let test_log_min_level () =
       Alcotest.(check int) "recent_jsonl filters too" 2
         (List.length (lines (Log.recent_jsonl ~min_level:Log.Warn ()))))
 
-let test_log_jsonl_and_sink () =
+let test_log_jsonl () =
   Log.clear ();
-  let sunk = ref [] in
-  Log.set_sink (Some (fun l -> sunk := l :: !sunk));
-  Fun.protect ~finally:(fun () -> Log.set_sink None) (fun () ->
-      Log.warn ~attrs:[ ("q", "a\"b\nc") ] "tricky \"msg\"");
-  (match !sunk with
+  Log.warn ~attrs:[ ("q", "a\"b\nc") ] "tricky \"msg\"";
+  match List.filter (fun l -> l <> "") (String.split_on_char '\n' (Log.recent_jsonl ())) with
   | [ line ] ->
     (match J.parse line with
-    | Error e -> Alcotest.failf "sink line is not valid JSON: %s" e
+    | Error e -> Alcotest.failf "flight line is not valid JSON: %s" e
     | Ok doc ->
       Alcotest.(check bool) "level field" true
         (J.member "level" doc = Some (J.Str "warn"));
@@ -911,15 +902,7 @@ let test_log_jsonl_and_sink () =
         (match J.member "attrs" doc with
         | Some attrs -> J.member "q" attrs = Some (J.Str "a\"b\nc")
         | None -> false))
-  | l -> Alcotest.failf "expected 1 sunk line, got %d" (List.length l));
-  let body = Log.recent_jsonl () in
-  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' body) in
-  Alcotest.(check int) "recent_jsonl renders the ring" 1 (List.length lines);
-  List.iter
-    (fun l ->
-      Alcotest.(check bool) "flight lines parse" true
-        (match J.parse l with Ok _ -> true | Error _ -> false))
-    lines
+  | l -> Alcotest.failf "expected 1 flight line, got %d" (List.length l)
 
 (* --- memoized error-counter families --- *)
 
@@ -1771,7 +1754,6 @@ let () =
         ] );
       ( "export",
         [
-          Alcotest.test_case "summary/jsonl/to_metrics" `Quick test_export;
           Alcotest.test_case "json escaping" `Quick test_json_escape;
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "utf-16 surrogate pairs" `Quick
@@ -1793,6 +1775,7 @@ let () =
           Alcotest.test_case "chrome trace JSON" `Quick test_chrome_export;
           Alcotest.test_case "folded stacks" `Quick test_folded_export;
           Alcotest.test_case "prometheus text" `Quick test_prometheus_exposition;
+          Alcotest.test_case "registry summary" `Quick test_summary;
         ] );
       ( "serve",
         [
@@ -1810,7 +1793,7 @@ let () =
           Alcotest.test_case "levels and counters" `Quick
             test_log_levels_and_counters;
           Alcotest.test_case "min-level floor" `Quick test_log_min_level;
-          Alcotest.test_case "jsonl and sink" `Quick test_log_jsonl_and_sink;
+          Alcotest.test_case "jsonl" `Quick test_log_jsonl;
           Alcotest.test_case "label filter" `Quick test_log_label_filter;
         ] );
       ( "audit",

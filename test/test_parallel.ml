@@ -1,13 +1,12 @@
 (* Verifier-farm tests: bounded-queue semantics under contention, domain
    pool lifecycle (futures, exceptions, stats, clean shutdown), batch
    verification order/equality against the sequential path on mixed
-   valid/forged/revoked batches, and the router's batched drain mode. *)
+   valid/forged/revoked batches. *)
 
 open Peace_bigint
 open Peace_pairing
 open Peace_groupsig
 open Peace_parallel
-open Peace_core
 
 let tiny = Lazy.force Params.tiny
 
@@ -144,13 +143,14 @@ let test_pool_exceptions () =
       Alcotest.(check int) "pool still serves" 7 (Domain_pool.await after))
 
 let test_pool_shutdown () =
-  let pool = Domain_pool.create ~domains:2 ~queue_capacity:2 () in
-  (* queued-but-unstarted jobs are drained before the workers exit *)
-  let futures = List.init 10 (fun i -> Domain_pool.submit pool (fun () -> i)) in
+  let pool = Domain_pool.create ~domains:2 () in
+  (* more jobs than the 8 queue slots, so submission blocks on the way;
+     queued-but-unstarted jobs are drained before the workers exit *)
+  let futures = List.init 20 (fun i -> Domain_pool.submit pool (fun () -> i)) in
   Domain_pool.shutdown pool;
   Domain_pool.shutdown pool (* idempotent *);
   Alcotest.(check (list int)) "queued jobs completed before exit"
-    (List.init 10 Fun.id)
+    (List.init 20 Fun.id)
     (List.map Domain_pool.await futures);
   Alcotest.check_raises "submit after shutdown"
     (Invalid_argument "Domain_pool.submit: pool is shut down") (fun () ->
@@ -239,36 +239,24 @@ let test_batch_matches_sequential () =
     (Invalid_argument "Batch_verify: domains must be >= 1") (fun () ->
       ignore (Batch_verify.verify_batch ~domains:0 ~url gpk mixed_jobs))
 
-let test_batch_fast_table () =
-  let rng = test_rng 5 in
-  let fast_issuer = Group_sig.setup ~base_mode:Group_sig.Fixed_bases tiny (test_rng 6) in
-  let fgpk = fast_issuer.Group_sig.gpk in
-  let dave = Group_sig.issue fast_issuer ~grp:(Bigint.of_int 1) rng in
-  let erin = Group_sig.issue fast_issuer ~grp:(Bigint.of_int 2) rng in
-  let table = Group_sig.build_fast_table fgpk [ Group_sig.token_of_gsk dave ] in
-  let jobs =
-    List.init 6 (fun i ->
-        let msg = Printf.sprintf "fast %d" i in
-        let key = if i mod 2 = 0 then dave else erin in
-        { Batch_verify.msg; gsig = Group_sig.sign fgpk key ~rng ~msg })
+let test_batch_back_to_back () =
+  (* consecutive batches each fan out over a farm of their own: every
+     batch matches the sequential path, and its stats count only its own
+     chunks, none carried over from the batch before *)
+  let chunks =
+    let n = List.length mixed_jobs in
+    let chunk = Batch_verify.default_chunk ~domains:2 n in
+    (n + chunk - 1) / chunk
   in
-  let expected =
-    List.map
-      (fun j -> Group_sig.verify_fast fgpk table ~msg:j.Batch_verify.msg j.Batch_verify.gsig)
-      jobs
-  in
-  Alcotest.(check (list vres)) "fast: domains:1 identical" expected
-    (Batch_verify.verify_batch_fast ~domains:1 fgpk table jobs);
-  Alcotest.(check (list vres)) "fast: one shared table across the farm" expected
-    (Batch_verify.verify_batch_fast ~domains:3 ~chunk:2 fgpk table jobs)
-
-let test_batch_on_external_pool () =
-  (* a long-lived pool serves several batches *)
-  Domain_pool.run ~domains:2 (fun pool ->
-      Alcotest.(check (list vres)) "batch 1" sequential_expected
-        (Batch_verify.verify_batch_in ~url pool gpk mixed_jobs);
-      Alcotest.(check (list vres)) "batch 2 on the same pool" sequential_expected
-        (Batch_verify.verify_batch_in ~url pool gpk mixed_jobs))
+  List.iter
+    (fun label ->
+      let results, stats =
+        Batch_verify.verify_batch_with_stats ~domains:2 ~url gpk mixed_jobs
+      in
+      Alcotest.(check (list vres)) label sequential_expected results;
+      Alcotest.(check int) (label ^ ": this batch's chunks only") chunks
+        (Domain_pool.total stats).Domain_pool.jobs)
+    [ "batch 1"; "batch 2"; "batch 3" ]
 
 let test_batch_with_stats () =
   let results, stats =
@@ -287,83 +275,6 @@ let test_batch_with_stats () =
   in
   Alcotest.(check (list vres)) "domains:1 identical" sequential_expected seq_results;
   Alcotest.(check int) "domains:1 has no farm stats" 0 (Array.length seq_stats)
-
-(* --- Mesh_router batched drain mode --- *)
-
-let router_fixture seed =
-  let config = Config.tiny_test ~clock:(Clock.manual ~start:1_000_000 ()) () in
-  let d = Deployment.create ~seed config in
-  ignore (Deployment.add_group d ~group_id:1 ~size:4);
-  let router = Deployment.add_router d ~router_id:1 in
-  let user u =
-    match
-      Deployment.add_user d
-        (Identity.make ~uid:u ~name:u ~national_id:u
-           [ { Identity.group_id = 1; description = "role" } ])
-    with
-    | Ok x -> x
-    | Error e -> failwith e
-  in
-  let users = List.map user [ "alice"; "bob"; "carol" ] in
-  let beacon = Mesh_router.beacon router in
-  let requests =
-    List.map
-      (fun u ->
-        match User.process_beacon u beacon with
-        | Ok (request, _) -> request
-        | Error _ -> failwith "process_beacon")
-      users
-  in
-  (* append a forged request: a real one with a tampered signature *)
-  let forged =
-    let r = List.nth requests 0 in
-    let s = r.Messages.gsig in
-    { r with
-      Messages.gsig =
-        { s with Group_sig.c = Modular.add s.Group_sig.c Bigint.one tiny.Params.q }
-    }
-  in
-  (router, requests @ [ forged ])
-
-let perr = Alcotest.testable Protocol_error.pp Protocol_error.equal
-
-let summarise = function
-  | Ok ((confirm : Messages.access_confirm), session) ->
-    Ok (confirm.Messages.payload, Session.id session)
-  | Error e -> Error e
-
-let test_router_batch_equals_sequential () =
-  (* two identically-seeded deployments: one drains the burst one request
-     at a time, the other as a single parallel batch — every result and
-     every piece of router state must coincide *)
-  let r_seq, ms_seq = router_fixture "farm" in
-  let r_par, ms_par = router_fixture "farm" in
-  let seq = List.map (Mesh_router.handle_access_request r_seq) ms_seq in
-  let par = Mesh_router.handle_access_requests_batch ~domains:2 r_par ms_par in
-  let res_t = Alcotest.(result (pair string string) perr) in
-  Alcotest.(check (list res_t)) "identical results, in arrival order"
-    (List.map summarise seq) (List.map summarise par);
-  Alcotest.(check int) "same session count" (Mesh_router.session_count r_seq)
-    (Mesh_router.session_count r_par);
-  Alcotest.(check int) "three sessions" 3 (Mesh_router.session_count r_par);
-  Alcotest.(check int) "same verification count"
-    (Mesh_router.verifications_performed r_seq)
-    (Mesh_router.verifications_performed r_par);
-  Alcotest.(check int) "same audit log size"
-    (List.length (Mesh_router.access_log r_seq))
-    (List.length (Mesh_router.access_log r_par))
-
-let test_router_batch_replay_within_batch () =
-  (* a duplicated request inside one batch is rejected by the replay
-     cache, exactly as it would be sequentially *)
-  let router, ms = router_fixture "replay" in
-  let first = List.hd ms in
-  let results =
-    Mesh_router.handle_access_requests_batch ~domains:2 router [ first; first ]
-  in
-  match results with
-  | [ Ok _; Error Protocol_error.Stale_timestamp ] -> ()
-  | _ -> Alcotest.fail "expected Ok then replay rejection"
 
 let suite =
   [
@@ -385,14 +296,8 @@ let suite =
     ( "batch-verify",
       [
         Alcotest.test_case "matches sequential" `Quick test_batch_matches_sequential;
-        Alcotest.test_case "shared fast table" `Quick test_batch_fast_table;
-        Alcotest.test_case "external pool reuse" `Quick test_batch_on_external_pool;
+        Alcotest.test_case "back-to-back batches" `Quick test_batch_back_to_back;
         Alcotest.test_case "farm stats" `Quick test_batch_with_stats;
-      ] );
-    ( "router-batch-mode",
-      [
-        Alcotest.test_case "equals sequential" `Quick test_router_batch_equals_sequential;
-        Alcotest.test_case "replay within batch" `Quick test_router_batch_replay_within_batch;
       ] );
   ]
 

@@ -1,7 +1,7 @@
 (* Live-service tests: address parsing, the frame codec against hostile
    streams, the authority end-to-end over real sockets (happy path,
-   malformed payloads, truncated frames, graceful shutdown), and the load
-   generator's statistics. *)
+   malformed payloads, truncated frames, hostile (M.2)s, graceful
+   shutdown), and the load generator's statistics and latency span. *)
 
 open Peace_core
 module Sock = Peace_sock
@@ -356,6 +356,118 @@ let test_authority_traced_requests () =
           let _session = full_handshake testbed fd ~user in
           ()))
 
+(* --- rejections at the trust boundary --- *)
+
+(* Each hostile (M.2) — forged, from a revoked member, replayed, stale —
+   goes through a live authority and, built the same way, through
+   [Mesh_router.handle_access_request] on an identically seeded router:
+   the code of the Rejected frame must be the code of the router's own
+   verdict. Two fixtures from one seed hold the same keys, so the same
+   user signs on both sides. *)
+let test_authority_rejections () =
+  let fixture () =
+    let tb = Testbed.make ~seed:"service-rejections" ~n_users:3 () in
+    ok_or_fail "revoke"
+      (Deployment.revoke_user tb.Testbed.tb_deployment ~uid:"u2" ~group_id:1);
+    tb
+  in
+  let live = fixture () and reference = fixture () in
+  let config = live.Testbed.tb_config in
+  let q = config.Config.pairing.Peace_pairing.Params.q in
+  let forge (r : Messages.access_request) =
+    let s = r.Messages.gsig in
+    { r with
+      Messages.gsig =
+        { s with
+          Peace_groupsig.Group_sig.c =
+            Peace_bigint.Modular.add s.Peace_groupsig.Group_sig.c
+              Peace_bigint.Bigint.one q;
+        };
+    }
+  in
+  let stale (r : Messages.access_request) =
+    { r with Messages.ts2 = r.Messages.ts2 - (2 * config.Config.ts_window_ms) }
+  in
+  let request_for (tb : Testbed.t) beacon ~user =
+    match User.process_beacon (List.nth tb.Testbed.tb_users user) beacon with
+    | Ok (r, _) -> r
+    | Error e -> Alcotest.failf "process_beacon: %s" (Protocol_error.to_string e)
+  in
+  let server =
+    ok_or_fail "start"
+      (Authority.start ~config ~router:live.Testbed.tb_router
+         (Sock.Unix_path (fresh_sock_path ())))
+  in
+  Fun.protect ~finally:(fun () -> Authority.stop server) @@ fun () ->
+  let fd = connect_to server in
+  Fun.protect ~finally:(fun () -> Sock.close_noerr fd) @@ fun () ->
+  let gpk = Mesh_router.current_gpk live.Testbed.tb_router in
+  let live_beacon =
+    match request fd Frames.Get_beacon "" with
+    | Frames.Beacon, bytes -> (
+      match Messages.beacon_of_bytes config bytes with
+      | Some b -> b
+      | None -> Alcotest.fail "undecodable beacon")
+    | _ -> Alcotest.fail "expected Beacon"
+  in
+  let ref_router = reference.Testbed.tb_router in
+  let ref_beacon = Mesh_router.beacon ref_router in
+  let send r = request fd Frames.Access (Messages.access_request_to_bytes config gpk r) in
+  let perr = Alcotest.testable Protocol_error.pp Protocol_error.equal in
+  let check_rejected label expected live_reply ref_result =
+    match (live_reply, ref_result) with
+    | _, Ok _ -> Alcotest.failf "%s: router accepted" label
+    | (Frames.Rejected, payload), Error e -> (
+      Alcotest.check perr (label ^ ": router verdict") expected e;
+      match Frames.parse_rejected payload with
+      | Some (code, _) ->
+        Alcotest.(check int) (label ^ ": wire code = router code")
+          (Frames.error_code e) code
+      | None -> Alcotest.failf "%s: unparseable Rejected payload" label)
+    | _, Error _ -> Alcotest.failf "%s: authority did not reject" label
+  in
+  List.iter
+    (fun (label, user, tamper, expected) ->
+      let live_reply = send (tamper (request_for live live_beacon ~user)) in
+      let ref_result =
+        Mesh_router.handle_access_request ref_router
+          (tamper (request_for reference ref_beacon ~user))
+      in
+      check_rejected label expected live_reply ref_result)
+    [
+      ("forged", 0, forge, Protocol_error.Invalid_group_signature);
+      ("revoked member", 2, Fun.id, Protocol_error.User_revoked);
+      ("stale", 1, stale, Protocol_error.Stale_timestamp);
+    ];
+  (* replayed: a genuine request is accepted once, its copy rejected *)
+  let live_req = request_for live live_beacon ~user:1 in
+  let ref_req = request_for reference ref_beacon ~user:1 in
+  (match send live_req with
+  | Frames.Confirm, _ -> ()
+  | _ -> Alcotest.fail "replay: first copy not confirmed");
+  (match Mesh_router.handle_access_request ref_router ref_req with
+  | Ok _ -> ()
+  | Error e ->
+    Alcotest.failf "replay: router rejected the first copy: %s"
+      (Protocol_error.to_string e));
+  check_rejected "replayed" Protocol_error.Stale_timestamp (send live_req)
+    (Mesh_router.handle_access_request ref_router ref_req)
+
+let test_authority_start_validates () =
+  let testbed = Testbed.make ~seed:"service-test" ~n_users:1 () in
+  let start ?workers ?beacon_period_ms () =
+    ignore
+      (Authority.start ?workers ?beacon_period_ms
+         ~config:testbed.Testbed.tb_config ~router:testbed.Testbed.tb_router
+         (Sock.Unix_path (fresh_sock_path ())))
+  in
+  Alcotest.check_raises "workers < 1"
+    (Invalid_argument "Authority.start: workers must be >= 1")
+    (start ~workers:0);
+  Alcotest.check_raises "beacon_period_ms < 1"
+    (Invalid_argument "Authority.start: beacon_period_ms must be >= 1")
+    (start ~beacon_period_ms:0)
+
 (* --- distributed trace stitching --- *)
 
 (* tiny fixed-order JSONL field scanners (same trick as test_obs) *)
@@ -586,6 +698,72 @@ let test_loadgen_against_authority () =
         Alcotest.(check bool)
           "throughput > 0" true (r.Loadgen.lr_throughput_rps > 0.0))
 
+(* Both loops time the same span: in closed loop the clock starts with
+   the handshake, before the beacon fetch, so every recorded latency
+   covers its handshake from the [loadgen.get_beacon] child's begin to
+   the [loadgen.access] child's end — the client's signing between them
+   included — and stays inside the [loadgen.handshake] root. *)
+let test_loadgen_latency_span () =
+  let recorder = Peace_obs.Expo.recorder () in
+  Trace.set_collector (Some (Peace_obs.Expo.record recorder));
+  let report =
+    Fun.protect
+      ~finally:(fun () -> Trace.set_collector None)
+      (fun () ->
+        with_authority ~n_users:1 (fun testbed server ->
+            ok_or_fail "loadgen"
+              (Loadgen.run
+                 ~connect:(Authority.bound_addr server)
+                 ~testbed ~concurrency:1 ~duration_s:0.5 ())))
+  in
+  let events = List.map fst (Peace_obs.Expo.events recorder) in
+  let begins = Hashtbl.create 64 and ends = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Trace.Begin { name; id; parent; ts; _ } ->
+        Hashtbl.replace begins id (name, parent, ts)
+      | Trace.End { id; ts; dur; _ } -> Hashtbl.replace ends id (ts, dur))
+    events;
+  let child root name =
+    Hashtbl.fold
+      (fun id (n, parent, ts) acc ->
+        if n = name && parent = Some root then Some (id, ts) else acc)
+      begins None
+  in
+  (* per completed handshake: (beacon begin -> access end, root duration) *)
+  let spans =
+    Hashtbl.fold
+      (fun root (name, _, _) acc ->
+        match (name, child root "loadgen.get_beacon", child root "loadgen.access") with
+        | "loadgen.handshake", Some (_, beacon_begin), Some (access, _) -> (
+          match (Hashtbl.find_opt ends access, Hashtbl.find_opt ends root) with
+          | Some (access_end, _), Some (_, root_dur) ->
+            (float_of_int (access_end - beacon_begin) /. 1e6, float_of_int root_dur /. 1e6)
+            :: acc
+          | _ -> acc)
+        | _ -> acc)
+      begins []
+  in
+  let latencies = report.Loadgen.lr_latencies_ms in
+  Alcotest.(check bool) "handshakes completed" true (Array.length latencies > 0);
+  Alcotest.(check int) "one traced handshake per latency" (Array.length latencies)
+    (List.length spans);
+  (* order statistics preserve a pairwise bound, so sorted latencies are
+     compared with sorted spans; 0.05 ms absorbs clock rounding *)
+  let sorted f = Array.of_list (List.sort compare (List.map f spans)) in
+  let covered = sorted fst and roots = sorted snd in
+  Array.iteri
+    (fun i l ->
+      Alcotest.(check bool)
+        (Printf.sprintf "latency %.3f ms covers M.1 -> M.3 (%.3f ms)" l covered.(i))
+        true
+        (l >= covered.(i) -. 0.05);
+      Alcotest.(check bool)
+        (Printf.sprintf "latency %.3f ms inside the handshake (%.3f ms)" l roots.(i))
+        true
+        (l <= roots.(i) +. 0.05))
+    latencies
+
 let suite =
   [
     ( "sock",
@@ -613,6 +791,10 @@ let suite =
         Alcotest.test_case "traced requests" `Quick test_authority_traced_requests;
         Alcotest.test_case "degraded health surfaces on /healthz" `Quick
           test_authority_degraded_health;
+        Alcotest.test_case "hostile M.2 matches router verdict" `Quick
+          test_authority_rejections;
+        Alcotest.test_case "start validates its options" `Quick
+          test_authority_start_validates;
       ] );
     ( "tracing",
       [
@@ -625,6 +807,8 @@ let suite =
         Alcotest.test_case "impairment grammar" `Quick test_impairment_parsing;
         Alcotest.test_case "against a live authority" `Quick
           test_loadgen_against_authority;
+        Alcotest.test_case "closed-loop latency spans M.1 to M.3" `Quick
+          test_loadgen_latency_span;
       ] );
   ]
 

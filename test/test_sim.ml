@@ -91,9 +91,13 @@ let test_metrics () =
   let m = Metrics.create () in
   Metrics.incr m "x";
   Metrics.incr m "x";
-  Metrics.incr_by m "y" 5;
+  for _ = 1 to 5 do
+    Metrics.incr m "y"
+  done;
   Alcotest.(check int) "count" 2 (Metrics.count m "x");
   Alcotest.(check int) "count y" 5 (Metrics.count m "y");
+  Alcotest.(check (list (pair string int))) "counters sorted by name"
+    [ ("x", 2); ("y", 5) ] (Metrics.counters m);
   Alcotest.(check int) "unknown" 0 (Metrics.count m "z");
   List.iter (fun v -> Metrics.sample m "lat" v) [ 1.0; 2.0; 3.0; 4.0; 100.0 ];
   (match Metrics.mean m "lat" with
@@ -137,36 +141,6 @@ let test_percentile_edges () =
   List.iter (fun v -> Metrics.sample m "two" v) [ 10.0; 20.0 ];
   Alcotest.(check (option (float 1e-9))) "even-count median" (Some 15.0)
     (Metrics.percentile m "two" 50.0)
-
-let test_metrics_absorb () =
-  let m = Metrics.create () in
-  Metrics.incr_by m "pairing.ops" 2;
-  Metrics.absorb m [ ("pairing.ops", 3); ("ec.scalar_mul", 4) ];
-  Alcotest.(check int) "absorbed adds" 5 (Metrics.count m "pairing.ops");
-  Alcotest.(check int) "absorbed creates" 4 (Metrics.count m "ec.scalar_mul")
-
-let test_engine_obs () =
-  let engine = Engine.create () in
-  Alcotest.(check (list (pair string int))) "empty before first run" []
-    (Engine.last_run_obs engine);
-  let c = Peace_obs.Registry.counter "test.sim.engine_obs" in
-  Peace_obs.Registry.Counter.reset c;
-  Engine.schedule engine ~delay:1 (fun () -> Peace_obs.Registry.Counter.incr c);
-  Engine.schedule engine ~delay:2 (fun () -> Peace_obs.Registry.Counter.incr c);
-  Engine.run engine;
-  Alcotest.(check int) "run delta captured" 2
-    (List.assoc "test.sim.engine_obs" (Engine.last_run_obs engine));
-  (* a run that records nothing reports nothing *)
-  Engine.schedule engine ~delay:1 (fun () -> ());
-  Engine.run engine;
-  Alcotest.(check bool) "quiet run drops the counter" true
-    (not (List.mem_assoc "test.sim.engine_obs" (Engine.last_run_obs engine)));
-  (* the delta feeds straight into a Metrics report *)
-  let m = Metrics.create () in
-  Engine.schedule engine ~delay:1 (fun () -> Peace_obs.Registry.Counter.incr c);
-  Engine.run engine;
-  Metrics.absorb m (Engine.last_run_obs engine);
-  Alcotest.(check int) "absorbed into report" 1 (Metrics.count m "test.sim.engine_obs")
 
 let test_samples_chronological () =
   let m = Metrics.create () in
@@ -622,9 +596,7 @@ let suite =
         Alcotest.test_case "sim rand" `Quick test_sim_rand;
         Alcotest.test_case "metrics" `Quick test_metrics;
         Alcotest.test_case "percentile edges" `Quick test_percentile_edges;
-        Alcotest.test_case "metrics absorb" `Quick test_metrics_absorb;
         Alcotest.test_case "samples chronological" `Quick test_samples_chronological;
-        Alcotest.test_case "engine obs" `Quick test_engine_obs;
         Alcotest.test_case "span stitching across schedule" `Quick
           test_span_stitching_across_schedule;
         Alcotest.test_case "attach_sampler sim time" `Quick
