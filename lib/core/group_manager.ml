@@ -66,7 +66,6 @@ let assign t ~uid =
       }
 
 let available_keys t = List.length t.unassigned
-let assigned_count t = Hashtbl.length t.assignments
 let lookup_uid t ~index = Hashtbl.find_opt t.assignments index
 let index_of_uid t ~uid = Hashtbl.find_opt t.reverse uid
 

@@ -36,7 +36,6 @@ val assign : t -> uid:string -> member_credential option
     records the [uid ↔ index] binding. *)
 
 val available_keys : t -> int
-val assigned_count : t -> int
 
 val lookup_uid : t -> index:int -> string option
 (** The tracing lookup (law-authority path only). *)

@@ -226,8 +226,6 @@ let revoke_router t ~router_id =
     reissue_crl t
   end
 
-let router_is_revoked t ~router_id = List.mem router_id t.revoked_routers
-
 let revoke_user_key t ~group_id ~index =
   let record =
     match Hashtbl.find_opt t.groups group_id with

@@ -67,7 +67,6 @@ val grt_size : t -> int
 
 val register_router : t -> router_id:int -> router_public:Curve.point -> Cert.t
 val revoke_router : t -> router_id:int -> unit
-val router_is_revoked : t -> router_id:int -> bool
 
 (** {1 Revocation lists} *)
 

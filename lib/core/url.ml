@@ -39,8 +39,6 @@ let size t = List.length t.tokens
 let mem config t token =
   List.exists (G1.equal config.Config.pairing token) t.tokens
 
-let is_stale config t ~now = now - t.issued_at > config.Config.crl_period_ms
-
 let to_bytes config t =
   let w = Wire.writer () in
   Wire.u32 w t.seq;

@@ -25,8 +25,6 @@ val mem : Config.t -> t -> Group_sig.revocation_token -> bool
 (** Point-equality membership (not the pairing check — that is
     {!Group_sig.verify}'s job against signatures). *)
 
-val is_stale : Config.t -> t -> now:int -> bool
-
 val to_bytes : Config.t -> t -> string
 val of_bytes : Config.t -> string -> t option
 

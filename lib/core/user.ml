@@ -90,8 +90,6 @@ let enrolled_groups t =
   Hashtbl.fold (fun group_id _ acc -> group_id :: acc) t.keys []
   |> List.sort compare
 
-let has_key_for t ~group_id = Hashtbl.mem t.keys group_id
-
 let pick_key t ?group_id () =
   match group_id with
   | Some id -> Hashtbl.find_opt t.keys id

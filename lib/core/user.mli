@@ -31,7 +31,6 @@ val enroll :
     receipt signature over the TTP payload. *)
 
 val enrolled_groups : t -> int list
-val has_key_for : t -> group_id:int -> bool
 
 (** {1 User–router authentication (§IV-B)} *)
 

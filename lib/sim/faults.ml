@@ -183,9 +183,6 @@ let link ?(seed = 0x5eed) plan =
   }
 
 let frames_lost t = t.lost
-let frames_duplicated t = t.duplicated
-let frames_corrupted t = t.corrupted
-let frames_reordered t = t.reordered
 
 let counters t =
   [
