@@ -211,3 +211,23 @@ let inv ctx a =
   let g, s, _ = egcd x ctx.modulus in
   if not (Bigint.is_one g) then raise Division_by_zero;
   of_bigint ctx s
+
+(* Montgomery's trick: prefix products, one inversion of the last, then
+   peel one factor off per element walking back, 3(n − 1) products. *)
+let inv_all ctx a =
+  let n = Array.length a in
+  if n = 0 then [||]
+  else begin
+    let prefix = Array.make n a.(0) in
+    for i = 1 to n - 1 do
+      prefix.(i) <- mont_mul ctx prefix.(i - 1) a.(i)
+    done;
+    let out = Array.make n a.(0) in
+    let acc = ref (inv ctx prefix.(n - 1)) in
+    for i = n - 1 downto 1 do
+      out.(i) <- mont_mul ctx !acc prefix.(i - 1);
+      acc := mont_mul ctx !acc a.(i)
+    done;
+    out.(0) <- !acc;
+    out
+  end

@@ -50,4 +50,9 @@ val inv : ctx -> elt -> elt
 (** Multiplicative inverse. @raise Division_by_zero if the element is not
     invertible (shares a factor with the modulus). *)
 
+val inv_all : ctx -> elt array -> elt array
+(** The inverse of every element, with one {!inv} and 3(n − 1)
+    multiplications (Montgomery's trick).
+    @raise Division_by_zero if any element is not invertible. *)
+
 val of_int : ctx -> int -> elt

@@ -14,6 +14,8 @@ type gpk = {
   e_g1_g2 : Pairing.Gt.elt;
   fixed_u : G1.point;
   fixed_v : G1.point;
+  g2_lines : Pairing.lines;
+  w_lines : Pairing.lines;
 }
 
 type gsk = {
@@ -103,6 +105,29 @@ let challenge gpk ~msg ~r_nonce ~t1 ~t2 ~r1 ~r2 ~r3 =
   let wide = Hmac.hkdf ~info:"peace-challenge-scalar" data (scalar_width params + 16) in
   Bigint.erem (Bigint.of_bytes_be wide) params.Params.q
 
+(* The Miller lines of g2 and w are built with the key, once, and serve
+   every pairing against them: e(g1, g2) here, e(A, g2) per key, and the
+   signer's and verifier's pairings. All these points lie in G_q, where
+   ê(P, Q) = ê(Q, P), so either argument may be the one with lines. *)
+let make_gpk params ~g1 ~g2 ~w ~base_mode ~fixed_u ~fixed_v =
+  let g2_lines = Pairing.lines_of params g2 in
+  let e_g1_g2 = Pairing.tate_lines params [ (g2_lines, g1) ] in
+  {
+    params;
+    g1;
+    g2;
+    w;
+    base_mode;
+    e_g1_g2;
+    fixed_u;
+    fixed_v;
+    g2_lines;
+    w_lines = Pairing.lines_of params w;
+  }
+
+(* e(A, g2) of a key, from g2's lines *)
+let e_with_g2 gpk a = Pairing.tate_lines gpk.params [ (gpk.g2_lines, a) ]
+
 let setup ?(base_mode = Per_message) params rng =
   let q = params.Params.q in
   let gamma = Bigint.random_range rng Bigint.one q in
@@ -112,10 +137,9 @@ let setup ?(base_mode = Per_message) params rng =
   let g2 = G1.mul params (Bigint.random_range rng Bigint.one q) g in
   let g1 = g2 in
   let w = G1.mul params gamma g2 in
-  let e_g1_g2 = Pairing.tate params g1 g2 in
   let fixed_u = G1.hash_to_point params ("peace-fixed-u" ^ G1.encode params g2) in
   let fixed_v = G1.hash_to_point params ("peace-fixed-v" ^ G1.encode params g2) in
-  { gpk = { params; g1; g2; w; base_mode; e_g1_g2; fixed_u; fixed_v }; gamma }
+  { gpk = make_gpk params ~g1 ~g2 ~w ~base_mode ~fixed_u ~fixed_v; gamma }
 
 let issue_with_x issuer ~grp ~x =
   let params = issuer.gpk.params in
@@ -124,7 +148,7 @@ let issue_with_x issuer ~grp ~x =
   if Bigint.is_zero denom then None
   else begin
     let a = G1.mul params (Modular.invert denom q) issuer.gpk.g1 in
-    Some { a; grp; x; e_a_g2 = Pairing.tate params a issuer.gpk.g2 }
+    Some { a; grp; x; e_a_g2 = e_with_g2 issuer.gpk a }
   end
 
 let issue issuer ~grp rng =
@@ -141,21 +165,15 @@ let key_is_valid_parts gpk ~a ~grp ~x =
   let params = gpk.params in
   let q = params.Params.q in
   let x_eff = Modular.add grp x q in
+  (* e(A, w + (grp+x)·g2) = e(g1, g2) *)
   let rhs_arg = G1.add params gpk.w (G1.mul params x_eff gpk.g2) in
   Pairing.Gt.equal params (Pairing.tate params a rhs_arg) gpk.e_g1_g2
 
 let assemble_gsk gpk ~a ~grp ~x =
-  if key_is_valid_parts gpk ~a ~grp ~x then
-    Some { a; grp; x; e_a_g2 = Pairing.tate gpk.params a gpk.g2 }
+  if key_is_valid_parts gpk ~a ~grp ~x then Some { a; grp; x; e_a_g2 = e_with_g2 gpk a }
   else None
 
-let key_is_valid gpk gsk =
-  let params = gpk.params in
-  let q = params.Params.q in
-  let x_eff = Modular.add gsk.grp gsk.x q in
-  (* e(A, w + (grp+x)·g2) = e(g1, g2) *)
-  let rhs_arg = G1.add params gpk.w (G1.mul params x_eff gpk.g2) in
-  Pairing.Gt.equal params (Pairing.tate params gsk.a rhs_arg) gpk.e_g1_g2
+let key_is_valid gpk gsk = key_is_valid_parts gpk ~a:gsk.a ~grp:gsk.grp ~x:gsk.x
 
 let sign gpk gsk ~rng ~msg =
   Trace.with_span "groupsig.sign" @@ fun () ->
@@ -172,9 +190,10 @@ let sign gpk gsk ~rng ~msg =
   let r_x = Bigint.random_below rng q in
   let r_delta = Bigint.random_below rng q in
   let r1 = G1.mul params r_alpha u in
-  (* e(T2, g2) = e(A, g2)·e(v, g2)^α, with e(A, g2) precomputed per key *)
-  let e_v_g2 = Pairing.tate params v gpk.g2 in
-  let e_v_w = Pairing.tate params v gpk.w in
+  (* e(T2, g2) = e(A, g2)·e(v, g2)^α, with e(A, g2) precomputed per key;
+     e(v, g2) and e(v, w) from the gpk's lines *)
+  let e_v_g2 = Pairing.tate_lines params [ (gpk.g2_lines, v) ] in
+  let e_v_w = Pairing.tate_lines params [ (gpk.w_lines, v) ] in
   let e_t2_g2 = Pairing.Gt.mul params gsk.e_a_g2 (Pairing.Gt.pow params e_v_g2 alpha) in
   let r2 =
     Pairing.Gt.mul params
@@ -183,9 +202,7 @@ let sign gpk gsk ~rng ~msg =
          (Pairing.Gt.pow params e_v_w (Bigint.neg r_alpha))
          (Pairing.Gt.pow params e_v_g2 (Bigint.neg r_delta)))
   in
-  let r3 =
-    G1.add params (G1.mul params r_x t1) (G1.neg params (G1.mul params r_delta u))
-  in
+  let r3 = G1.mul2 params r_x t1 r_delta (G1.neg params u) in
   let c = challenge gpk ~msg ~r_nonce ~t1 ~t2 ~r1 ~r2 ~r3 in
   {
     r_nonce;
@@ -199,7 +216,7 @@ let sign gpk gsk ~rng ~msg =
 
 (* The proof check. Returns the bases (û, v̂) it derived when the proof
    holds, so a revocation scan or an open reuses them instead of hashing
-   them again. *)
+   them again. Each two-term product is one [G1.mul2] chain. *)
 let checked_bases gpk ~msg signature =
   Trace.with_span "groupsig.proof_check" @@ fun () ->
   let params = gpk.params in
@@ -217,41 +234,46 @@ let checked_bases gpk ~msg signature =
   else begin
     let u, v = bases gpk ~msg ~r_nonce in
     (* R̃1 = s_α·u − c·T1 *)
-    let r1 =
-      G1.add params (G1.mul params s_alpha u) (G1.neg params (G1.mul params c t1))
-    in
-    (* R̃2 = e(T2, s_x·g2 + c·w) · e(v, −s_α·w − s_δ·g2) · e(g1,g2)^{−c} *)
-    let arg1 = G1.add params (G1.mul params s_x gpk.g2) (G1.mul params c gpk.w) in
-    let arg2 =
-      G1.add params
-        (G1.mul params (Modular.sub Bigint.zero s_alpha q) gpk.w)
-        (G1.mul params (Modular.sub Bigint.zero s_delta q) gpk.g2)
-    in
+    let r1 = G1.mul2 params s_alpha u c (G1.neg params t1) in
+    (* R̃2 = e(T2, s_x·g2 + c·w) · e(v, −s_α·w − s_δ·g2) · e(g1,g2)^{−c},
+       regrouped by bilinearity around the two fixed arguments:
+       ê(g2, s_x·T2 − s_δ·v) · ê(w, c·T2 − s_α·v) · e(g1,g2)^{−c}. The
+       regrouping needs ê symmetric on T2, which holds because T2 ∈ G_q *)
+    let neg_v = G1.neg params v in
     let r2 =
       Pairing.Gt.mul params
-        (Pairing.tate_product params [ (t2, arg1); (v, arg2) ])
+        (Pairing.tate_lines params
+           [
+             (gpk.g2_lines, G1.mul2 params s_x t2 s_delta neg_v);
+             (gpk.w_lines, G1.mul2 params c t2 s_alpha neg_v);
+           ])
         (Pairing.Gt.pow params gpk.e_g1_g2 (Bigint.neg c))
     in
     (* R̃3 = s_x·T1 − s_δ·u *)
-    let r3 =
-      G1.add params (G1.mul params s_x t1) (G1.neg params (G1.mul params s_delta u))
-    in
+    let r3 = G1.mul2 params s_x t1 s_delta (G1.neg params u) in
     if Bigint.equal c (challenge gpk ~msg ~r_nonce ~t1 ~t2 ~r1 ~r2 ~r3) then
       Some (u, v)
     else None
   end
 
-(* Eq. 3: is token A encoded in (T1, T2)?  e(T2 − A, û) = e(T1, v̂) *)
-let revocation_matches gpk ~u ~v ~e_t1_v signature token =
+(* The VLR scan: the tag of the first token A encoded in (T1, T2), by
+   Eq. 3, e(T2 − A, û) = e(T1, v̂). û's lines and e(T1, v̂) once, then one
+   line evaluation per token (T2 − A ∈ G_q, where ê is symmetric). *)
+let find_signer gpk ~u ~v signature tagged =
   let params = gpk.params in
-  ignore v;
-  let lhs = Pairing.tate params (G1.add params signature.t2 (G1.neg params token)) u in
-  Pairing.Gt.equal params lhs e_t1_v
+  let u_lines = Pairing.lines_of params u in
+  let e_t1_v = Pairing.tate params signature.t1 v in
+  List.find_map
+    (fun (token, tag) ->
+      let t2_minus_a = G1.add params signature.t2 (G1.neg params token) in
+      if Pairing.Gt.equal params (Pairing.tate_lines params [ (u_lines, t2_minus_a) ]) e_t1_v
+      then Some tag
+      else None)
+    tagged
 
 let is_signer gpk ~msg signature token =
   let u, v = bases gpk ~msg ~r_nonce:signature.r_nonce in
-  let e_t1_v = Pairing.tate gpk.params signature.t1 v in
-  revocation_matches gpk ~u ~v ~e_t1_v signature token
+  Option.is_some (find_signer gpk ~u ~v signature [ (token, ()) ])
 
 let verify gpk ?(url = []) ~msg signature =
   Trace.with_span "groupsig.verify"
@@ -261,10 +283,8 @@ let verify gpk ?(url = []) ~msg signature =
   | None -> Invalid_proof
   | Some _ when url = [] -> Valid
   | Some (u, v) ->
-    let e_t1_v = Pairing.tate gpk.params signature.t1 v in
-    if List.exists (revocation_matches gpk ~u ~v ~e_t1_v signature) url then
-      Revoked
-    else Valid
+    let tagged = List.map (fun token -> (token, ())) url in
+    if Option.is_some (find_signer gpk ~u ~v signature tagged) then Revoked else Valid
 
 type fast_table = (string, unit) Hashtbl.t
 
@@ -273,9 +293,10 @@ let build_fast_table gpk tokens =
     invalid_arg "Group_sig.build_fast_table: gpk must use Fixed_bases";
   let params = gpk.params in
   let table = Hashtbl.create (List.length tokens * 2) in
+  let u_lines = Pairing.lines_of params gpk.fixed_u in
   List.iter
     (fun token ->
-      let e_a_u = Pairing.tate params token gpk.fixed_u in
+      let e_a_u = Pairing.tate_lines params [ (u_lines, token) ] in
       Hashtbl.replace table (Pairing.Gt.encode params e_a_u) ())
     tokens;
   table
@@ -302,13 +323,7 @@ let open_signature gpk ~grt ~msg signature =
   Trace.with_span "groupsig.open" @@ fun () ->
   match checked_bases gpk ~msg signature with
   | None -> None
-  | Some (u, v) ->
-    let e_t1_v = Pairing.tate gpk.params signature.t1 v in
-    List.find_map
-      (fun (token, tag) ->
-        if revocation_matches gpk ~u ~v ~e_t1_v signature token then Some tag
-        else None)
-      grt
+  | Some (u, v) -> find_signer gpk ~u ~v signature grt
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
@@ -415,17 +430,7 @@ let gpk_of_text text =
           point_of_hex params vh )
       with
       | Some base_mode, Some g1, Some g2, Some w, Some fixed_u, Some fixed_v ->
-        Ok
-          {
-            params;
-            g1;
-            g2;
-            w;
-            base_mode;
-            e_g1_g2 = Pairing.tate params g1 g2;
-            fixed_u;
-            fixed_v;
-          }
+        Ok (make_gpk params ~g1 ~g2 ~w ~base_mode ~fixed_u ~fixed_v)
       | _ -> Error "bad group public key encoding"
     end
   end

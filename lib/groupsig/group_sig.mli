@@ -42,6 +42,11 @@ type gpk = {
   e_g1_g2 : Pairing.Gt.elt;  (** precomputed e(g1, g2) *)
   fixed_u : G1.point;  (** only meaningful under [Fixed_bases] *)
   fixed_v : G1.point;
+  g2_lines : Pairing.lines;
+      (** g2's Miller lines, built with the key; they give e(g1, g2), each
+          key's e(A, g2), the signer's e(v̂, g2) and the verifier's
+          ê(g2, ·) *)
+  w_lines : Pairing.lines;  (** w's Miller lines, likewise *)
 }
 
 type gsk = {
@@ -104,7 +109,16 @@ val sign : gpk -> gsk -> rng:(int -> string) -> msg:string -> signature
 val verify :
   gpk -> ?url:revocation_token list -> msg:string -> signature -> verify_result
 (** Full verification: proof check (Eq. 2) then verifier-local revocation
-    scan over [url] (Eq. 3). *)
+    scan over [url] (Eq. 3).
+
+    Precondition: T1 and T2 lie in the order-q subgroup G_q. The check
+    recomputes R̃2 as ê(g2, s_x·T2 − s_δ·v̂)·ê(w, c·T2 − s_α·v̂)·e(g1, g2)^{−c},
+    which equals the paper's formula only because ê is bilinear and
+    symmetric on G_q. {!signature_of_bytes} guarantees it ({!G1.decode}
+    refuses points outside G_q) and signing always meets it; [verify] does
+    not re-check it. A signature assembled in memory with an on-curve T1 or
+    T2 outside G_q (as [G1.of_affine] can build) is outside this
+    guarantee. *)
 
 val is_signer : gpk -> msg:string -> signature -> revocation_token -> bool
 (** The Eq. 3 test: does this token's key underlie the signature? Sound

@@ -7,8 +7,13 @@
     trusting the analysis (experiment E2). *)
 
 type snapshot = {
-  pairings : int;      (** bilinear map evaluations *)
-  g1_mul : int;        (** scalar multiplications in G1 *)
+  pairings : int;
+      (** bilinear map evaluations: one per pair of a product, however it
+          is computed; building a Miller-line table counts nothing *)
+  g1_mul : int;
+      (** scalar multiplications in G1; a two-term product ([G1.mul2],
+          one doubling chain) counts as two, so the paper's
+          multi-exponentiations show as their terms *)
   gt_exp : int;        (** exponentiations in GT *)
   hash_to_g1 : int;    (** hash-to-curve evaluations (H₀) *)
 }

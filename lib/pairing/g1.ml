@@ -147,7 +147,7 @@ let jac_to_affine fp = function
     Affine
       { x = Mont.mul fp jx zinv2; y = Mont.mul fp jy (Mont.mul fp zinv2 zinv) }
 
-(* full Jacobian + Jacobian addition, for window-table entries *)
+(* full Jacobian + Jacobian addition, for the odd-multiple tables *)
 let jac_add fp p q =
   match (p, q) with
   | Jinf, r | r, Jinf -> r
@@ -173,64 +173,132 @@ let jac_add fp p q =
       Jac { jx = x3; jy = y3; jz = Mont.mul fp (Mont.mul fp a.jz b.jz) h }
     end
 
-(* k·(px, py), left in Jacobian coordinates *)
-let mul_jac fp k px py =
-  let nbits = Bigint.num_bits k in
-  if nbits = 0 then Jinf
-  else if nbits <= 8 then begin
-    (* short scalars: plain double-and-add, no table overhead *)
-    let acc = ref Jinf in
-    for i = nbits - 1 downto 0 do
-      acc := jac_double fp !acc;
-      if Bigint.testbit k i then acc := jac_add_affine fp !acc px py
-    done;
-    !acc
-  end
-  else begin
-    (* 4-bit fixed window *)
-    let table = Array.make 16 Jinf in
-    table.(1) <- Jac { jx = px; jy = py; jz = Mont.one fp };
-    for i = 2 to 15 do
-      table.(i) <- jac_add_affine fp table.(i - 1) px py
-    done;
-    let nwin = (nbits + 3) / 4 in
-    let window w =
-      let v = ref 0 in
-      for b = 3 downto 0 do
-        let idx = (4 * w) + b in
-        v := (!v lsl 1) lor (if idx < nbits && Bigint.testbit k idx then 1 else 0)
+(* every point of the rows of [jacs] in affine, with one shared inversion *)
+let to_affine_all fp jacs =
+  let zs = ref [] in
+  Array.iter
+    (Array.iter (function Jac { jz; _ } -> zs := jz :: !zs | Jinf -> ()))
+    jacs;
+  let zinv = Mont.inv_all fp (Array.of_list (List.rev !zs)) in
+  let next = ref 0 in
+  Array.map
+    (fun row ->
+      let out = Array.make (Array.length row) Infinity in
+      for j = 0 to Array.length row - 1 do
+        match row.(j) with
+        | Jinf -> ()
+        | Jac { jx; jy; _ } ->
+          let zi = zinv.(!next) in
+          incr next;
+          let zi2 = Mont.sqr fp zi in
+          out.(j) <-
+            Affine { x = Mont.mul fp jx zi2; y = Mont.mul fp jy (Mont.mul fp zi2 zi) }
       done;
-      !v
-    in
-    let acc = ref table.(window (nwin - 1)) in
-    for w = nwin - 2 downto 0 do
-      acc := jac_double fp !acc;
-      acc := jac_double fp !acc;
-      acc := jac_double fp !acc;
-      acc := jac_double fp !acc;
-      let v = window w in
-      if v <> 0 then acc := jac_add fp !acc table.(v)
-    done;
-    !acc
-  end
+      out)
+    jacs
 
-let mul_uncounted params k p =
+(* --- signed-window (wNAF) scalar multiplication --- *)
+
+(* 4 up to 256-bit scalars (q and below), 5 beyond (the cofactor h), where
+   fewer chain additions repay the larger table *)
+let window_bits nbits = if nbits > 256 then 5 else 4
+
+(* Width-w NAF of k >= 0, least significant digit first: every nonzero
+   digit is odd with |d| < 2^(w-1), and nonzero digits stand at least w
+   places apart. A negative digit carries 1 into the next window; the
+   extra top position absorbs the last carry. *)
+let wnaf w k =
+  let n = Bigint.num_bits k in
+  let bit i = if i < n && Bigint.testbit k i then 1 else 0 in
+  let digits = Array.make (n + 1) 0 in
+  let carry = ref 0 and i = ref 0 in
+  while !i <= n do
+    if bit !i = !carry then incr i
+    else begin
+      let width = min w (n + 1 - !i) in
+      let word = ref !carry in
+      for b = 0 to width - 1 do
+        word := !word + (bit (!i + b) lsl b)
+      done;
+      carry := (!word lsr (w - 1)) land 1;
+      digits.(!i) <- !word - (!carry lsl w);
+      i := !i + width
+    end
+  done;
+  digits
+
+(* Σ k·(x, y) over the terms (k > 0, (x, y) affine), left in Jacobian
+   coordinates. Straus's interleaving: one doubling chain serves every
+   term, and each nonzero wNAF digit d of a term adds |d|·P from that
+   term's table of odd multiples P, 3P, 5P, …, built only as far as its
+   largest digit and brought to affine with one inversion for all terms,
+   so every chain addition is a mixed one. *)
+let straus_jac fp terms =
+  let w =
+    window_bits (Array.fold_left (fun m (k, _, _) -> max m (Bigint.num_bits k)) 0 terms)
+  in
+  let digits = Array.map (fun (k, _, _) -> wnaf w k) terms in
+  let jacs =
+    Array.map2
+      (fun (_, x, y) d ->
+        let p = Jac { jx = x; jy = y; jz = Mont.one fp } in
+        let half = (Array.fold_left (fun m x -> max m (abs x)) 0 d + 1) / 2 in
+        let row = Array.make half p in
+        if half > 1 then begin
+          let two_p = jac_double fp p in
+          for j = 1 to half - 1 do
+            row.(j) <- jac_add fp row.(j - 1) two_p
+          done
+        end;
+        row)
+      terms digits
+  in
+  let table = to_affine_all fp jacs in
+  let acc = ref Jinf in
+  for i = Array.fold_left (fun m d -> max m (Array.length d)) 0 digits - 1 downto 0 do
+    acc := jac_double fp !acc;
+    for t = 0 to Array.length digits - 1 do
+      let d = if i < Array.length digits.(t) then digits.(t).(i) else 0 in
+      if d <> 0 then
+        match table.(t).(abs d / 2) with
+        | Infinity -> ()
+        | Affine { x; y } ->
+          acc := jac_add_affine fp !acc x (if d > 0 then y else Mont.neg fp y)
+    done
+  done;
+  !acc
+
+(* Σ k·P over (k, P) pairs; infinity and zero scalars add nothing *)
+let straus params terms =
+  let live =
+    List.filter_map
+      (fun (k, p) ->
+        if Bigint.sign k < 0 then invalid_arg "G1.mul: negative scalar";
+        match p with
+        | Affine { x; y } when Bigint.sign k > 0 -> Some (k, x, y)
+        | Affine _ | Infinity -> None)
+      terms
+  in
   let fp = params.Params.fp in
-  if Bigint.sign k < 0 then invalid_arg "G1.mul: negative scalar";
-  match p with
-  | Infinity -> Infinity
-  | Affine { x; y } -> jac_to_affine fp (mul_jac fp k x y)
+  jac_to_affine fp (straus_jac fp (Array.of_list live))
+
+let mul_uncounted params k p = straus params [ (k, p) ]
 
 (* q·(x, y) = O, read off the Jacobian result: no inversion back to affine.
    Every Jacobian point the formulas build has Z ≠ 0, so O is only Jinf. *)
 let killed_by_q params x y =
-  match mul_jac params.Params.fp params.Params.q x y with
+  match straus_jac params.Params.fp [| (params.Params.q, x, y) |] with
   | Jinf -> true
   | Jac _ -> false
 
 let mul params k p =
   Counters.count_g1_mul ();
   mul_uncounted params k p
+
+let mul2 params a p b q =
+  Counters.count_g1_mul ();
+  Counters.count_g1_mul ();
+  straus params [ (a, p); (b, q) ]
 
 let in_subgroup params = function
   | Infinity -> true

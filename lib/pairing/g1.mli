@@ -27,8 +27,16 @@ val add : Params.t -> point -> point -> point
 val double : Params.t -> point -> point
 
 val mul : Params.t -> Bigint.t -> point -> point
-(** Scalar multiplication. The scalar is used as-is (not reduced), so this
-    also serves cofactor clearing. Counted as one G1 exponentiation. *)
+(** Scalar multiplication by a signed-window (wNAF) chain over affine odd
+    multiples. The scalar is used as-is (not reduced), so this also serves
+    cofactor clearing. Counted as one G1 exponentiation.
+    @raise Invalid_argument on a negative scalar. *)
+
+val mul2 : Params.t -> Bigint.t -> point -> Bigint.t -> point -> point
+(** [mul2 params a p b q] is a·P + b·Q in one doubling chain (Straus's
+    interleaving of the two wNAF chains), the paper's two-term
+    multi-exponentiation. Counted as two G1 exponentiations.
+    @raise Invalid_argument on a negative scalar. *)
 
 val equal : Params.t -> point -> point -> bool
 val on_curve : Params.t -> point -> bool

@@ -234,6 +234,172 @@ let tate params p q =
     final_exponentiation params !f
 
 
+(* --- Miller-line tables for a first argument that repeats --- *)
+
+(* The Miller loop of P walks the bits of q below the top one: a doubling
+   step at every bit, an addition step where the bit is set. A step draws
+   either no line (a vertical one, whose F_p value the final exponentiation
+   erases) or a tangent or chord of slope λ that meets the curve again at
+   −(x₃, y₃), for the point (x₃, y₃) the step produces. At
+   φ(Q) = (−x_Q, i·y_Q) that line is (λ·x_Q + c) + y_Q·i with
+   c = λ·x₃ + y₃: the line the affine loop draws. Slot j holds step j's λ
+   and c. *)
+type lines = {
+  slope : Mont.elt array;
+  offset : Mont.elt array;
+  live : Bytes.t;  (* '\001' where step j draws a line *)
+}
+
+(* The trajectory runs in Jacobian coordinates, as in [tate]. A step with
+   numerator N (M when doubling, R when adding) that produces
+   (X₃, Y₃, Z₃) has λ = N / Z₃ and, with x₃ = X₃/Z₃², y₃ = Y₃/Z₃³,
+   c = (N·X₃ + Y₃) / Z₃³. So slot j first holds N·Z₃² and N·X₃ + Y₃, and
+   one batched inversion of every Z₃³ turns them into λ and c. *)
+let lines_of params p =
+  let fp = params.Params.fp in
+  let order = params.Params.q in
+  let nbits = Bigint.num_bits order in
+  match G1.coords p with
+  | None -> { slope = [||]; offset = [||]; live = Bytes.empty }
+  | Some (px, py) ->
+    let steps = ref 0 in
+    for i = nbits - 2 downto 0 do
+      steps := !steps + if Bigint.testbit order i then 2 else 1
+    done;
+    let n = !steps and one = Mont.one fp in
+    let slope = Array.make n one and offset = Array.make n one in
+    let denom = Array.make n one in
+    let live = Bytes.make n '\000' in
+    let tx = ref px and ty = ref py and tz = ref one and t_inf = ref false in
+    let j = ref 0 in
+    let record numerator x3 y3 z3 =
+      let zz = Mont.sqr fp z3 in
+      slope.(!j) <- Mont.mul fp numerator zz;
+      offset.(!j) <- Mont.add fp (Mont.mul fp numerator x3) y3;
+      denom.(!j) <- Mont.mul fp zz z3;
+      Bytes.set live !j '\001';
+      tx := x3;
+      ty := y3;
+      tz := z3
+    in
+    let double () =
+      if Mont.is_zero fp !ty then t_inf := true (* vertical: no line *)
+      else begin
+        let xx = Mont.sqr fp !tx in
+        let yy = Mont.sqr fp !ty in
+        let zz = Mont.sqr fp !tz in
+        let m =
+          Mont.add fp (Mont.add fp (Mont.add fp xx xx) xx) (Mont.sqr fp zz)
+        in
+        let s =
+          let t = Mont.mul fp !tx yy in
+          Mont.add fp (Mont.add fp t t) (Mont.add fp t t)
+        in
+        let z3 =
+          let t = Mont.mul fp !ty !tz in
+          Mont.add fp t t
+        in
+        let x3 = Mont.sub fp (Mont.sqr fp m) (Mont.add fp s s) in
+        let eight_y4 =
+          let y4 = Mont.sqr fp yy in
+          let t2 = Mont.add fp y4 y4 in
+          let t4 = Mont.add fp t2 t2 in
+          Mont.add fp t4 t4
+        in
+        let y3 = Mont.sub fp (Mont.mul fp m (Mont.sub fp s x3)) eight_y4 in
+        record m x3 y3 z3
+      end
+    in
+    let add () =
+      if !t_inf then begin
+        (* O + P = P; vertical line: none *)
+        tx := px;
+        ty := py;
+        tz := one;
+        t_inf := false
+      end
+      else begin
+        let zz = Mont.sqr fp !tz in
+        let u2 = Mont.mul fp px zz in
+        let s2 = Mont.mul fp (Mont.mul fp py !tz) zz in
+        if Mont.equal fp u2 !tx then begin
+          (* T = P draws the tangent; T = −P a vertical line *)
+          if Mont.equal fp s2 !ty then double () else t_inf := true
+        end
+        else begin
+          let h = Mont.sub fp u2 !tx in
+          let r = Mont.sub fp s2 !ty in
+          let hh = Mont.sqr fp h in
+          let hhh = Mont.mul fp h hh in
+          let v = Mont.mul fp !tx hh in
+          let x3 = Mont.sub fp (Mont.sub fp (Mont.sqr fp r) hhh) (Mont.add fp v v) in
+          let y3 =
+            Mont.sub fp (Mont.mul fp r (Mont.sub fp v x3)) (Mont.mul fp !ty hhh)
+          in
+          record r x3 y3 (Mont.mul fp !tz h)
+        end
+      end
+    in
+    for i = nbits - 2 downto 0 do
+      if not !t_inf then double ();
+      incr j;
+      if Bigint.testbit order i then begin
+        add ();
+        incr j
+      end
+    done;
+    (* dead slots invert their placeholder 1 and are never read *)
+    let inverse = Mont.inv_all fp denom in
+    for j = 0 to n - 1 do
+      if Bytes.get live j = '\001' then begin
+        slope.(j) <- Mont.mul fp slope.(j) inverse.(j);
+        offset.(j) <- Mont.mul fp offset.(j) inverse.(j)
+      end
+    done;
+    { slope; offset; live }
+
+(* ∏ ê(Pᵢ, Qᵢ) from the tables of the Pᵢ: the tables share the step
+   layout of q, so one walk squares f once per bit and multiplies in every
+   pair's line at each step. *)
+let tate_lines params pairs =
+  let fp = params.Params.fp in
+  let live =
+    Array.of_list
+      (List.filter_map
+         (fun (lines, q) ->
+           Counters.count_pairing ();
+           match G1.coords q with
+           | Some (xq, yq) when Bytes.length lines.live > 0 -> Some (lines, xq, yq)
+           | Some _ | None -> None)
+         pairs)
+  in
+  if Array.length live = 0 then Fq2.one fp
+  else begin
+    let f = ref (Fq2.one fp) in
+    let step j =
+      for i = 0 to Array.length live - 1 do
+        let lines, xq, yq = live.(i) in
+        if Bytes.get lines.live j = '\001' then begin
+          let re = Mont.add fp (Mont.mul fp lines.slope.(j) xq) lines.offset.(j) in
+          f := Fq2.mul fp !f (Fq2.of_fp re yq)
+        end
+      done
+    in
+    let order = params.Params.q in
+    let j = ref 0 in
+    for bit = Bigint.num_bits order - 2 downto 0 do
+      f := Fq2.sqr fp !f;
+      step !j;
+      incr j;
+      if Bigint.testbit order bit then begin
+        step !j;
+        incr j
+      end
+    done;
+    final_exponentiation params !f
+  end
+
+
 (* Product of pairings with a shared Miller loop: the accumulator f is
    squared once per bit and multiplied by every pair's line value. *)
 let tate_product params pairs =

@@ -37,11 +37,30 @@ val tate : Params.t -> G1.point -> G1.point -> Gt.elt
 (** [tate params p q] is ê(P, Q); [1] when either argument is infinity.
     Counted as one pairing. *)
 
+type lines
+(** The Miller loop of a fixed first argument P, kept as the affine
+    coefficients of its lines in preallocated arrays: one slope and one
+    offset per step of the loop. Only meaningful together with the
+    {!Params.t} that built it. *)
+
+val lines_of : Params.t -> G1.point -> lines
+(** [lines_of params p] runs P's Miller loop once, in Jacobian coordinates,
+    and brings its lines to affine with one batched inversion. Costs a
+    little more than a Miller loop without its final exponentiation
+    (ablation A7); counts nothing. *)
+
+val tate_lines : Params.t -> (lines * G1.point) list -> Gt.elt
+(** [tate_lines params [(lines_of p1, q1); …]] is ∏ᵢ ê(pᵢ, qᵢ), equal to
+    the product of {!tate}s: one squaring of the accumulator per bit for
+    all pairs, four F_p products per line, one final exponentiation.
+    Counted as one pairing per pair; a pair with an identity argument
+    contributes 1. Group signatures use it for g2, w and the VLR base û. *)
+
 val tate_product : Params.t -> (G1.point * G1.point) list -> Gt.elt
 (** [tate_product params [(p1,q1); (p2,q2); …]] is ∏ᵢ ê(pᵢ, qᵢ), computed
     with a single shared Miller loop (one f-squaring per bit regardless of
     the number of pairs) and one final exponentiation. Counted as one
-    pairing per pair. Verification uses this to fold its two pairings. *)
+    pairing per pair. Only the BBS04 baseline (ablation A6) calls it. *)
 
 val tate_affine : Params.t -> G1.point -> G1.point -> Gt.elt
 (** Reference implementation of {!tate} with an affine Miller loop (one

@@ -46,6 +46,13 @@ val validate : t -> (unit, string) result
 (** Re-checks all structural invariants (primality, p ≡ 3 mod 4, q·h = p+1,
     generator on curve with order q). *)
 
+val affine_mul :
+  Bigint.t -> Bigint.t -> (Bigint.t * Bigint.t) option -> (Bigint.t * Bigint.t) option
+(** [affine_mul p k pt] is k·pt on y² = x³ + x over F_p by textbook
+    double-and-add on integer coordinates ([None] is the point at
+    infinity). Parameter generation and validation use it; tests use it as
+    the slow reference for [G1.mul]. *)
+
 val group_element_bytes : t -> int
 (** Bytes per compressed G1 element. *)
 

@@ -416,6 +416,247 @@ let qcheck_tests =
         Group_sig.open_signature gpk ~grt ~msg s = Some expected);
   ]
 
+(* --- the formulas sign, verify and open used before the Miller-line
+   tables and the two-term chains, kept as slow oracles: one [Pairing.tate]
+   per pairing, [G1.mul] plus [G1.add] per two-term product, R̃2 grouped
+   around T2 and v̂ as in the paper's Eq. 2 --- *)
+module Reference = struct
+  let scalar_width params = (Bigint.num_bits params.Params.q + 7) / 8
+
+  let frame parts =
+    String.concat ""
+      (List.map
+         (fun s ->
+           let b = Bytes.create 4 in
+           Bytes.set_int32_be b 0 (Int32.of_int (String.length s));
+           Bytes.to_string b ^ s)
+         parts)
+
+  let gpk_bytes (gpk : Group_sig.gpk) =
+    let params = gpk.params in
+    frame
+      [
+        Bigint.to_bytes_be params.Params.p;
+        Bigint.to_bytes_be params.Params.q;
+        G1.encode params gpk.g1;
+        G1.encode params gpk.g2;
+        G1.encode params gpk.w;
+      ]
+
+  let bases (gpk : Group_sig.gpk) ~msg ~r_nonce =
+    match gpk.base_mode with
+    | Group_sig.Fixed_bases -> (gpk.fixed_u, gpk.fixed_v)
+    | Group_sig.Per_message ->
+      let context = frame [ gpk_bytes gpk; msg; r_nonce ] in
+      ( G1.hash_to_point gpk.params ("peace-h0-u" ^ context),
+        G1.hash_to_point gpk.params ("peace-h0-v" ^ context) )
+
+  let challenge (gpk : Group_sig.gpk) ~msg ~r_nonce ~t1 ~t2 ~r1 ~r2 ~r3 =
+    let params = gpk.params in
+    let data =
+      frame
+        [
+          "peace-challenge";
+          gpk_bytes gpk;
+          msg;
+          r_nonce;
+          G1.encode params t1;
+          G1.encode params t2;
+          G1.encode params r1;
+          Pairing.Gt.encode params r2;
+          G1.encode params r3;
+        ]
+    in
+    let wide =
+      Peace_hash.Hmac.hkdf ~info:"peace-challenge-scalar" data (scalar_width params + 16)
+    in
+    Bigint.erem (Bigint.of_bytes_be wide) params.Params.q
+
+  let sign (gpk : Group_sig.gpk) (gsk : Group_sig.gsk) ~rng ~msg =
+    let params = gpk.params in
+    let q = params.Params.q in
+    let r_nonce = rng (scalar_width params) in
+    let u, v = bases gpk ~msg ~r_nonce in
+    let alpha = Bigint.random_range rng Bigint.one q in
+    let t1 = G1.mul params alpha u in
+    let t2 = G1.add params gsk.a (G1.mul params alpha v) in
+    let x_eff = Modular.add gsk.grp gsk.x q in
+    let delta = Modular.mul x_eff alpha q in
+    let r_alpha = Bigint.random_below rng q in
+    let r_x = Bigint.random_below rng q in
+    let r_delta = Bigint.random_below rng q in
+    let r1 = G1.mul params r_alpha u in
+    let e_v_g2 = Pairing.tate params v gpk.g2 in
+    let e_v_w = Pairing.tate params v gpk.w in
+    let e_a_g2 = Pairing.tate params gsk.a gpk.g2 in
+    let e_t2_g2 = Pairing.Gt.mul params e_a_g2 (Pairing.Gt.pow params e_v_g2 alpha) in
+    let r2 =
+      Pairing.Gt.mul params
+        (Pairing.Gt.pow params e_t2_g2 r_x)
+        (Pairing.Gt.mul params
+           (Pairing.Gt.pow params e_v_w (Bigint.neg r_alpha))
+           (Pairing.Gt.pow params e_v_g2 (Bigint.neg r_delta)))
+    in
+    let r3 =
+      G1.add params (G1.mul params r_x t1) (G1.neg params (G1.mul params r_delta u))
+    in
+    let c = challenge gpk ~msg ~r_nonce ~t1 ~t2 ~r1 ~r2 ~r3 in
+    {
+      Group_sig.r_nonce;
+      t1;
+      t2;
+      c;
+      s_alpha = Modular.add r_alpha (Modular.mul c alpha q) q;
+      s_x = Modular.add r_x (Modular.mul c x_eff q) q;
+      s_delta = Modular.add r_delta (Modular.mul c delta q) q;
+    }
+
+  let checked_bases (gpk : Group_sig.gpk) ~msg (s : Group_sig.signature) =
+    let params = gpk.params in
+    let q = params.Params.q in
+    let well_formed =
+      String.length s.r_nonce = scalar_width params
+      && G1.on_curve params s.t1 && G1.on_curve params s.t2
+      && (not (G1.is_infinity s.t1))
+      && Bigint.compare s.c q < 0 && Bigint.sign s.c >= 0
+      && Bigint.compare s.s_alpha q < 0 && Bigint.compare s.s_x q < 0
+      && Bigint.compare s.s_delta q < 0
+    in
+    if not well_formed then None
+    else begin
+      let u, v = bases gpk ~msg ~r_nonce:s.r_nonce in
+      let r1 =
+        G1.add params (G1.mul params s.s_alpha u) (G1.neg params (G1.mul params s.c s.t1))
+      in
+      let arg1 = G1.add params (G1.mul params s.s_x gpk.g2) (G1.mul params s.c gpk.w) in
+      let arg2 =
+        G1.add params
+          (G1.mul params (Modular.sub Bigint.zero s.s_alpha q) gpk.w)
+          (G1.mul params (Modular.sub Bigint.zero s.s_delta q) gpk.g2)
+      in
+      let r2 =
+        Pairing.Gt.mul params
+          (Pairing.Gt.mul params (Pairing.tate params s.t2 arg1) (Pairing.tate params v arg2))
+          (Pairing.Gt.pow params gpk.e_g1_g2 (Bigint.neg s.c))
+      in
+      let r3 =
+        G1.add params (G1.mul params s.s_x s.t1) (G1.neg params (G1.mul params s.s_delta u))
+      in
+      if Bigint.equal s.c (challenge gpk ~msg ~r_nonce:s.r_nonce ~t1:s.t1 ~t2:s.t2 ~r1 ~r2 ~r3)
+      then Some (u, v)
+      else None
+    end
+
+  (* Eq. 3 with e(T2 − A, û) from its own Miller loop *)
+  let find_signer (gpk : Group_sig.gpk) (s : Group_sig.signature) ~u ~v tagged =
+    let params = gpk.params in
+    let e_t1_v = Pairing.tate params s.t1 v in
+    List.find_map
+      (fun (token, tag) ->
+        let lhs = Pairing.tate params (G1.add params s.t2 (G1.neg params token)) u in
+        if Pairing.Gt.equal params lhs e_t1_v then Some tag else None)
+      tagged
+
+  let verify gpk ~url ~msg s =
+    match checked_bases gpk ~msg s with
+    | None -> Group_sig.Invalid_proof
+    | Some (u, v) ->
+      if find_signer gpk s ~u ~v (List.map (fun t -> (t, ())) url) = None then Group_sig.Valid
+      else Group_sig.Revoked
+
+  let open_signature gpk ~grt ~msg s =
+    match checked_bases gpk ~msg s with
+    | None -> None
+    | Some (u, v) -> find_signer gpk s ~u ~v grt
+end
+
+(* sign, verify and open against [Reference]: the same signature bytes
+   from the same random stream, and the same verdicts on valid, forged and
+   revoked signatures *)
+let oracle_tests ?base_mode params ~count =
+  let name what =
+    Printf.sprintf "%s (%s%s)" what params.Params.name
+      (if base_mode = Some Group_sig.Fixed_bases then ", fixed bases" else "")
+  in
+  let issuer = Group_sig.setup ?base_mode params (test_rng 81) in
+  let gpk = issuer.Group_sig.gpk in
+  let member = Group_sig.issue issuer ~grp:grp_a (test_rng 82) in
+  let other = Group_sig.issue issuer ~grp:grp_b (test_rng 83) in
+  let token = Group_sig.token_of_gsk in
+  let seed = QCheck.make ~print:string_of_int QCheck.Gen.int in
+  let q = params.Params.q in
+  [
+    QCheck.Test.make ~name:(name "sign = reference sign") ~count seed (fun seed ->
+        let msg = Printf.sprintf "oracle-%d" seed in
+        let s = Group_sig.sign gpk member ~rng:(test_rng seed) ~msg in
+        let s' = Reference.sign gpk member ~rng:(test_rng seed) ~msg in
+        Group_sig.signature_to_bytes gpk s = Group_sig.signature_to_bytes gpk s');
+    QCheck.Test.make ~name:(name "verify and open = reference") ~count seed (fun seed ->
+        let msg = Printf.sprintf "oracle-%d" seed in
+        let rng = test_rng seed in
+        let s = Group_sig.sign gpk member ~rng ~msg in
+        let bump v = Modular.add v Bigint.one q in
+        let elsewhere = G1.random params rng in
+        let candidates =
+          [
+            (msg, s);
+            ("another message", s);
+            (msg, { s with Group_sig.c = bump s.Group_sig.c });
+            (msg, { s with Group_sig.s_alpha = bump s.Group_sig.s_alpha });
+            (msg, { s with Group_sig.s_x = bump s.Group_sig.s_x });
+            (msg, { s with Group_sig.s_delta = bump s.Group_sig.s_delta });
+            (msg, { s with Group_sig.t1 = s.Group_sig.t2; t2 = s.Group_sig.t1 });
+            (msg, { s with Group_sig.t2 = elsewhere });
+            (msg, { s with Group_sig.t2 = G1.add params s.Group_sig.t2 elsewhere });
+          ]
+        in
+        let urls = [ []; [ token other ]; [ token other; token member ]; [ token member ] ] in
+        let grt = [ (token other, "other"); (token member, "member") ] in
+        List.for_all
+          (fun (msg, s) ->
+            List.for_all
+              (fun url ->
+                Group_sig.equal_verify_result
+                  (Group_sig.verify gpk ~url ~msg s)
+                  (Reference.verify gpk ~url ~msg s))
+              urls
+            && Group_sig.open_signature gpk ~grt ~msg s
+               = Reference.open_signature gpk ~grt ~msg s)
+          candidates);
+  ]
+
+(* [verify] assumes T1, T2 ∈ G_q (its R̃2 regrouping needs ê symmetric);
+   an in-memory signature that breaks it must still be refused, and its
+   encoding must not decode *)
+let test_points_outside_subgroup () =
+  let params = tiny in
+  let rec rogue x =
+    let xb = Bigint.of_int x in
+    let p = params.Params.p in
+    match Modular.sqrt (Modular.add (Modular.powm xb (Bigint.of_int 3) p) xb p) p with
+    | Some y when not (Bigint.is_zero y) ->
+      let pt = G1.of_affine params ~x:xb ~y in
+      if G1.in_subgroup params pt then rogue (x + 1) else pt
+    | Some _ | None -> rogue (x + 1)
+  in
+  let off = rogue 2 in
+  Alcotest.(check bool) "point is off G_q" false (G1.in_subgroup params off);
+  let msg = "precondition" in
+  let s = Group_sig.sign gpk alice ~rng:(test_rng 95) ~msg in
+  List.iter
+    (fun (label, s') ->
+      Alcotest.check vres (label ^ " verifies as invalid") Group_sig.Invalid_proof
+        (Group_sig.verify gpk ~url:[ Group_sig.token_of_gsk alice ] ~msg s');
+      Alcotest.check vres (label ^ " invalid without a URL") Group_sig.Invalid_proof
+        (Group_sig.verify gpk ~msg s');
+      Alcotest.(check bool) (label ^ " does not decode") true
+        (Group_sig.signature_of_bytes gpk (Group_sig.signature_to_bytes gpk s') = None))
+    [
+      ("T1 off G_q", { s with Group_sig.t1 = off });
+      ("T2 off G_q", { s with Group_sig.t2 = off });
+      ("T2 shifted off G_q", { s with Group_sig.t2 = G1.add params s.Group_sig.t2 off });
+    ]
+
 (* E12: the paper's §V-C operation counts hold on the real code path.
    verify = 2 pairings for the proof plus (1 + |URL|) for the revocation
    scan; verify_fast is independent of the table size. *)
@@ -497,6 +738,7 @@ let suite =
         Alcotest.test_case "bit flips never verify" `Quick test_bitflip_never_verifies;
         Alcotest.test_case "fixed-bases linkability cost" `Quick test_fixed_bases_linkability;
         Alcotest.test_case "op counts match paper" `Quick test_op_counts;
+        Alcotest.test_case "T1 or T2 outside G_q" `Quick test_points_outside_subgroup;
       ] );
     ( "bbs04-baseline",
       [
@@ -504,6 +746,11 @@ let suite =
         Alcotest.test_case "open" `Quick test_bbs04_open;
       ] );
     ("group-sig-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ( "group-sig-oracles",
+      List.map QCheck_alcotest.to_alcotest
+        (oracle_tests tiny ~count:10
+        @ oracle_tests ~base_mode:Group_sig.Fixed_bases tiny ~count:4
+        @ oracle_tests (Lazy.force Params.light) ~count:1) );
   ]
 
 let () = Alcotest.run "peace-groupsig" suite

@@ -380,6 +380,132 @@ let decode_tests params ~count =
         G1.encode params got = G1.encode params (reference_hash_to_point params msg));
   ]
 
+(* --- the wNAF/Straus engine and the Miller-line tables, each against a
+   slow reference: [Params.affine_mul] (textbook double-and-add on
+   integers), [mul] plus [add], and the two Miller loops --- *)
+
+let reference_mul params k pt =
+  match G1.to_affine params pt with
+  | None -> G1.infinity
+  | Some xy -> (
+    match Params.affine_mul params.Params.p k (Some xy) with
+    | None -> G1.infinity
+    | Some (x, y) -> G1.of_affine params ~x ~y)
+
+let engine_tests params ~count =
+  let name what = Printf.sprintf "%s (%s)" what params.Params.name in
+  let q = params.Params.q in
+  let seed = QCheck.make ~print:string_of_int QCheck.Gen.int in
+  let subgroup_point seed = G1.random params (test_rng seed) in
+  let rogue seed = rogue_point params (Bigint.random_below (test_rng seed) params.Params.p) in
+  let fixed_scalars =
+    [ Bigint.zero; Bigint.one; Bigint.two; Bigint.pred q; q; Bigint.succ q; params.Params.h ]
+  in
+  let same = G1.equal params in
+  [
+    QCheck.Test.make ~name:(name "mul = affine_mul") ~count seed (fun seed ->
+        let rng = test_rng seed in
+        let scalars =
+          fixed_scalars
+          @ [
+              Bigint.random_below rng q;
+              Bigint.random_bits rng (Bigint.num_bits params.Params.p);
+              Bigint.of_int (1 + (abs seed mod 64));
+            ]
+        in
+        List.for_all
+          (fun pt ->
+            List.for_all (fun k -> same (G1.mul params k pt) (reference_mul params k pt)) scalars)
+          [ subgroup_point seed; rogue seed; G1.infinity ]);
+    QCheck.Test.make ~name:(name "mul2 = mul + add") ~count seed (fun seed ->
+        let rng = test_rng seed in
+        let p = subgroup_point seed and r = rogue seed in
+        let a = Bigint.random_below rng q and b = Bigint.random_below rng q in
+        let via_mul a p b q = G1.add params (G1.mul params a p) (G1.mul params b q) in
+        let cases =
+          [
+            (a, p, b, subgroup_point (seed + 1));
+            (a, p, b, p) (* P = Q *);
+            (a, p, b, G1.neg params p) (* P = −Q *);
+            (a, p, a, G1.neg params p) (* a·P − a·P = O *);
+            (a, p, Bigint.sub q a, p) (* a·P + (q − a)·P = O *);
+            (a, G1.infinity, b, p);
+            (a, p, b, G1.infinity);
+            (Bigint.zero, p, Bigint.zero, p);
+            (Bigint.zero, p, b, p);
+            (a, r, b, p) (* a term outside G_q *);
+            (params.Params.h, r, Bigint.one, r);
+          ]
+        in
+        List.for_all (fun (a, p, b, q) -> same (G1.mul2 params a p b q) (via_mul a p b q)) cases
+        && G1.is_infinity (G1.mul2 params a p a (G1.neg params p)));
+    QCheck.Test.make ~name:(name "lines = tate = tate_affine") ~count seed (fun seed ->
+        let pts = List.init 3 (fun i -> subgroup_point (seed + i)) in
+        let args = G1.infinity :: pts in
+        let product pairs =
+          List.fold_left
+            (fun acc (p, q) -> Pairing.Gt.mul params acc (Pairing.tate params p q))
+            (Pairing.Gt.one params) pairs
+        in
+        let with_lines pairs =
+          Pairing.tate_lines params (List.map (fun (p, q) -> (Pairing.lines_of params p, q)) pairs)
+        in
+        (* every single pair, identities included, against both loops *)
+        List.for_all
+          (fun p ->
+            List.for_all
+              (fun q ->
+                let e = with_lines [ (p, q) ] in
+                Pairing.Gt.equal params e (Pairing.tate params p q)
+                && Pairing.Gt.equal params e (Pairing.tate_affine params p q))
+              args)
+          args
+        (* products of two and three pairs, one of them with an identity *)
+        && List.for_all
+             (fun pairs -> Pairing.Gt.equal params (with_lines pairs) (product pairs))
+             [
+               [ (List.nth pts 0, List.nth pts 1); (List.nth pts 2, List.nth pts 0) ];
+               [
+                 (List.nth pts 0, List.nth pts 1);
+                 (List.nth pts 1, List.nth pts 2);
+                 (List.nth pts 2, List.nth pts 0);
+               ];
+               [ (List.nth pts 0, G1.infinity); (G1.infinity, List.nth pts 1); (List.nth pts 2, List.nth pts 2) ];
+             ]);
+    QCheck.Test.make ~name:(name "lines off the subgroup") ~count seed (fun seed ->
+        (* a first argument outside G_q walks a trajectory the loop never
+           sees for order-q points; the table must still draw the affine
+           loop's lines *)
+        let r = rogue seed and p = subgroup_point seed in
+        List.for_all
+          (fun (a, b) ->
+            Pairing.Gt.equal params
+              (Pairing.tate_lines params [ (Pairing.lines_of params a, b) ])
+              (Pairing.tate_affine params a b))
+          [ (r, p); (p, r); (r, r) ]);
+  ]
+
+let test_engine_counters () =
+  let params = tiny in
+  let g = G1.generator params in
+  let count f =
+    Counters.reset ();
+    let before = Counters.snapshot () in
+    f ();
+    Counters.diff (Counters.snapshot ()) before
+  in
+  let d = count (fun () -> ignore (G1.mul2 params Bigint.two g Bigint.one g)) in
+  Alcotest.(check int) "mul2 counts two exponentiations" 2 d.Counters.g1_mul;
+  let lines = ref None in
+  let d = count (fun () -> lines := Some (Pairing.lines_of params g)) in
+  Alcotest.(check int) "a table counts nothing" 0
+    (d.Counters.pairings + d.Counters.g1_mul + d.Counters.gt_exp);
+  let lines = Option.get !lines in
+  let d =
+    count (fun () -> ignore (Pairing.tate_lines params [ (lines, g); (lines, G1.infinity) ]))
+  in
+  Alcotest.(check int) "one pairing per pair" 2 d.Counters.pairings
+
 let suite =
   [
     ( "params",
@@ -418,11 +544,15 @@ let suite =
             Alcotest.(check bool) "junk outside subgroup" false
               (Pairing.Gt.in_subgroup params junk));
         Alcotest.test_case "counters" `Quick test_pairing_counters;
+        Alcotest.test_case "mul2 and line counters" `Quick test_engine_counters;
       ] );
     ("pairing-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ( "g1-cached-field",
       List.map QCheck_alcotest.to_alcotest
         (decode_tests tiny ~count:100 @ decode_tests light ~count:8) );
+    ( "wnaf-and-lines",
+      List.map QCheck_alcotest.to_alcotest
+        (engine_tests tiny ~count:40 @ engine_tests light ~count:2) );
   ]
 
 let () = Alcotest.run "peace-pairing" suite
