@@ -674,109 +674,6 @@ let experiment_e10 () =
      (verified by the core test suite's 'fresh session id' case).\n"
 
 (* ================================================================== *)
-(* E11: multicore verifier farm (domains x batch x |URL| sweep)       *)
-(* ================================================================== *)
-
-let experiment_e11 () =
-  hr "E11 Multicore verifier farm (Peace_parallel.Batch_verify; OCaml 5 domains)";
-  Printf.printf "host: %d core(s) recommended by the runtime\n"
-    (Domain.recommended_domain_count ());
-  let open Peace_parallel in
-  let domain_counts = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let sweep params seed batch_sizes url_sizes =
-    let fx = make_fixture params seed in
-    let rng = drbg (seed ^ "-jobs") in
-    let revoked = Group_sig.issue fx.fx_issuer ~grp:(Bigint.of_int 9) rng in
-    Printf.printf "%8s %6s %7s | %12s %10s %8s %6s %6s  %s\n" "domains" "batch"
-      "|URL|" "batch (ms)" "sig/s" "speedup" "jobs" "util%" "check";
-    List.iter
-      (fun batch ->
-        (* a worst-realistic mix: mostly valid, one revoked, one forged *)
-        let jobs =
-          List.init batch (fun i ->
-              let msg = Printf.sprintf "access transcript %d" i in
-              if i = 1 then
-                { Batch_verify.msg; gsig = Group_sig.sign fx.fx_gpk revoked ~rng ~msg }
-              else begin
-                let s = Group_sig.sign fx.fx_gpk fx.fx_key ~rng ~msg in
-                if i = 2 then
-                  { Batch_verify.msg;
-                    gsig = { s with Group_sig.c = Modular.add s.Group_sig.c Bigint.one params.Params.q } }
-                else { Batch_verify.msg; gsig = s }
-              end)
-        in
-        List.iter
-          (fun url_size ->
-            let url =
-              if url_size = 0 then []
-              else Group_sig.token_of_gsk revoked :: tokens_for fx (url_size - 1)
-            in
-            let expected =
-              List.map
-                (fun j ->
-                  Group_sig.verify fx.fx_gpk ~url ~msg:j.Batch_verify.msg
-                    j.Batch_verify.gsig)
-                jobs
-            in
-            let baseline_ms = ref 0.0 in
-            List.iter
-              (fun domains ->
-                let results = ref [] in
-                let farm = ref [||] in
-                let last_wall_ms = ref 0.0 in
-                let ms =
-                  time_ms ~reps:3 (fun () ->
-                      let t0 = Unix.gettimeofday () in
-                      let r, stats =
-                        Batch_verify.verify_batch_with_stats ~domains ~url
-                          fx.fx_gpk jobs
-                      in
-                      last_wall_ms := (Unix.gettimeofday () -. t0) *. 1000.0;
-                      results := r;
-                      farm := stats)
-                in
-                if domains = 1 then baseline_ms := ms;
-                let ok = !results = expected in
-                (* farm columns come from the last rep (stats are exact
-                   after that rep's pool shutdown) *)
-                let jobs_col, util_col =
-                  if Array.length !farm = 0 then ("-", "-")
-                  else begin
-                    let tot = Domain_pool.total !farm in
-                    let busy_ms = Int64.to_float tot.Domain_pool.busy_ns /. 1e6 in
-                    ( string_of_int tot.Domain_pool.jobs,
-                      Printf.sprintf "%.0f"
-                        (100.0 *. busy_ms
-                        /. (float_of_int domains *. !last_wall_ms)) )
-                  end
-                in
-                Bench_record.add ~better:Bench_record.Higher ~unit_:"sig/s"
-                  (Printf.sprintf "e11.%s.d%d_b%d_url%d.sig_per_s" seed domains
-                     batch url_size)
-                  (float_of_int batch /. ms *. 1000.0);
-                Printf.printf "%8d %6d %7d | %12.1f %10.0f %7.2fx %6s %6s  %s\n"
-                  domains batch url_size ms
-                  (float_of_int batch /. ms *. 1000.0)
-                  (!baseline_ms /. ms) jobs_col util_col
-                  (if ok then "order+equality ok" else "MISMATCH");
-                if not ok then failwith "E11: parallel results diverge from sequential")
-              domain_counts)
-          url_sizes)
-      batch_sizes
-  in
-  subhr "tiny params (shape: speedup tracks domains until the core count)";
-  sweep tiny "e11-tiny" (if quick then [ 8 ] else [ 16; 64 ]) (if quick then [ 0; 4 ] else [ 0; 10 ]);
-  if not quick then begin
-    subhr "light params (paper-security; the acceptance sweep)";
-    sweep light "e11-light" [ 16 ] [ 0; 10 ]
-  end;
-  Printf.printf
-    "\nshape check: domains:1 is the exact sequential path; on a multicore\n\
-     host throughput scales with domains until the physical core count\n\
-     (on a single-core container every speedup column stays ~1x). The\n\
-     revocation state is shared across the batch, paid once per sweep row.\n"
-
-(* ================================================================== *)
 (* E12: observability — measured op counts vs paper formulas          *)
 (* ================================================================== *)
 
@@ -1554,7 +1451,6 @@ let experiments =
     ("E8", experiment_e8);
     ("E9", experiment_e9);
     ("E10", experiment_e10);
-    ("E11", experiment_e11);
     ("E12", experiment_e12);
     ("E14", experiment_e14);
     ("E15", experiment_e15);
@@ -1591,7 +1487,7 @@ let cli_opts =
   opts
 
 let selected_experiments () =
-  (* --only E11,E12 restricts the run; PEACE_BENCH_ONLY is the env
+  (* --only E12,E16 restricts the run; PEACE_BENCH_ONLY is the env
      fallback for contexts where argv is awkward (dune rules) *)
   let only =
     match Hashtbl.find_opt cli_opts "--only" with

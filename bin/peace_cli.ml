@@ -699,116 +699,6 @@ let chaos_cmd =
          ])
     Term.(const chaos $ seed)
 
-(* --- bench-verify --- *)
-
-let bench_verify trace profile_out params_src domains batch url_size chunk =
-  with_trace trace @@ fun () ->
-  with_profile_out profile_out @@ fun () ->
-  if domains < 1 then begin
-    prerr_endline "error: --domains must be >= 1";
-    exit 2
-  end;
-  if url_size < 0 then begin
-    prerr_endline "error: --url-size must be >= 0";
-    exit 2
-  end;
-  (match chunk with
-  | Some c when c < 1 ->
-      prerr_endline "error: --chunk must be >= 1";
-      exit 2
-  | _ -> ());
-  let batch = Stdlib.max 3 batch in
-  let params = load_params params_src in
-  (* deterministic fixture so the result mix is reproducible run-to-run *)
-  let rng = Peace_hash.Drbg.bytes_fn (Peace_hash.Drbg.create ~seed:"peace-bench-verify" ()) in
-  let issuer = Group_sig.setup params rng in
-  let gpk = issuer.Group_sig.gpk in
-  let member = Group_sig.issue issuer ~grp:(Bigint.of_int 7) rng in
-  let revoked = Group_sig.issue issuer ~grp:(Bigint.of_int 9) rng in
-  let url =
-    if url_size = 0 then []
-    else
-      Group_sig.token_of_gsk revoked
-      :: List.init (url_size - 1) (fun _ ->
-             Group_sig.token_of_gsk
-               (Group_sig.issue issuer ~grp:(Bigint.of_int 11) rng))
-  in
-  (* mixed batch: mostly valid, one signed by the revoked member, one forged *)
-  let q = params.Params.q in
-  let jobs =
-    List.init batch (fun i ->
-        let msg = Printf.sprintf "access transcript %d" i in
-        let open Peace_parallel.Batch_verify in
-        if i = 1 then { msg; gsig = Group_sig.sign gpk revoked ~rng ~msg }
-        else begin
-          let s = Group_sig.sign gpk member ~rng ~msg in
-          if i = 2 then
-            { msg; gsig = { s with Group_sig.c = Modular.add s.Group_sig.c Bigint.one q } }
-          else { msg; gsig = s }
-        end)
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, (Unix.gettimeofday () -. t0) *. 1000.0)
-  in
-  let sequential, seq_ms =
-    time (fun () ->
-        List.map
-          (fun j ->
-            Group_sig.verify gpk ~url ~msg:j.Peace_parallel.Batch_verify.msg
-              j.Peace_parallel.Batch_verify.gsig)
-          jobs)
-  in
-  let farm_stats = ref [||] in
-  let parallel, par_ms =
-    time (fun () ->
-        let results, stats =
-          Peace_parallel.Batch_verify.verify_batch_with_stats ?chunk ~url
-            ~domains gpk jobs
-        in
-        farm_stats := stats;
-        results)
-  in
-  let rate ms = float_of_int batch /. ms *. 1000.0 in
-  Printf.printf "bench-verify: params=%s batch=%d |URL|=%d domains=%d\n"
-    params.Params.name batch url_size domains;
-  Printf.printf "sequential: %d sigs %8.1f ms %8.0f sig/s\n" batch seq_ms (rate seq_ms);
-  Printf.printf "parallel:   %d sigs %8.1f ms %8.0f sig/s (speedup %.2fx)\n" batch
-    par_ms (rate par_ms) (seq_ms /. par_ms);
-  (if Array.length !farm_stats > 0 then begin
-     let tot = Peace_parallel.Domain_pool.total !farm_stats in
-     let busy_ms = Int64.to_float tot.Peace_parallel.Domain_pool.busy_ns /. 1e6 in
-     Printf.printf
-       "farm: %d jobs over %d workers, busy %.1f ms, utilisation %.0f%%\n"
-       tot.Peace_parallel.Domain_pool.jobs
-       (Array.length !farm_stats) busy_ms
-       (100.0 *. busy_ms /. (float_of_int domains *. par_ms))
-   end);
-  let tally r =
-    List.length (List.filter (Group_sig.equal_verify_result r) sequential)
-  in
-  Printf.printf "results: valid=%d invalid-proof=%d revoked=%d\n"
-    (tally Group_sig.Valid) (tally Group_sig.Invalid_proof) (tally Group_sig.Revoked);
-  if parallel = sequential then
-    print_endline "agreement: parallel results identical to sequential"
-  else begin
-    print_endline "agreement: MISMATCH between parallel and sequential results";
-    exit 1
-  end
-
-let bench_verify_cmd =
-  let domains = Arg.(value & opt int 2 & info [ "domains" ] ~doc:"Worker domains for the parallel run.") in
-  let batch = Arg.(value & opt int 16 & info [ "batch" ] ~doc:"Signatures per batch (min 3).") in
-  let url_size = Arg.(value & opt int 0 & info [ "url-size" ] ~doc:"Revocation tokens in the URL.") in
-  let chunk = Arg.(value & opt (some int) None & info [ "chunk" ] ~doc:"Jobs per work item (default: auto).") in
-  Cmd.v
-    (Cmd.info "bench-verify"
-       ~doc:"Benchmark batched group-signature verification across domains")
-    Term.(
-      const bench_verify $ trace_arg $ profile_out_arg $ params_arg $ domains
-      $ batch $ url_size $ chunk)
-
 (* --- bench-report --- *)
 
 (* Compares two BENCH_RESULTS.json files (the schema bench/main.ml --json
@@ -2035,7 +1925,6 @@ let () =
             audit_cmd;
             simulate_cmd;
             chaos_cmd;
-            bench_verify_cmd;
             bench_report_cmd;
             stats_cmd;
             serve_cmd;

@@ -7,14 +7,18 @@ type t = {
   gms : (int, Group_manager.t) Hashtbl.t;
   routers : (int, Mesh_router.t) Hashtbl.t;
   users : (string, User.t) Hashtbl.t;
-  drbg : Drbg.t;
+  rng : int -> string;
 }
 
-let rng t n = Drbg.generate t.drbg n
+let rng t n = t.rng n
 
 let create ?(seed = "peace-deployment") config =
   let drbg = Drbg.create ~seed () in
-  let rng n = Drbg.generate drbg n in
+  (* the operator, every router and every user draw from this one DRBG,
+     and a live run (Testbed) draws from several domains at once; the lock
+     keeps each draw whole without changing any single-domain stream *)
+  let lock = Mutex.create () in
+  let rng n = Mutex.protect lock (fun () -> Drbg.generate drbg n) in
   {
     config;
     no = Network_operator.create config ~rng;
@@ -22,7 +26,7 @@ let create ?(seed = "peace-deployment") config =
     gms = Hashtbl.create 8;
     routers = Hashtbl.create 8;
     users = Hashtbl.create 32;
-    drbg;
+    rng;
   }
 
 let config t = t.config

@@ -6,9 +6,9 @@
    the span's begin and end — so a profile line can read "sign: 3
    pairings, 8 mul, 2.1 ms self".
 
-   Ingestion shards per domain: every domain folds its own events into its
-   own (mutex-guarded) shard, so Domain_pool workers never contend on a
-   shared table; [roots]/[report] merge the shards at read time. Op
+   One mutex guards the open-span table and the node table, so spans may
+   begin and end on any domain (the authority's connection workers, a
+   handle finished on another domain than the one that started it). Op
    attribution reads the process-global counters, so it is exact on a
    single domain and approximate while several domains run concurrently
    (another domain's ops can land in whichever span is open here). *)
@@ -32,18 +32,13 @@ type acc = {
 
 type open_span = { os_path : string list; os_ops0 : int array }
 
-type shard = {
-  sh_lock : Mutex.t;
-  sh_open : (int, open_span) Hashtbl.t;
-  sh_nodes : (string list, acc) Hashtbl.t;
-  mutable sh_dropped : int;
-}
-
 type t = {
   p_ops : string array;
   p_counters : Registry.Counter.t array;
-  p_shards_lock : Mutex.t;
-  p_shards : (int, shard) Hashtbl.t;
+  p_lock : Mutex.t;
+  p_open : (int, open_span) Hashtbl.t;
+  p_nodes : (string list, acc) Hashtbl.t;
+  mutable p_dropped : int;
 }
 
 let create () =
@@ -51,52 +46,23 @@ let create () =
   {
     p_ops;
     p_counters = Array.map (fun n -> Registry.counter n) p_ops;
-    p_shards_lock = Mutex.create ();
-    p_shards = Hashtbl.create 8;
+    p_lock = Mutex.create ();
+    p_open = Hashtbl.create 16;
+    p_nodes = Hashtbl.create 16;
+    p_dropped = 0;
   }
 
 let ops_snapshot t = Array.map Registry.Counter.value t.p_counters
 
-let shard_for t =
-  let did = (Domain.self () :> int) in
-  Mutex.lock t.p_shards_lock;
-  let sh =
-    match Hashtbl.find_opt t.p_shards did with
-    | Some sh -> sh
-    | None ->
-      let sh =
-        {
-          sh_lock = Mutex.create ();
-          sh_open = Hashtbl.create 16;
-          sh_nodes = Hashtbl.create 16;
-          sh_dropped = 0;
-        }
-      in
-      Hashtbl.replace t.p_shards did sh;
-      sh
-  in
-  Mutex.unlock t.p_shards_lock;
-  sh
-
-let all_shards t =
-  Mutex.lock t.p_shards_lock;
-  let shards = Hashtbl.fold (fun _ sh acc -> sh :: acc) t.p_shards [] in
-  Mutex.unlock t.p_shards_lock;
-  shards
-
-(* only ever hold one shard lock at a time: cross-shard lookups (a handle
-   started on another domain) lock each candidate shard in turn, never two
-   together, so ingestion cannot deadlock *)
-
-let add_to_nodes t sh path dur ops0 =
+let add_to_nodes t path dur ops0 =
   let a =
-    match Hashtbl.find_opt sh.sh_nodes path with
+    match Hashtbl.find_opt t.p_nodes path with
     | Some a -> a
     | None ->
       let a =
         { a_count = 0; a_total_ns = 0; a_ops = Array.make (Array.length t.p_ops) 0 }
       in
-      Hashtbl.replace sh.sh_nodes path a;
+      Hashtbl.replace t.p_nodes path a;
       a
   in
   a.a_count <- a.a_count + 1;
@@ -106,62 +72,25 @@ let add_to_nodes t sh path dur ops0 =
     (fun i v0 -> a.a_ops.(i) <- a.a_ops.(i) + Stdlib.max 0 (now.(i) - v0))
     ops0
 
-let find_open_path sh id =
-  Mutex.lock sh.sh_lock;
-  let r = Hashtbl.find_opt sh.sh_open id in
-  Mutex.unlock sh.sh_lock;
-  Option.map (fun os -> os.os_path) r
-
+(* a parent that is not open (begun before install, or already closed)
+   attaches the span at the root *)
 let on_begin t name id parent =
-  let own = shard_for t in
-  let parent_path =
-    match parent with
-    | None -> []
-    | Some pid -> (
-      match find_open_path own pid with
-      | Some p -> p
-      | None ->
-        (* parent opened on another domain (or before install): adopt its
-           path if some shard still has it open, else attach at the root *)
-        let rec scan = function
-          | [] -> []
-          | sh :: rest when sh != own -> (
-            match find_open_path sh pid with Some p -> p | None -> scan rest)
-          | _ :: rest -> scan rest
-        in
-        scan (all_shards t))
-  in
-  Mutex.lock own.sh_lock;
-  Hashtbl.replace own.sh_open id
-    { os_path = name :: parent_path; os_ops0 = ops_snapshot t };
-  Mutex.unlock own.sh_lock
+  Mutex.protect t.p_lock (fun () ->
+      let parent_path =
+        match Option.bind parent (Hashtbl.find_opt t.p_open) with
+        | Some os -> os.os_path
+        | None -> []
+      in
+      Hashtbl.replace t.p_open id
+        { os_path = name :: parent_path; os_ops0 = ops_snapshot t })
 
 let on_end t id dur =
-  let close sh =
-    Mutex.lock sh.sh_lock;
-    (match Hashtbl.find_opt sh.sh_open id with
-    | None ->
-      Mutex.unlock sh.sh_lock;
-      false
-    | Some os ->
-      Hashtbl.remove sh.sh_open id;
-      add_to_nodes t sh os.os_path dur os.os_ops0;
-      Mutex.unlock sh.sh_lock;
-      true)
-  in
-  let own = shard_for t in
-  if not (close own) then begin
-    let rec scan = function
-      | [] -> false
-      | sh :: rest when sh != own -> close sh || scan rest
-      | _ :: rest -> scan rest
-    in
-    if not (scan (all_shards t)) then begin
-      Mutex.lock own.sh_lock;
-      own.sh_dropped <- own.sh_dropped + 1;
-      Mutex.unlock own.sh_lock
-    end
-  end
+  Mutex.protect t.p_lock (fun () ->
+      match Hashtbl.find_opt t.p_open id with
+      | None -> t.p_dropped <- t.p_dropped + 1
+      | Some os ->
+        Hashtbl.remove t.p_open id;
+        add_to_nodes t os.os_path dur os.os_ops0)
 
 let ingest t = function
   | Trace.Begin { name; id; parent; _ } -> on_begin t name id parent
@@ -172,8 +101,7 @@ let collector t = ingest t
 let install t = Trace.set_collector (Some (ingest t))
 let uninstall () = Trace.set_collector None
 
-let dropped t =
-  List.fold_left (fun n sh -> n + sh.sh_dropped) 0 (all_shards t)
+let dropped t = Mutex.protect t.p_lock (fun () -> t.p_dropped)
 
 (* --- report-time tree --- *)
 
@@ -187,28 +115,6 @@ type node = {
   self_ops : (string * int) list;
   children : node list;
 }
-
-(* merged, leaf-first-path -> (count, total, ops) snapshot of every shard *)
-let merged_table t =
-  let tbl : (string list, int * int * int array) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.iter
-    (fun sh ->
-      Mutex.lock sh.sh_lock;
-      Hashtbl.iter
-        (fun path a ->
-          let c0, t0, o0 =
-            match Hashtbl.find_opt tbl path with
-            | Some v -> v
-            | None -> (0, 0, Array.make (Array.length t.p_ops) 0)
-          in
-          Array.iteri (fun i v -> o0.(i) <- o0.(i) + v) a.a_ops;
-          Hashtbl.replace tbl path (c0 + a.a_count, t0 + a.a_total_ns, o0))
-        sh.sh_nodes;
-      Mutex.unlock sh.sh_lock)
-    (all_shards t);
-  tbl
 
 (* intermediate build node: totals recorded directly plus a child table *)
 type tnode = {
@@ -229,26 +135,26 @@ let roots t =
     }
   in
   let top = fresh () in
-  Hashtbl.iter
-    (fun rev_path (c, total, ops) ->
-      let rec descend node = function
-        | [] ->
-          node.b_count <- node.b_count + c;
-          node.b_total <- node.b_total + total;
-          Array.iteri (fun i v -> node.b_ops.(i) <- node.b_ops.(i) + v) ops
-        | name :: rest ->
-          let child =
-            match Hashtbl.find_opt node.b_children name with
-            | Some ch -> ch
-            | None ->
-              let ch = fresh () in
-              Hashtbl.replace node.b_children name ch;
-              ch
-          in
-          descend child rest
+  let rec descend a node = function
+    | [] ->
+      node.b_count <- node.b_count + a.a_count;
+      node.b_total <- node.b_total + a.a_total_ns;
+      Array.iteri (fun i v -> node.b_ops.(i) <- node.b_ops.(i) + v) a.a_ops
+    | name :: rest ->
+      let child =
+        match Hashtbl.find_opt node.b_children name with
+        | Some ch -> ch
+        | None ->
+          let ch = fresh () in
+          Hashtbl.replace node.b_children name ch;
+          ch
       in
-      descend top (List.rev rev_path))
-    (merged_table t);
+      descend a child rest
+  in
+  Mutex.protect t.p_lock (fun () ->
+      Hashtbl.iter
+        (fun rev_path a -> descend a top (List.rev rev_path))
+        t.p_nodes);
   let rec freeze rev_prefix name b =
     let path = List.rev (name :: rev_prefix) in
     let children =

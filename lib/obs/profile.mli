@@ -11,11 +11,11 @@
       groupsig.proof_check ...
     v}
 
-    Ingestion shards per domain (each domain folds its own events into its
-    own mutex-guarded shard; {!roots} merges at read time), so
-    {!Peace_parallel.Domain_pool} workers profile without contending on a
-    shared table. Op attribution reads the process-global counters: exact
-    on one domain, approximate while several domains run concurrently. *)
+    One mutex guards the profile's tables, so it is safe to feed from
+    several domains, such as the authority's connection workers; a span
+    may end on another domain than the one that began it. Op attribution
+    reads the process-global counters: exact on one domain, approximate
+    while several domains run concurrently. *)
 
 type t
 
@@ -37,8 +37,8 @@ val install : t -> unit
 val uninstall : unit -> unit
 
 val dropped : t -> int
-(** End events that matched no open begin in any shard (span begun before
-    the profile was installed, or already closed). *)
+(** End events that matched no open begin (span begun before the profile
+    was installed, or already closed). *)
 
 (** {1 Reading the tree} *)
 
@@ -54,7 +54,7 @@ type node = {
 }
 
 val roots : t -> node list
-(** The merged call tree, roots sorted by name. Time units are whatever
+(** The call tree, roots sorted by name. Time units are whatever
     the span timestamps used (wall nanoseconds, or simulated time for
     handle-based sim spans). *)
 

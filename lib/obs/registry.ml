@@ -1,10 +1,11 @@
 (* The global metric registry.
 
    Every record path (counter bump, gauge move, histogram observation) is a
-   handful of [Atomic] operations and never takes a lock, so Domain_pool
-   workers can hammer the same metric concurrently without contention beyond
-   the cache line itself. The registry mutex guards only metric creation and
-   enumeration, which happen at module-init time or in exporters.
+   handful of [Atomic] operations and never takes a lock, so the
+   authority's connection workers can hammer the same metric concurrently
+   without contention beyond the cache line itself. The registry mutex
+   guards only metric creation and enumeration, which happen at
+   module-init time or in exporters.
 
    A single process-wide [enabled] switch turns every record path into a
    no-op, so the instrumentation overhead can itself be measured (bench

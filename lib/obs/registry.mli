@@ -5,11 +5,11 @@
     in |URL| — so the registry's job is to make those counts (and the
     latencies behind them) observable on the real code paths.
 
-    Record paths are lock-free ([Atomic] only), so {!Peace_parallel}
-    workers on separate domains can update the same metric concurrently;
-    the registry mutex guards only creation and enumeration. Metrics are
-    process-global and keyed by name: [counter "x"] twice returns the same
-    counter. *)
+    Record paths are lock-free ([Atomic] only), so the authority's
+    connection workers on separate domains can update the same metric
+    concurrently; the registry mutex guards only creation and enumeration.
+    Metrics are process-global and keyed by name: [counter "x"] twice
+    returns the same counter. *)
 
 val set_enabled : bool -> unit
 (** Turns every record path into a no-op (reads stay live). Default: on.

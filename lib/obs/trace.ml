@@ -1,8 +1,9 @@
 (* Span tracing with parent linkage.
 
    Each domain keeps its own span stack in domain-local storage, so spans
-   opened by Domain_pool workers nest correctly within their own domain and
-   never see another domain's parents. Span ids are process-global.
+   opened by the authority's connection workers nest correctly within their
+   own domain and never see another domain's parents. Span ids are
+   process-global.
 
    Every span records its duration into the registry histogram
    "span.<name>.dur_ns"; when a sink is installed each span additionally

@@ -3,7 +3,7 @@ module Obs = Peace_obs.Registry
 module Trace = Peace_obs.Trace
 module Log = Peace_obs.Log
 module Serve = Peace_obs.Serve
-module Bq = Peace_parallel.Bounded_queue
+module Bq = Bounded_queue
 
 (* service.* observability: connection lifecycle, per-frame outcomes, and
    the latency of each phase of (M.2) handling as seen by the server *)

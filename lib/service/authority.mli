@@ -9,7 +9,7 @@
     {2 Architecture}
 
     One {e acceptor} domain multiplexes [accept] against a stop flag and
-    feeds accepted connections into a {!Peace_parallel.Bounded_queue}
+    feeds accepted connections into a {!Bounded_queue}
     (blocking push: a saturated server throttles its accept loop instead
     of queueing without bound). [workers] connection domains each pop a
     connection and serve its frames to completion. Router state is

@@ -792,6 +792,18 @@ let qcheck_tests =
         end);
   ]
 
+let test_deployment_rng_across_domains () =
+  (* the operator, every router and every user draw from the deployment's
+     one DRBG, and a live run draws from several domains at once: two
+     domains' draws must never repeat each other *)
+  let _, _, d = make_deployment () in
+  let draws = 20_000 in
+  let draw () = List.init draws (fun _ -> Deployment.rng d 16) in
+  let a = Domain.spawn draw and b = Domain.spawn draw in
+  let all = Domain.join a @ Domain.join b in
+  Alcotest.(check int) "every draw distinct" (2 * draws)
+    (List.length (List.sort_uniq String.compare all))
+
 let suite =
   [
     ( "setup",
@@ -833,6 +845,8 @@ let suite =
         Alcotest.test_case "router redundancy" `Quick test_router_redundancy;
         Alcotest.test_case "full-security end-to-end" `Slow test_full_security_handshake;
         Alcotest.test_case "puzzle module" `Quick test_puzzle_module;
+        Alcotest.test_case "deployment rng across domains" `Quick
+          test_deployment_rng_across_domains;
       ] );
     ("core-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -518,28 +518,63 @@ let test_profile_tree () =
   Alcotest.(check int) "inner keeps its own ops" 3 (attributed inner)
 
 let test_profile_multidomain () =
-  let jobs = 24 in
+  (* spans from several domains fold into one node of the tree; each span
+     sleeps so the summed time cannot round to zero *)
+  let domains = 3 and per_domain = 8 in
   let (), p =
     with_profile (fun () ->
-        Peace_parallel.Domain_pool.run ~domains:3 (fun pool ->
-            let futs =
-              List.init jobs (fun i ->
-                  Peace_parallel.Domain_pool.submit pool (fun () -> i * i))
-            in
-            List.iter
-              (fun f -> ignore (Peace_parallel.Domain_pool.await f))
-              futs))
+        List.init domains (fun _ ->
+            Domain.spawn (fun () ->
+                for _ = 1 to per_domain do
+                  Trace.with_span "p.job" (fun () -> Unix.sleepf 0.001)
+                done))
+        |> List.iter Domain.join)
   in
-  let job_node =
-    List.filter (fun n -> n.Profile.name = "pool.job") (Profile.roots p)
-  in
-  match job_node with
+  match List.filter (fun n -> n.Profile.name = "p.job") (Profile.roots p) with
   | [ n ] ->
-    Alcotest.(check int) "per-domain shards merge to the full job count" jobs
-      n.Profile.count;
-    Alcotest.(check bool) "merged total time is positive" true
-      (n.Profile.total_ns > 0)
-  | l -> Alcotest.failf "expected one pool.job root, got %d" (List.length l)
+    Alcotest.(check int) "every domain's spans in one node"
+      (domains * per_domain) n.Profile.count;
+    Alcotest.(check bool) "total time is positive" true (n.Profile.total_ns > 0)
+  | l -> Alcotest.failf "expected one p.job root, got %d" (List.length l)
+
+let test_profile_cross_domain () =
+  (* a trace that hops domains: the root starts here and ends on a spawned
+     domain, which opens a child under it and a with_span under that child;
+     a second handle starts there and ends here *)
+  let (), p =
+    with_profile (fun () ->
+        let root = Trace.start "x.root" in
+        let handoff =
+          Domain.join
+            (Domain.spawn (fun () ->
+                 let child = Trace.start ~parent:(Trace.id root) "x.child" in
+                 Trace.with_parent child (fun () ->
+                     Trace.with_span "x.leaf" Fun.id);
+                 Trace.finish child;
+                 Trace.finish root;
+                 Trace.start "x.handoff"))
+        in
+        Trace.finish handoff)
+  in
+  Alcotest.(check int) "no orphan end events" 0 (Profile.dropped p);
+  let one label = function
+    | [ n ] -> n
+    | l -> Alcotest.failf "expected one %s, got %d" label (List.length l)
+  in
+  let named name = List.filter (fun n -> n.Profile.name = name) in
+  let roots = Profile.roots p in
+  let root = one "x.root root" (named "x.root" roots) in
+  let handoff = one "x.handoff root" (named "x.handoff" roots) in
+  let child = one "x.root child" root.Profile.children in
+  let leaf = one "x.child child" child.Profile.children in
+  Alcotest.(check (list string)) "child nests under its parent's handle"
+    [ "x.root"; "x.child" ] child.Profile.path;
+  Alcotest.(check (list string)) "with_span nests under with_parent"
+    [ "x.root"; "x.child"; "x.leaf" ] leaf.Profile.path;
+  List.iter
+    (fun (n : Profile.node) ->
+      Alcotest.(check int) (n.Profile.name ^ " counted once") 1 n.Profile.count)
+    [ root; child; leaf; handoff ]
 
 let test_concurrent_finish () =
   (* two domains race Trace.finish over the same handles: every span must
@@ -1768,6 +1803,7 @@ let () =
         [
           Alcotest.test_case "call tree + op attribution" `Quick test_profile_tree;
           Alcotest.test_case "per-domain shards merge" `Quick test_profile_multidomain;
+          Alcotest.test_case "spans across domains" `Quick test_profile_cross_domain;
           Alcotest.test_case "concurrent finish emits once" `Quick test_concurrent_finish;
         ] );
       ( "expo",

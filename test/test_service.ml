@@ -1,10 +1,12 @@
-(* Live-service tests: address parsing, the frame codec against hostile
-   streams, the authority end-to-end over real sockets (happy path,
-   malformed payloads, truncated frames, hostile (M.2)s, graceful
-   shutdown), and the load generator's statistics and latency span. *)
+(* Live-service tests: address parsing, the connection queue under
+   contention, the frame codec against hostile streams, the authority
+   end-to-end over real sockets (happy path, malformed payloads, truncated
+   frames, hostile (M.2)s, graceful shutdown), and the load generator's
+   statistics and latency span. *)
 
 open Peace_core
 module Sock = Peace_sock
+module Bounded_queue = Peace_service.Bounded_queue
 module Frames = Peace_service.Frames
 module Testbed = Peace_service.Testbed
 module Authority = Peace_service.Authority
@@ -55,6 +57,93 @@ let test_listen_errors () =
     Sock.close_noerr fd;
     Alcotest.fail "over-long unix path accepted"
   | Error _ -> ()
+
+(* --- Bounded_queue --- *)
+
+let test_queue_fifo () =
+  let q = Bounded_queue.create ~capacity:4 in
+  Alcotest.(check int) "capacity" 4 (Bounded_queue.capacity q);
+  List.iter (Bounded_queue.push q) [ 1; 2; 3 ];
+  Alcotest.(check int) "length" 3 (Bounded_queue.length q);
+  Alcotest.(check (option int)) "fifo 1" (Some 1) (Bounded_queue.pop q);
+  Alcotest.(check (option int)) "fifo 2" (Some 2) (Bounded_queue.pop q);
+  Alcotest.(check (option int)) "fifo 3" (Some 3) (Bounded_queue.pop q);
+  Alcotest.check_raises "bad capacity"
+    (Invalid_argument "Bounded_queue.create: capacity must be >= 1") (fun () ->
+      ignore (Bounded_queue.create ~capacity:0))
+
+let test_queue_capacity_and_close () =
+  let q = Bounded_queue.create ~capacity:2 in
+  Bounded_queue.push q 1;
+  Bounded_queue.push q 2;
+  Bounded_queue.close q;
+  Bounded_queue.close q (* idempotent *);
+  Alcotest.check_raises "push after close" Bounded_queue.Closed (fun () ->
+      Bounded_queue.push q 4);
+  (* queued items remain poppable after close, then None *)
+  Alcotest.(check (option int)) "drain 1" (Some 1) (Bounded_queue.pop q);
+  Alcotest.(check (option int)) "drain 2" (Some 2) (Bounded_queue.pop q);
+  Alcotest.(check (option int)) "drained" None (Bounded_queue.pop q)
+
+let test_queue_backpressure () =
+  (* a producer domain pushes far more items than the queue holds; the
+     consumer observes every item in order and the queue never exceeds its
+     capacity — so the producer must have blocked rather than grown it *)
+  let capacity = 3 and total = 200 in
+  let q = Bounded_queue.create ~capacity in
+  let producer =
+    Domain.spawn (fun () ->
+        for i = 1 to total do
+          Bounded_queue.push q i
+        done;
+        Bounded_queue.close q)
+  in
+  let seen = ref 0 and in_order = ref true and max_len = ref 0 in
+  let rec drain () =
+    match Bounded_queue.pop q with
+    | None -> ()
+    | Some i ->
+      incr seen;
+      if i <> !seen then in_order := false;
+      max_len := Stdlib.max !max_len (Bounded_queue.length q);
+      drain ()
+  in
+  drain ();
+  Domain.join producer;
+  Alcotest.(check int) "all items" total !seen;
+  Alcotest.(check bool) "in order" true !in_order;
+  Alcotest.(check bool)
+    (Printf.sprintf "bounded (max observed %d <= %d)" !max_len capacity)
+    true (!max_len <= capacity)
+
+let test_queue_mpmc () =
+  (* several producers and consumers hammer one queue; every pushed value
+     is popped exactly once *)
+  let q = Bounded_queue.create ~capacity:4 in
+  let per_producer = 50 and producers = 2 and consumers = 2 in
+  let produce base () =
+    for i = 0 to per_producer - 1 do
+      Bounded_queue.push q (base + i)
+    done
+  in
+  let consume () =
+    let rec go acc = match Bounded_queue.pop q with
+      | None -> acc
+      | Some v -> go (v :: acc)
+    in
+    go []
+  in
+  let prods = List.init producers (fun p -> Domain.spawn (produce (1000 * p))) in
+  let cons = List.init consumers (fun _ -> Domain.spawn consume) in
+  List.iter Domain.join prods;
+  Bounded_queue.close q;
+  let got = List.concat_map Domain.join cons in
+  let expected =
+    List.concat
+      (List.init producers (fun p -> List.init per_producer (fun i -> (1000 * p) + i)))
+  in
+  Alcotest.(check (list int)) "every item exactly once"
+    (List.sort compare expected) (List.sort compare got)
 
 (* --- frame codec over a socketpair --- *)
 
@@ -770,6 +859,13 @@ let suite =
       [
         Alcotest.test_case "address parsing" `Quick test_addr_parsing;
         Alcotest.test_case "listen errors" `Quick test_listen_errors;
+      ] );
+    ( "bounded-queue",
+      [
+        Alcotest.test_case "fifo" `Quick test_queue_fifo;
+        Alcotest.test_case "capacity and close" `Quick test_queue_capacity_and_close;
+        Alcotest.test_case "producer backpressure" `Quick test_queue_backpressure;
+        Alcotest.test_case "mpmc contention" `Quick test_queue_mpmc;
       ] );
     ( "frames",
       [
