@@ -779,9 +779,9 @@ let experiment_e14 () =
   let base_ms = time_ms ~reps:5 verify_all in
   (* + span-tree profiler folding every begin/end into the call tree *)
   let prof = Peace_obs.Profile.create () in
-  Peace_obs.Profile.install prof;
+  Peace_obs.Trace.set_collector (Some (Peace_obs.Profile.collector prof));
   let prof_ms = time_ms ~reps:5 verify_all in
-  Peace_obs.Profile.uninstall ();
+  Peace_obs.Trace.set_collector None;
   (* + raw event recorder (what --profile-out FILE.json attaches) *)
   let rec_ = Peace_obs.Expo.recorder () in
   Peace_obs.Trace.set_collector (Some (Peace_obs.Expo.record rec_));
@@ -1041,7 +1041,7 @@ let ab_overhead ~id ~arm ~switch_on =
 
 (* The E16 closed-loop path, dark against everything the observability
    layer adds switched on: per-handshake span trees on both sides of the
-   wire (sink into a memory buffer, so the cost measured is
+   wire (span JSONL into a memory buffer, so the cost measured is
    instrumentation + the Traced envelope, not disk) and the flight
    recorder at Debug. The acceptance bar is < 5% throughput overhead:
    tracing you cannot afford to leave on is tracing nobody turns on. *)
@@ -1050,13 +1050,14 @@ let experiment_e17 () =
   hr "E17 Observability overhead: wire tracing + flight recorder on the live path";
   let module Trace = Peace_obs.Trace in
   let module Log = Peace_obs.Log in
-  (* the sink serialises under Trace's lock, so a plain Buffer is safe *)
-  let sink_buf = Buffer.create (1 lsl 20) in
+  (* jsonl_to serialises its writes under a lock, so a plain Buffer is safe *)
+  let buf = Buffer.create (1 lsl 20) in
   ab_overhead ~id:"e17" ~arm:"traced" ~switch_on:(fun () ->
       Log.set_level Log.Debug;
-      Trace.set_sink (Some (Buffer.add_string sink_buf));
-      fun () -> Trace.set_sink None);
-  Printf.printf "span JSONL written by the traced arm: %d B\n" (Buffer.length sink_buf);
+      Trace.set_collector
+        (Some (Peace_obs.Expo.jsonl_to (Buffer.add_string buf)));
+      fun () -> Trace.set_collector None);
+  Printf.printf "span JSONL written by the traced arm: %d B\n" (Buffer.length buf);
   Printf.printf
     "\nshape check: the traced arm pays one Traced envelope (14 bytes) per\n\
      request plus four JSONL span events per handshake side; the span\n\
@@ -1410,7 +1411,8 @@ let ablations () =
   let one_proj = time_ms ~reps:5 (fun () -> Pairing.tate light p1 q1) in
   let one_lines = time_ms ~reps:5 (fun () -> Pairing.tate_lines light [ (l1, q1) ]) in
   let two_proj =
-    time_ms ~reps:5 (fun () -> Pairing.tate_product light [ (p1, q1); (p2, q2) ])
+    time_ms ~reps:5 (fun () ->
+        Pairing.Gt.mul light (Pairing.tate light p1 q1) (Pairing.tate light p2 q2))
   in
   let two_lines =
     time_ms ~reps:5 (fun () -> Pairing.tate_lines light [ (l1, q1); (l2, q2) ])

@@ -66,7 +66,41 @@ let load_params = function
   | "light" -> Lazy.force Params.light
   | path -> or_die (Params.of_text (read_file path))
 
-(* --trace FILE: capture the span trace of the whole subcommand *)
+(* --- span consumers ---
+
+   Every span output of a command is a Trace collector paired with a
+   finaliser: --trace (and simulate's --timeline) write span JSONL,
+   --profile-out renders Chrome trace-event JSON or folded stacks, stats
+   --profile prints a call tree. [with_spans] installs a command's
+   consumers as the one collector and runs their finalisers once the body
+   is done. *)
+
+let with_spans consumers f =
+  match List.filter_map Fun.id consumers with
+  | [] -> f ()
+  | cs ->
+    Peace_obs.Trace.set_collector
+      (Some (fun ev -> List.iter (fun (feed, _) -> feed ev) cs));
+    Fun.protect
+      ~finally:(fun () ->
+        Peace_obs.Trace.set_collector None;
+        List.iter (fun (_, close) -> close ()) cs)
+      f
+
+(* one JSON object per line, flushed as written: a trace is read while
+   its process runs, or after it is killed. [after] appends trailing
+   lines once the spans are done. *)
+let jsonl_file ~after path =
+  let oc = open_out path in
+  let write line =
+    output_string oc line;
+    output_char oc '\n';
+    flush oc
+  in
+  ( Peace_obs.Expo.jsonl_to write,
+    fun () ->
+      after write;
+      close_out oc )
 
 let trace_arg =
   Arg.(
@@ -75,14 +109,11 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:"Write a span trace (one JSON object per line) to $(docv).")
 
-let with_trace path f =
-  match path with None -> f () | Some path -> Peace_obs.Trace.with_file path f
+let trace_file = Option.map (jsonl_file ~after:ignore)
 
-(* --profile-out FILE: capture the span stream and render it by file
-   extension — .json gets Chrome trace-event JSON (open in Perfetto or
-   chrome://tracing), anything else gets folded stacks for flamegraph.pl
-   or speedscope. Composes with --trace (sink and collector are
-   independent). *)
+(* --profile-out FILE: render the span stream by file extension — .json
+   gets Chrome trace-event JSON (open in Perfetto or chrome://tracing),
+   anything else gets folded stacks for flamegraph.pl or speedscope *)
 
 let profile_out_arg =
   Arg.(
@@ -94,38 +125,17 @@ let profile_out_arg =
            $(docv) ends in .json (Perfetto-loadable), folded stacks \
            (flamegraph.pl / speedscope) otherwise.")
 
-(* several consumers (the --profile-out writer, the --profile report) can
-   want the span stream at once; compose them into the single Trace
-   collector slot and run the finishers once the command body is done *)
-let with_collectors fns finishers f =
-  match fns with
-  | [] -> f ()
-  | fns ->
-    Peace_obs.Trace.set_collector
-      (Some (fun ev -> List.iter (fun g -> g ev) fns));
-    Fun.protect
-      ~finally:(fun () ->
-        Peace_obs.Trace.set_collector None;
-        List.iter (fun g -> g ()) finishers)
-      f
-
-let profile_out_spec = function
-  | None -> ([], [])
-  | Some path when Filename.check_suffix path ".json" ->
-    let r = Peace_obs.Expo.recorder () in
-    ( [ Peace_obs.Expo.record r ],
-      [
-        (fun () ->
-          write_file path (Peace_obs.Expo.chrome (Peace_obs.Expo.events r)));
-      ] )
-  | Some path ->
-    let prof = Peace_obs.Profile.create () in
-    ( [ Peace_obs.Profile.collector prof ],
-      [ (fun () -> write_file path (Peace_obs.Expo.folded prof)) ] )
-
-let with_profile_out path f =
-  let fns, finishers = profile_out_spec path in
-  with_collectors fns finishers f
+let profile_file =
+  Option.map (fun path ->
+      if Filename.check_suffix path ".json" then
+        let r = Peace_obs.Expo.recorder () in
+        ( Peace_obs.Expo.record r,
+          fun () ->
+            write_file path (Peace_obs.Expo.chrome (Peace_obs.Expo.events r)) )
+      else
+        let prof = Peace_obs.Profile.create () in
+        ( Peace_obs.Profile.collector prof,
+          fun () -> write_file path (Peace_obs.Expo.folded prof) ))
 
 (* --- gen-params --- *)
 
@@ -192,8 +202,7 @@ let issue_cmd =
 (* --- sign --- *)
 
 let sign trace profile_out gpk_path key_path message =
-  with_trace trace @@ fun () ->
-  with_profile_out profile_out @@ fun () ->
+  with_spans [ trace_file trace; profile_file profile_out ] @@ fun () ->
   let gpk = or_die (Group_sig.gpk_of_text (read_file gpk_path)) in
   let gsk = or_die (Group_sig.gsk_of_text gpk (read_file key_path)) in
   let signature = Group_sig.sign gpk gsk ~rng:(fresh_rng ()) ~msg:message in
@@ -213,11 +222,10 @@ let sign_cmd =
 (* --- verify --- *)
 
 let verify trace profile_out gpk_path message sig_hex url_path =
-  (* the verdict exits through a return code so the --profile-out writer
-     (a Fun.protect finaliser, which [exit] would bypass) still runs *)
+  (* the verdict exits through a return code so the span consumers'
+     finalisers (Fun.protect, which [exit] would bypass) still run *)
   let code =
-    with_trace trace @@ fun () ->
-    with_profile_out profile_out @@ fun () ->
+    with_spans [ trace_file trace; profile_file profile_out ] @@ fun () ->
     let gpk = or_die (Group_sig.gpk_of_text (read_file gpk_path)) in
     let sig_bytes = or_die (hex_decode sig_hex) in
     match Group_sig.signature_of_bytes gpk sig_bytes with
@@ -396,8 +404,22 @@ let sim_audit_signer seed =
 
 let simulate trace profile_out timeline faults_spec no_hardening invoices
     audit_path scenario seed =
-  with_trace trace @@ fun () ->
-  with_profile_out profile_out @@ fun () ->
+  (* --timeline is one JSONL file carrying both faces of the run: span
+     events stream out while the scenario runs, gauge series are appended
+     once it finishes *)
+  let timeline =
+    Option.map (fun path -> (path, Peace_obs.Timeseries.create ())) timeline
+  in
+  with_spans
+    [
+      trace_file trace;
+      profile_file profile_out;
+      Option.map
+        (fun (path, sampler) ->
+          jsonl_file ~after:(Peace_obs.Timeseries.to_jsonl sampler) path)
+        timeline;
+    ]
+  @@ fun () ->
   let faults =
     match faults_spec with
     | None -> Peace_sim.Faults.none
@@ -415,7 +437,8 @@ let simulate trace profile_out timeline faults_spec no_hardening invoices
       "error: --invoices/--audit apply to the city scenario only\n";
     exit 1
   end;
-  let run ?sampler () =
+  let sampler = Option.map snd timeline in
+  let run () =
     let open Peace_sim in
     match scenario with
     | "attacks" ->
@@ -499,48 +522,27 @@ let simulate trace profile_out timeline faults_spec no_hardening invoices
         other;
       exit 2
   in
-  let run ?sampler () =
+  let run () =
     match audit_path with
-    | None -> run ?sampler ()
+    | None -> run ()
     | Some path ->
       Peace_obs.Audit.with_file
         ~signer:(sim_audit_signer seed)
         ~meta:
           [ ("source", "simulate-" ^ scenario); ("seed", string_of_int seed) ]
         path
-        (fun _ -> run ?sampler ());
+        (fun _ -> run ());
       Printf.eprintf "audit ledger -> %s\n" path
   in
-  match timeline with
-  | None -> run ()
-  | Some path ->
-    (* one JSONL file carrying both faces of the timeline: span begin/end
-       events stream out while the scenario runs (trace sink), gauge series
-       are appended once it finishes *)
-    if Peace_obs.Trace.sink_active () then begin
-      prerr_endline "error: --timeline cannot be combined with --trace";
-      exit 2
-    end;
-    let sampler = Peace_obs.Timeseries.create () in
-    let oc = open_out path in
-    let emit line =
-      output_string oc line;
-      output_char oc '\n'
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Peace_obs.Trace.set_sink None;
-        close_out oc)
-      (fun () ->
-        Peace_obs.Trace.set_sink (Some emit);
-        run ~sampler ();
-        Peace_obs.Trace.set_sink None;
-        Peace_obs.Timeseries.to_jsonl sampler emit);
-    let n_series = List.length (Peace_obs.Timeseries.series sampler) in
-    Printf.eprintf "timeline: %d series, %d samples -> %s\n" n_series
-      (Peace_obs.Timeseries.sample_count sampler)
-      path;
-    Peace_obs.Expo.series_summary Format.err_formatter sampler
+  run ();
+  Option.iter
+    (fun (path, sampler) ->
+      Printf.eprintf "timeline: %d series, %d samples -> %s\n"
+        (List.length (Peace_obs.Timeseries.series sampler))
+        (Peace_obs.Timeseries.sample_count sampler)
+        path;
+      Peace_obs.Expo.series_summary Format.err_formatter sampler)
+    timeline
 
 let simulate_cmd =
   let scenario =
@@ -905,18 +907,16 @@ let stats trace profile_out profile params_src url_size =
     exit 2
   end;
   let code =
-    with_trace trace @@ fun () ->
     let prof =
       if profile then Some (Peace_obs.Profile.create ()) else None
     in
-    let fns, finishers = profile_out_spec profile_out in
-    let fns =
-      fns
-      @ match prof with
-        | Some p -> [ Peace_obs.Profile.collector p ]
-        | None -> []
-    in
-    with_collectors fns finishers @@ fun () ->
+    with_spans
+      [
+        trace_file trace;
+        profile_file profile_out;
+        Option.map (fun p -> (Peace_obs.Profile.collector p, ignore)) prof;
+      ]
+    @@ fun () ->
     let params = load_params params_src in
   let rng = Peace_hash.Drbg.bytes_fn (Peace_hash.Drbg.create ~seed:"peace-stats" ()) in
   let issuer = Group_sig.setup params rng in
@@ -1166,7 +1166,7 @@ let serve_auth trace params_src testbed_seed n_users addr workers
     beacon_period_ms announce duration audit_path metrics_port metrics_announce
     alerts_src =
   Peace_sock.ignore_sigpipe ();
-  with_trace trace @@ fun () ->
+  with_spans [ trace_file trace ] @@ fun () ->
   let testbed = make_testbed params_src testbed_seed n_users in
   (* --audit installs the tamper-evident ledger before the listener comes
      up, so the very first access decision is already on the chain.
@@ -1434,9 +1434,9 @@ let loadgen trace params_src testbed_seed n_users addr concurrency rate duration
     impair seed timeout =
   Peace_sock.ignore_sigpipe ();
   let testbed = make_testbed params_src testbed_seed n_users in
-  (* with a sink installed, every handshake emits a span tree AND sends
-     its trace context over the wire, so the server's spans join it *)
-  with_trace trace @@ fun () ->
+  (* with a collector installed, every handshake emits a span tree AND
+     sends its trace context over the wire, so the server's spans join it *)
+  with_spans [ trace_file trace ] @@ fun () ->
   report_or_die
     (Service.Loadgen.run ~connect:addr ~testbed ~concurrency ?rate
        ~duration_s:duration ~impair ~seed ~timeout_s:timeout ())
@@ -1462,16 +1462,11 @@ let slo params_src n_users workers concurrency rate duration impair seed
     json_out trace_out rev =
   Peace_sock.ignore_sigpipe ();
   (* --trace-out captures BOTH sides of every handshake: client and
-     server live in this one process, so one sink sees the loadgen root
-     spans and the authority's remote-continued service.request spans,
-     already stitched by trace id *)
-  let with_trace_out f =
-    match trace_out with
-    | None -> f ()
-    | Some path -> Peace_obs.Trace.with_file path f
-  in
+     server live in this one process, so one collector sees the loadgen
+     root spans and the authority's remote-continued service.request
+     spans, already stitched by trace id *)
   match
-    with_trace_out (fun () ->
+    with_spans [ trace_file trace_out ] (fun () ->
         Service.Slo.run ~params:(load_params params_src) ~n_users ~workers
           ~concurrency ?rate ~duration_s:duration ~impair ~seed ())
   with

@@ -24,9 +24,6 @@ val to_int : t -> int
 (** [to_int x] is [x] as a native integer.
     @raise Failure if [x] does not fit. *)
 
-val to_int_opt : t -> int option
-(** [to_int_opt x] is [Some x] as a native integer when it fits. *)
-
 val of_string : string -> t
 (** Parses an optionally signed decimal literal, or hexadecimal with a
     ["0x"] prefix. Underscores are permitted as separators.

@@ -67,7 +67,9 @@ let miller_rabin n ~bases =
 let deterministic_bases = List.map Bigint.of_int [ 2; 3; 5; 7 ]
 let deterministic_limit = Bigint.of_string "3215031751"
 
-let is_probable_prime ?(rounds = 32) n =
+let rounds = 32
+
+let is_probable_prime n =
   if Bigint.compare n Bigint.two < 0 then false
   else if Bigint.compare n (Bigint.of_int 1000) <= 0 then begin
     let v = Bigint.to_int n in

@@ -1,12 +1,9 @@
 (** Probabilistic primality testing and prime generation. *)
 
-val is_probable_prime : ?rounds:int -> Bigint.t -> bool
-(** Miller–Rabin with [rounds] random bases (default 32) after trial
-    division by small primes. Deterministic witnesses are used for inputs
-    below 3,215,031,751. *)
-
-val miller_rabin : Bigint.t -> bases:Bigint.t list -> bool
-(** Miller–Rabin restricted to the given witness bases. *)
+val is_probable_prime : Bigint.t -> bool
+(** Miller–Rabin with 32 pseudo-random bases after trial division by the
+    primes below 1000. Deterministic witnesses are used for inputs below
+    3,215,031,751. *)
 
 val random_prime : (int -> string) -> bits:int -> Bigint.t
 (** [random_prime rng ~bits] draws uniform odd candidates with the top bit
@@ -14,6 +11,3 @@ val random_prime : (int -> string) -> bits:int -> Bigint.t
 
 val next_prime : Bigint.t -> Bigint.t
 (** Smallest probable prime strictly greater than the argument. *)
-
-val small_primes : int array
-(** The primes below 1000, used for trial division. *)

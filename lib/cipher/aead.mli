@@ -8,9 +8,6 @@
     This instantiates the paper's abstract [E_K(·)] in messages (M.3) and
     (M̃.3). *)
 
-val key_size : int
-(** 32. *)
-
 val nonce_size : int
 (** 12. *)
 

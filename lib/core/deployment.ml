@@ -143,8 +143,7 @@ let authenticate t ~user ~router ?group_id () =
     end
   end
 
-let peer_authenticate t ~initiator ~responder ~router ?initiator_group
-    ?responder_group () =
+let peer_authenticate t ~initiator ~responder ~router ?initiator_group () =
   ignore t;
   let beacon = Mesh_router.beacon router in
   (* both peers observe the beacon to learn g and the current URL; the
@@ -152,7 +151,7 @@ let peer_authenticate t ~initiator ~responder ~router ?initiator_group
   match User.peer_hello initiator ?group_id:initiator_group ~g:beacon.Messages.g () with
   | Error e -> Error e
   | Ok (hello, pending_initiator) -> begin
-    match User.process_peer_hello responder ?group_id:responder_group hello with
+    match User.process_peer_hello responder hello with
     | Error e -> Error e
     | Ok (response, pending_responder) -> begin
       match User.process_peer_response initiator pending_initiator response with

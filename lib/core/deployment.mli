@@ -51,7 +51,7 @@ val authenticate :
 
 val peer_authenticate :
   t -> initiator:User.t -> responder:User.t -> router:Mesh_router.t ->
-  ?initiator_group:int -> ?responder_group:int -> unit ->
+  ?initiator_group:int -> unit ->
   (Session.t * Session.t, Protocol_error.t) result
 (** One full user–user handshake (M̃.1 → M̃.2 → M̃.3), using the router's
     current beacon for the DH generator. *)

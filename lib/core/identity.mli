@@ -29,6 +29,5 @@ val has_role : t -> group_id:int -> bool
 val role_description : t -> group_id:int -> string option
 (** The nonessential attribute an audit of that group would reveal. *)
 
-val pp_role : Format.formatter -> role -> unit
 val pp : Format.formatter -> t -> unit
 (** Prints uid and roles only — never essential attributes. *)

@@ -313,7 +313,7 @@ let finalize t (m : Messages.access_request) ob transcript =
   let session =
     Session.derive t.config ~role:Session.Responder ~local_secret:ob.ob_r_r
       ~remote_share:m.Messages.g_rj ~initiator_share:m.Messages.g_rj
-      ~responder_share:ob.ob_g_rr ~now:(now t)
+      ~responder_share:ob.ob_g_rr
   in
   Hashtbl.replace t.sessions (Session.id session) session;
   t.log <-

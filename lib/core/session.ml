@@ -10,21 +10,15 @@ type t = {
   mutable recv_key : string;
   mutable generation : int;
   role : role;
-  established_at : int;
-  ia : string; (* initiator share encoding *)
-  rb : string; (* responder share encoding *)
   mutable send_counter : int;
   mutable recv_floor : int; (* highest counter accepted so far *)
 }
 
 let id t = t.id
 let role t = t.role
-let established_at t = t.established_at
-let send_count t = t.send_counter
-let established_pair t = (t.ia, t.rb)
 
 let derive config ~role ~local_secret ~remote_share ~initiator_share
-    ~responder_share ~now =
+    ~responder_share =
   let params = config.Config.pairing in
   let shared = G1.mul params local_secret remote_share in
   let shared_bytes =
@@ -48,9 +42,6 @@ let derive config ~role ~local_secret ~remote_share ~initiator_share
     recv_key;
     generation = 0;
     role;
-    established_at = now;
-    ia;
-    rb;
     send_counter = 0;
     recv_floor = -1;
   }

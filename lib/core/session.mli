@@ -18,12 +18,11 @@ val id : t -> string
 (** The session identifier derived from the DH shares (g^{r_a}, g^{r_b}) —
     the paper's fresh-random-pair identifier, unlinkable across sessions. *)
 
-val established_at : t -> int
 val role : t -> role
 
 val derive :
   Config.t -> role:role -> local_secret:Bigint.t -> remote_share:G1.point ->
-  initiator_share:G1.point -> responder_share:G1.point -> now:int -> t
+  initiator_share:G1.point -> responder_share:G1.point -> t
 (** Computes K = remote_share · local_secret and derives send/receive keys
     bound to both DH shares. The two endpoints (with opposite [role]s)
     derive matching sessions. *)
@@ -39,8 +38,6 @@ val open_ : t -> string -> string option
 (** Verifies, decrypts, and enforces strictly increasing receive counters;
     [None] on forgery, tampering or replay. *)
 
-val send_count : t -> int
-
 val rekey : t -> unit
 (** Forward-secrecy ratchet: replaces both directional keys with their
     one-way images and resets the message counters. Both endpoints must
@@ -49,6 +46,3 @@ val rekey : t -> unit
 
 val generation : t -> int
 (** Number of ratchets performed. *)
-
-val established_pair : t -> string * string
-(** Encodings of the two DH shares, for logging/audit. *)

@@ -23,8 +23,5 @@ val record_user_receipt :
   Ecdsa.signature -> bool
 (** Verifies and stores the user's signature over the released share. *)
 
-val receipt_payload : t -> group_id:int -> index:int -> string option
-(** The bytes a user receipt must cover. *)
-
 val share_count : t -> int
 val receipt_count : t -> int

@@ -214,7 +214,6 @@ let process_confirm t pending (m : Messages.access_confirm) =
       Session.derive t.config ~role:Session.Initiator
         ~local_secret:pending.pa_r_j ~remote_share:pending.pa_g_rr
         ~initiator_share:pending.pa_g_rj ~responder_share:pending.pa_g_rr
-        ~now:(now t)
     in
     match Session.open_ session m.Messages.payload with
     | None -> Error Protocol_error.Decryption_failed
@@ -294,7 +293,6 @@ let process_peer_hello t ?group_id (m : Messages.peer_hello) =
           Session.derive t.config ~role:Session.Responder ~local_secret:r_l
             ~remote_share:m.Messages.ph_g_rj
             ~initiator_share:m.Messages.ph_g_rj ~responder_share:g_rl
-            ~now:t_now
         in
         Ok
           ( {
@@ -333,7 +331,6 @@ let process_peer_response t pending (m : Messages.peer_response) =
         Session.derive t.config ~role:Session.Initiator
           ~local_secret:pending.pp_r_j ~remote_share:m.Messages.pr_g_rl
           ~initiator_share:pending.pp_g_rj ~responder_share:m.Messages.pr_g_rl
-          ~now:(now t)
       in
       (* (M̃.3): E_K(g^{r_j}, g^{r_l}, ts1, ts2) *)
       let w = Wire.writer () in

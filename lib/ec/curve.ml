@@ -22,7 +22,6 @@ type t = {
 and point = { x : Mont.elt; y : Mont.elt; z : Mont.elt; inf : bool }
 
 let name c = c.curve_name
-let field_order c = c.p
 let order c = c.n
 let cofactor c = c.h
 let base c = c.base_point
@@ -247,9 +246,3 @@ let decode c s =
           (try Some (point c ~x ~y) with Invalid_argument _ -> None)
       end
     | _ -> None
-
-let pp_point c fmt pt =
-  match to_affine c pt with
-  | None -> Format.pp_print_string fmt "O"
-  | Some (x, y) ->
-    Format.fprintf fmt "(0x%s, 0x%s)" (Bigint.to_hex x) (Bigint.to_hex y)

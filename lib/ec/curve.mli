@@ -29,7 +29,6 @@ val make :
     @raise Invalid_argument if the base point is not on the curve. *)
 
 val name : t -> string
-val field_order : t -> Bigint.t
 val order : t -> Bigint.t
 (** Order [n] of the base-point subgroup. *)
 
@@ -69,5 +68,3 @@ val decode : t -> string -> point option
 
 val byte_size : t -> int
 (** Bytes needed for one field element. *)
-
-val pp_point : t -> Format.formatter -> point -> unit

@@ -18,8 +18,6 @@ type signature = { r : Bigint.t; s : Bigint.t }
 val generate : Curve.t -> (int -> string) -> keypair
 (** [generate curve rng] draws [d] uniformly from [\[1, n)]. *)
 
-val public_of_private : Curve.t -> Bigint.t -> Curve.point
-
 val sign : Curve.t -> key:keypair -> string -> signature
 (** Signs a message (hashed internally with SHA-256). *)
 

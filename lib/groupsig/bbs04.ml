@@ -7,6 +7,7 @@ type gpk = {
   g1 : G1.point;
   g2 : G1.point;
   h : G1.point;
+  h_lines : Pairing.lines;
   u : G1.point;
   v : G1.point;
   w : G1.point;
@@ -82,6 +83,7 @@ let setup params rng =
           g1;
           g2;
           h;
+          h_lines = Pairing.lines_of params h;
           u;
           v;
           w;
@@ -192,7 +194,8 @@ let verify gpk ~msg s =
   in
   let r3 =
     Pairing.Gt.mul params
-      (Pairing.tate_product params [ (s.t3, arg1); (gpk.h, arg2) ])
+      (Pairing.tate_lines params
+         [ (Pairing.lines_of params s.t3, arg1); (gpk.h_lines, arg2) ])
       (Pairing.Gt.pow params gpk.e_g1_g2 (Bigint.neg s.c))
   in
   let r4 =

@@ -21,6 +21,7 @@ type gpk = {
   g1 : G1.point;
   g2 : G1.point;
   h : G1.point;
+  h_lines : Pairing.lines;  (** h's Miller lines, built once by [setup] *)
   u : G1.point;  (** u^ξ1 = h *)
   v : G1.point;  (** v^ξ2 = h *)
   w : G1.point;  (** γ·g2 *)

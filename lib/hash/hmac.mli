@@ -12,8 +12,5 @@ val equal_constant_time : string -> string -> bool
 val hkdf_extract : ?salt:string -> string -> string
 (** [hkdf_extract ~salt ikm] is the HKDF-SHA256 pseudorandom key. *)
 
-val hkdf_expand : prk:string -> info:string -> int -> string
-(** [hkdf_expand ~prk ~info len] derives [len] bytes ([len <= 8160]). *)
-
 val hkdf : ?salt:string -> info:string -> string -> int -> string
 (** Extract-then-expand convenience wrapper. *)

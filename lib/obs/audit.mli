@@ -116,9 +116,6 @@ type report = {
 type break_ = { br_seq : int; br_reason : string }
 (** The first record at which the ledger fails to verify. *)
 
-val checkpoint_payload : seq:int -> head:string -> string
-(** The bytes a checkpoint signature covers. *)
-
 val verify :
   ?verify_sig:
     (algo:string -> pk:string -> payload:string -> signature:string -> bool) ->

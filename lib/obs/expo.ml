@@ -1,7 +1,7 @@
-(* Exposition formats: Chrome trace-event JSON (Perfetto), folded stacks
-   (flamegraph.pl / speedscope), Prometheus text exposition over the
-   registry, and the human renderings (registry summary table, sampler
-   sparklines). *)
+(* Exposition formats: span JSONL, Chrome trace-event JSON (Perfetto),
+   folded stacks (flamegraph.pl / speedscope), Prometheus text exposition
+   over the registry, and the human renderings (registry summary table,
+   sampler sparklines). *)
 
 (* --- event recorder ---
 
@@ -27,6 +27,46 @@ let events r =
   let evs = r.rec_events in
   Mutex.unlock r.rec_lock;
   List.rev_map (fun { r_ev; r_dom } -> (r_ev, r_dom)) evs
+
+(* --- span JSONL ---
+
+   One JSON object per event, fields in a fixed order, so line-oriented
+   tools (grep, the cram tests, watchsmoke.sh) can scan substrings. *)
+
+let opt_field key = function
+  | None -> ""
+  | Some v -> Printf.sprintf ",%s:%d" (Obs_json.str key) v
+
+let attrs_field = function
+  | [] -> ""
+  | attrs ->
+    let fields =
+      List.map (fun (k, v) -> Obs_json.str k ^ ":" ^ Obs_json.str v) attrs
+    in
+    ",\"attrs\":{" ^ String.concat "," fields ^ "}"
+
+let jsonl = function
+  | Trace.Begin { name; id; parent; ts; trace; remote_parent; attrs } ->
+    Printf.sprintf
+      "{\"ev\":\"B\",\"name\":%s,\"id\":%d,\"parent\":%s,\"ts_ns\":%d%s%s%s}"
+      (Obs_json.str name) id
+      (match parent with None -> "null" | Some p -> string_of_int p)
+      ts
+      (opt_field "trace" trace)
+      (opt_field "remote_parent" remote_parent)
+      (attrs_field attrs)
+  | Trace.End { name; id; ts; dur } ->
+    Printf.sprintf
+      "{\"ev\":\"E\",\"name\":%s,\"id\":%d,\"ts_ns\":%d,\"dur_ns\":%d}"
+      (Obs_json.str name) id ts dur
+
+(* the lock serialises writers from concurrent domains, so lines never
+   interleave; the line is rendered before the lock is taken *)
+let jsonl_to write =
+  let lock = Mutex.create () in
+  fun ev ->
+    let line = jsonl ev in
+    Mutex.protect lock (fun () -> write line)
 
 (* --- Chrome trace-event JSON ---
 

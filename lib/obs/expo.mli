@@ -1,5 +1,5 @@
-(** Exposition formats over the span stream and the registry: Chrome
-    trace-event JSON (load in Perfetto / [chrome://tracing]), folded
+(** Exposition formats over the span stream and the registry: span JSONL,
+    Chrome trace-event JSON (load in Perfetto / [chrome://tracing]), folded
     stacks ([flamegraph.pl] / speedscope), the Prometheus text
     exposition {!Serve} publishes on [/metrics], and the human renderings
     [peace stats] and [peace simulate --timeline] print. *)
@@ -21,6 +21,23 @@ val events : recorder -> (Trace.event * int) list
     domain that emitted it. *)
 
 (** {1 Renderers} *)
+
+val jsonl : Trace.event -> string
+(** One event as one JSON object, without a trailing newline, fields in a
+    fixed order:
+
+    {v
+    {"ev":"B","name":"groupsig.verify","id":5,"parent":2,"ts_ns":...}
+    {"ev":"E","name":"groupsig.verify","id":5,"ts_ns":...,"dur_ns":...}
+    v}
+
+    [parent] is [null] for a root span; a begin carries [trace],
+    [remote_parent] and an [attrs] object only when the span has them. *)
+
+val jsonl_to : (string -> unit) -> Trace.event -> unit
+(** [jsonl_to write] is a collector that passes each event's {!jsonl}
+    line to [write]. Calls to [write] are serialised under a lock, so
+    lines from concurrent domains never interleave. *)
 
 val chrome : (Trace.event * int) list -> string
 (** Chrome trace-event JSON: one ["ph":"B"]/["ph":"E"] pair per completed

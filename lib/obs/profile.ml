@@ -72,8 +72,8 @@ let add_to_nodes t path dur ops0 =
     (fun i v0 -> a.a_ops.(i) <- a.a_ops.(i) + Stdlib.max 0 (now.(i) - v0))
     ops0
 
-(* a parent that is not open (begun before install, or already closed)
-   attaches the span at the root *)
+(* a parent that is not open (begun before the collector was installed,
+   or already closed) attaches the span at the root *)
 let on_begin t name id parent =
   Mutex.protect t.p_lock (fun () ->
       let parent_path =
@@ -92,14 +92,9 @@ let on_end t id dur =
         Hashtbl.remove t.p_open id;
         add_to_nodes t os.os_path dur os.os_ops0)
 
-let ingest t = function
+let collector t = function
   | Trace.Begin { name; id; parent; _ } -> on_begin t name id parent
   | Trace.End { id; dur; _ } -> on_end t id dur
-
-let collector t = ingest t
-
-let install t = Trace.set_collector (Some (ingest t))
-let uninstall () = Trace.set_collector None
 
 let dropped t = Mutex.protect t.p_lock (fun () -> t.p_dropped)
 

@@ -28,17 +28,13 @@ val create : unit -> t
 (** An empty profile attributing {!default_ops}. *)
 
 val collector : t -> Trace.event -> unit
-(** The ingestion function, for composing with other collectors before
-    {!Trace.set_collector}. *)
-
-val install : t -> unit
-(** [Trace.set_collector] with this profile's {!collector}. *)
-
-val uninstall : unit -> unit
+(** The ingestion function: install with
+    [Trace.set_collector (Some (Profile.collector p))], alone or composed
+    with other collectors. *)
 
 val dropped : t -> int
-(** End events that matched no open begin (span begun before the profile
-    was installed, or already closed). *)
+(** End events that matched no open begin (span begun before the
+    collector was installed, or already closed). *)
 
 (** {1 Reading the tree} *)
 

@@ -79,10 +79,6 @@ val parse_query : string -> (string * string) list
 val parse_request : string -> (string * string * (string * string) list) option
 (** Parse a request head into (method, path, query pairs). *)
 
-val http_response : ?status:string -> ?content_type:string -> string -> string
-(** Build a full HTTP/1.1 response with Content-Length and
-    [Connection: close]. *)
-
 val http_get :
   ?host:string -> port:int -> string -> (int * string, string) result
 (** One-shot GET returning (status code, body) — the client side of this

@@ -10,12 +10,9 @@
     resolution for range instead of truncating history.
 
     The sampler is clock-agnostic: [now] is any monotone int source.
-    Pass wall time ({!wall_ms}) for live processes, or let
+    Pass wall time (the default) for live processes, or let
     {!Peace_sim.Engine.attach_sampler} rebind it to the simulation clock
     so sampling happens on simulated time. *)
-
-val wall_ms : unit -> int
-(** Wall clock in epoch milliseconds — the default [now]. *)
 
 module Series : sig
   type t
@@ -49,8 +46,8 @@ type t
 (** A sampler: a clock plus a set of named probes, each feeding a series. *)
 
 val create : ?capacity:int -> ?now:(unit -> int) -> unit -> t
-(** [capacity] is per-series (default 256); [now] defaults to
-    {!wall_ms}. *)
+(** [capacity] is per-series (default 256); [now] defaults to the wall
+    clock in epoch milliseconds. *)
 
 val set_clock : t -> (unit -> int) -> unit
 (** Rebind the time source (how {!Peace_sim.Engine} switches a sampler

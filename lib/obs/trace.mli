@@ -1,24 +1,23 @@
-(** Span tracing: nested, cross-domain-safe, with an optional JSONL sink.
+(** Span tracing: nested, cross-domain-safe, with one structured event
+    stream.
 
     [with_span "groupsig.verify" (fun () -> ...)] times the thunk into the
-    registry histogram ["span.groupsig.verify.dur_ns"] and — when a sink is
-    installed — emits a begin event and an end event, each one JSON object
-    per line:
+    registry histogram ["span.groupsig.verify.dur_ns"] and — when a
+    collector is installed — hands it a begin event and an end event.
+    Renderers in {!Expo} turn the stream into span JSONL (one JSON object
+    per event), Chrome trace-event JSON or folded stacks; {!Profile} folds
+    it into a call tree.
 
-    {v
-    {"ev":"B","name":"groupsig.verify","id":5,"parent":2,"ts_ns":...}
-    {"ev":"E","name":"groupsig.verify","id":5,"ts_ns":...,"dur_ns":...}
-    v}
-
-    [parent] is the id of the enclosing span on the same domain ([null] at
-    top level), so a trace file reconstructs the call tree. Span stacks are
-    domain-local; ids are process-global. *)
+    A begin event's [parent] is the id of the enclosing span on the same
+    domain ([None] at top level), so the stream reconstructs the call
+    tree. Span stacks are domain-local; ids are process-global. *)
 
 val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** Runs the thunk inside a span. Exceptions propagate; the end event and
+(** Runs the thunk inside a span: a handle {!start}ed under
+    {!current_span}, made the innermost parent for the thunk, and
+    {!finish}ed when it returns. Exceptions propagate; the end event and
     the histogram observation still happen. When the registry is disabled
-    and neither a sink nor a collector is set, this is a direct call with
-    no overhead. *)
+    and no collector is set, this is a direct call with no overhead. *)
 
 val current_span : unit -> int option
 (** The innermost open span id on the calling domain, if any. *)
@@ -44,7 +43,7 @@ val start :
   ?ts:int ->
   string ->
   handle
-(** Open a span and emit its begin event (when a sink is active).
+(** Open a span and emit its begin event (when a collector is set).
     [parent] is an explicit span id ([None] = root); the domain-local
     stack is not consulted. [trace] tags the span with a trace id that
     correlates spans across processes; [remote_parent] names a parent
@@ -52,7 +51,9 @@ val start :
     tree building — renderers join on [(trace, remote_parent)]). [ts]
     overrides the begin timestamp — simulation code passes simulated
     time, so durations come out in simulated units; default is wall
-    {!Registry.now_ns}. Use one time base consistently per trace. *)
+    {!Registry.now_ns}. Use one time base consistently per trace. Only a
+    wall-clock span (no [ts]) records into the ["span.<name>.dur_ns"]
+    histogram. *)
 
 val start_linked :
   ?attrs:(string * string) list -> ?ts:int -> parent:handle -> string -> handle
@@ -87,21 +88,16 @@ val fresh_trace_id : unit -> int
     across processes (pid- and clock-mixed base). Fits in 62 bits. *)
 
 val finish : ?ts:int -> handle -> unit
-(** Emit the end event and record the duration into the
-    ["span.<name>.dur_ns"] histogram. [ts] must use the same time base
-    as [start]'s. Idempotent. *)
+(** Emit the end event and, for a wall-clock span, record the duration
+    into the ["span.<name>.dur_ns"] histogram. [ts] must use the same
+    time base as [start]'s. Idempotent. *)
 
-val set_sink : (string -> unit) option -> unit
-(** Install (or remove) the event sink. The sink receives one JSON line
-    per event, without the trailing newline, serialised under a lock. *)
+(** {1 The event stream}
 
-val sink_active : unit -> bool
-
-(** {1 Structured event stream}
-
-    The same begin/end stream the sink sees, but as values instead of JSON
-    text — {!Peace_obs.Profile} folds it into a call tree and
-    {!Peace_obs.Expo} records it for flamegraph / Chrome-trace export. *)
+    Every span output is a collector over these values:
+    {!Peace_obs.Expo.jsonl_to} writes span JSONL, {!Peace_obs.Expo.record}
+    keeps the events for Chrome-trace export, {!Peace_obs.Profile} folds
+    them into a call tree. *)
 
 type event =
   | Begin of {
@@ -113,17 +109,14 @@ type event =
           (** cross-process trace id, when the span belongs to one *)
       remote_parent : int option;
           (** parent span id in {e another} process (from the wire) *)
+      attrs : (string * string) list;  (** the span's [?attrs] *)
     }
   | End of { name : string; id : int; ts : int; dur : int }
 
 val set_collector : (event -> unit) option -> unit
-(** Install (or remove) the structured collector. At most one is active;
+(** Install (or remove) the collector. At most one is active;
     it is invoked on the emitting domain (no lock is taken around the
     call), so it must synchronise internally. Exceptions it raises are
     swallowed. *)
 
 val collector_active : unit -> bool
-
-val with_file : string -> (unit -> 'a) -> 'a
-(** [with_file path f] writes events to [path] (one line each, flushed)
-    while [f] runs, then removes the sink and closes the file. *)

@@ -33,7 +33,6 @@ val equal : Mont.ctx -> elt -> elt -> bool
 val is_zero : Mont.ctx -> elt -> bool
 val is_one : Mont.ctx -> elt -> bool
 
-val to_bigints : Mont.ctx -> elt -> Bigint.t * Bigint.t
 val of_bigints : Mont.ctx -> Bigint.t -> Bigint.t -> elt
 
 val encode : Mont.ctx -> elt -> string

@@ -398,129 +398,3 @@ let tate_lines params pairs =
     done;
     final_exponentiation params !f
   end
-
-
-(* Product of pairings with a shared Miller loop: the accumulator f is
-   squared once per bit and multiplied by every pair's line value. *)
-let tate_product params pairs =
-  let fp = params.Params.fp in
-  let live =
-    List.filter_map
-      (fun (p, q) ->
-        match (G1.coords p, G1.coords q) with
-        | Some (px, py), Some (xq, yq) -> Some (px, py, xq, yq)
-        | _ ->
-          Counters.count_pairing ();
-          None)
-      pairs
-  in
-  List.iter (fun _ -> Counters.count_pairing ()) live;
-  match live with
-  | [] -> Fq2.one fp
-  | live ->
-    let n = List.length live in
-    let px = Array.make n (Mont.zero fp) and py = Array.make n (Mont.zero fp) in
-    let xq = Array.make n (Mont.zero fp) and yq = Array.make n (Mont.zero fp) in
-    List.iteri
-      (fun i (a, b, c, d) ->
-        px.(i) <- a;
-        py.(i) <- b;
-        xq.(i) <- c;
-        yq.(i) <- d)
-      live;
-    let tx = Array.copy px and ty = Array.copy py in
-    let tz = Array.make n (Mont.one fp) in
-    let t_inf = Array.make n false in
-    let f = ref (Fq2.one fp) in
-    let double_with_line i =
-      if Mont.is_zero fp ty.(i) then t_inf.(i) <- true
-      else begin
-        let xx = Mont.sqr fp tx.(i) in
-        let yy = Mont.sqr fp ty.(i) in
-        let zz = Mont.sqr fp tz.(i) in
-        let m =
-          Mont.add fp (Mont.add fp (Mont.add fp xx xx) xx) (Mont.sqr fp zz)
-        in
-        let s =
-          let t = Mont.mul fp tx.(i) yy in
-          Mont.add fp (Mont.add fp t t) (Mont.add fp t t)
-        in
-        let z3 =
-          let t = Mont.mul fp ty.(i) tz.(i) in
-          Mont.add fp t t
-        in
-        let two_yy = Mont.add fp yy yy in
-        let re =
-          Mont.sub fp
-            (Mont.mul fp m (Mont.add fp (Mont.mul fp zz xq.(i)) tx.(i)))
-            two_yy
-        in
-        let im = Mont.mul fp (Mont.mul fp z3 zz) yq.(i) in
-        f := Fq2.mul fp !f (Fq2.of_fp re im);
-        let x3 = Mont.sub fp (Mont.sqr fp m) (Mont.add fp s s) in
-        let eight_y4 =
-          let y4 = Mont.sqr fp yy in
-          let t2 = Mont.add fp y4 y4 in
-          let t4 = Mont.add fp t2 t2 in
-          Mont.add fp t4 t4
-        in
-        let y3 = Mont.sub fp (Mont.mul fp m (Mont.sub fp s x3)) eight_y4 in
-        tx.(i) <- x3;
-        ty.(i) <- y3;
-        tz.(i) <- z3
-      end
-    in
-    let add_with_line i =
-      if t_inf.(i) then begin
-        tx.(i) <- px.(i);
-        ty.(i) <- py.(i);
-        tz.(i) <- Mont.one fp;
-        t_inf.(i) <- false
-      end
-      else begin
-        let zz = Mont.sqr fp tz.(i) in
-        let u2 = Mont.mul fp px.(i) zz in
-        let s2 = Mont.mul fp (Mont.mul fp py.(i) tz.(i)) zz in
-        if Mont.equal fp u2 tx.(i) then begin
-          if Mont.equal fp s2 ty.(i) then double_with_line i
-          else t_inf.(i) <- true
-        end
-        else begin
-          let h = Mont.sub fp u2 tx.(i) in
-          let r = Mont.sub fp s2 ty.(i) in
-          let hh = Mont.sqr fp h in
-          let hhh = Mont.mul fp h hh in
-          let z3 = Mont.mul fp tz.(i) h in
-          let re =
-            Mont.sub fp
-              (Mont.mul fp r (Mont.add fp xq.(i) px.(i)))
-              (Mont.mul fp z3 py.(i))
-          in
-          let im = Mont.mul fp z3 yq.(i) in
-          f := Fq2.mul fp !f (Fq2.of_fp re im);
-          let v = Mont.mul fp tx.(i) hh in
-          let x3 =
-            Mont.sub fp (Mont.sub fp (Mont.sqr fp r) hhh) (Mont.add fp v v)
-          in
-          let y3 =
-            Mont.sub fp (Mont.mul fp r (Mont.sub fp v x3))
-              (Mont.mul fp ty.(i) hhh)
-          in
-          tx.(i) <- x3;
-          ty.(i) <- y3;
-          tz.(i) <- z3
-        end
-      end
-    in
-    let order = params.Params.q in
-    for bit = Bigint.num_bits order - 2 downto 0 do
-      f := Fq2.sqr fp !f;
-      for i = 0 to n - 1 do
-        if not t_inf.(i) then double_with_line i
-      done;
-      if Bigint.testbit order bit then
-        for i = 0 to n - 1 do
-          add_with_line i
-        done
-    done;
-    final_exponentiation params !f

@@ -54,13 +54,8 @@ val tate_lines : Params.t -> (lines * G1.point) list -> Gt.elt
     the product of {!tate}s: one squaring of the accumulator per bit for
     all pairs, four F_p products per line, one final exponentiation.
     Counted as one pairing per pair; a pair with an identity argument
-    contributes 1. Group signatures use it for g2, w and the VLR base û. *)
-
-val tate_product : Params.t -> (G1.point * G1.point) list -> Gt.elt
-(** [tate_product params [(p1,q1); (p2,q2); …]] is ∏ᵢ ê(pᵢ, qᵢ), computed
-    with a single shared Miller loop (one f-squaring per bit regardless of
-    the number of pairs) and one final exponentiation. Counted as one
-    pairing per pair. Only the BBS04 baseline (ablation A6) calls it. *)
+    contributes 1. Group signatures use it for g2, w and the VLR base û;
+    the BBS04 baseline for its h and each signature's T3. *)
 
 val tate_affine : Params.t -> G1.point -> G1.point -> Gt.elt
 (** Reference implementation of {!tate} with an affine Miller loop (one

@@ -132,10 +132,10 @@ let handle_request t fd tag payload =
       (Frames.rejected_payload ~code:0 ~detail:"response tag in request direction")
 
 (* returns [true] to keep the connection open. [ctx] is the trace context
-   the client sent in a Traced envelope: when someone is actually
-   listening (sink or collector), the request span continues the client's
-   trace via start_remote, and with_parent makes the nested decode/verify/
-   encode spans children of it. Without a listener the context costs two
+   the client sent in a Traced envelope: when a collector is actually
+   listening, the request span continues the client's trace via
+   start_remote, and with_parent makes the nested decode/verify/encode
+   spans children of it. Without a listener the context costs two
    physical-equality checks. *)
 let handle_frame ?ctx t fd tag payload =
   Obs.Counter.incr c_requests;
@@ -145,7 +145,7 @@ let handle_frame ?ctx t fd tag payload =
   let write_result =
     match ctx with
     | Some { Frames.tc_trace; tc_parent }
-      when Trace.sink_active () || Trace.collector_active () ->
+      when Trace.collector_active () ->
       let h =
         Trace.start_remote ~trace:tc_trace ~parent:tc_parent "service.request"
       in

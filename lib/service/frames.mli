@@ -30,7 +30,6 @@ type tag =
   | Pong
 
 val tag_to_int : tag -> int
-val tag_of_int : int -> tag option
 
 val max_frame : int
 (** Upper bound on [length] (4 MiB): a lying length prefix cannot make the
@@ -62,8 +61,6 @@ type trace_ctx = {
   tc_trace : int;  (** u64 trace id (62-bit in practice) *)
   tc_parent : int;  (** client-side parent span id, masked to 32 bits *)
 }
-
-val traced_version : int
 
 val wrap_traced : ctx:trace_ctx -> tag -> string -> string
 (** The {!Traced} payload carrying [ctx] around an inner request frame.

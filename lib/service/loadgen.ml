@@ -123,11 +123,9 @@ let exchange st fd tag payload =
    and each request ships its child's (trace, span) over the wire in a
    Traced envelope so the authority's [service.request] span joins the
    same tree. No listener, no overhead — not even the envelope bytes. *)
-let tracing_on () = Trace.sink_active () || Trace.collector_active ()
-
 let handshake ~config ~gpk ~user ~latency_from st fd tally =
   let root =
-    if tracing_on () then
+    if Trace.collector_active () then
       Some (Trace.start ~trace:(Trace.fresh_trace_id ()) "loadgen.handshake")
     else None
   in

@@ -13,8 +13,6 @@ type node = {
 type t = {
   engine : Engine.t;
   rand : Sim_rand.t;
-  base_latency_ms : float;
-  latency_per_m : float;
   loss_prob : float;
   faults : Faults.link option;
   nodes : (address, node) Hashtbl.t;
@@ -24,13 +22,10 @@ type t = {
   mutable frames_dropped_unknown : int;
 }
 
-let create engine rand ?(base_latency_ms = 2.0) ?(latency_per_m = 0.01)
-    ?(loss_prob = 0.0) ?faults () =
+let create engine rand ?(loss_prob = 0.0) ?faults () =
   {
     engine;
     rand;
-    base_latency_ms;
-    latency_per_m;
     loss_prob;
     faults;
     nodes = Hashtbl.create 64;
@@ -62,7 +57,8 @@ let distance t a b =
   | Some pa, Some pb -> Some (dist_xy pa pb)
   | _ -> None
 
-let latency_ms t d = t.base_latency_ms +. (t.latency_per_m *. d)
+(* 2 ms base latency plus 0.01 ms/m of propagation and forwarding *)
+let latency_ms d = 2.0 +. (0.01 *. d)
 
 let drop_unknown t =
   t.frames_dropped_unknown <- t.frames_dropped_unknown + 1;
@@ -80,7 +76,7 @@ let transmit t ~dst ~dist payload =
   if t.loss_prob > 0.0 && Sim_rand.bool t.rand ~p:t.loss_prob then
     t.frames_lost <- t.frames_lost + 1
   else begin
-    let delay = int_of_float (ceil (latency_ms t dist)) in
+    let delay = int_of_float (ceil (latency_ms dist)) in
     match t.faults with
     | None -> deliver t ~dst ~delay payload
     | Some link -> begin

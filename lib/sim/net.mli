@@ -10,10 +10,9 @@ type address = int
 type t
 
 val create :
-  Engine.t -> Sim_rand.t -> ?base_latency_ms:float -> ?latency_per_m:float ->
-  ?loss_prob:float -> ?faults:Faults.link -> unit -> t
-(** Defaults: 2 ms base latency, 0.01 ms/m propagation+forwarding factor,
-    no loss. [faults] routes every transmitted frame through a
+  Engine.t -> Sim_rand.t -> ?loss_prob:float -> ?faults:Faults.link -> unit -> t
+(** Links take 2 ms plus 0.01 ms/m (propagation and forwarding); no loss
+    by default. [faults] routes every transmitted frame through a
     {!Faults.link} (burst loss, duplication, reordering, corruption) on
     top of the independent [loss_prob] Bernoulli drops. *)
 
@@ -39,7 +38,6 @@ val broadcast : t -> src:address -> range:float -> string -> unit
 (** Delivers to every registered node within [range] metres of [src]
     (except itself). *)
 
-val nodes_in_range : t -> of_:address -> range:float -> address list
 val nearest : t -> of_:address -> among:address list -> address option
 
 val bytes_sent : t -> int

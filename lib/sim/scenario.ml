@@ -3,15 +3,18 @@ open Peace_pairing
 open Peace_groupsig
 open Peace_core
 
+(* Per-operation processing costs in milliseconds of simulated time,
+   with magnitudes from the light-parameter measurements of this repo's
+   benchmark (see EXPERIMENTS.md) scaled to era-appropriate hardware. *)
 type cost_model = {
-  sign_ms : float;
-  verify_base_ms : float;
-  verify_per_token_ms : float;
-  beacon_validate_ms : float;
-  puzzle_check_ms : float;
+  sign_ms : float;  (* user: group signature generation *)
+  verify_base_ms : float;  (* router: proof check with empty URL *)
+  verify_per_token_ms : float;  (* router: each revocation token *)
+  beacon_validate_ms : float;  (* user: certificate + ECDSA checks *)
+  puzzle_check_ms : float;  (* router: one hash *)
 }
 
-let default_cost_model =
+let cost =
   {
     sign_ms = 40.0;
     verify_base_ms = 60.0;
@@ -178,10 +181,10 @@ let drive_churn world ~duration_ms ~churn nodes =
                 Faults.note_restart ())
           end)
 
-(* a span is only opened when a trace sink is live AND the frame carries a
-   request id — the untraced paths stay allocation-free *)
+(* a span is only opened when a trace collector is live AND the frame
+   carries a request id — the untraced paths stay allocation-free *)
 let sim_span world ~req ~name =
-  if req > 0 && Peace_obs.Trace.sink_active () then
+  if req > 0 && Peace_obs.Trace.collector_active () then
     Some
       (Peace_obs.Trace.start ~parent:req ~ts:(Engine.now world.engine) name)
   else None
@@ -190,7 +193,7 @@ let sim_finish world = function
   | None -> ()
   | Some h -> Peace_obs.Trace.finish ~ts:(Engine.now world.engine) h
 
-let router_service world cost node ~url_size ~sender ~under_attack ?(req = 0)
+let router_service world node ~url_size ~sender ~under_attack ?(req = 0)
     ?on_accept ?meter request =
   (* charge the modeled processing time, then run the real handler *)
   let now = Engine.now world.engine in
@@ -330,11 +333,11 @@ let retx_max = 4
 let retx_jitter_ms = 250
 let legacy_timeout_ms = 3_000
 
-let city_auth ?(seed = 42) ?(cost = default_cost_model) ?(area_m = 2000.0)
-    ?(range_m = 450.0) ?(beacon_period_ms = 500) ?(url_size = 0)
-    ?(loss_prob = 0.0) ?(faults = Faults.none) ?(hardened = true)
-    ?(invoices = false) ?sampler ?(alert_rules = []) ~n_routers ~n_users
-    ~duration_ms ~mean_interarrival_ms () =
+let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
+    ?(beacon_period_ms = 500) ?(url_size = 0) ?(loss_prob = 0.0)
+    ?(faults = Faults.none) ?(hardened = true) ?(invoices = false) ?sampler
+    ?(alert_rules = []) ~n_routers ~n_users ~duration_ms
+    ~mean_interarrival_ms () =
   let world = make_world ~seed ~loss_prob ~faults () in
   (* alert rules evaluate on simulated time: the evaluator clock is the
      engine clock and an eval tick runs once per simulated second, so a
@@ -397,7 +400,7 @@ let city_auth ?(seed = 42) ?(cost = default_cost_model) ?(area_m = 2000.0)
                 body
             with
             | Some request ->
-              router_service world cost node ~url_size ~sender
+              router_service world node ~url_size ~sender
                 ~under_attack:false ~req ~on_accept:(on_accept node)
                 ?meter:
                   (Option.map (fun m -> (m, String.length body)) meter)
@@ -640,7 +643,7 @@ let city_auth ?(seed = 42) ?(cost = default_cost_model) ?(area_m = 2000.0)
               if not node.un_want_auth then begin
                 node.un_want_auth <- true;
                 node.un_attempt_started <- Engine.now world.engine;
-                if Peace_obs.Trace.sink_active () then
+                if Peace_obs.Trace.collector_active () then
                   node.un_span <-
                     Some
                       (Peace_obs.Trace.start
@@ -764,7 +767,7 @@ type dos_result = {
   dr_attacker_hashes : int;
 }
 
-let dos_attack ?(seed = 42) ?(cost = default_cost_model) ~puzzles
+let dos_attack ?(seed = 42) ~puzzles
     ?(puzzle_difficulty = 8) ?(attacker_hash_rate_per_ms = 500.0)
     ?(faults = Faults.none) ~attack_rate_per_s ~legit_rate_per_s ~duration_ms
     () =
@@ -783,7 +786,7 @@ let dos_attack ?(seed = 42) ?(cost = default_cost_model) ~puzzles
       match Messages.access_request_of_bytes world.config gpk body with
       | Some request ->
         if sender >= 90_000 then incr bogus_received;
-        router_service world cost node ~url_size:0 ~sender
+        router_service world node ~url_size:0 ~sender
           ~under_attack:puzzles ~req request
       | None -> Metrics.incr world.metrics "router.unparseable"
     end
@@ -1487,7 +1490,7 @@ type roaming_result = {
   ro_sessions_per_user : float;
 }
 
-let roaming ?(seed = 42) ?(cost = default_cost_model) ~n_routers ~n_users
+let roaming ?(seed = 42) ~n_routers ~n_users
     ~duration_ms ~move_period_ms () =
   let world = make_world ~seed () in
   let config = world.config in
@@ -1511,7 +1514,7 @@ let roaming ?(seed = 42) ?(cost = default_cost_model) ~n_routers ~n_users
                   body
               with
               | Some request ->
-                router_service world cost node ~url_size:0 ~sender
+                router_service world node ~url_size:0 ~sender
                   ~under_attack:false ~req request
               | None -> ()
             end

@@ -4,25 +4,12 @@
     parameters, genuine cryptography end-to-end), places nodes on a
     metropolitan area, and drives the serialised protocol messages through
     the radio model. Cryptographic processing times are charged from a
-    {!cost_model} so router queueing behaves like hardware of the paper's
-    era even though the simulation crypto itself runs faster.
+    fixed per-operation cost model (sign ≈ 40 ms, verify ≈ 60 ms + 9 ms per
+    revocation token) so router queueing behaves like hardware of the
+    paper's era even though the simulation crypto itself runs faster.
 
     These back experiments E7 (DoS/client puzzles), E8 (attack matrix) and
     E9 (scale) of DESIGN.md. *)
-
-(** Per-operation processing costs in milliseconds of simulated time. *)
-type cost_model = {
-  sign_ms : float;  (** user: group signature generation *)
-  verify_base_ms : float;  (** router: proof check with empty URL *)
-  verify_per_token_ms : float;  (** router: each revocation token *)
-  beacon_validate_ms : float;  (** user: certificate + ECDSA checks *)
-  puzzle_check_ms : float;  (** router: one hash *)
-}
-
-val default_cost_model : cost_model
-(** Magnitudes taken from the light-parameter measurements of this repo's
-    benchmark (see EXPERIMENTS.md): sign ≈ 40 ms, verify ≈ 60 ms + 9 ms
-    per token on era-appropriate hardware scaling. *)
 
 (** {1 City-scale authentication (E9)} *)
 
@@ -58,7 +45,7 @@ type city_result = {
 }
 
 val city_auth :
-  ?seed:int -> ?cost:cost_model -> ?area_m:float -> ?range_m:float ->
+  ?seed:int -> ?area_m:float -> ?range_m:float ->
   ?beacon_period_ms:int -> ?url_size:int -> ?loss_prob:float ->
   ?faults:Faults.plan -> ?hardened:bool -> ?invoices:bool ->
   ?sampler:Peace_obs.Timeseries.t ->
@@ -103,8 +90,8 @@ val city_auth :
     A [sampler] is attached to the engine ({!Engine.attach_sampler}) and
     tracks city-wide gauges on simulated time, one sample per simulated
     second: total router queue depth, in-flight handshakes, completed
-    authentications and bytes on air. When a {!Peace_obs.Trace} sink is
-    active each authentication attempt additionally emits a causal span
+    authentications and bytes on air. When a {!Peace_obs.Trace} collector
+    is installed each authentication attempt additionally emits a causal span
     tree — [sim.handshake] (arrival to session) with [sim.user.sign] and
     [sim.router.service] children stitched across events and radio hops
     by the envelope request id. *)
@@ -122,7 +109,7 @@ type dos_result = {
 }
 
 val dos_attack :
-  ?seed:int -> ?cost:cost_model -> puzzles:bool -> ?puzzle_difficulty:int ->
+  ?seed:int -> puzzles:bool -> ?puzzle_difficulty:int ->
   ?attacker_hash_rate_per_ms:float -> ?faults:Faults.plan ->
   attack_rate_per_s:float -> legit_rate_per_s:float -> duration_ms:int ->
   unit -> dos_result
@@ -206,7 +193,7 @@ type roaming_result = {
 }
 
 val roaming :
-  ?seed:int -> ?cost:cost_model -> n_routers:int -> n_users:int ->
+  ?seed:int -> n_routers:int -> n_users:int ->
   duration_ms:int -> move_period_ms:int -> unit -> roaming_result
 (** Users move between router cells (random waypoint teleports every
     [move_period_ms]) and re-run the full anonymous handshake with the new

@@ -149,8 +149,8 @@ let test_registry_enumeration_and_delta () =
 
 let capture_spans f =
   let lines = ref [] in
-  Trace.set_sink (Some (fun l -> lines := l :: !lines));
-  Fun.protect ~finally:(fun () -> Trace.set_sink None) f;
+  Trace.set_collector (Some (Expo.jsonl_to (fun l -> lines := l :: !lines)));
+  Fun.protect ~finally:(fun () -> Trace.set_collector None) f;
   List.rev !lines
 
 let test_span_nesting () =
@@ -201,32 +201,6 @@ let test_span_attrs_escaping () =
   Alcotest.(check bool) "quote escaped" true (after b "a\\\"b" <> None);
   Alcotest.(check bool) "newline escaped, line unbroken" true
     (not (String.contains b '\n'))
-
-let test_with_file () =
-  let path = Filename.temp_file "peace-obs" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-      Trace.with_file path (fun () ->
-          Trace.with_span "io.outer" (fun () -> Trace.with_span "io.inner" Fun.id));
-      Alcotest.(check bool) "sink removed after with_file" false (Trace.sink_active ());
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
-      Alcotest.(check int) "four events" 4 (List.length lines);
-      List.iter
-        (fun l ->
-          Alcotest.(check bool) "line is a JSON object" true
-            (String.length l > 1 && l.[0] = '{' && l.[String.length l - 1] = '}'))
-        lines;
-      let count ev =
-        List.length
-          (List.filter (fun l -> after l ("\"ev\":\"" ^ ev ^ "\"") <> None) lines)
-      in
-      Alcotest.(check int) "balanced begin/end" (count "B") (count "E"))
 
 (* --- exporters --- *)
 
@@ -474,8 +448,8 @@ module Profile = Peace_obs.Profile
 
 let with_profile f =
   let p = Profile.create () in
-  Profile.install p;
-  let v = Fun.protect ~finally:Profile.uninstall f in
+  Trace.set_collector (Some (Profile.collector p));
+  let v = Fun.protect ~finally:(fun () -> Trace.set_collector None) f in
   (v, p)
 
 let test_profile_tree () =
@@ -577,9 +551,9 @@ let test_profile_cross_domain () =
     [ root; child; leaf; handoff ]
 
 let test_concurrent_finish () =
-  (* two domains race Trace.finish over the same handles: every span must
-     end exactly once (the CAS in finish), both in the collector stream
-     and in the duration histogram *)
+  (* two domains race Trace.finish over the same wall-clock handles: every
+     span must end exactly once (the CAS in finish), both in the collector
+     stream and in the duration histogram *)
   let n = 500 in
   let h = R.histogram "span.h.race.dur_ns" in
   R.Histogram.reset h;
@@ -591,11 +565,11 @@ let test_concurrent_finish () =
        | Trace.Begin _ -> ()));
   Fun.protect ~finally:(fun () -> Trace.set_collector None) (fun () ->
       let handles =
-        Array.init n (fun i -> Trace.start ~ts:(1_000 + i) "h.race")
+        Array.init n (fun _ -> Trace.start "h.race")
       in
       let racer () =
         Domain.spawn (fun () ->
-            Array.iter (fun hd -> Trace.finish ~ts:2_000 hd) handles)
+            Array.iter (fun hd -> Trace.finish hd) handles)
       in
       let d1 = racer () and d2 = racer () in
       Domain.join d1;
@@ -653,6 +627,68 @@ let test_chrome_export () =
   in
   Alcotest.(check bool) "timestamps monotone in emission order" true
     (monotone evs)
+
+let test_jsonl_golden () =
+  (* the span JSONL line format, byte for byte: --trace files, test/cli.t
+     and watchsmoke.sh scan substrings of it *)
+  Alcotest.(check string) "begin with every optional field"
+    {|{"ev":"B","name":"g.verify","id":5,"parent":2,"ts_ns":100,"trace":77,"remote_parent":9,"attrs":{"user":"7","msg":"a\"b\\c\nd"}}|}
+    (Expo.jsonl
+       (Trace.Begin
+          {
+            name = "g.verify";
+            id = 5;
+            parent = Some 2;
+            ts = 100;
+            trace = Some 77;
+            remote_parent = Some 9;
+            attrs = [ ("user", "7"); ("msg", "a\"b\\c\nd") ];
+          }));
+  Alcotest.(check string) "root begin"
+    {|{"ev":"B","name":"r","id":1,"parent":null,"ts_ns":0}|}
+    (Expo.jsonl
+       (Trace.Begin
+          {
+            name = "r";
+            id = 1;
+            parent = None;
+            ts = 0;
+            trace = None;
+            remote_parent = None;
+            attrs = [];
+          }));
+  Alcotest.(check string) "end"
+    {|{"ev":"E","name":"g.verify","id":5,"ts_ns":160,"dur_ns":60}|}
+    (Expo.jsonl (Trace.End { name = "g.verify"; id = 5; ts = 160; dur = 60 }))
+
+let test_jsonl_to_domains () =
+  (* four domains write through one jsonl_to at once: its lock keeps every
+     line whole, and the unsynchronised list below loses none *)
+  let domains = 4 and per_domain = 200 in
+  let lines = ref [] in
+  Trace.set_collector (Some (Expo.jsonl_to (fun l -> lines := l :: !lines)));
+  Fun.protect ~finally:(fun () -> Trace.set_collector None) (fun () ->
+      List.init domains (fun d ->
+          Domain.spawn (fun () ->
+              for _ = 1 to per_domain do
+                Trace.with_span ~attrs:[ ("d", string_of_int d) ] "j.outer"
+                  (fun () -> Trace.with_span "j.inner" Fun.id)
+              done))
+      |> List.iter Domain.join);
+  let lines = !lines in
+  Alcotest.(check int) "four events per iteration" (4 * domains * per_domain)
+    (List.length lines);
+  List.iter
+    (fun l ->
+      match J.parse l with
+      | Ok (J.Obj _) -> ()
+      | _ -> Alcotest.failf "not one JSON object: %s" l)
+    lines;
+  let count ev =
+    List.length
+      (List.filter (fun l -> after l ("\"ev\":\"" ^ ev ^ "\"") <> None) lines)
+  in
+  Alcotest.(check int) "balanced begin/end" (count "B") (count "E")
 
 let test_folded_export () =
   (* folded emits only paths with self > 0, so the leaf must burn enough
@@ -1778,7 +1814,6 @@ let () =
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception safety" `Quick test_span_histogram_and_exceptions;
           Alcotest.test_case "attr escaping" `Quick test_span_attrs_escaping;
-          Alcotest.test_case "with_file" `Quick test_with_file;
           Alcotest.test_case "explicit handles" `Quick test_span_handles;
         ] );
       ( "timeseries",
@@ -1809,6 +1844,9 @@ let () =
       ( "expo",
         [
           Alcotest.test_case "chrome trace JSON" `Quick test_chrome_export;
+          Alcotest.test_case "span jsonl golden lines" `Quick test_jsonl_golden;
+          Alcotest.test_case "span jsonl across domains" `Quick
+            test_jsonl_to_domains;
           Alcotest.test_case "folded stacks" `Quick test_folded_export;
           Alcotest.test_case "prometheus text" `Quick test_prometheus_exposition;
           Alcotest.test_case "registry summary" `Quick test_summary;

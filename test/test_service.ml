@@ -599,16 +599,11 @@ let test_trace_stitching () =
      completed handshake: client root -> client round-trip children ->
      server spans joined on (trace, remote_parent) *)
   let lines = ref [] in
-  let mu = Mutex.create () in
-  Trace.set_sink
-    (Some
-       (fun l ->
-         Mutex.lock mu;
-         lines := l :: !lines;
-         Mutex.unlock mu));
+  Trace.set_collector
+    (Some (Peace_obs.Expo.jsonl_to (fun l -> lines := l :: !lines)));
   let report =
     Fun.protect
-      ~finally:(fun () -> Trace.set_sink None)
+      ~finally:(fun () -> Trace.set_collector None)
       (fun () ->
         with_authority ~n_users:2 (fun testbed server ->
             ok_or_fail "loadgen"

@@ -164,8 +164,9 @@ let test_samples_chronological () =
    mechanism the scenarios use for cross-message traces *)
 let test_span_stitching_across_schedule () =
   let lines = ref [] in
-  Peace_obs.Trace.set_sink (Some (fun l -> lines := l :: !lines));
-  Fun.protect ~finally:(fun () -> Peace_obs.Trace.set_sink None) (fun () ->
+  Peace_obs.Trace.set_collector
+    (Some (Peace_obs.Expo.jsonl_to (fun l -> lines := l :: !lines)));
+  Fun.protect ~finally:(fun () -> Peace_obs.Trace.set_collector None) (fun () ->
       let engine = Engine.create ~start:0 () in
       let root = ref None in
       Engine.schedule engine ~delay:10 (fun () ->
@@ -263,6 +264,35 @@ let test_city_smoke () =
   in
   Alcotest.(check int) "deterministic attempts" r.Scenario.cr_attempts r2.Scenario.cr_attempts;
   Alcotest.(check int) "deterministic successes" r.Scenario.cr_successes r2.Scenario.cr_successes
+
+(* any collector opens the simulator's sim-time spans, and those spans
+   stay out of the nanosecond histograms: their durations are simulated
+   milliseconds *)
+let test_city_spans_for_any_collector () =
+  let h = Peace_obs.Registry.histogram "span.sim.handshake.dur_ns" in
+  let before = Peace_obs.Registry.Histogram.count h in
+  let r = Peace_obs.Expo.recorder () in
+  Peace_obs.Trace.set_collector (Some (Peace_obs.Expo.record r));
+  let report =
+    Fun.protect ~finally:(fun () -> Peace_obs.Trace.set_collector None)
+      (fun () ->
+        Scenario.city_auth ~seed:11 ~n_routers:2 ~n_users:6 ~duration_ms:30_000
+          ~mean_interarrival_ms:8_000.0 ())
+  in
+  let roots =
+    List.filter
+      (fun (ev, _) ->
+        match ev with
+        | Peace_obs.Trace.Begin { name = "sim.handshake"; parent = None; _ } ->
+          true
+        | _ -> false)
+      (Peace_obs.Expo.events r)
+  in
+  Alcotest.(check bool) "some attempts" true (report.Scenario.cr_attempts > 0);
+  Alcotest.(check int) "one sim.handshake root per attempt"
+    report.Scenario.cr_attempts (List.length roots);
+  Alcotest.(check int) "no simulated ms in the ns histogram" before
+    (Peace_obs.Registry.Histogram.count h)
 
 let test_dos_smoke () =
   let without =
@@ -606,6 +636,8 @@ let suite =
       [
         Alcotest.test_case "attack matrix" `Quick test_attack_matrix;
         Alcotest.test_case "city smoke" `Slow test_city_smoke;
+        Alcotest.test_case "city spans for any collector" `Slow
+          test_city_spans_for_any_collector;
         Alcotest.test_case "dos smoke" `Slow test_dos_smoke;
         Alcotest.test_case "phishing smoke" `Slow test_phishing_smoke;
         Alcotest.test_case "multihop relay" `Slow test_multihop;
