@@ -1489,14 +1489,8 @@ let cli_opts =
   opts
 
 let selected_experiments () =
-  (* --only E12,E16 restricts the run; PEACE_BENCH_ONLY is the env
-     fallback for contexts where argv is awkward (dune rules) *)
-  let only =
-    match Hashtbl.find_opt cli_opts "--only" with
-    | Some s -> Some s
-    | None -> Sys.getenv_opt "PEACE_BENCH_ONLY"
-  in
-  match only with
+  (* --only E12,E16 restricts the run *)
+  match Hashtbl.find_opt cli_opts "--only" with
   | None -> experiments
   | Some spec ->
     let keys =

@@ -426,15 +426,14 @@ let simulate trace profile_out timeline faults_spec no_hardening invoices
     | Some spec -> parse_faults_or_exit spec
   in
   let have_faults = not (Peace_sim.Faults.is_none faults) in
-  if (have_faults || no_hardening) && scenario <> "city" && scenario <> "dos"
-  then begin
-    Printf.eprintf
-      "error: --faults/--no-hardening apply to the city and dos scenarios only\n";
+  if have_faults && scenario <> "city" && scenario <> "dos" then begin
+    Printf.eprintf "error: --faults applies to the city and dos scenarios only\n";
     exit 1
   end;
-  if (invoices || audit_path <> None) && scenario <> "city" then begin
+  if (no_hardening || invoices || audit_path <> None) && scenario <> "city"
+  then begin
     Printf.eprintf
-      "error: --invoices/--audit apply to the city scenario only\n";
+      "error: --no-hardening/--invoices/--audit apply to the city scenario only\n";
     exit 1
   end;
   let sampler = Option.map snd timeline in
@@ -579,7 +578,7 @@ let simulate_cmd =
           ~doc:
             "Disable handshake hardening (retransmission with backoff, \
              duplicate resends, router failover) — the pre-E15 baseline \
-             behaviour. City and dos scenarios only.")
+             behaviour. City scenario only.")
   in
   let invoices =
     Arg.(

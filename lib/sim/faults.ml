@@ -6,23 +6,6 @@ let c_dup = Obs.counter "sim.faults.duplicated"
 let c_corrupt = Obs.counter "sim.faults.corrupted"
 let c_reorder = Obs.counter "sim.faults.reordered"
 
-(* scenario-level fault and recovery events *)
-let c_crashes = Obs.counter "sim.faults.crashes"
-let c_restarts = Obs.counter "sim.faults.restarts"
-let c_retx = Obs.counter "sim.faults.retransmissions"
-let c_timeouts = Obs.counter "sim.faults.timeouts"
-let c_failovers = Obs.counter "sim.faults.failovers"
-let c_stale_accepts = Obs.counter "sim.faults.stale_accepts"
-let h_recovery = Obs.histogram "sim.faults.recovery_ms"
-
-let note_crash () = Obs.Counter.incr c_crashes
-let note_restart () = Obs.Counter.incr c_restarts
-let note_retransmission () = Obs.Counter.incr c_retx
-let note_timeout () = Obs.Counter.incr c_timeouts
-let note_failover () = Obs.Counter.incr c_failovers
-let note_stale_accept () = Obs.Counter.incr c_stale_accepts
-let observe_recovery_ms ms = Obs.Histogram.observe h_recovery ms
-
 type channel =
   | Clear
   | Bernoulli of float
@@ -181,8 +164,6 @@ let link ?(seed = 0x5eed) plan =
     corrupted = 0;
     reordered = 0;
   }
-
-let frames_lost t = t.lost
 
 let counters t =
   [

@@ -91,25 +91,10 @@ val transmit : link -> string -> (int * string) list
     Payloads may come back corrupted (bit-flipped). Advances the
     Gilbert–Elliott chain one step per call. *)
 
-val frames_lost : link -> int
-
 val counters : link -> (string * int) list
 (** Frames lost, duplicated, corrupted and reordered so far, as
     [("corrupted", n); ("duplicated", n); ...] — sorted,
-    structural-equality-friendly for determinism tests. *)
-
-(** {1 Recovery accounting}
-
-    Module-level [sim.faults.*] registry series shared by the scenarios:
-    counters for injected/observed fault events and a histogram of
-    recovery latencies (first retransmission → session established).
-    They appear on the [/metrics] surface like every other registry
-    series. *)
-
-val note_crash : unit -> unit
-val note_restart : unit -> unit
-val note_retransmission : unit -> unit
-val note_timeout : unit -> unit
-val note_failover : unit -> unit
-val note_stale_accept : unit -> unit
-val observe_recovery_ms : int -> unit
+    structural-equality-friendly for determinism tests. Every link also
+    adds its events to the process-wide registry counters
+    [sim.faults.frames_lost], [sim.faults.duplicated],
+    [sim.faults.corrupted] and [sim.faults.reordered]. *)

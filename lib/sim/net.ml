@@ -12,25 +12,19 @@ type node = {
 
 type t = {
   engine : Engine.t;
-  rand : Sim_rand.t;
-  loss_prob : float;
   faults : Faults.link option;
   nodes : (address, node) Hashtbl.t;
   mutable bytes_sent : int;
-  mutable frames_lost : int;
   mutable frames_out_of_range : int;
   mutable frames_dropped_unknown : int;
 }
 
-let create engine rand ?(loss_prob = 0.0) ?faults () =
+let create engine ?faults () =
   {
     engine;
-    rand;
-    loss_prob;
     faults;
     nodes = Hashtbl.create 64;
     bytes_sent = 0;
-    frames_lost = 0;
     frames_out_of_range = 0;
     frames_dropped_unknown = 0;
   }
@@ -73,26 +67,19 @@ let deliver t ~dst ~delay payload =
 
 let transmit t ~dst ~dist payload =
   t.bytes_sent <- t.bytes_sent + String.length payload;
-  if t.loss_prob > 0.0 && Sim_rand.bool t.rand ~p:t.loss_prob then
-    t.frames_lost <- t.frames_lost + 1
-  else begin
-    let delay = int_of_float (ceil (latency_ms dist)) in
-    match t.faults with
-    | None -> deliver t ~dst ~delay payload
-    | Some link -> begin
-      match Faults.transmit link payload with
-      | [] -> t.frames_lost <- t.frames_lost + 1
-      | copies ->
-        List.iteri
-          (fun i (extra, copy) ->
-            if i > 0 then begin
-              (* a duplicate occupies air time like any other frame *)
-              t.bytes_sent <- t.bytes_sent + String.length copy
-            end;
-            deliver t ~dst ~delay:(delay + extra) copy)
-          copies
-    end
-  end
+  let delay = int_of_float (ceil (latency_ms dist)) in
+  match t.faults with
+  | None -> deliver t ~dst ~delay payload
+  | Some link ->
+    (* a lost frame yields no copy; the link counts it *)
+    List.iteri
+      (fun i (extra, copy) ->
+        if i > 0 then begin
+          (* a duplicate occupies air time like any other frame *)
+          t.bytes_sent <- t.bytes_sent + String.length copy
+        end;
+        deliver t ~dst ~delay:(delay + extra) copy)
+      (Faults.transmit link payload)
 
 let send t ~src ~dst payload =
   match (Hashtbl.find_opt t.nodes src, distance t src dst) with
@@ -125,24 +112,6 @@ let broadcast t ~src ~range payload =
     (fun dst -> send t ~src ~dst payload)
     (nodes_in_range t ~of_:src ~range:effective)
 
-let nearest t ~of_ ~among =
-  match position t of_ with
-  | None -> None
-  | Some origin ->
-    List.fold_left
-      (fun best candidate ->
-        match position t candidate with
-        | None -> best
-        | Some pos -> begin
-          let d = dist_xy origin pos in
-          match best with
-          | Some (_, best_d) when best_d <= d -> best
-          | _ -> Some (candidate, d)
-        end)
-      None among
-    |> Option.map fst
-
 let bytes_sent t = t.bytes_sent
 let frames_out_of_range t = t.frames_out_of_range
-let frames_lost t = t.frames_lost
 let frames_dropped_unknown t = t.frames_dropped_unknown

@@ -1,5 +1,5 @@
 (** The radio network model: positioned nodes, distance-dependent latency,
-    Bernoulli losses, byte accounting.
+    byte accounting, and the channel faults of an optional {!Faults.link}.
 
     Payloads are the real serialised protocol messages, so the simulator
     exercises the same wire formats the paper's message-size analysis
@@ -9,12 +9,11 @@ type address = int
 
 type t
 
-val create :
-  Engine.t -> Sim_rand.t -> ?loss_prob:float -> ?faults:Faults.link -> unit -> t
+val create : Engine.t -> ?faults:Faults.link -> unit -> t
 (** Links take 2 ms plus 0.01 ms/m (propagation and forwarding); no loss
     by default. [faults] routes every transmitted frame through a
-    {!Faults.link} (burst loss, duplication, reordering, corruption) on
-    top of the independent [loss_prob] Bernoulli drops. *)
+    {!Faults.link} (loss, duplication, reordering, corruption), which
+    counts what it did. *)
 
 val register :
   t -> address -> pos:float * float -> ?tx_range:float -> (string -> unit) ->
@@ -26,8 +25,6 @@ val register :
 
 val unregister : t -> address -> unit
 val move : t -> address -> float * float -> unit
-val position : t -> address -> (float * float) option
-val distance : t -> address -> address -> float option
 
 val send : t -> src:address -> dst:address -> string -> unit
 (** Delivers (unless lost) after the link latency. Frames to or from
@@ -38,12 +35,8 @@ val broadcast : t -> src:address -> range:float -> string -> unit
 (** Delivers to every registered node within [range] metres of [src]
     (except itself). *)
 
-val nearest : t -> of_:address -> among:address list -> address option
-
 val bytes_sent : t -> int
 (** Total bytes put on the air (including lost frames). *)
-
-val frames_lost : t -> int
 
 val frames_out_of_range : t -> int
 (** Unicasts dropped because the destination exceeded the sender's

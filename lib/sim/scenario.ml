@@ -72,7 +72,7 @@ type world = {
   faults : Faults.link option;
 }
 
-let make_world ?(seed = 42) ?(loss_prob = 0.0) ?(faults = Faults.none) () =
+let make_world ?(seed = 42) ?(faults = Faults.none) () =
   let engine = Engine.create () in
   let rand = Sim_rand.create ~seed in
   let config = Config.tiny_test ~clock:(Engine.clock engine) () in
@@ -86,7 +86,7 @@ let make_world ?(seed = 42) ?(loss_prob = 0.0) ?(faults = Faults.none) () =
     if Faults.is_none faults then None
     else Some (Faults.link ~seed:(seed lxor 0x5eed17) faults)
   in
-  let net = Net.create engine rand ~loss_prob ?faults:link () in
+  let net = Net.create engine ?faults:link () in
   {
     engine;
     rand;
@@ -113,6 +113,26 @@ let pad_url world n =
 
 let ms f = Stdlib.max 0 (int_of_float (ceil f))
 
+(* enrol one member of [group_id]; the uid doubles as name and national id *)
+let add_member world ~group_id uid =
+  match
+    Deployment.add_user world.deployment
+      (Identity.make ~uid ~name:uid ~national_id:uid
+         [ { Identity.group_id; description = "resident" } ])
+  with
+  | Ok user -> user
+  | Error reason -> failwith ("add_member " ^ uid ^ ": " ^ reason)
+
+let random_pos world area =
+  (Sim_rand.float world.rand area, Sim_rand.float world.rand area)
+
+(* router [i] of [n] in the middle of its cell of a square grid *)
+let grid_position ~n ~area i =
+  let grid = int_of_float (ceil (sqrt (float_of_int n))) in
+  let cell = area /. float_of_int grid in
+  ( (float_of_int (i mod grid) +. 0.5) *. cell,
+    (float_of_int (i / grid) +. 0.5) *. cell )
+
 (* --- router service model: a queue in front of the real handler --- *)
 
 type router_node = {
@@ -121,7 +141,6 @@ type router_node = {
   mutable rn_busy_until : int;
   mutable rn_busy_total : float;
   mutable rn_queue : int;
-  rn_queue_limit : int;
   (* crash/restart churn: while down the router is off the radio and emits
      no beacons; the epoch invalidates service jobs in flight at the crash *)
   mutable rn_down : bool;
@@ -133,7 +152,10 @@ type router_node = {
   rn_h_scan : Peace_obs.Registry.Histogram.t;
 }
 
-let make_router_node ?(queue_limit = 64) ~addr rn =
+(* a router drops an (M.2) that finds this many ahead of it *)
+let queue_limit = 64
+
+let make_router_node ~addr rn =
   let labels = [ ("router", "r" ^ string_of_int addr) ] in
   {
     rn;
@@ -141,7 +163,6 @@ let make_router_node ?(queue_limit = 64) ~addr rn =
     rn_busy_until = 0;
     rn_busy_total = 0.0;
     rn_queue = 0;
-    rn_queue_limit = queue_limit;
     rn_down = false;
     rn_epoch = 0;
     rn_c_requests =
@@ -173,12 +194,10 @@ let drive_churn world ~duration_ms ~churn nodes =
             Peace_obs.Registry.Gauge.set node.rn_g_queue 0;
             Net.unregister world.net node.rn_addr;
             Metrics.incr world.metrics "faults.crashes";
-            Faults.note_crash ();
             Engine.schedule world.engine ~delay:churn_downtime_ms (fun () ->
                 node.rn_down <- false;
                 Net.register world.net node.rn_addr ~pos handler;
-                Metrics.incr world.metrics "faults.restarts";
-                Faults.note_restart ())
+                Metrics.incr world.metrics "faults.restarts")
           end)
 
 (* a span is only opened when a trace collector is live AND the frame
@@ -193,7 +212,7 @@ let sim_finish world = function
   | None -> ()
   | Some h -> Peace_obs.Trace.finish ~ts:(Engine.now world.engine) h
 
-let router_service world node ~url_size ~sender ~under_attack ?(req = 0)
+let router_service world node ~url_size ~sender ~under_attack ~req
     ?on_accept ?meter request =
   (* charge the modeled processing time, then run the real handler *)
   let now = Engine.now world.engine in
@@ -204,7 +223,7 @@ let router_service world node ~url_size ~sender ~under_attack ?(req = 0)
   in
   Peace_obs.Registry.Counter.incr node.rn_c_requests;
   Peace_obs.Registry.Histogram.observe node.rn_h_scan url_size;
-  if node.rn_queue >= node.rn_queue_limit then
+  if node.rn_queue >= queue_limit then
     Metrics.incr world.metrics "router.dropped_queue_full"
   else begin
     node.rn_queue <- node.rn_queue + 1;
@@ -257,27 +276,56 @@ let router_service world node ~url_size ~sender ~under_attack ?(req = 0)
         sim_finish world span)
   end
 
-(* ------------------------------------------------------------------ *)
-(* E9: city-scale authentication                                       *)
-(* ------------------------------------------------------------------ *)
+(* the router's radio handler: decode the (M.2) and queue it for the
+   service model. [on_request] sees the sender of every decoded request. *)
+let router_endpoint ?on_accept ?meter ?(on_request = ignore) world node
+    ~url_size ~under_attack payload =
+  match parse_envelope payload with
+  | Some (tag, sender, req, body) when tag = tag_access_request -> begin
+    match
+      Messages.access_request_of_bytes world.config
+        (Deployment.gpk world.deployment)
+        body
+    with
+    | Some request ->
+      on_request sender;
+      router_service world node ~url_size ~sender ~under_attack ~req
+        ?on_accept
+        ?meter:(Option.map (fun m -> (m, String.length body)) meter)
+        request
+    | None -> Metrics.incr world.metrics "router.unparseable"
+  end
+  | Some _ -> ()
+  | None ->
+    Metrics.incr world.metrics
+      ("router.dropped."
+      ^ Protocol_error.to_string Protocol_error.Malformed_frame)
 
-type city_result = {
-  cr_attempts : int;
-  cr_successes : int;
-  cr_failures : (string * int) list;
-  cr_handshake_mean_ms : float;
-  cr_handshake_p95_ms : float;
-  cr_time_to_auth_mean_ms : float;
-  cr_bytes_on_air : int;
-  cr_router_utilisation : float;
-  cr_retransmissions : int;
-  cr_timeouts : int;
-  cr_failovers : int;
-  cr_recovery_mean_ms : float;
-  cr_fault_counters : (string * int) list;
-  cr_invoices : (int * int * int * int) list;
-  cr_alerts : (int * string * Peace_obs.Alert.state) list;
-}
+(* every router beacons (M.1) each [period] ms; a crashed one stays silent *)
+let broadcast_beacons world ~period ~range ~duration_ms nodes =
+  List.iter
+    (fun node ->
+      Engine.schedule_every world.engine ~period
+        ~until:(Engine.now world.engine + duration_ms) (fun () ->
+          if not node.rn_down then begin
+            let beacon = Mesh_router.beacon node.rn in
+            Net.broadcast world.net ~src:node.rn_addr ~range
+              (envelope ~tag:tag_beacon ~sender:node.rn_addr
+                 (Messages.beacon_to_bytes world.config beacon))
+          end))
+    nodes
+
+(* keep revocation lists fresh so beacons stay acceptable; [after] runs
+   after each refresh *)
+let refresh_lists ?(after = ignore) world ~duration_ms =
+  Engine.schedule_every world.engine
+    ~period:(world.config.Config.crl_period_ms / 2)
+    ~until:(Engine.now world.engine + duration_ms)
+    (fun () ->
+      Deployment.refresh_routers world.deployment;
+      after ())
+
+(* --- the user side of the handshake --- *)
 
 type user_node = {
   un : User.t;
@@ -321,6 +369,108 @@ let fresh_user_node ~un ~un_addr =
     un_trouble_at = 0;
   }
 
+(* the beacon in [body], if it may start an attempt: the user wants
+   access, has no (M.2) outstanding and is not busy signing one *)
+let beacon_for world node body =
+  if node.un_want_auth && node.un_pending = None && not node.un_busy then
+    Messages.beacon_of_bytes world.config body
+  else None
+
+(* the user's radio handler: each beacon goes to [on_beacon sender body];
+   an (M.3) answering the pending (M.2) clears it, and the outcome goes to
+   [on_confirm] *)
+let user_endpoint world node ~on_beacon ~on_confirm payload =
+  match parse_envelope payload with
+  | Some (tag, sender, _req, body) when tag = tag_beacon -> on_beacon sender body
+  | Some (tag, _sender, _req, body) when tag = tag_access_confirm -> begin
+    match
+      (node.un_pending, Messages.access_confirm_of_bytes world.config body)
+    with
+    | Some pending, Some confirm ->
+      let outcome = User.process_confirm node.un pending confirm in
+      node.un_pending <- None;
+      on_confirm outcome
+    | _ -> ()
+  end
+  | Some _ -> ()
+  | None ->
+    Metrics.incr world.metrics
+      ("user.dropped." ^ Protocol_error.to_string Protocol_error.Malformed_frame)
+
+(* the user's signing step: busy for the modeled validate-and-sign time,
+   then the real (M.2) becomes the pending attempt and [k] gets its
+   envelope. With [router_service], the only place the cost model is
+   charged. *)
+let sign_request world node beacon k =
+  node.un_busy <- true;
+  (* the request id is the root span id: it survives the schedule hop here
+     and the radio hop to the router *)
+  let req =
+    match node.un_span with Some root -> Peace_obs.Trace.id root | None -> 0
+  in
+  let span = sim_span world ~req ~name:"sim.user.sign" in
+  Engine.schedule world.engine
+    ~delay:(ms (cost.beacon_validate_ms +. cost.sign_ms))
+    (fun () ->
+      node.un_busy <- false;
+      sim_finish world span;
+      match User.process_beacon node.un beacon with
+      | Ok (request, pending) ->
+        node.un_pending <- Some pending;
+        node.un_m2_sent <- Engine.now world.engine;
+        k
+          (Ok
+             (envelope ~req ~tag:tag_access_request ~sender:node.un_addr
+                (Messages.access_request_to_bytes world.config
+                   (Deployment.gpk world.deployment)
+                   request)))
+      | Error e -> k (Error e))
+
+(* --- outsiders: a group key from a foreign issuer --- *)
+
+let outsider world ~seed =
+  let rng = Sim_rand.bytes_fn (Sim_rand.create ~seed) in
+  let issuer =
+    Group_sig.setup ~base_mode:world.config.Config.base_mode
+      world.config.Config.pairing rng
+  in
+  (issuer, Group_sig.issue issuer ~grp:Bigint.one rng, rng)
+
+(* an outsider's (M.2) answering [beacon]: it parses, but its signature
+   never verifies. Draws the DH share, then the signature. *)
+let forged_request world (issuer, key, rng) beacon ~puzzle_solution =
+  let params = world.config.Config.pairing in
+  let r_j = Bigint.random_range rng Bigint.one params.Params.q in
+  let g_rj = G1.mul params r_j beacon.Messages.g in
+  let ts2 = Engine.now world.engine in
+  let gsig =
+    Group_sig.sign issuer.Group_sig.gpk key ~rng
+      ~msg:(Messages.auth_transcript world.config g_rj beacon.Messages.g_rr ts2)
+  in
+  { Messages.g_rj; ar_g_rr = beacon.Messages.g_rr; ts2; gsig; puzzle_solution }
+
+(* ------------------------------------------------------------------ *)
+(* E9: city-scale authentication                                       *)
+(* ------------------------------------------------------------------ *)
+
+type city_result = {
+  cr_attempts : int;
+  cr_successes : int;
+  cr_failures : (string * int) list;
+  cr_handshake_mean_ms : float;
+  cr_handshake_p95_ms : float;
+  cr_time_to_auth_mean_ms : float;
+  cr_bytes_on_air : int;
+  cr_router_utilisation : float;
+  cr_retransmissions : int;
+  cr_timeouts : int;
+  cr_failovers : int;
+  cr_recovery_mean_ms : float;
+  cr_fault_counters : (string * int) list;
+  cr_invoices : (int * int * int * int) list;
+  cr_alerts : (int * string * Peace_obs.Alert.state) list;
+}
+
 (* hardened-handshake retransmission parameters (documented in the mli):
    first retry after [retx_base_ms] + jitter, doubling up to [retx_cap_ms],
    at most [retx_max] retransmissions before the attempt is abandoned as
@@ -334,11 +484,10 @@ let retx_jitter_ms = 250
 let legacy_timeout_ms = 3_000
 
 let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
-    ?(beacon_period_ms = 500) ?(url_size = 0) ?(loss_prob = 0.0)
-    ?(faults = Faults.none) ?(hardened = true) ?(invoices = false) ?sampler
-    ?(alert_rules = []) ~n_routers ~n_users ~duration_ms
-    ~mean_interarrival_ms () =
-  let world = make_world ~seed ~loss_prob ~faults () in
+    ?(beacon_period_ms = 500) ?(url_size = 0) ?(faults = Faults.none)
+    ?(hardened = true) ?(invoices = false) ?sampler ?(alert_rules = [])
+    ~n_routers ~n_users ~duration_ms ~mean_interarrival_ms () =
+  let world = make_world ~seed ~faults () in
   (* alert rules evaluate on simulated time: the evaluator clock is the
      engine clock and an eval tick runs once per simulated second, so a
      given seed and fault plan produce the same firing sequence at the
@@ -373,229 +522,144 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
   in
   let revoked_addr = ref (-1) in
   let on_accept node sender =
-    if node.rn_addr = stale_router_addr && sender = !revoked_addr then begin
-      Metrics.incr world.metrics "faults.stale_accepts";
-      Faults.note_stale_accept ()
-    end
+    if node.rn_addr = stale_router_addr && sender = !revoked_addr then
+      Metrics.incr world.metrics "faults.stale_accepts"
   in
-  (* routers on a rough grid *)
-  let grid = int_of_float (ceil (sqrt (float_of_int n_routers))) in
   (* per-router session meters, kept for §IV-D attribution after the run *)
   let meters = ref [] in
   let routers =
     List.init n_routers (fun i ->
         let router = Deployment.add_router world.deployment ~router_id:i in
         if hardened then Mesh_router.enable_resend_cache router;
-        let x = (float_of_int (i mod grid) +. 0.5) *. (area_m /. float_of_int grid) in
-        let y = (float_of_int (i / grid) +. 0.5) *. (area_m /. float_of_int grid) in
+        let pos = grid_position ~n:n_routers ~area:area_m i in
         let node = make_router_node ~addr:i router in
         let meter = if invoices then Some (Accounting.create_meter ()) else None in
-        (match meter with Some m -> meters := (node, m) :: !meters | None -> ());
-        let handler payload =
-          match parse_envelope payload with
-          | Some (tag, sender, req, body) when tag = tag_access_request -> begin
-            match
-              Messages.access_request_of_bytes world.config
-                (Deployment.gpk world.deployment)
-                body
-            with
-            | Some request ->
-              router_service world node ~url_size ~sender
-                ~under_attack:false ~req ~on_accept:(on_accept node)
-                ?meter:
-                  (Option.map (fun m -> (m, String.length body)) meter)
-                request
-            | None -> Metrics.incr world.metrics "router.unparseable"
-          end
-          | Some _ -> ()
-          | None ->
-            Metrics.incr world.metrics
-              ("router.dropped."
-              ^ Protocol_error.to_string Protocol_error.Malformed_frame)
+        Option.iter (fun m -> meters := (node, m) :: !meters) meter;
+        let handler =
+          router_endpoint ~on_accept:(on_accept node) ?meter world node
+            ~url_size ~under_attack:false
         in
-        Net.register world.net node.rn_addr ~pos:(x, y) handler;
-        (node, (x, y), handler))
+        Net.register world.net node.rn_addr ~pos handler;
+        (node, pos, handler))
   in
   let router_nodes = List.map (fun (n, _, _) -> n) routers in
   (* users uniformly over the city *)
   let users =
     List.init n_users (fun i ->
-        let identity =
-          Identity.make
-            ~uid:(Printf.sprintf "user-%d" i)
-            ~name:(Printf.sprintf "User %d" i)
-            ~national_id:(Printf.sprintf "nid-%d" i)
-            [ { Identity.group_id; description = "resident" } ]
+        let node =
+          fresh_user_node
+            ~un:(add_member world ~group_id (Printf.sprintf "user-%d" i))
+            ~un_addr:(user_base_addr + i)
         in
-        match Deployment.add_user world.deployment identity with
-        | Error reason -> failwith ("city_auth: " ^ reason)
-        | Ok user ->
-          let node = fresh_user_node ~un:user ~un_addr:(user_base_addr + i) in
-          let pos = (Sim_rand.float world.rand area_m, Sim_rand.float world.rand area_m) in
-          (* the attempt resolved (success, rejection or abandonment):
-             bump the epoch so outstanding retransmission timers die *)
-          let settle () =
-            node.un_pending <- None;
-            node.un_frame <- None;
-            node.un_epoch <- node.un_epoch + 1
-          in
-          let abandon dst =
-            settle ();
-            node.un_avoid <- dst;
-            node.un_avoid_until <-
-              Engine.now world.engine + (2 * beacon_period_ms);
-            Metrics.incr world.metrics
-              ("user.abandoned." ^ Protocol_error.to_string Protocol_error.Timeout);
-            Faults.note_timeout ()
-          in
-          let rec schedule_retx () =
-            let epoch = node.un_epoch in
-            let jitter = Sim_rand.int retx_rand (retx_jitter_ms + 1) in
-            Engine.schedule world.engine ~delay:(node.un_backoff_ms + jitter)
-              (fun () ->
-                if node.un_epoch = epoch && node.un_pending <> None then begin
-                  match node.un_frame with
-                  | None -> ()
-                  | Some (dst, frame) ->
-                    if node.un_retx_left > 0 then begin
-                      node.un_retx_left <- node.un_retx_left - 1;
-                      node.un_backoff_ms <-
-                        Stdlib.min retx_cap_ms (node.un_backoff_ms * 2);
-                      if node.un_trouble_at = 0 then
-                        node.un_trouble_at <- Engine.now world.engine;
-                      Metrics.incr world.metrics "user.retransmissions";
-                      Faults.note_retransmission ();
-                      Net.send world.net ~src:node.un_addr ~dst frame;
+        let pos = random_pos world area_m in
+        (* the attempt resolved (success, rejection or abandonment):
+           bump the epoch so outstanding retransmission timers die *)
+        let settle () =
+          node.un_pending <- None;
+          node.un_frame <- None;
+          node.un_epoch <- node.un_epoch + 1
+        in
+        let abandon dst =
+          settle ();
+          node.un_avoid <- dst;
+          node.un_avoid_until <-
+            Engine.now world.engine + (2 * beacon_period_ms);
+          Metrics.incr world.metrics
+            ("user.abandoned." ^ Protocol_error.to_string Protocol_error.Timeout)
+        in
+        let rec schedule_retx () =
+          let epoch = node.un_epoch in
+          let jitter = Sim_rand.int retx_rand (retx_jitter_ms + 1) in
+          Engine.schedule world.engine ~delay:(node.un_backoff_ms + jitter)
+            (fun () ->
+              if node.un_epoch = epoch && node.un_pending <> None then begin
+                match node.un_frame with
+                | None -> ()
+                | Some (dst, frame) ->
+                  if node.un_retx_left > 0 then begin
+                    node.un_retx_left <- node.un_retx_left - 1;
+                    node.un_backoff_ms <-
+                      Stdlib.min retx_cap_ms (node.un_backoff_ms * 2);
+                    if node.un_trouble_at = 0 then
+                      node.un_trouble_at <- Engine.now world.engine;
+                    Metrics.incr world.metrics "user.retransmissions";
+                    Net.send world.net ~src:node.un_addr ~dst frame;
+                    schedule_retx ()
+                  end
+                  else abandon dst
+              end)
+        in
+        let on_beacon sender body =
+          (* unhardened: a handshake whose M.2 or M.3 frame was lost waits
+             out one fixed timeout and retries on a later beacon. Hardened
+             attempts are driven by the retransmission timers instead. *)
+          (if not hardened then
+             match node.un_pending with
+             | Some _
+               when Engine.now world.engine - node.un_m2_sent > legacy_timeout_ms
+               ->
+               node.un_pending <- None;
+               Metrics.incr world.metrics "user.handshake_timeout"
+             | _ -> ());
+          if
+            not
+              (hardened && sender = node.un_avoid
+              && Engine.now world.engine < node.un_avoid_until)
+          then
+            Option.iter
+              (fun beacon ->
+                sign_request world node beacon (function
+                  | Ok frame ->
+                    if hardened then begin
+                      (* a fresh attempt at a different router after an
+                         abandoned one is the failover *)
+                      if node.un_avoid >= 0 && sender <> node.un_avoid then
+                        Metrics.incr world.metrics "user.failover";
+                      node.un_avoid <- -1;
+                      node.un_frame <- Some (sender, frame);
+                      node.un_retx_left <- retx_max;
+                      node.un_backoff_ms <- retx_base_ms;
+                      node.un_epoch <- node.un_epoch + 1;
                       schedule_retx ()
-                    end
-                    else abandon dst
-                end)
-          in
-          Net.register world.net node.un_addr ~pos (fun payload ->
-              match parse_envelope payload with
-              | Some (tag, sender, _req, body) when tag = tag_beacon -> begin
-                (* unhardened: a handshake whose M.2 or M.3 frame was lost
-                   waits out one fixed timeout and retries on a later
-                   beacon. Hardened attempts are driven by the
-                   retransmission timers instead. *)
-                (if not hardened then
-                   match node.un_pending with
-                   | Some _
-                     when Engine.now world.engine - node.un_m2_sent
-                          > legacy_timeout_ms ->
-                     node.un_pending <- None;
-                     Metrics.incr world.metrics "user.handshake_timeout"
-                   | _ -> ());
-                if
-                  node.un_want_auth && node.un_pending = None
-                  && (not node.un_busy)
-                  && not
-                       (hardened && sender = node.un_avoid
-                       && Engine.now world.engine < node.un_avoid_until)
-                then begin
-                  match Messages.beacon_of_bytes world.config body with
-                  | None -> ()
-                  | Some beacon ->
-                    node.un_busy <- true;
-                    (* the request id is the root span id: it survives the
-                       schedule hop here and the radio hop to the router *)
-                    let req =
-                      match node.un_span with
-                      | Some root -> Peace_obs.Trace.id root
-                      | None -> 0
-                    in
-                    let sign_span =
-                      sim_span world ~req ~name:"sim.user.sign"
-                    in
-                    let delay = ms (cost.beacon_validate_ms +. cost.sign_ms) in
-                    Engine.schedule world.engine ~delay (fun () ->
-                        node.un_busy <- false;
-                        sim_finish world sign_span;
-                        match User.process_beacon node.un beacon with
-                        | Ok (request, pending) ->
-                          node.un_pending <- Some pending;
-                          node.un_m2_sent <- Engine.now world.engine;
-                          let frame =
-                            envelope ~req ~tag:tag_access_request
-                              ~sender:node.un_addr
-                              (Messages.access_request_to_bytes world.config
-                                 (Deployment.gpk world.deployment)
-                                 request)
-                          in
-                          if hardened then begin
-                            (* a fresh attempt at a different router after
-                               an abandoned one is the failover *)
-                            if node.un_avoid >= 0 && sender <> node.un_avoid
-                            then begin
-                              Metrics.incr world.metrics "user.failover";
-                              Faults.note_failover ()
-                            end;
-                            node.un_avoid <- -1;
-                            node.un_frame <- Some (sender, frame);
-                            node.un_retx_left <- retx_max;
-                            node.un_backoff_ms <- retx_base_ms;
-                            node.un_epoch <- node.un_epoch + 1;
-                            schedule_retx ()
-                          end;
-                          Net.send world.net ~src:node.un_addr ~dst:sender
-                            frame
-                        | Error e ->
-                          Metrics.incr world.metrics
-                            ("user.beacon_rejected." ^ Protocol_error.to_string e))
-                end
-              end
-              | Some (tag, _sender, _req, body) when tag = tag_access_confirm -> begin
-                match (node.un_pending, Messages.access_confirm_of_bytes world.config body) with
-                | Some pending, Some confirm -> begin
-                  match User.process_confirm node.un pending confirm with
-                  | Ok _session ->
-                    settle ();
-                    node.un_want_auth <- false;
-                    let now = Engine.now world.engine in
-                    (* close the attempt's root span: its duration is the
-                       end-to-end (arrival → session) latency in sim ms *)
-                    (match node.un_span with
-                    | Some root ->
-                      Peace_obs.Trace.finish ~ts:now root;
-                      node.un_span <- None
-                    | None -> ());
-                    (if node.un_trouble_at > 0 then begin
-                       let rec_ms = now - node.un_trouble_at in
-                       Metrics.sample world.metrics "recovery_ms"
-                         (float_of_int rec_ms);
-                       Faults.observe_recovery_ms rec_ms;
-                       node.un_trouble_at <- 0
-                     end);
-                    Metrics.incr world.metrics "user.authenticated";
-                    Metrics.sample world.metrics "handshake_ms"
-                      (float_of_int (now - node.un_m2_sent));
-                    Metrics.sample world.metrics "time_to_auth_ms"
-                      (float_of_int (now - node.un_attempt_started))
+                    end;
+                    Net.send world.net ~src:node.un_addr ~dst:sender frame
                   | Error e ->
-                    settle ();
                     Metrics.incr world.metrics
-                      ("user.confirm_rejected." ^ Protocol_error.to_string e)
-                end
-                | _ -> ()
-              end
-              | Some _ -> ()
-              | None ->
-                Metrics.incr world.metrics
-                  ("user.dropped."
-                  ^ Protocol_error.to_string Protocol_error.Malformed_frame));
-          node)
+                      ("user.beacon_rejected." ^ Protocol_error.to_string e)))
+              (beacon_for world node body)
+        in
+        let on_confirm = function
+          | Ok _session ->
+            settle ();
+            node.un_want_auth <- false;
+            let now = Engine.now world.engine in
+            (* close the attempt's root span: its duration is the
+               end-to-end (arrival → session) latency in sim ms *)
+            (match node.un_span with
+            | Some root ->
+              Peace_obs.Trace.finish ~ts:now root;
+              node.un_span <- None
+            | None -> ());
+            if node.un_trouble_at > 0 then begin
+              Metrics.sample world.metrics "recovery_ms"
+                (float_of_int (now - node.un_trouble_at));
+              node.un_trouble_at <- 0
+            end;
+            Metrics.incr world.metrics "user.authenticated";
+            Metrics.sample world.metrics "handshake_ms"
+              (float_of_int (now - node.un_m2_sent));
+            Metrics.sample world.metrics "time_to_auth_ms"
+              (float_of_int (now - node.un_attempt_started))
+          | Error e ->
+            settle ();
+            Metrics.incr world.metrics
+              ("user.confirm_rejected." ^ Protocol_error.to_string e)
+        in
+        Net.register world.net node.un_addr ~pos
+          (user_endpoint world node ~on_beacon ~on_confirm);
+        node)
   in
-  (* beacons (silenced while a router is crashed) *)
-  List.iter
-    (fun node ->
-      Engine.schedule_every world.engine ~period:beacon_period_ms
-        ~until:(Engine.now world.engine + duration_ms) (fun () ->
-          if not node.rn_down then begin
-            let beacon = Mesh_router.beacon node.rn in
-            Net.broadcast world.net ~src:node.rn_addr ~range:range_m
-              (envelope ~tag:tag_beacon ~sender:node.rn_addr
-                 (Messages.beacon_to_bytes world.config beacon))
-          end))
+  broadcast_beacons world ~period:beacon_period_ms ~range:range_m ~duration_ms
     router_nodes;
   (* the staleness partition: freeze the designated router's lists, then
      revoke user 0 everywhere else — honest routers reject it from that
@@ -624,14 +688,8 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
   | Some _ -> ());
   (* scheduled router crash/restart churn *)
   drive_churn world ~duration_ms ~churn:faults.Faults.churn routers;
-  (* keep revocation lists fresh so beacons stay acceptable (the
-     partitioned router is re-frozen after every refresh) *)
-  Engine.schedule_every world.engine
-    ~period:(world.config.Config.crl_period_ms / 2)
-    ~until:(Engine.now world.engine + duration_ms)
-    (fun () ->
-      Deployment.refresh_routers world.deployment;
-      restore_stale ());
+  (* the partitioned router is re-frozen after every refresh *)
+  refresh_lists world ~duration_ms ~after:restore_stale;
   (* Poisson (re-)authentication arrivals per user *)
   let attempts = ref 0 in
   List.iter
@@ -778,19 +836,13 @@ let dos_attack ?(seed = 42) ~puzzles
   let router = Deployment.add_router world.deployment ~router_id:0 in
   if puzzles then Mesh_router.set_under_attack router ~difficulty:puzzle_difficulty;
   let node = make_router_node ~addr:0 router in
-  let gpk = Deployment.gpk world.deployment in
+  let attacker_addr = 90_000 in
   let bogus_received = ref 0 in
-  let router_handler payload =
-    match parse_envelope payload with
-    | Some (tag, sender, req, body) when tag = tag_access_request -> begin
-      match Messages.access_request_of_bytes world.config gpk body with
-      | Some request ->
-        if sender >= 90_000 then incr bogus_received;
-        router_service world node ~url_size:0 ~sender
-          ~under_attack:puzzles ~req request
-      | None -> Metrics.incr world.metrics "router.unparseable"
-    end
-    | _ -> ()
+  let router_handler =
+    router_endpoint
+      ~on_request:(fun sender ->
+        if sender >= attacker_addr then incr bogus_received)
+      world node ~url_size:0 ~under_attack:puzzles
   in
   Net.register world.net 0 ~pos:(0.0, 0.0) router_handler;
   (* the fault plan's channel effects ride the Net link; churn crashes the
@@ -801,83 +853,39 @@ let dos_attack ?(seed = 42) ~puzzles
   (* legitimate users near the router *)
   let users =
     List.init n_users (fun i ->
-        let identity =
-          Identity.make
-            ~uid:(Printf.sprintf "user-%d" i)
-            ~name:"U" ~national_id:(string_of_int i)
-            [ { Identity.group_id; description = "resident" } ]
+        let node_u =
+          fresh_user_node
+            ~un:(add_member world ~group_id (Printf.sprintf "user-%d" i))
+            ~un_addr:(10_000 + i)
         in
-        match Deployment.add_user world.deployment identity with
-        | Error reason -> failwith ("dos_attack: " ^ reason)
-        | Ok user ->
-          let node_u = fresh_user_node ~un:user ~un_addr:(10_000 + i) in
-          Net.register world.net node_u.un_addr
-            ~pos:(Sim_rand.float world.rand 100.0, Sim_rand.float world.rand 100.0)
-            (fun payload ->
-              match parse_envelope payload with
-              | Some (tag, sender, _req, body) when tag = tag_beacon -> begin
-                if node_u.un_want_auth && node_u.un_pending = None && not node_u.un_busy
-                then begin
-                  match Messages.beacon_of_bytes world.config body with
-                  | None -> ()
-                  | Some beacon ->
-                    node_u.un_busy <- true;
-                    (* puzzle solving costs the user real simulated time *)
-                    let work_before = User.puzzle_work_done node_u.un in
-                    let delay0 = ms (cost.beacon_validate_ms +. cost.sign_ms) in
-                    Engine.schedule world.engine ~delay:delay0 (fun () ->
-                        match User.process_beacon node_u.un beacon with
-                        | Ok (request, pending) ->
-                          let work =
-                            User.puzzle_work_done node_u.un - work_before
-                          in
-                          let solve_delay =
-                            ms (float_of_int work /. attacker_hash_rate_per_ms)
-                          in
-                          (* stay busy until the request is actually sent,
-                             or a later beacon would double-fire the M.2 *)
-                          Engine.schedule world.engine ~delay:solve_delay
-                            (fun () ->
-                              node_u.un_busy <- false;
-                              node_u.un_pending <- Some pending;
-                              node_u.un_m2_sent <- Engine.now world.engine;
-                              Net.send world.net ~src:node_u.un_addr ~dst:sender
-                                (envelope ~tag:tag_access_request
-                                   ~sender:node_u.un_addr
-                                   (Messages.access_request_to_bytes world.config
-                                      gpk request)))
-                        | Error _ -> node_u.un_busy <- false)
-                end
-              end
-              | Some (tag, _sender, _req, body) when tag = tag_access_confirm -> begin
-                match
-                  (node_u.un_pending, Messages.access_confirm_of_bytes world.config body)
-                with
-                | Some pending, Some confirm -> begin
-                  match User.process_confirm node_u.un pending confirm with
-                  | Ok _ ->
-                    node_u.un_pending <- None;
-                    node_u.un_want_auth <- false;
-                    Metrics.incr world.metrics "user.authenticated"
-                  | Error _ -> node_u.un_pending <- None
-                end
-                | _ -> ()
-              end
-              | _ -> ());
-          node_u)
+        let on_beacon sender body =
+          Option.iter
+            (fun beacon ->
+              let work_before = User.puzzle_work_done node_u.un in
+              sign_request world node_u beacon (function
+                | Ok frame ->
+                  (* puzzle solving costs the user real simulated time; the
+                     pending attempt keeps later beacons off meanwhile *)
+                  let work = User.puzzle_work_done node_u.un - work_before in
+                  Engine.schedule world.engine
+                    ~delay:(ms (float_of_int work /. attacker_hash_rate_per_ms))
+                    (fun () ->
+                      Net.send world.net ~src:node_u.un_addr ~dst:sender frame)
+                | Error _ -> ()))
+            (beacon_for world node_u body)
+        in
+        let on_confirm = function
+          | Ok _ ->
+            node_u.un_want_auth <- false;
+            Metrics.incr world.metrics "user.authenticated"
+          | Error _ -> ()
+        in
+        Net.register world.net node_u.un_addr ~pos:(random_pos world 100.0)
+          (user_endpoint world node_u ~on_beacon ~on_confirm);
+        node_u)
   in
-  (* beacons *)
-  Engine.schedule_every world.engine ~period:500 ~until:(Engine.now world.engine + duration_ms) (fun () ->
-      if not node.rn_down then begin
-        let beacon = Mesh_router.beacon node.rn in
-        Net.broadcast world.net ~src:0 ~range:500.0
-          (envelope ~tag:tag_beacon ~sender:0
-             (Messages.beacon_to_bytes world.config beacon))
-      end);
-  Engine.schedule_every world.engine
-    ~period:(world.config.Config.crl_period_ms / 2)
-    ~until:(Engine.now world.engine + duration_ms)
-    (fun () -> Deployment.refresh_routers world.deployment);
+  broadcast_beacons world ~period:500 ~range:500.0 ~duration_ms [ node ];
+  refresh_lists world ~duration_ms;
   (* legit arrivals: pick an idle user at random *)
   let legit_attempts = ref 0 in
   let legit_mean_ms = 1000.0 /. legit_rate_per_s in
@@ -898,13 +906,7 @@ let dos_attack ?(seed = 42) ~puzzles
   in
   legit_arrival ();
   (* the flooder: a foreign key whose signatures parse but never verify *)
-  let attacker_rng = Sim_rand.bytes_fn (Sim_rand.create ~seed:(seed + 7)) in
-  let foreign_issuer =
-    Group_sig.setup ~base_mode:world.config.Config.base_mode
-      world.config.Config.pairing attacker_rng
-  in
-  let foreign_key = Group_sig.issue foreign_issuer ~grp:Bigint.one attacker_rng in
-  let attacker_addr = 90_000 in
+  let attacker = outsider world ~seed:(seed + 7) in
   let latest_beacon = ref None in
   let attacker_hashes = ref 0 in
   Net.register world.net attacker_addr ~pos:(10.0, 10.0) (fun payload ->
@@ -917,40 +919,19 @@ let dos_attack ?(seed = 42) ~puzzles
     let base_delay = Sim_rand.exponential world.rand ~mean:attack_mean_ms in
     Engine.schedule world.engine ~delay:(ms base_delay) (fun () ->
         if Engine.now world.engine <= 1_000_000 + duration_ms then begin
-          (match !latest_beacon with
+          match !latest_beacon with
           | None -> attack ()
-          | Some beacon ->
-            let params = world.config.Config.pairing in
-            let q = params.Params.q in
-            let r_j =
-              Bigint.random_range attacker_rng Bigint.one q
-            in
-            let g_rj = G1.mul params r_j beacon.Messages.g in
-            let ts2 = Engine.now world.engine in
-            ignore ts2;
-            let finish_and_send solution solve_delay =
+          | Some beacon -> begin
+            let send_after solve_delay puzzle_solution =
               Engine.schedule world.engine ~delay:solve_delay (fun () ->
-                  let ts2 = Engine.now world.engine in
-                  let transcript =
-                    Messages.auth_transcript world.config g_rj
-                      beacon.Messages.g_rr ts2
-                  in
-                  let gsig =
-                    Group_sig.sign foreign_issuer.Group_sig.gpk foreign_key
-                      ~rng:attacker_rng ~msg:transcript
-                  in
                   let request =
-                    {
-                      Messages.g_rj;
-                      ar_g_rr = beacon.Messages.g_rr;
-                      ts2;
-                      gsig;
-                      puzzle_solution = solution;
-                    }
+                    forged_request world attacker beacon ~puzzle_solution
                   in
                   Net.send world.net ~src:attacker_addr ~dst:0
                     (envelope ~tag:tag_access_request ~sender:attacker_addr
-                       (Messages.access_request_to_bytes world.config gpk request));
+                       (Messages.access_request_to_bytes world.config
+                          (Deployment.gpk world.deployment)
+                          request));
                   attack ())
             in
             match beacon.Messages.puzzle with
@@ -960,11 +941,13 @@ let dos_attack ?(seed = 42) ~puzzles
               | Some solution ->
                 let work = Puzzle.solving_work puzzle solution in
                 attacker_hashes := !attacker_hashes + work;
-                finish_and_send (Some solution)
+                send_after
                   (ms (float_of_int work /. attacker_hash_rate_per_ms))
+                  (Some solution)
               | None -> attack ()
             end
-            | _ -> finish_and_send None 0)
+            | _ -> send_after 0 None
+          end
         end)
   in
   attack ();
@@ -998,15 +981,7 @@ let phishing ?(seed = 42) ~crl_refresh_ms ~revoke_at_ms ~duration_ms
   (* router 1 will be compromised; router 2 stays honest *)
   let compromised = Deployment.add_router world.deployment ~router_id:1 in
   let _honest = Deployment.add_router world.deployment ~router_id:2 in
-  let victim =
-    match
-      Deployment.add_user world.deployment
-        (Identity.make ~uid:"victim" ~name:"V" ~national_id:"v"
-           [ { Identity.group_id; description = "resident" } ])
-    with
-    | Ok u -> u
-    | Error reason -> failwith ("phishing: " ^ reason)
-  in
+  let victim = add_member world ~group_id "victim" in
   let no = Deployment.operator world.deployment in
   (* freeze the compromised router's view: after revocation the adversary
      keeps replaying the last lists it obtained *)
@@ -1092,24 +1067,13 @@ let attack_matrix ?(seed = 42) ~attempts_per_class () =
   let n = attempts_per_class in
   ignore (Deployment.add_group d ~group_id:1 ~size:8);
   let router = Deployment.add_router d ~router_id:0 in
-  let add_user uid =
-    match
-      Deployment.add_user d
-        (Identity.make ~uid ~name:uid ~national_id:uid
-           [ { Identity.group_id = 1; description = "resident" } ])
-    with
-    | Ok u -> u
-    | Error reason -> failwith ("attack_matrix: " ^ reason)
-  in
-  let legit = add_user "legit" in
-  let mallory = add_user "mallory" in
+  let legit = add_member world ~group_id:1 "legit" in
+  let mallory = add_member world ~group_id:1 "mallory" in
   (* revoke mallory *)
   (match Deployment.revoke_user d ~uid:"mallory" ~group_id:1 with
   | Ok () -> ()
   | Error e -> failwith e);
-  let attacker_rng = Sim_rand.bytes_fn (Sim_rand.create ~seed:(seed + 13)) in
-  let foreign_issuer = Group_sig.setup config.Config.pairing attacker_rng in
-  let foreign_key = Group_sig.issue foreign_issuer ~grp:Bigint.one attacker_rng in
+  let attacker = outsider world ~seed:(seed + 13) in
   let gpk = Deployment.gpk d in
   let count_accept f =
     let accepted = ref 0 in
@@ -1122,21 +1086,9 @@ let attack_matrix ?(seed = 42) ~attempts_per_class () =
   let outsider_accepted =
     count_accept (fun () ->
         let beacon = Mesh_router.beacon router in
-        let params = config.Config.pairing in
-        let r_j = Bigint.random_range attacker_rng Bigint.one params.Params.q in
-        let g_rj = G1.mul params r_j beacon.Messages.g in
-        let ts2 = Engine.now world.engine in
-        let transcript =
-          Messages.auth_transcript config g_rj beacon.Messages.g_rr ts2
-        in
-        let gsig =
-          Group_sig.sign foreign_issuer.Group_sig.gpk foreign_key
-            ~rng:attacker_rng ~msg:transcript
-        in
-        let request =
-          { Messages.g_rj; ar_g_rr = beacon.Messages.g_rr; ts2; gsig; puzzle_solution = None }
-        in
-        Result.is_ok (Mesh_router.handle_access_request router request))
+        Result.is_ok
+          (Mesh_router.handle_access_request router
+             (forged_request world attacker beacon ~puzzle_solution:None)))
   in
   (* 2. revoked user *)
   let revoked_accepted =
@@ -1221,10 +1173,12 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
   let group_id = 1 in
   ignore (Deployment.add_group world.deployment ~group_id ~size:(n_near + n_far));
   let router = Deployment.add_router world.deployment ~router_id:0 in
+  let node = make_router_node ~addr:0 router in
   let gpk = Deployment.gpk world.deployment in
   let peer_handshakes = ref 0 in
   (* router: full-cell downlink, and it accepts requests relayed by anyone *)
-  Net.register world.net 0 ~pos:(0.0, 0.0) ~tx_range:2000.0 (fun payload ->
+  Net.register world.net node.rn_addr ~pos:(0.0, 0.0) ~tx_range:2000.0
+    (fun payload ->
       match parse_envelope payload with
       | Some (tag, sender, req, body) when tag = tag_access_request -> begin
         match Messages.access_request_of_bytes config gpk body with
@@ -1242,19 +1196,10 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
       end
       | _ -> ());
   let user_tx = 350.0 in
-  let make_user uid =
-    match
-      Deployment.add_user world.deployment
-        (Identity.make ~uid ~name:uid ~national_id:uid
-           [ { Identity.group_id; description = "resident" } ])
-    with
-    | Ok u -> u
-    | Error reason -> failwith ("multihop_auth: " ^ reason)
-  in
   (* near users: within direct uplink range; they also act as relays *)
   let near_nodes =
     List.init n_near (fun i ->
-        let user = make_user (Printf.sprintf "near-%d" i) in
+        let user = add_member world ~group_id (Printf.sprintf "near-%d" i) in
         let addr = 1000 + i in
         let angle = 6.28 *. float_of_int i /. float_of_int (Stdlib.max 1 n_near) in
         let pos = (250.0 *. cos angle, 250.0 *. sin angle) in
@@ -1351,7 +1296,7 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
   (* far users: hear beacons, cannot reach the router; relay via a near peer *)
   ignore
     (List.init n_far (fun i ->
-         let user = make_user (Printf.sprintf "far-%d" i) in
+         let user = add_member world ~group_id (Printf.sprintf "far-%d" i) in
          let addr = 2000 + i in
          (* placed just outside their nearest near-user's orbit *)
          let _, _, (nx, ny) = List.nth near_nodes (i mod List.length near_nodes) in
@@ -1380,6 +1325,21 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
              | Error _ -> ()
            end
            | _ -> ()
+         in
+         (* the router's (M.3), whether relayed back or heard directly *)
+         let on_confirm p confirm_bytes =
+           match Messages.access_confirm_of_bytes config confirm_bytes with
+           | None -> ()
+           | Some confirm -> begin
+             router_pending := None;
+             match User.process_confirm user p confirm with
+             | Ok _ ->
+               want := false;
+               Metrics.incr world.metrics "far.success"
+             | Error e ->
+               Metrics.incr world.metrics
+                 ("far.confirm_rejected." ^ Protocol_error.to_string e)
+           end
          in
          Net.register world.net addr ~pos ~tx_range:user_tx (fun payload ->
              match parse_envelope payload with
@@ -1417,57 +1377,18 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
              end
              | Some (tag, sender, _req, body) when tag = tag_relay_reply -> begin
                match (!peer_session, !router_pending) with
-               | Some (relay_addr, session), Some p when relay_addr = sender -> begin
-                 match Relay.unwrap_reply session body with
-                 | None -> ()
-                 | Some inner -> begin
-                   match Messages.access_confirm_of_bytes config inner with
-                   | None -> ()
-                   | Some confirm -> begin
-                     match User.process_confirm user p confirm with
-                     | Ok _ ->
-                       router_pending := None;
-                       want := false;
-                       Metrics.incr world.metrics "far.success"
-                     | Error e ->
-                       router_pending := None;
-                       Metrics.incr world.metrics
-                         ("far.confirm_rejected." ^ Protocol_error.to_string e)
-                   end
-                 end
-               end
+               | Some (relay_addr, session), Some p when relay_addr = sender ->
+                 Option.iter (on_confirm p) (Relay.unwrap_reply session body)
                | _ -> ()
              end
-             | Some (tag, _sender, _req, body) when tag = tag_access_confirm -> begin
+             | Some (tag, _sender, _req, body) when tag = tag_access_confirm ->
                (* downlink is one hop (§III-A): the router's (M.3) reaches
                   the far user directly even though the uplink was relayed *)
-               match (!router_pending, Messages.access_confirm_of_bytes config body) with
-               | Some p, Some confirm -> begin
-                 match User.process_confirm user p confirm with
-                 | Ok _ ->
-                   router_pending := None;
-                   want := false;
-                   Metrics.incr world.metrics "far.success"
-                 | Error e ->
-                   router_pending := None;
-                   Metrics.incr world.metrics
-                     ("far.confirm_rejected." ^ Protocol_error.to_string e)
-               end
-               | _ -> ()
-             end
+               Option.iter (fun p -> on_confirm p body) !router_pending
              | _ -> ());
          ()));
-  (* periodic beacons and list refresh *)
-  Engine.schedule_every world.engine ~period:500
-    ~until:(Engine.now world.engine + duration_ms) (fun () ->
-      let beacon = Mesh_router.beacon router in
-      Net.broadcast world.net ~src:0 ~range:2000.0
-        (envelope ~tag:tag_beacon ~sender:0
-           (Messages.beacon_to_bytes config beacon)));
-  Engine.schedule_every world.engine
-    ~period:(config.Config.crl_period_ms / 2)
-    ~until:(Engine.now world.engine + duration_ms)
-    (fun () -> Deployment.refresh_routers world.deployment);
+  broadcast_beacons world ~period:500 ~range:2000.0 ~duration_ms [ node ];
+  refresh_lists world ~duration_ms;
   Engine.run ~until:(Engine.now world.engine + duration_ms) world.engine;
   {
     mh_near_successes = Metrics.count world.metrics "near.success";
@@ -1493,131 +1414,66 @@ type roaming_result = {
 let roaming ?(seed = 42) ~n_routers ~n_users
     ~duration_ms ~move_period_ms () =
   let world = make_world ~seed () in
-  let config = world.config in
   let group_id = 1 in
   ignore (Deployment.add_group world.deployment ~group_id ~size:n_users);
   let area = 2000.0 and range = 560.0 in
-  let grid = int_of_float (ceil (sqrt (float_of_int n_routers))) in
-  let cell = area /. float_of_int grid in
   let routers =
     List.init n_routers (fun i ->
         let router = Deployment.add_router world.deployment ~router_id:i in
-        let x = (float_of_int (i mod grid) +. 0.5) *. cell in
-        let y = (float_of_int (i / grid) +. 0.5) *. cell in
         let node = make_router_node ~addr:i router in
-        Net.register world.net node.rn_addr ~pos:(x, y) (fun payload ->
-            match parse_envelope payload with
-            | Some (tag, sender, req, body) when tag = tag_access_request -> begin
-              match
-                Messages.access_request_of_bytes config
-                  (Deployment.gpk world.deployment)
-                  body
-              with
-              | Some request ->
-                router_service world node ~url_size:0 ~sender
-                  ~under_attack:false ~req request
-              | None -> ()
-            end
-            | _ -> ());
+        Net.register world.net node.rn_addr
+          ~pos:(grid_position ~n:n_routers ~area i)
+          (router_endpoint world node ~url_size:0 ~under_attack:false);
         node)
   in
   let moves = ref 0 in
-  let users =
-    List.init n_users (fun i ->
-        let identity =
-          Identity.make
-            ~uid:(Printf.sprintf "roamer-%d" i)
-            ~name:"R" ~national_id:(string_of_int i)
-            [ { Identity.group_id; description = "resident" } ]
-        in
-        match Deployment.add_user world.deployment identity with
-        | Error reason -> failwith ("roaming: " ^ reason)
-        | Ok user ->
-          let node = fresh_user_node ~un:user ~un_addr:(10_000 + i) in
-          node.un_want_auth <- true;
+  for i = 0 to n_users - 1 do
+    let node =
+      fresh_user_node
+        ~un:(add_member world ~group_id (Printf.sprintf "roamer-%d" i))
+        ~un_addr:(10_000 + i)
+    in
+    (* a user wants access from the start and again after every move: the
+       next beacon starts the handoff, and beacons from other overlapping
+       cells cause no ping-pong *)
+    node.un_want_auth <- true;
+    node.un_attempt_started <- Engine.now world.engine;
+    let on_beacon sender body =
+      Option.iter
+        (fun beacon ->
           node.un_attempt_started <- Engine.now world.engine;
-          (* track the serving router to detect cell changes *)
-          let serving = ref (-1) in
-          let random_pos () =
-            (Sim_rand.float world.rand area, Sim_rand.float world.rand area)
-          in
-          Net.register world.net node.un_addr ~pos:(random_pos ()) (fun payload ->
-              match parse_envelope payload with
-              | Some (tag, sender, _req, body) when tag = tag_beacon -> begin
-                (* hand off only when unserved (after a move); beacons from
-                   other overlapping cells do not cause ping-pong *)
-                if !serving = -1 && node.un_pending = None && not node.un_busy
-                then begin
-                  match Messages.beacon_of_bytes config body with
-                  | None -> ()
-                  | Some beacon ->
-                    node.un_busy <- true;
-                    node.un_attempt_started <- Engine.now world.engine;
-                    Metrics.incr world.metrics "roam.handoff_started";
-                    let delay = ms (cost.beacon_validate_ms +. cost.sign_ms) in
-                    Engine.schedule world.engine ~delay (fun () ->
-                        node.un_busy <- false;
-                        match User.process_beacon node.un beacon with
-                        | Ok (request, pending) ->
-                          node.un_pending <- Some pending;
-                          node.un_m2_sent <- Engine.now world.engine;
-                          Net.send world.net ~src:node.un_addr ~dst:sender
-                            (envelope ~tag:tag_access_request
-                               ~sender:node.un_addr
-                               (Messages.access_request_to_bytes config
-                                  (Deployment.gpk world.deployment)
-                                  request))
-                        | Error _ ->
-                          Metrics.incr world.metrics "roam.handoff_failed")
-                end
-              end
-              | Some (tag, sender, _req, body) when tag = tag_access_confirm -> begin
-                match (node.un_pending, Messages.access_confirm_of_bytes config body) with
-                | Some pending, Some confirm -> begin
-                  match User.process_confirm node.un pending confirm with
-                  | Ok _ ->
-                    node.un_pending <- None;
-                    serving := sender;
-                    Metrics.incr world.metrics "roam.handoff_done";
-                    Metrics.sample world.metrics "roam.handoff_ms"
-                      (float_of_int
-                         (Engine.now world.engine - node.un_attempt_started))
-                  | Error _ ->
-                    node.un_pending <- None;
-                    Metrics.incr world.metrics "roam.handoff_failed"
-                end
-                | _ -> ()
-              end
-              | _ -> ());
-          (* random-waypoint teleports *)
-          let rec move () =
-            Engine.schedule world.engine
-              ~delay:(move_period_ms + Sim_rand.int world.rand 1000)
-              (fun () ->
-                if Engine.now world.engine <= 1_000_000 + duration_ms then begin
-                  Net.move world.net node.un_addr (random_pos ());
-                  incr moves;
-                  serving := -1 (* next beacon in the new cell triggers handoff *);
-                  move ()
-                end)
-          in
-          move ();
-          node)
-  in
-  ignore users;
-  List.iter
-    (fun node ->
-      Engine.schedule_every world.engine ~period:400
-        ~until:(Engine.now world.engine + duration_ms) (fun () ->
-          let beacon = Mesh_router.beacon node.rn in
-          Net.broadcast world.net ~src:node.rn_addr ~range
-            (envelope ~tag:tag_beacon ~sender:node.rn_addr
-               (Messages.beacon_to_bytes config beacon))))
-    routers;
-  Engine.schedule_every world.engine
-    ~period:(config.Config.crl_period_ms / 2)
-    ~until:(Engine.now world.engine + duration_ms)
-    (fun () -> Deployment.refresh_routers world.deployment);
+          Metrics.incr world.metrics "roam.handoff_started";
+          sign_request world node beacon (function
+            | Ok frame -> Net.send world.net ~src:node.un_addr ~dst:sender frame
+            | Error _ -> Metrics.incr world.metrics "roam.handoff_failed"))
+        (beacon_for world node body)
+    in
+    let on_confirm = function
+      | Ok _ ->
+        node.un_want_auth <- false;
+        Metrics.incr world.metrics "roam.handoff_done";
+        Metrics.sample world.metrics "roam.handoff_ms"
+          (float_of_int (Engine.now world.engine - node.un_attempt_started))
+      | Error _ -> Metrics.incr world.metrics "roam.handoff_failed"
+    in
+    Net.register world.net node.un_addr ~pos:(random_pos world area)
+      (user_endpoint world node ~on_beacon ~on_confirm);
+    (* random-waypoint teleports *)
+    let rec move () =
+      Engine.schedule world.engine
+        ~delay:(move_period_ms + Sim_rand.int world.rand 1000)
+        (fun () ->
+          if Engine.now world.engine <= 1_000_000 + duration_ms then begin
+            Net.move world.net node.un_addr (random_pos world area);
+            incr moves;
+            node.un_want_auth <- true;
+            move ()
+          end)
+    in
+    move ()
+  done;
+  broadcast_beacons world ~period:400 ~range ~duration_ms routers;
+  refresh_lists world ~duration_ms;
   Engine.run ~until:(Engine.now world.engine + duration_ms) world.engine;
   let handoffs = Metrics.count world.metrics "roam.handoff_done" in
   {

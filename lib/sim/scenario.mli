@@ -46,8 +46,8 @@ type city_result = {
 
 val city_auth :
   ?seed:int -> ?area_m:float -> ?range_m:float ->
-  ?beacon_period_ms:int -> ?url_size:int -> ?loss_prob:float ->
-  ?faults:Faults.plan -> ?hardened:bool -> ?invoices:bool ->
+  ?beacon_period_ms:int -> ?url_size:int -> ?faults:Faults.plan ->
+  ?hardened:bool -> ?invoices:bool ->
   ?sampler:Peace_obs.Timeseries.t ->
   ?alert_rules:Peace_obs.Alert.rule list ->
   n_routers:int -> n_users:int -> duration_ms:int ->
@@ -55,7 +55,7 @@ val city_auth :
 (** Routers on a grid over an [area_m]² city; users placed uniformly;
     Poisson re-authentication arrivals per user. [url_size] pads the URL
     with that many (revoked, otherwise unused) tokens so verification cost
-    scales as the paper predicts. [loss_prob] drops frames Bernoulli-style.
+    scales as the paper predicts.
 
     [faults] applies a {!Faults.plan} to the radio and the routers: burst
     loss, duplication, reordering, corruption, scheduled router

@@ -46,8 +46,7 @@ let test_engine_periodic () =
 
 let test_net_delivery () =
   let engine = Engine.create ~start:0 () in
-  let rand = Sim_rand.create ~seed:1 in
-  let net = Net.create engine rand () in
+  let net = Net.create engine () in
   let received = ref [] in
   Net.register net 1 ~pos:(0.0, 0.0) (fun m -> received := ("n1", m) :: !received);
   Net.register net 2 ~pos:(100.0, 0.0) (fun m -> received := ("n2", m) :: !received);
@@ -61,15 +60,18 @@ let test_net_delivery () =
   Net.broadcast net ~src:1 ~range:500.0 "beacon";
   Engine.run engine;
   Alcotest.(check (list (pair string string))) "only in-range node" [ ("n2", "beacon") ] !received;
-  (* nearest *)
-  Alcotest.(check (option int)) "nearest" (Some 2) (Net.nearest net ~of_:1 ~among:[ 2; 3 ]);
-  (* lossy network drops some frames *)
-  let lossy = Net.create engine rand ~loss_prob:1.0 () in
+  (* a lossy link drops frames, and the link counts the loss *)
+  let link =
+    match Faults.of_string "loss:1.0" with
+    | Ok plan -> Faults.link plan
+    | Error e -> Alcotest.fail e
+  in
+  let lossy = Net.create engine ~faults:link () in
   Net.register lossy 1 ~pos:(0.0, 0.0) (fun _ -> ());
   Net.register lossy 2 ~pos:(1.0, 0.0) (fun _ -> Alcotest.fail "lost frame delivered");
   Net.send lossy ~src:1 ~dst:2 "x";
   Engine.run engine;
-  Alcotest.(check int) "loss counted" 1 (Net.frames_lost lossy)
+  Alcotest.(check int) "loss counted" 1 (List.assoc "lost" (Faults.counters link))
 
 let test_sim_rand () =
   let r = Sim_rand.create ~seed:7 in
@@ -338,8 +340,13 @@ let test_phishing_smoke () =
 
 let test_city_with_losses () =
   (* a 15%-loss radio still converges: interrupted handshakes retry *)
+  let faults =
+    match Faults.of_string "loss:0.15" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
   let r =
-    Scenario.city_auth ~seed:13 ~n_routers:2 ~n_users:6 ~loss_prob:0.15
+    Scenario.city_auth ~seed:13 ~n_routers:2 ~n_users:6 ~faults
       ~area_m:800.0 ~range_m:600.0 ~duration_ms:40_000
       ~mean_interarrival_ms:8_000.0 ()
   in
@@ -585,8 +592,7 @@ let test_dos_with_faults () =
 
 let test_net_dropped_unknown () =
   let engine = Engine.create () in
-  let rand = Sim_rand.create ~seed:3 in
-  let net = Net.create engine rand () in
+  let net = Net.create engine () in
   let got = ref 0 in
   Net.register net 1 ~pos:(0.0, 0.0) (fun _ -> incr got);
   Net.register net 2 ~pos:(10.0, 0.0) (fun _ -> incr got);
