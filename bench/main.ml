@@ -198,6 +198,18 @@ let experiment_e2 () =
   Bench_record.add ~unit_:"words" "e2.verify_url10.minor_words" verify10_words;
   Printf.printf "sign allocates %.0f minor words, verify |URL|=10 %.0f\n" sign_words
     verify10_words;
+  (* one ECDSA-160 verify, of which a user runs four per handshake
+     (certificate, CRL, URL and beacon) *)
+  let curve = Lazy.force Peace_ec.Curves.secp160r1 in
+  let ecdsa_key = Peace_ec.Ecdsa.generate curve (drbg "e2-ecdsa") in
+  let ecdsa_sig = Peace_ec.Ecdsa.sign curve ~key:ecdsa_key "op-count" in
+  let ecdsa_words =
+    words_of (fun () ->
+        Peace_ec.Ecdsa.verify curve ~public:ecdsa_key.Peace_ec.Ecdsa.q "op-count"
+          ecdsa_sig)
+  in
+  Bench_record.add ~unit_:"words" "e2.ecdsa_verify.minor_words" ecdsa_words;
+  Printf.printf "ECDSA-160 verify allocates %.0f minor words\n" ecdsa_words;
   count "audit/open (50-key grt)" (fun () ->
       Group_sig.open_signature fx.fx_gpk
         ~grt:(List.map (fun t -> (t, ())) (tokens_for fx 50))

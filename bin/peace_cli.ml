@@ -1161,6 +1161,22 @@ let make_testbed params_src seed n_users =
   end;
   Service.Testbed.make ~params:(load_params params_src) ~seed ~n_users ()
 
+(* an --alerts / RULES source: a rules file, or "default" for the stock
+   authority rules; a malformed or empty file exits 1 *)
+let load_alert_rules src =
+  let text =
+    if src = "default" then Service.Authority.default_alert_rules
+    else read_file src
+  in
+  match Peace_obs.Alert.rules_of_string text with
+  | Error e ->
+    Printf.eprintf "error: bad alert rules: %s\n%s\n" e Peace_obs.Alert.grammar;
+    exit 1
+  | Ok [] ->
+    prerr_endline "error: no rules in the file";
+    exit 1
+  | Ok rules -> rules
+
 let serve_auth trace params_src testbed_seed n_users addr workers
     beacon_period_ms announce duration audit_path metrics_port metrics_announce
     alerts_src =
@@ -1207,31 +1223,19 @@ let serve_auth trace params_src testbed_seed n_users addr workers
      attached behind /alerts on the metrics listener. *)
   (match alerts_src with
   | None -> ()
-  | Some src -> (
-    let text =
-      if src = "default" then Service.Authority.default_alert_rules
-      else read_file src
-    in
-    match Peace_obs.Alert.rules_of_string text with
-    | Error e ->
-      Printf.eprintf "error: bad --alerts rules: %s\n%s\n" e
-        Peace_obs.Alert.grammar;
-      exit 1
-    | Ok [] ->
-      prerr_endline "error: --alerts: no rules in the file";
-      exit 1
-    | Ok rules ->
-      let t = Peace_obs.Alert.create ~audit:(audit_path <> None) rules in
-      Peace_obs.Alert.install_tap t;
-      Peace_obs.Serve.set_alerts_source (Some t);
-      ignore
-        (Domain.spawn (fun () ->
-             while true do
-               ignore (Peace_obs.Alert.eval t);
-               Unix.sleepf 0.5
-             done));
-      Printf.eprintf "peace serve-auth: alert evaluator on (%d rules)\n%!"
-        (List.length rules)));
+  | Some src ->
+    let rules = load_alert_rules src in
+    let t = Peace_obs.Alert.create ~audit:(audit_path <> None) rules in
+    Peace_obs.Alert.install_tap t;
+    Peace_obs.Serve.set_alerts_source (Some t);
+    ignore
+      (Domain.spawn (fun () ->
+           while true do
+             ignore (Peace_obs.Alert.eval t);
+             Unix.sleepf 0.5
+           done));
+    Printf.eprintf "peace serve-auth: alert evaluator on (%d rules)\n%!"
+      (List.length rules));
   let server =
     or_die
       (Service.Authority.start ~workers ~beacon_period_ms
@@ -1769,20 +1773,6 @@ let watch_cmd =
       const watch $ host $ port $ interval $ once $ count $ get_path)
 
 (* --- alerts --- *)
-
-let load_alert_rules src =
-  let text =
-    if src = "default" then Service.Authority.default_alert_rules
-    else read_file src
-  in
-  match Peace_obs.Alert.rules_of_string text with
-  | Error e ->
-    Printf.eprintf "error: bad alert rules: %s\n%s\n" e Peace_obs.Alert.grammar;
-    exit 1
-  | Ok [] ->
-    prerr_endline "error: no rules in the file";
-    exit 1
-  | Ok rules -> rules
 
 let alerts_rules_arg =
   Arg.(

@@ -8,11 +8,9 @@ type t = {
   ts_window_ms : int;
   crl_period_ms : int;
   cert_lifetime_ms : int;
-  base_mode : Peace_groupsig.Group_sig.base_mode;
 }
 
-let default ?(clock = Clock.system)
-    ?(base_mode = Peace_groupsig.Group_sig.Per_message) pairing =
+let default ?(clock = Clock.system) pairing =
   {
     pairing;
     curve = Lazy.force Curves.secp160r1;
@@ -20,7 +18,6 @@ let default ?(clock = Clock.system)
     ts_window_ms = 30_000;
     crl_period_ms = 15 * 60 * 1000;
     cert_lifetime_ms = 30 * 24 * 3600 * 1000;
-    base_mode;
   }
 
 let tiny_test ?(clock = Clock.manual ~start:1_000_000 ()) () =

@@ -11,13 +11,9 @@ type t = {
       (** acceptance window for protocol timestamps (replay defence) *)
   crl_period_ms : int;  (** CRL/URL re-issue period of the operator *)
   cert_lifetime_ms : int;  (** router certificate lifetime *)
-  base_mode : Peace_groupsig.Group_sig.base_mode;
-      (** per-message bases (full privacy) or fixed bases (fast revocation
-          checks, the §V-C trade-off) *)
 }
 
-val default : ?clock:Clock.t -> ?base_mode:Peace_groupsig.Group_sig.base_mode ->
-  Params.t -> t
+val default : ?clock:Clock.t -> Params.t -> t
 (** Sensible defaults: secp160r1 certificates (the paper's ECDSA-160), a
     30 s timestamp window, 15 min CRL period, 30-day certificates. *)
 

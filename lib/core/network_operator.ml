@@ -48,9 +48,7 @@ type audit_finding = {
 let now t = Clock.now t.config.Config.clock
 
 let create config ~rng =
-  let issuer =
-    Group_sig.setup ~base_mode:config.Config.base_mode config.Config.pairing rng
-  in
+  let issuer = Group_sig.setup config.Config.pairing rng in
   let operator_key = Ecdsa.generate config.Config.curve rng in
   let t0 = Clock.now config.Config.clock in
   {
@@ -294,10 +292,8 @@ let rotate_epoch t =
       (fun (_tok, (gid, index)) -> if gid = group_id then Some index else None)
       t.revoked_tokens
   in
-  (* fresh master secret and group public key (same base mode) *)
-  t.issuer <-
-    Group_sig.setup ~base_mode:t.config.Config.base_mode
-      t.config.Config.pairing t.rng;
+  (* fresh master secret and group public key *)
+  t.issuer <- Group_sig.setup t.config.Config.pairing t.rng;
   t.epoch <- t.epoch + 1;
   let batches =
     Hashtbl.fold

@@ -1,8 +1,8 @@
-(** Short Weierstrass elliptic curves y² = x³ + ax + b over a prime field.
-
-    Group arithmetic in Jacobian coordinates over a Montgomery-domain field;
-    used by ECDSA (router certificates, non-repudiation receipts in PEACE)
-    and reused by tests as a reference group implementation. *)
+(** Short Weierstrass elliptic curves y² = x³ + ax + b (a = −3 or 1) over a
+    prime field: domain parameters, the equation check and the SEC 1 codec.
+    The group law and the scalar multiplication are {!Ecp}'s, shared with
+    the pairing group G1. Used by ECDSA (router certificates,
+    non-repudiation receipts in PEACE). *)
 
 open Peace_bigint
 
@@ -10,7 +10,7 @@ type t
 (** A curve with precomputed field context. *)
 
 type point
-(** A point on a specific curve (including the point at infinity). Points
+(** An affine point on a specific curve, or the point at infinity. Points
     are only meaningful with the curve that created them. *)
 
 val make :
@@ -21,18 +21,16 @@ val make :
   gx:Bigint.t ->
   gy:Bigint.t ->
   n:Bigint.t ->
-  h:int ->
   t
 (** Builds a curve from domain parameters: odd prime modulus [p],
-    coefficients [a], [b], base point [(gx, gy)] of prime order [n],
-    cofactor [h].
-    @raise Invalid_argument if the base point is not on the curve. *)
+    coefficients [a], [b], base point [(gx, gy)] of prime order [n].
+    @raise Invalid_argument if [a] is not −3 or 1 modulo [p], or if the
+    base point is not on the curve. *)
 
 val name : t -> string
 val order : t -> Bigint.t
 (** Order [n] of the base-point subgroup. *)
 
-val cofactor : t -> int
 val base : t -> point
 val infinity : t -> point
 val is_infinity : point -> bool
@@ -50,7 +48,13 @@ val add : t -> point -> point -> point
 val double : t -> point -> point
 
 val mul : t -> Bigint.t -> point -> point
-(** Scalar multiplication; the scalar is reduced modulo the group order. *)
+(** Scalar multiplication by a signed-window (wNAF) chain; the scalar is
+    reduced modulo the group order. Counted as one [ec.scalar_mul]. *)
+
+val mul2 : t -> Bigint.t -> point -> Bigint.t -> point -> point
+(** [mul2 c j p k q] is j·P + k·Q in one doubling chain (Straus's
+    interleaving), both scalars reduced modulo the group order. Counted as
+    two [ec.scalar_mul]. *)
 
 val mul_base : t -> Bigint.t -> point
 (** [mul_base c k] is [k·G]. *)
@@ -63,8 +67,8 @@ val encode : t -> ?compress:bool -> point -> string
     (default), [0x02/0x03 ‖ x] compressed. *)
 
 val decode : t -> string -> point option
-(** Parses and validates a SEC 1 encoding. [None] on malformed input or a
-    point not on the curve. *)
+(** Parses and validates a SEC 1 encoding. [None] on malformed input, a
+    coordinate not below p, or a point not on the curve. *)
 
 val byte_size : t -> int
 (** Bytes needed for one field element. *)

@@ -62,7 +62,7 @@ let verify curve ~public msg { r; s } =
   let w = Modular.invert s n in
   let u1 = Modular.mul z w n in
   let u2 = Modular.mul r w n in
-  let point = Curve.add curve (Curve.mul_base curve u1) (Curve.mul curve u2 public) in
+  let point = Curve.mul2 curve u1 (Curve.base curve) u2 public in
   match Curve.to_affine curve point with
   | None -> false
   | Some (x, _) -> Bigint.equal (Bigint.erem x n) r

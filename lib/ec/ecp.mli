@@ -1,0 +1,38 @@
+(** The group law of a short-Weierstrass curve y² = x³ + ax + b over F_p,
+    and its scalar multiplication: one engine for ECDSA's secp curves
+    (a = −3, {!Curve}) and the type-A pairing group G1 (a = 1).
+
+    Points are affine in Montgomery form. Scalar multiplication runs a
+    signed-window (wNAF) chain in Jacobian coordinates over affine odd
+    multiples; {!mul2} interleaves two chains in one (Straus). Nothing is
+    counted here: each curve counts its own operations. *)
+
+open Peace_bigint
+
+type t
+(** The field context and the coefficient a. *)
+
+type point = Infinity | Affine of { x : Mont.elt; y : Mont.elt }
+(** Only meaningful with the {!t} whose field made the coordinates. *)
+
+val make : Mont.ctx -> a:Bigint.t -> t
+(** @raise Invalid_argument unless a ≡ 1 or a ≡ −3 (mod p). *)
+
+val is_infinity : point -> bool
+val to_affine : t -> point -> (Bigint.t * Bigint.t) option
+val neg : t -> point -> point
+val equal : t -> point -> point -> bool
+val double : t -> point -> point
+val add : t -> point -> point -> point
+
+val mul : t -> Bigint.t -> point -> point
+(** k·P for k ≥ 0, the scalar used as-is (not reduced).
+    @raise Invalid_argument on a negative scalar. *)
+
+val mul2 : t -> Bigint.t -> point -> Bigint.t -> point -> point
+(** [mul2 c a p b q] is a·P + b·Q in one doubling chain.
+    @raise Invalid_argument on a negative scalar. *)
+
+val mul_is_infinity : t -> Bigint.t -> Mont.elt -> Mont.elt -> bool
+(** [mul_is_infinity c k x y] is k·(x, y) = O, read off the Jacobian
+    result without an inversion back to affine. *)

@@ -6,6 +6,7 @@ type t = {
   q : Bigint.t;
   h : Bigint.t;
   fp : Mont.ctx;
+  ec : Peace_ec.Ecp.t;
   sqrt_exp : Bigint.t;
   gx : Bigint.t;
   gy : Bigint.t;
@@ -13,7 +14,8 @@ type t = {
 
 let make ~name ~p ~q ~h ~gx ~gy =
   let sqrt_exp = Bigint.shift_right (Bigint.succ p) 2 in
-  { name; p; q; h; fp = Mont.create p; sqrt_exp; gx; gy }
+  let fp = Mont.create p in
+  { name; p; q; h; fp; ec = Peace_ec.Ecp.make fp ~a:Bigint.one; sqrt_exp; gx; gy }
 
 let of_hex = Bigint.of_string
 

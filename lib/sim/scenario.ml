@@ -430,10 +430,7 @@ let sign_request world node beacon k =
 
 let outsider world ~seed =
   let rng = Sim_rand.bytes_fn (Sim_rand.create ~seed) in
-  let issuer =
-    Group_sig.setup ~base_mode:world.config.Config.base_mode
-      world.config.Config.pairing rng
-  in
+  let issuer = Group_sig.setup world.config.Config.pairing rng in
   (issuer, Group_sig.issue issuer ~grp:Bigint.one rng, rng)
 
 (* an outsider's (M.2) answering [beacon]: it parses, but its signature

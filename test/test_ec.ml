@@ -23,6 +23,48 @@ let affine_exn curve pt =
   | Some xy -> xy
   | None -> Alcotest.fail "unexpected point at infinity"
 
+(* field orders of the two secp curves; a = p − 3 on both *)
+let secp =
+  [
+    (s160, Bigint.of_string "0xffffffffffffffffffffffffffffffff7fffffff");
+    ( p256,
+      Bigint.of_string
+        "0xffffffff00000001000000000000000000000000ffffffffffffffffffffffff" );
+  ]
+
+(* Textbook affine double-and-add on integer coordinates for
+   y² = x³ + ax + b over F_p ([None] is the point at infinity): the slow
+   reference for [Curve.mul] and [Curve.mul2], as [Params.affine_mul] is
+   for G1. *)
+let ref_add p a pt1 pt2 =
+  match (pt1, pt2) with
+  | None, q | q, None -> q
+  | Some (x1, y1), Some (x2, y2) ->
+    if Bigint.equal x1 x2 && Bigint.is_zero (Modular.add y1 y2 p) then None
+    else begin
+      let lambda =
+        if Bigint.equal x1 x2 then
+          (* (3x² + a) / 2y *)
+          Modular.mul
+            (Modular.add (Modular.mul (Bigint.of_int 3) (Modular.mul x1 x1 p) p) a p)
+            (Modular.invert (Modular.add y1 y1 p) p)
+            p
+        else
+          Modular.mul (Modular.sub y2 y1 p) (Modular.invert (Modular.sub x2 x1 p) p) p
+      in
+      let x3 = Modular.sub (Modular.mul lambda lambda p) (Modular.add x1 x2 p) p in
+      let y3 = Modular.sub (Modular.mul lambda (Modular.sub x1 x3 p) p) y1 p in
+      Some (x3, y3)
+    end
+
+let ref_mul p a k pt =
+  let result = ref None in
+  for i = Bigint.num_bits k - 1 downto 0 do
+    result := ref_add p a !result !result;
+    if Bigint.testbit k i then result := ref_add p a !result pt
+  done;
+  !result
+
 let test_known_multiples () =
   (* vectors from an independent CPython affine implementation *)
   let k =
@@ -75,7 +117,13 @@ let test_point_validation () =
   let g = Curve.base s160 in
   Alcotest.(check bool) "base on curve" true (Curve.on_curve s160 g);
   Alcotest.(check bool) "infinity on curve" true
-    (Curve.on_curve s160 (Curve.infinity s160))
+    (Curve.on_curve s160 (Curve.infinity s160));
+  (* the group law knows a = 1 and a = −3 only *)
+  Alcotest.check_raises "a = 0 refused"
+    (Invalid_argument "Ecp.make: a must be 1 or -3") (fun () ->
+      ignore
+        (Curve.make ~name:"a0" ~p:(List.assq s160 secp) ~a:Bigint.zero
+           ~b:Bigint.one ~gx:Bigint.zero ~gy:Bigint.one ~n:(Curve.order s160)))
 
 let test_encoding () =
   let rng = test_rng 99 in
@@ -100,6 +148,25 @@ let test_encoding () =
   match Curve.decode s160 bad with
   | None -> ()
   | Some pt -> Alcotest.(check bool) "if decodable, must be on curve" true (Curve.on_curve s160 pt)
+
+(* SEC 1 coordinates must lie below p: read mod p, x + p would be a second
+   encoding of the point at x *)
+let test_decode_canonical () =
+  List.iter
+    (fun (curve, p) ->
+      let bytes v = Bigint.to_bytes_be ~width:(Curve.byte_size curve) v in
+      (* the smallest x >= 1 on the curve, found through the compressed form *)
+      let rec first x =
+        match Curve.decode curve ("\x02" ^ bytes x) with
+        | Some pt -> affine_exn curve pt
+        | None -> first (Bigint.succ x)
+      in
+      let x, y = first Bigint.one in
+      Alcotest.(check bool) (Curve.name curve ^ " canonical decodes") true
+        (Option.is_some (Curve.decode curve ("\x04" ^ bytes x ^ bytes y)));
+      Alcotest.(check bool) (Curve.name curve ^ " x + p refused") true
+        (Option.is_none (Curve.decode curve ("\x04" ^ bytes (Bigint.add x p) ^ bytes y))))
+    secp
 
 let test_ecdsa_sign_verify () =
   List.iter
@@ -206,6 +273,41 @@ let qcheck_tests =
         let key = Ecdsa.generate s160 (test_rng 21) in
         Ecdsa.verify s160 ~public:key.q msg (Ecdsa.sign s160 ~key msg));
   ]
+  @ List.concat_map
+      (fun (curve, p) ->
+        let a = Bigint.sub p (Bigint.of_int 3) in
+        let n = Curve.order curve in
+        let same pt expected =
+          Option.equal
+            (fun (x, y) (x', y') -> Bigint.equal x x' && Bigint.equal y y')
+            (Curve.to_affine curve pt) expected
+        in
+        (* a scalar in [0, 2n) and a point P = sG, s in [1, n) *)
+        let draw seed =
+          let rng = test_rng seed in
+          let k = Bigint.random_range rng Bigint.zero (Bigint.add n n) in
+          (k, Curve.mul_base curve (Bigint.random_range rng Bigint.one n))
+        in
+        let edges = [ Bigint.zero; Bigint.one; Bigint.pred n; n; Bigint.succ n ] in
+        let name s = Curve.name curve ^ " " ^ s in
+        [
+          QCheck.Test.make ~name:(name "mul = affine reference") ~count:8 QCheck.int
+            (fun seed ->
+              let k, pt = draw seed in
+              let xy = Curve.to_affine curve pt in
+              List.for_all (fun k -> same (Curve.mul curve k pt) (ref_mul p a k xy)) (k :: edges));
+          QCheck.Test.make ~name:(name "mul2 = sum of affine references") ~count:8
+            (QCheck.pair QCheck.int QCheck.int)
+            (fun (s1, s2) ->
+              let j, pt = draw s1 and k, qt = draw s2 in
+              let jp = ref_mul p a j (Curve.to_affine curve pt) in
+              let kq = ref_mul p a k (Curve.to_affine curve qt) in
+              same (Curve.mul2 curve j pt k qt) (ref_add p a jp kq)
+              && same (Curve.mul2 curve j pt j pt) (ref_add p a jp jp)
+              && Curve.is_infinity (Curve.mul2 curve j pt j (Curve.neg curve pt))
+              && same (Curve.mul2 curve Bigint.zero pt k qt) kq);
+        ])
+      secp
 
 let suite =
   [
@@ -215,6 +317,7 @@ let suite =
         Alcotest.test_case "group laws" `Quick test_group_laws;
         Alcotest.test_case "point validation" `Quick test_point_validation;
         Alcotest.test_case "encoding" `Quick test_encoding;
+        Alcotest.test_case "decode refuses non-canonical" `Quick test_decode_canonical;
       ] );
     ( "ecdsa",
       [
