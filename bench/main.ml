@@ -418,6 +418,26 @@ let experiment_e5 () =
     (String.length (Messages.peer_response_to_bytes config gpk response));
   Printf.printf "  %-34s %8d bytes\n" "M~.3 peer confirm"
     (String.length (Messages.peer_confirm_to_bytes config pconfirm));
+  (* the member's decode of a repeat beacon: a second beacon from the same
+     router (fresh g, g_rr and ts1) carrying the same 10-token URL, in a
+     deployment of its own so the sizes above keep their empty URL. The
+     words repeat exactly from run to run, so CI gates them. *)
+  let repeat_words =
+    let d = Deployment.create ~seed:"e5-url10" config in
+    ignore (Deployment.add_group d ~group_id:1 ~size:10);
+    for index = 0 to 9 do
+      Network_operator.revoke_user_key (Deployment.operator d) ~group_id:1 ~index
+    done;
+    let router = Deployment.add_router d ~router_id:1 in
+    let encoded () = Messages.beacon_to_bytes config (Mesh_router.beacon router) in
+    ignore (Messages.beacon_of_bytes config (encoded ()));
+    let second = encoded () in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Messages.beacon_of_bytes config second));
+    Gc.minor_words () -. before
+  in
+  Bench_record.add ~unit_:"words" "e5.m1_repeat_url10.minor_words" repeat_words;
+  Printf.printf "repeat M.1 decode (|URL| = 10) allocates %.0f minor words\n" repeat_words;
   Printf.printf
     "\nshape check: exactly three messages each way — the minimum for mutual\n\
      authentication — and users transmit one group signature per handshake.\n"

@@ -63,13 +63,13 @@ let of_bytes config s =
     let* expires_at = read_u64 r in
     let* sig_bytes = read_bytes r in
     let* () = expect_end r in
-    match
-      ( Curve.decode config.Config.curve pk_bytes,
-        Ecdsa.signature_of_bytes config.Config.curve sig_bytes )
-    with
-    | Some public_key, Some signature ->
-      Ok { router_id; public_key; expires_at; signature }
-    | _ -> Error "Cert: bad point or signature"
+    (* the signature's encoding before the point's square root *)
+    match Ecdsa.signature_of_bytes config.Config.curve sig_bytes with
+    | None -> Error "Cert: bad signature"
+    | Some signature -> (
+      match Curve.decode config.Config.curve pk_bytes with
+      | Some public_key -> Ok { router_id; public_key; expires_at; signature }
+      | None -> Error "Cert: bad point")
   with
   | Ok cert -> Some cert
   | Error _ -> None

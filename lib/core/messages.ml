@@ -48,7 +48,13 @@ type peer_confirm = {
 }
 
 let point_bytes config pt = G1.encode config.Config.pairing pt
-let point_of config s = G1.decode config.Config.pairing s
+
+(* Decoders take a frame's components one at a time, cheapest first: the
+   fixed-size fields and ECDSA encodings, then the pairing points (a
+   square root and a subgroup check each), then the URL. The first
+   component that fails stops the rest. *)
+let component what = function Some v -> Ok v | None -> Error what
+let point_of config what s = component what (G1.decode config.Config.pairing s)
 
 let auth_transcript config a b ts =
   let w = Wire.writer () in
@@ -107,17 +113,16 @@ let beacon_of_bytes config s =
         | None -> Error "beacon: bad puzzle"
     in
     let* puzzle = puzzle in
-    match
-      ( point_of config g_bytes,
-        point_of config g_rr_bytes,
-        Peace_ec.Ecdsa.signature_of_bytes config.Config.curve sig_bytes,
-        Cert.of_bytes config cert_bytes,
-        Cert.crl_of_bytes config crl_bytes,
-        Url.of_bytes config url_bytes )
-    with
-    | Some g, Some g_rr, Some beacon_sig, Some cert, Some crl, Some url ->
-      Ok { router_id; g; g_rr; ts1; puzzle; beacon_sig; cert; crl; url }
-    | _ -> Error "beacon: bad component"
+    let bad = "beacon: bad component" in
+    let* beacon_sig =
+      component bad (Peace_ec.Ecdsa.signature_of_bytes config.Config.curve sig_bytes)
+    in
+    let* crl = component bad (Cert.crl_of_bytes config crl_bytes) in
+    let* cert = component bad (Cert.of_bytes config cert_bytes) in
+    let* g = point_of config bad g_bytes in
+    let* g_rr = point_of config bad g_rr_bytes in
+    let* url = component bad (Url.of_bytes config url_bytes) in
+    Ok { router_id; g; g_rr; ts1; puzzle; beacon_sig; cert; crl; url }
   with
   | Ok b -> Some b
   | Error _ -> None
@@ -141,21 +146,18 @@ let access_request_of_bytes config gpk s =
     let* gsig_bytes = read_bytes r in
     let* sol = read_bytes r in
     let* () = expect_end r in
-    match
-      ( point_of config g_rj_bytes,
-        point_of config g_rr_bytes,
-        Group_sig.signature_of_bytes gpk gsig_bytes )
-    with
-    | Some g_rj, Some ar_g_rr, Some gsig ->
-      Ok
-        {
-          g_rj;
-          ar_g_rr;
-          ts2;
-          gsig;
-          puzzle_solution = (if sol = "" then None else Some sol);
-        }
-    | _ -> Error "access_request: bad component"
+    let bad = "access_request: bad component" in
+    let* g_rj = point_of config bad g_rj_bytes in
+    let* ar_g_rr = point_of config bad g_rr_bytes in
+    let* gsig = component bad (Group_sig.signature_of_bytes gpk gsig_bytes) in
+    Ok
+      {
+        g_rj;
+        ar_g_rr;
+        ts2;
+        gsig;
+        puzzle_solution = (if sol = "" then None else Some sol);
+      }
   with
   | Ok m -> Some m
   | Error _ -> None
@@ -175,9 +177,9 @@ let access_confirm_of_bytes config s =
     let* g_rr_bytes = read_bytes r in
     let* payload = read_bytes r in
     let* () = expect_end r in
-    match (point_of config g_rj_bytes, point_of config g_rr_bytes) with
-    | Some ac_g_rj, Some ac_g_rr -> Ok { ac_g_rj; ac_g_rr; payload }
-    | _ -> Error "access_confirm: bad point"
+    let* ac_g_rj = point_of config "access_confirm: bad point" g_rj_bytes in
+    let* ac_g_rr = point_of config "access_confirm: bad point" g_rr_bytes in
+    Ok { ac_g_rj; ac_g_rr; payload }
   with
   | Ok m -> Some m
   | Error _ -> None
@@ -199,14 +201,11 @@ let peer_hello_of_bytes config gpk s =
     let* ph_ts1 = read_u64 r in
     let* gsig_bytes = read_bytes r in
     let* () = expect_end r in
-    match
-      ( point_of config g_bytes,
-        point_of config g_rj_bytes,
-        Group_sig.signature_of_bytes gpk gsig_bytes )
-    with
-    | Some ph_g, Some ph_g_rj, Some ph_gsig ->
-      Ok { ph_g; ph_g_rj; ph_ts1; ph_gsig }
-    | _ -> Error "peer_hello: bad component"
+    let bad = "peer_hello: bad component" in
+    let* ph_g = point_of config bad g_bytes in
+    let* ph_g_rj = point_of config bad g_rj_bytes in
+    let* ph_gsig = component bad (Group_sig.signature_of_bytes gpk gsig_bytes) in
+    Ok { ph_g; ph_g_rj; ph_ts1; ph_gsig }
   with
   | Ok m -> Some m
   | Error _ -> None
@@ -228,14 +227,11 @@ let peer_response_of_bytes config gpk s =
     let* pr_ts2 = read_u64 r in
     let* gsig_bytes = read_bytes r in
     let* () = expect_end r in
-    match
-      ( point_of config g_rj_bytes,
-        point_of config g_rl_bytes,
-        Group_sig.signature_of_bytes gpk gsig_bytes )
-    with
-    | Some pr_g_rj, Some pr_g_rl, Some pr_gsig ->
-      Ok { pr_g_rj; pr_g_rl; pr_ts2; pr_gsig }
-    | _ -> Error "peer_response: bad component"
+    let bad = "peer_response: bad component" in
+    let* pr_g_rj = point_of config bad g_rj_bytes in
+    let* pr_g_rl = point_of config bad g_rl_bytes in
+    let* pr_gsig = component bad (Group_sig.signature_of_bytes gpk gsig_bytes) in
+    Ok { pr_g_rj; pr_g_rl; pr_ts2; pr_gsig }
   with
   | Ok m -> Some m
   | Error _ -> None
@@ -255,9 +251,9 @@ let peer_confirm_of_bytes config s =
     let* g_rl_bytes = read_bytes r in
     let* pc_payload = read_bytes r in
     let* () = expect_end r in
-    match (point_of config g_rj_bytes, point_of config g_rl_bytes) with
-    | Some pc_g_rj, Some pc_g_rl -> Ok { pc_g_rj; pc_g_rl; pc_payload }
-    | _ -> Error "peer_confirm: bad point"
+    let* pc_g_rj = point_of config "peer_confirm: bad point" g_rj_bytes in
+    let* pc_g_rl = point_of config "peer_confirm: bad point" g_rl_bytes in
+    Ok { pc_g_rj; pc_g_rl; pc_payload }
   with
   | Ok m -> Some m
   | Error _ -> None

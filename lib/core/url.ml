@@ -48,7 +48,9 @@ let to_bytes config t =
   Wire.bytes w (Ecdsa.signature_to_bytes config.Config.curve t.signature);
   Wire.contents w
 
-let of_bytes config s =
+(* the framing and the signature's encoding first, the tokens last: a
+   malformed list stops before its first token decode *)
+let decode config s =
   let open Wire in
   let r = reader s in
   match
@@ -57,24 +59,54 @@ let of_bytes config s =
     let* count = read_u32 r in
     if count > 1_000_000 then Error "Url: absurd count"
     else begin
-      let rec read_tokens n acc =
+      let rec read_encodings n acc =
         if n = 0 then Ok (List.rev acc)
         else
           let* bytes = read_bytes r in
-          match G1.decode config.Config.pairing bytes with
-          | Some tok -> read_tokens (n - 1) (tok :: acc)
-          | None -> Error "Url: bad token"
+          read_encodings (n - 1) (bytes :: acc)
       in
-      let* toks = read_tokens count [] in
+      let* encodings = read_encodings count [] in
       let* sig_bytes = read_bytes r in
       let* () = expect_end r in
       match Ecdsa.signature_of_bytes config.Config.curve sig_bytes with
-      | Some signature -> Ok { seq; issued_at; tokens = toks; signature }
       | None -> Error "Url: bad signature encoding"
+      | Some signature ->
+        let rec decode_tokens acc = function
+          | [] -> Ok { seq; issued_at; tokens = List.rev acc; signature }
+          | bytes :: rest -> (
+            match G1.decode config.Config.pairing bytes with
+            | Some tok -> decode_tokens (tok :: acc) rest
+            | None -> Error "Url: bad token")
+        in
+        decode_tokens [] encodings
     end
   with
   | Ok t -> Some t
   | Error _ -> None
+
+(* The last successful decode, with its exact bytes and the parameter set
+   and curve it was decoded under. Every router carries the operator's one
+   current URL until the next issue, so consecutive beacons repeat these
+   bytes and one entry spares each of them a decode of every token. The
+   entry is immutable and swapped whole, so concurrent decoders never see
+   a torn one; a failed decode never replaces it. *)
+type kept = { bytes : string; pairing : Params.t; curve : Curve.t; url : t }
+
+let last : kept option Atomic.t = Atomic.make None
+
+let of_bytes config s =
+  match Atomic.get last with
+  | Some k
+    when k.pairing == config.Config.pairing && k.curve == config.Config.curve
+         && String.equal k.bytes s ->
+    Some k.url
+  | Some _ | None -> (
+    match decode config s with
+    | Some url as decoded ->
+      let pairing = config.Config.pairing and curve = config.Config.curve in
+      Atomic.set last (Some { bytes = s; pairing; curve; url });
+      decoded
+    | None -> None)
 
 let empty config ~operator_key ~now = issue config ~operator_key ~seq:0 ~now ~tokens:[]
 

@@ -27,6 +27,12 @@ val mem : Config.t -> t -> Group_sig.revocation_token -> bool
 
 val to_bytes : Config.t -> t -> string
 val of_bytes : Config.t -> string -> t option
+(** Decodes and checks every token ({!Peace_pairing.G1.decode}). The last
+    successful decode is kept, process-wide: on the same bytes under the
+    same parameter set and curve (physically equal [config.pairing] and
+    [config.curve]) it returns the kept value without decoding again. Any
+    other input is decoded afresh and, if it decodes, replaces the kept
+    value. Safe to call from several domains. *)
 
 val empty : Config.t -> operator_key:Ecdsa.keypair -> now:int -> t
 (** Sequence-0 list with no tokens. *)

@@ -114,16 +114,15 @@ let validate_beacon t (b : Messages.beacon) =
       if b.Messages.cert.Cert.router_id <> b.Messages.router_id then
         Error (Protocol_error.Bad_router_certificate Cert.Malformed)
       else if
-        Cert.verify_crl t.config ~operator_public:t.operator_public
-          b.Messages.crl
-        <> Ok ()
-        || not (Url.verify t.config ~operator_public:t.operator_public b.Messages.url)
-      then Error Protocol_error.Bad_revocation_list
-      else if
         (* a revoked router cannot produce the next periodic CRL, so a
            beacon carrying one past its re-issue period is refused — this
-           bounds the phishing window of §V-A *)
+           bounds the phishing window of §V-A. Checked before the two
+           signatures, which fail with the same error. *)
         Cert.crl_is_stale t.config b.Messages.crl ~now:t_now
+        || Cert.verify_crl t.config ~operator_public:t.operator_public
+             b.Messages.crl
+           <> Ok ()
+        || not (Url.verify t.config ~operator_public:t.operator_public b.Messages.url)
       then Error Protocol_error.Bad_revocation_list
       else begin
         (* check against the freshest CRL known: the beacon's or a

@@ -38,6 +38,19 @@ let equal c p q =
   | Infinity, Affine _ | Affine _, Infinity -> false
   | Affine a, Affine b -> Mont.equal c.fp a.x b.x && Mont.equal c.fp a.y b.y
 
+(* P + Q from the slope λ of the line through P = (x1, y1) and Q = (x2, _):
+   the line meets the curve again at −(P + Q) *)
+let sum_on_line fp lambda x1 y1 x2 =
+  let x3 = Mont.sub fp (Mont.sub fp (Mont.sqr fp lambda) x1) x2 in
+  let y3 = Mont.sub fp (Mont.mul fp lambda (Mont.sub fp x1 x3)) y1 in
+  Affine { x = x3; y = y3 }
+
+(* 3x² + a, the numerator of the tangent's slope at (x, _) *)
+let tangent_numerator c x =
+  let fp = c.fp in
+  let xx = Mont.sqr fp x in
+  Mont.add fp (Mont.add fp (Mont.add fp xx xx) xx) c.a
+
 let double c p =
   let fp = c.fp in
   match p with
@@ -46,12 +59,8 @@ let double c p =
     if Mont.is_zero fp y then Infinity
     else begin
       (* λ = (3x² + a) / 2y *)
-      let xx = Mont.sqr fp x in
-      let num = Mont.add fp (Mont.add fp (Mont.add fp xx xx) xx) c.a in
-      let lambda = Mont.mul fp num (Mont.inv fp (Mont.add fp y y)) in
-      let x3 = Mont.sub fp (Mont.sqr fp lambda) (Mont.add fp x x) in
-      let y3 = Mont.sub fp (Mont.mul fp lambda (Mont.sub fp x x3)) y in
-      Affine { x = x3; y = y3 }
+      let lambda = Mont.mul fp (tangent_numerator c x) (Mont.inv fp (Mont.add fp y y)) in
+      sum_on_line fp lambda x y x
     end
 
 let add c p q =
@@ -65,10 +74,40 @@ let add c p q =
       let lambda =
         Mont.mul fp (Mont.sub fp b.y a.y) (Mont.inv fp (Mont.sub fp b.x a.x))
       in
-      let x3 = Mont.sub fp (Mont.sub fp (Mont.sqr fp lambda) a.x) b.x in
-      let y3 = Mont.sub fp (Mont.mul fp lambda (Mont.sub fp a.x x3)) a.y in
-      Affine { x = x3; y = y3 }
+      sum_on_line fp lambda a.x a.y b.x
     end
+
+(* P + Qₖ for every k, with [add]'s cases: a chord where the x differ, the
+   tangent where Qₖ = P, O where Qₖ = −P (or P = Qₖ has order 2). Every
+   slope's denominator is collected first and inverted with the others in
+   one [Mont.inv_all]; a sum that draws no line holds the placeholder 1. *)
+let add_batch c p qs =
+  let fp = c.fp in
+  match p with
+  | Infinity -> Array.copy qs
+  | Affine { x; y } ->
+    let chord xk = not (Mont.equal fp x xk) in
+    (* tested only where the x agree *)
+    let tangent yk = Mont.equal fp y yk && not (Mont.is_zero fp y) in
+    let one = Mont.one fp in
+    let denominators =
+      Array.map
+        (function
+          | Affine q when chord q.x -> Mont.sub fp q.x x
+          | Affine q when tangent q.y -> Mont.add fp y y
+          | Affine _ | Infinity -> one)
+        qs
+    in
+    let inverse = Mont.inv_all fp denominators in
+    Array.mapi
+      (fun k -> function
+        | Infinity -> p
+        | Affine q when chord q.x ->
+          sum_on_line fp (Mont.mul fp (Mont.sub fp q.y y) inverse.(k)) x y q.x
+        | Affine q when tangent q.y ->
+          sum_on_line fp (Mont.mul fp (tangent_numerator c x) inverse.(k)) x y x
+        | Affine _ -> Infinity)
+      qs
 
 (* --- Jacobian internals for scalar multiplication --- *)
 

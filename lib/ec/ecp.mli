@@ -25,6 +25,11 @@ val equal : t -> point -> point -> bool
 val double : t -> point -> point
 val add : t -> point -> point -> point
 
+val add_batch : t -> point -> point array -> point array
+(** [add_batch c p qs] is [add c p qs.(k)] at every k, with one field
+    inversion for the whole array (Montgomery's trick) instead of one per
+    sum. *)
+
 val mul : t -> Bigint.t -> point -> point
 (** k·P for k ≥ 0, the scalar used as-is (not reduced).
     @raise Invalid_argument on a negative scalar. *)

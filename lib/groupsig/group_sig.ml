@@ -257,19 +257,25 @@ let checked_bases gpk ~msg signature =
   end
 
 (* The VLR scan: the tag of the first token A encoded in (T1, T2), by
-   Eq. 3, e(T2 − A, û) = e(T1, v̂). û's lines and e(T1, v̂) once, then one
-   line evaluation per token (T2 − A ∈ G_q, where ê is symmetric). *)
+   Eq. 3, e(T2 − A, û) = e(T1, v̂). û's lines and e(T1, v̂) once, every
+   T2 − A in one batched addition, then one inversion-free line test per
+   token (T2 − A ∈ G_q, where ê is symmetric). *)
 let find_signer gpk ~u ~v signature tagged =
   let params = gpk.params in
   let u_lines = Pairing.lines_of params u in
   let e_t1_v = Pairing.tate params signature.t1 v in
-  List.find_map
-    (fun (token, tag) ->
-      let t2_minus_a = G1.add params signature.t2 (G1.neg params token) in
-      if Pairing.Gt.equal params (Pairing.tate_lines params [ (u_lines, t2_minus_a) ]) e_t1_v
-      then Some tag
-      else None)
-    tagged
+  let tagged = Array.of_list tagged in
+  let differences =
+    G1.add_batch params signature.t2
+      (Array.map (fun (token, _) -> G1.neg params token) tagged)
+  in
+  let rec scan k =
+    if k = Array.length tagged then None
+    else if Pairing.lines_equal params u_lines differences.(k) e_t1_v then
+      Some (snd tagged.(k))
+    else scan (k + 1)
+  in
+  scan 0
 
 let is_signer gpk ~msg signature token =
   let u, v = bases gpk ~msg ~r_nonce:signature.r_nonce in
@@ -368,9 +374,12 @@ let signature_of_bytes gpk bytes =
     let s_alpha = Bigint.of_bytes_be (take width) in
     let s_x = Bigint.of_bytes_be (take width) in
     let s_delta = Bigint.of_bytes_be (take width) in
-    match (G1.decode params t1_bytes, G1.decode params t2_bytes) with
-    | Some t1, Some t2 -> Some { r_nonce; t1; t2; c; s_alpha; s_x; s_delta }
-    | _ -> None
+    match G1.decode params t1_bytes with
+    | None -> None
+    | Some t1 -> (
+      match G1.decode params t2_bytes with
+      | Some t2 -> Some { r_nonce; t1; t2; c; s_alpha; s_x; s_delta }
+      | None -> None)
   end
 
 (* --- textual key storage for the CLI --- *)

@@ -111,6 +111,14 @@ val verify :
 (** Full verification: proof check (Eq. 2) then verifier-local revocation
     scan over [url] (Eq. 3).
 
+    The scan builds û's Miller lines and e(T1, v̂) once and forms every
+    T2 − A in one batched addition ({!G1.add_batch}: one field inversion
+    for the whole list). It then tests the tokens in order and stops at
+    the first match. Each token costs one walk through û's lines and a
+    power by the cofactor, with no inversion ({!Pairing.lines_equal}),
+    and counts as one pairing, so a verify that scans the whole list
+    counts 3 + |URL| pairings.
+
     Precondition: T1 and T2 lie in the order-q subgroup G_q. The check
     recomputes R̃2 as ê(g2, s_x·T2 − s_δ·v̂)·ê(w, c·T2 − s_α·v̂)·e(g1, g2)^{−c},
     which equals the paper's formula only because ê is bilinear and

@@ -34,6 +34,7 @@ let on_curve params = function
 
 let double params p = Ecp.double params.Params.ec p
 let add params p q = Ecp.add params.Params.ec p q
+let add_batch params p qs = Ecp.add_batch params.Params.ec p qs
 let killed_by_q params x y = Ecp.mul_is_infinity params.Params.ec params.Params.q x y
 
 let mul params k p =

@@ -24,6 +24,11 @@ val coords : point -> (Mont.elt * Mont.elt) option
 
 val neg : Params.t -> point -> point
 val add : Params.t -> point -> point -> point
+
+val add_batch : Params.t -> point -> point array -> point array
+(** [add_batch params p qs] is [add params p qs.(k)] at every k, sharing
+    one field inversion across the array. *)
+
 val double : Params.t -> point -> point
 
 val mul : Params.t -> Bigint.t -> point -> point

@@ -358,10 +358,12 @@ let lines_of params p =
     done;
     { slope; offset; live }
 
-(* ∏ ê(Pᵢ, Qᵢ) from the tables of the Pᵢ: the tables share the step
-   layout of q, so one walk squares f once per bit and multiplies in every
-   pair's line at each step. *)
-let tate_lines params pairs =
+(* The Miller value ∏ f_{q,Pᵢ}(φ(Qᵢ)) from the tables of the Pᵢ, before
+   the final exponentiation; [None] when no pair draws a line, so the
+   product pairs to 1. The tables share the step layout of q, so one walk
+   squares f once per bit and multiplies in every pair's line at each
+   step. *)
+let miller_lines params pairs =
   let fp = params.Params.fp in
   let live =
     Array.of_list
@@ -373,7 +375,7 @@ let tate_lines params pairs =
            | Some _ | None -> None)
          pairs)
   in
-  if Array.length live = 0 then Fq2.one fp
+  if Array.length live = 0 then None
   else begin
     let f = ref (Fq2.one fp) in
     let step j =
@@ -396,5 +398,22 @@ let tate_lines params pairs =
         incr j
       end
     done;
-    final_exponentiation params !f
+    Some !f
   end
+
+let tate_lines params pairs =
+  match miller_lines params pairs with
+  | None -> Fq2.one params.Params.fp
+  | Some f -> final_exponentiation params f
+
+(* ê(P, Q) = (conj f / f)^h for the Miller value f, and conj commutes with
+   powers, so with g = f^h the pairing equals [target] exactly when
+   conj g = target·g: one F_p² product where [final_exponentiation]
+   inverts f. f = 0 pairs to 1, as there. *)
+let lines_equal params lines q target =
+  let fp = params.Params.fp in
+  match miller_lines params [ (lines, q) ] with
+  | Some f when not (Fq2.is_zero fp f) ->
+    let g = Fq2.pow fp f params.Params.h in
+    Fq2.equal fp (Fq2.conj fp g) (Fq2.mul fp target g)
+  | Some _ | None -> Gt.is_one params target

@@ -57,6 +57,14 @@ val tate_lines : Params.t -> (lines * G1.point) list -> Gt.elt
     contributes 1. Group signatures use it for g2, w and the VLR base û;
     the BBS04 baseline for its h and each signature's T3. *)
 
+val lines_equal : Params.t -> lines -> G1.point -> Gt.elt -> bool
+(** [lines_equal params (lines_of p) q target] is
+    [Gt.equal params (tate_lines params [ (lines_of p, q) ]) target]
+    without the field inversion of the final exponentiation: with g the
+    Miller value raised to the cofactor h, ê(P, Q) = conj(g)/g, so it tests
+    conj(g) = target·g. Counted as one pairing. The revocation scan tests
+    each token with it. *)
+
 val tate_affine : Params.t -> G1.point -> G1.point -> Gt.elt
 (** Reference implementation of {!tate} with an affine Miller loop (one
     field inversion per step). Slower; kept for cross-checking the

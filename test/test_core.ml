@@ -792,6 +792,127 @@ let qcheck_tests =
         end);
   ]
 
+(* --- the member's decode of the revocation list --- *)
+
+let signed_url config ~seed n =
+  let rng = Peace_hash.Drbg.bytes_fn (Peace_hash.Drbg.create ~seed ()) in
+  let operator_key = Peace_ec.Ecdsa.generate config.Config.curve rng in
+  let tokens = List.init n (fun _ -> G1.random config.Config.pairing rng) in
+  Url.issue config ~operator_key ~seq:1 ~now:0 ~tokens
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  let v = Sys.opaque_identity (f ()) in
+  (v, Gc.minor_words () -. before)
+
+let decodes_to config bytes = function
+  | Some url -> Url.to_bytes config url = bytes
+  | None -> false
+
+let test_url_decode_kept () =
+  let config = Config.tiny_test () in
+  let bytes = Url.to_bytes config (signed_url config ~seed:"url-kept" 4) in
+  let first, fresh = minor_words (fun () -> Url.of_bytes config bytes) in
+  let again, kept = minor_words (fun () -> Url.of_bytes config bytes) in
+  Alcotest.(check bool) "decodes" true (decodes_to config bytes first);
+  Alcotest.(check bool) "identical bytes give an equal URL" true (decodes_to config bytes again);
+  Alcotest.(check bool) "the kept URL costs under 1/20 of a decode" true (kept *. 20. < fresh);
+  (* a flipped bit in the first token's x: decoded afresh and refused, and
+     the refusal does not replace the kept URL *)
+  let flipped = Bytes.of_string bytes in
+  let at = 4 + 8 + 4 + 4 + 2 (* seq, issued_at, count, length prefix, parity, x *) in
+  Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor 1));
+  let flipped = Bytes.to_string flipped in
+  Alcotest.(check bool) "flipped token refused" true (Url.of_bytes config flipped = None);
+  Alcotest.(check bool) "and refused again" true (Url.of_bytes config flipped = None);
+  let back, words = minor_words (fun () -> Url.of_bytes config bytes) in
+  Alcotest.(check bool) "the original still decodes" true (decodes_to config bytes back);
+  Alcotest.(check bool) "from the kept URL" true (words *. 20. < fresh);
+  (* under another parameter set the same bytes are decoded afresh: tiny's
+     tokens have the wrong width there *)
+  let light = Config.default (Lazy.force Params.light) in
+  Alcotest.(check bool) "other parameters decode afresh" true (Url.of_bytes light bytes = None)
+
+let test_url_decode_across_domains () =
+  (* two domains take strict turns, each decoding its own URL: each must
+     get its own tokens back every time *)
+  let config = Config.tiny_test () in
+  let url seed = Url.to_bytes config (signed_url config ~seed 3) in
+  let a = url "url-domain-a" and b = url "url-domain-b" in
+  let turn = Atomic.make 0 and rounds = 40 in
+  let decoder parity bytes () =
+    List.init rounds (fun _ ->
+        while Atomic.get turn land 1 <> parity do
+          Domain.cpu_relax ()
+        done;
+        let ok = decodes_to config bytes (Url.of_bytes config bytes) in
+        Atomic.incr turn;
+        ok)
+    |> List.for_all Fun.id
+  in
+  let da = Domain.spawn (decoder 0 a) and db = Domain.spawn (decoder 1 b) in
+  Alcotest.(check bool) "first domain" true (Domain.join da);
+  Alcotest.(check bool) "second domain" true (Domain.join db)
+
+let test_beacon_decode_stops_early () =
+  (* a malformed ECDSA-signature field stops the decode before the points
+     and the 20-token URL, which the process has not decoded before *)
+  let config, _clock, d = make_deployment ~seed:"early-stop" () in
+  let router = Deployment.add_router d ~router_id:7 in
+  let b =
+    { (Mesh_router.beacon router) with Messages.url = signed_url config ~seed:"beacon-url" 20 }
+  in
+  let encode sig_field =
+    let w = Wire.writer () in
+    Wire.u32 w b.Messages.router_id;
+    Wire.bytes w (G1.encode config.Config.pairing b.Messages.g);
+    Wire.bytes w (G1.encode config.Config.pairing b.Messages.g_rr);
+    Wire.u64 w b.Messages.ts1;
+    Wire.bytes w "";
+    Wire.bytes w sig_field;
+    Wire.bytes w (Cert.to_bytes config b.Messages.cert);
+    Wire.bytes w (Cert.crl_to_bytes config b.Messages.crl);
+    Wire.bytes w (Url.to_bytes config b.Messages.url);
+    Wire.contents w
+  in
+  let sig_field =
+    Peace_ec.Ecdsa.signature_to_bytes config.Config.curve b.Messages.beacon_sig
+  in
+  Alcotest.(check string) "the beacon's layout" (Messages.beacon_to_bytes config b)
+    (encode sig_field);
+  let malformed = String.sub sig_field 1 (String.length sig_field - 1) in
+  let refused, refused_words =
+    minor_words (fun () -> Messages.beacon_of_bytes config (encode malformed))
+  in
+  Alcotest.(check bool) "malformed signature refused" true (refused = None);
+  let decoded, full_words = minor_words (fun () -> Messages.beacon_of_bytes config (encode sig_field)) in
+  Alcotest.(check bool) "the beacon decodes" true (Option.is_some decoded);
+  Alcotest.(check bool) "refused for under 1/20 of a full decode" true
+    (refused_words *. 20. < full_words)
+
+let test_stale_crl_checked_first () =
+  (* both failures are Bad_revocation_list, so staleness is checked before
+     the CRL's and the URL's signatures: a stale beacon pays only for the
+     certificate's verify (one two-term product, two counts) *)
+  let config, c, d = make_deployment () in
+  let _gm = Deployment.add_group d ~group_id:1 ~size:4 in
+  let router = Deployment.add_router d ~router_id:7 in
+  let bob = ok_or_fail_str "add bob" (Deployment.add_user d identity_bob) in
+  let scalar_muls = Peace_obs.Registry.counter "ec.scalar_mul" in
+  let process beacon =
+    let before = Peace_obs.Registry.Counter.value scalar_muls in
+    let verdict = Result.map (fun _ -> ()) (User.process_beacon bob beacon) in
+    (verdict, Peace_obs.Registry.Counter.value scalar_muls - before)
+  in
+  let verdict, muls = process (Mesh_router.beacon router) in
+  Alcotest.(check (result unit perr)) "fresh beacon accepted" (Ok ()) verdict;
+  Alcotest.(check int) "certificate, CRL, URL and beacon verified" 8 muls;
+  Clock.advance c (config.Config.crl_period_ms + 1);
+  let verdict, muls = process (Mesh_router.beacon router) in
+  Alcotest.(check (result unit perr)) "stale CRL refused"
+    (Error Protocol_error.Bad_revocation_list) verdict;
+  Alcotest.(check int) "only the certificate verified" 2 muls
+
 let test_deployment_rng_across_domains () =
   (* the operator, every router and every user draw from the deployment's
      one DRBG, and a live run draws from several domains at once: two
@@ -820,6 +941,7 @@ let suite =
         Alcotest.test_case "outsider" `Quick test_outsider_rejected;
         Alcotest.test_case "revocation eviction" `Quick test_user_revocation_eviction;
         Alcotest.test_case "client puzzles" `Quick test_puzzles_under_attack;
+        Alcotest.test_case "stale CRL checked first" `Quick test_stale_crl_checked_first;
       ] );
     ( "user-user",
       [
@@ -847,6 +969,9 @@ let suite =
         Alcotest.test_case "puzzle module" `Quick test_puzzle_module;
         Alcotest.test_case "deployment rng across domains" `Quick
           test_deployment_rng_across_domains;
+        Alcotest.test_case "URL decode kept" `Quick test_url_decode_kept;
+        Alcotest.test_case "URL decode across domains" `Quick test_url_decode_across_domains;
+        Alcotest.test_case "beacon decode stops early" `Quick test_beacon_decode_stops_early;
       ] );
     ("core-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -557,6 +557,21 @@ module Reference = struct
         if Pairing.Gt.equal params lhs e_t1_v then Some tag else None)
       tagged
 
+  (* Eq. 3 token by token, without the batched addition or the line test:
+     per token, [G1.add], a walk through û's lines ([tate_lines], with its
+     inverting final exponentiation) and [Gt.equal] *)
+  let lines_find_signer (gpk : Group_sig.gpk) (s : Group_sig.signature) ~u ~v tagged =
+    let params = gpk.params in
+    let u_lines = Pairing.lines_of params u in
+    let e_t1_v = Pairing.tate params s.t1 v in
+    List.find_map
+      (fun (token, tag) ->
+        let t2_minus_a = G1.add params s.t2 (G1.neg params token) in
+        if Pairing.Gt.equal params (Pairing.tate_lines params [ (u_lines, t2_minus_a) ]) e_t1_v
+        then Some tag
+        else None)
+      tagged
+
   let verify gpk ~url ~msg s =
     match checked_bases gpk ~msg s with
     | None -> Group_sig.Invalid_proof
@@ -623,6 +638,76 @@ let oracle_tests ?base_mode params ~count =
             && Group_sig.open_signature gpk ~grt ~msg s
                = Reference.open_signature gpk ~grt ~msg s)
           candidates);
+  ]
+
+(* The batched scan against [Reference.lines_find_signer]: the same
+   verdicts, opened tags and [is_signer] answers, with the signer's token
+   first, in the middle, last, absent or twice, with a repeated other
+   token, and with tokens equal to T2 (T2 − A = O) and to −T2
+   (T2 − A = 2·T2, a doubling). A forged and a wrong-message signature
+   fail the proof, so their scan runs only in [is_signer]. The proof
+   itself is [verify]'s; [oracle_tests] checks it. *)
+let scan_tests params ~count =
+  let name what = Printf.sprintf "%s (%s)" what params.Params.name in
+  let issuer = Group_sig.setup params (test_rng 84) in
+  let gpk = issuer.Group_sig.gpk in
+  let member = Group_sig.issue issuer ~grp:grp_a (test_rng 85) in
+  let other i =
+    Group_sig.token_of_gsk
+      (Group_sig.issue issuer ~grp:(Bigint.of_int (5000 + i)) (test_rng (86 + i)))
+  in
+  let o1 = other 0 and o2 = other 1 and o3 = other 2 in
+  let reference_scan ~msg (s : Group_sig.signature) tagged =
+    let u, v = Reference.bases gpk ~msg ~r_nonce:s.r_nonce in
+    Reference.lines_find_signer gpk s ~u ~v tagged
+  in
+  let agrees ~msg s urls tokens =
+    let proof_holds =
+      Group_sig.equal_verify_result (Group_sig.verify gpk ~msg s) Group_sig.Valid
+    in
+    List.for_all
+      (fun url ->
+        let grt = List.mapi (fun i token -> (token, i)) url in
+        let expected_tag = if proof_holds then reference_scan ~msg s grt else None in
+        let expected_verdict =
+          if not proof_holds then Group_sig.Invalid_proof
+          else if Option.is_some expected_tag then Group_sig.Revoked
+          else Group_sig.Valid
+        in
+        Group_sig.equal_verify_result (Group_sig.verify gpk ~url ~msg s) expected_verdict
+        && Group_sig.open_signature gpk ~grt ~msg s = expected_tag)
+      urls
+    && List.for_all
+         (fun token ->
+           Group_sig.is_signer gpk ~msg s token
+           = Option.is_some (reference_scan ~msg s [ (token, ()) ]))
+         tokens
+  in
+  let seed = QCheck.make ~print:string_of_int QCheck.Gen.int in
+  [
+    QCheck.Test.make ~name:(name "VLR scan = per-token reference") ~count seed (fun seed ->
+        let msg = Printf.sprintf "scan-%d" seed in
+        let s = Group_sig.sign gpk member ~rng:(test_rng seed) ~msg in
+        let mine = Group_sig.token_of_gsk member in
+        let t2 = s.Group_sig.t2 in
+        let minus_t2 = G1.neg params t2 in
+        let tokens = [ mine; o1; t2; minus_t2 ] in
+        let forged = { s with Group_sig.c = Modular.add s.Group_sig.c Bigint.one params.Params.q } in
+        agrees ~msg s
+          [
+            [ mine; o1; o2; o3 ];
+            [ o1; o2; mine; o3 ];
+            [ o1; o2; o3; mine ];
+            [ o1; o2; o3 ];
+            [ mine; mine ];
+            [ o2; o2; mine ];
+            [ t2; o1; mine ];
+            [ minus_t2; o1; mine ];
+            [ t2; minus_t2 ];
+          ]
+          tokens
+        && agrees ~msg forged [ [ o1; mine ] ] tokens
+        && agrees ~msg:"another message" s [ [ o1; mine ] ] tokens);
   ]
 
 (* [verify] assumes T1, T2 ∈ G_q (its R̃2 regrouping needs ê symmetric);
@@ -750,7 +835,9 @@ let suite =
       List.map QCheck_alcotest.to_alcotest
         (oracle_tests tiny ~count:10
         @ oracle_tests ~base_mode:Group_sig.Fixed_bases tiny ~count:4
-        @ oracle_tests (Lazy.force Params.light) ~count:1) );
+        @ oracle_tests (Lazy.force Params.light) ~count:1
+        @ scan_tests tiny ~count:10
+        @ scan_tests (Lazy.force Params.light) ~count:2) );
   ]
 
 let () = Alcotest.run "peace-groupsig" suite

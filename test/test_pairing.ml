@@ -489,6 +489,60 @@ let engine_tests params ~count =
           [ (r, p); (p, r); (r, r) ]);
   ]
 
+(* A point of order 4 and the 2-torsion point (0, 0): the tangent at the
+   first passes through −2S = (0, 0), so the Miller value of ê(S, (0, 0))
+   is 0, which pairs to 1. #E(F_p) = p + 1, so ((p + 1)/4)·R has order
+   dividing 4 for any curve point R. *)
+let two_torsion params = G1.of_affine params ~x:Bigint.zero ~y:Bigint.zero
+
+let rec order_four params start =
+  let quarter = Bigint.div (Bigint.succ params.Params.p) (Bigint.of_int 4) in
+  let s = G1.mul params quarter (rogue_point params start) in
+  if G1.is_infinity (G1.double params s) then order_four params (Bigint.succ start) else s
+
+let batch_tests params ~count =
+  let name what = Printf.sprintf "%s (%s)" what params.Params.name in
+  let seed = QCheck.make ~print:string_of_int QCheck.Gen.int in
+  let subgroup_point seed = G1.random params (test_rng seed) in
+  [
+    QCheck.Test.make ~name:(name "add_batch = pairwise add") ~count seed (fun seed ->
+        let p = subgroup_point seed in
+        let r = rogue_point params (Bigint.random_below (test_rng seed) params.Params.p) in
+        let t = two_torsion params in
+        let qs =
+          [|
+            subgroup_point (seed + 1);
+            G1.infinity;
+            p;
+            G1.neg params p;
+            subgroup_point (seed + 2);
+            r;
+            p;
+            t;
+            subgroup_point (seed + 3);
+          |]
+        in
+        let pairwise p qs =
+          let got = G1.add_batch params p qs in
+          Array.length got = Array.length qs
+          && Array.for_all2 (fun g q -> G1.equal params g (G1.add params p q)) got qs
+        in
+        List.for_all (fun p -> pairwise p qs && pairwise p [||]) [ p; G1.infinity; r; t ]);
+    QCheck.Test.make ~name:(name "lines_equal = Gt.equal tate_lines") ~count seed (fun seed ->
+        let p = subgroup_point seed and q = subgroup_point (seed + 1) in
+        let wrong = Pairing.tate params p p in
+        let agrees p q =
+          let lines = Pairing.lines_of params p in
+          let e = Pairing.tate_lines params [ (lines, q) ] in
+          List.for_all
+            (fun target ->
+              Pairing.lines_equal params lines q target = Pairing.Gt.equal params e target)
+            [ Pairing.Gt.one params; e; wrong; Pairing.Gt.mul params e wrong ]
+        in
+        agrees p q && agrees p G1.infinity && agrees G1.infinity q
+        && agrees (order_four params (Bigint.of_int (2 + (abs seed mod 1000)))) (two_torsion params));
+  ]
+
 let test_engine_counters () =
   let params = tiny in
   let g = G1.generator params in
@@ -508,7 +562,9 @@ let test_engine_counters () =
   let d =
     count (fun () -> ignore (Pairing.tate_lines params [ (lines, g); (lines, G1.infinity) ]))
   in
-  Alcotest.(check int) "one pairing per pair" 2 d.Counters.pairings
+  Alcotest.(check int) "one pairing per pair" 2 d.Counters.pairings;
+  let d = count (fun () -> ignore (Pairing.lines_equal params lines g (Pairing.Gt.one params))) in
+  Alcotest.(check int) "a line test is one pairing" 1 d.Counters.pairings
 
 let suite =
   [
@@ -557,6 +613,9 @@ let suite =
     ( "wnaf-and-lines",
       List.map QCheck_alcotest.to_alcotest
         (engine_tests tiny ~count:40 @ engine_tests light ~count:2) );
+    ( "batch-add-and-line-test",
+      List.map QCheck_alcotest.to_alcotest
+        (batch_tests tiny ~count:40 @ batch_tests light ~count:2) );
   ]
 
 let () = Alcotest.run "peace-pairing" suite
