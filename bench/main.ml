@@ -438,6 +438,39 @@ let experiment_e5 () =
   in
   Bench_record.add ~unit_:"words" "e5.m1_repeat_url10.minor_words" repeat_words;
   Printf.printf "repeat M.1 decode (|URL| = 10) allocates %.0f minor words\n" repeat_words;
+  (* the decodes the handshake no longer pays for, as exact words: the
+     member's decode of M.3, whose two shares are echoes compared as
+     bytes, and the authority's framing and precheck of a well-formed M.2
+     without a puzzle solution, refused at the puzzle gate before any
+     point is decoded *)
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let m3 = Messages.access_confirm_to_bytes config confirm in
+  let m3_words = words (fun () -> Messages.access_confirm_of_bytes config m3) in
+  Mesh_router.set_under_attack router ~difficulty:4;
+  let unsolved =
+    match User.process_beacon alice (Mesh_router.beacon router) with
+    | Ok (r, _) ->
+      Messages.access_request_to_bytes config gpk
+        { r with Messages.puzzle_solution = None }
+    | Error _ -> assert false
+  in
+  let reject_words =
+    words (fun () ->
+        match Messages.access_frame_of_bytes config gpk unsolved with
+        | Some f -> (
+          match Mesh_router.access_precheck_frame router f with
+          | `Reject Protocol_error.Puzzle_required -> ()
+          | _ -> assert false)
+        | None -> assert false)
+  in
+  Bench_record.add ~unit_:"words" "e5.m3_decode.minor_words" m3_words;
+  Bench_record.add ~unit_:"words" "e5.m2_puzzle_reject.minor_words" reject_words;
+  Printf.printf "M.3 decode allocates %.0f minor words\n" m3_words;
+  Printf.printf "M.2 refused at the puzzle gate allocates %.0f minor words\n" reject_words;
   Printf.printf
     "\nshape check: exactly three messages each way — the minimum for mutual\n\
      authentication — and users transmit one group signature per handshake.\n"

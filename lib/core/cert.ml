@@ -33,8 +33,10 @@ let issue config ~operator_key ~router_id ~public_key ~now =
     signature = Ecdsa.sign config.Config.curve ~key:operator_key payload;
   }
 
+let expired cert ~now = now > cert.expires_at
+
 let verify config ~operator_public ~now cert =
-  if now > cert.expires_at then Error Expired
+  if expired cert ~now then Error Expired
   else begin
     let payload =
       cert_payload config ~router_id:cert.router_id

@@ -28,6 +28,9 @@ val verify :
   (unit, error) result
 (** Signature and expiry only; revocation is checked against a {!crl}. *)
 
+val expired : t -> now:int -> bool
+(** Past its ExpT: {!verify}'s first check, without the signature. *)
+
 val to_bytes : Config.t -> t -> string
 val of_bytes : Config.t -> string -> t option
 

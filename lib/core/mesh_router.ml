@@ -241,28 +241,24 @@ type access_ticket = {
 
 let url_tokens t = match t.url with Some u -> Url.tokens u | None -> []
 
-(* the pre-verification half: cheap checks (freshness, matching beacon,
-   replay cache, puzzle), then replay-cache insertion and the
-   verification counter. [`Verify] carries everything the signature
-   check and the finalisation need; [`Resend] is the idempotent replay
-   of an already-answered (M.2), only when the resend cache is enabled. *)
-let access_precheck t (m : Messages.access_request) =
+(* the pre-verification half, on the shares' encodings: cheap checks
+   (freshness, matching beacon, replay cache, puzzle), then replay-cache
+   insertion. [`Verify] carries everything the signature check and the
+   finalisation need; [`Resend] is the idempotent replay of an
+   already-answered (M.2), only when the resend cache is enabled. *)
+let precheck t ~g_rj ~g_rr ~ts2 ~puzzle_solution =
   Obs.Counter.incr c_requests;
   Obs.Histogram.time h_precheck @@ fun () ->
-  let params = t.config.Config.pairing in
   let t_now = now t in
   note_request_arrival t;
   (* cheap checks first: freshness, matching beacon, puzzle *)
-  if abs (t_now - m.Messages.ts2) > t.config.Config.ts_window_ms then
+  if abs (t_now - ts2) > t.config.Config.ts_window_ms then
     `Reject (cheap_reject t Protocol_error.Stale_timestamp)
   else begin
-    match Hashtbl.find_opt t.outstanding (G1.encode params m.Messages.ar_g_rr) with
+    match Hashtbl.find_opt t.outstanding g_rr with
     | None -> `Reject (cheap_reject t Protocol_error.Unknown_session)
     | Some ob ->
-      let transcript =
-        Messages.auth_transcript t.config m.Messages.g_rj m.Messages.ar_g_rr
-          m.Messages.ts2
-      in
+      let transcript = Messages.auth_transcript_of_encodings g_rj g_rr ts2 in
       (* replay cache: an (M.2) transcript may be processed only once.
          With the resend cache on, a duplicate of a request we already
          answered gets the cached (M.3) back (a lost confirm is then
@@ -288,15 +284,14 @@ let access_precheck t (m : Messages.access_request) =
           (* only requests that reach verification enter the replay cache,
              so a cheap rejection (missing puzzle solution, say) can be
              retried *)
-          Hashtbl.replace t.seen_requests fingerprint m.Messages.ts2;
-          t.verifications <- t.verifications + 1;
+          Hashtbl.replace t.seen_requests fingerprint ts2;
           let url = url_tokens t in
           Obs.Histogram.observe h_url_scan (List.length url);
           `Verify ({ at_beacon = ob; at_transcript = transcript }, transcript, url)
         in
         match ob.ob_puzzle with
         | Some puzzle when t.puzzle_difficulty <> None -> begin
-          match m.Messages.puzzle_solution with
+          match puzzle_solution with
           | None -> `Reject (cheap_reject t Protocol_error.Puzzle_required)
           | Some solution ->
             if not (Puzzle.check puzzle solution) then
@@ -306,6 +301,20 @@ let access_precheck t (m : Messages.access_request) =
         | _ -> pass ()
       end
   end
+
+(* a decoded request is checked through its points' encodings *)
+let access_precheck t (m : Messages.access_request) =
+  let params = t.config.Config.pairing in
+  precheck t ~g_rj:(G1.encode params m.Messages.g_rj)
+    ~g_rr:(G1.encode params m.Messages.ar_g_rr) ~ts2:m.Messages.ts2
+    ~puzzle_solution:m.Messages.puzzle_solution
+
+let access_precheck_frame t (f : Messages.access_frame) =
+  precheck t ~g_rj:f.Messages.af_g_rj ~g_rr:f.Messages.af_g_rr
+    ~ts2:f.Messages.af_ts2 ~puzzle_solution:f.Messages.af_puzzle_solution
+
+let access_points t gpk ticket f =
+  Messages.access_request_of_frame t.config gpk ~g_rr:ticket.at_beacon.ob_g_rr f
 
 (* the post-verification half: key agreement, audit log, (M.3) *)
 let finalize t (m : Messages.access_request) ob transcript =
@@ -324,15 +333,15 @@ let finalize t (m : Messages.access_request) ob transcript =
       le_gsig_bytes = Group_sig.signature_to_bytes t.gpk m.Messages.gsig;
     }
     :: t.log;
-  (* (M.3): E_K(MR_k, g^{r_j}, g^{r_R}) *)
+  (* (M.3): E_K(MR_k, g^{r_j}, g^{r_R}), and both shares echoed *)
+  let g_rj = G1.encode params m.Messages.g_rj in
+  let g_rr = G1.encode params ob.ob_g_rr in
   let w = Wire.writer () in
   Wire.u32 w t.router_id;
-  Wire.bytes w (G1.encode params m.Messages.g_rj);
-  Wire.bytes w (G1.encode params ob.ob_g_rr);
+  Wire.bytes w g_rj;
+  Wire.bytes w g_rr;
   let payload = Session.seal session (Wire.contents w) in
-  let confirm =
-    { Messages.ac_g_rj = m.Messages.g_rj; ac_g_rr = ob.ob_g_rr; payload }
-  in
+  let confirm = { Messages.ac_g_rj = g_rj; ac_g_rr = g_rr; payload } in
   if t.resend_cache then
     Hashtbl.replace t.completed
       (Peace_hash.Sha256.digest transcript)
@@ -345,8 +354,12 @@ let finalize t (m : Messages.access_request) ob transcript =
     ];
   Ok (confirm, session)
 
+(* a verdict means a signature was verified: the count is taken here, so a
+   request that passed the precheck but whose points did not decode is
+   not counted *)
 let access_finish t (m : Messages.access_request) ticket verdict =
   Obs.Histogram.time h_finalize @@ fun () ->
+  t.verifications <- t.verifications + 1;
   match verdict with
   | Group_sig.Invalid_proof ->
     audit_reject t.router_id Protocol_error.Invalid_group_signature;

@@ -60,7 +60,13 @@ val handle_access_request :
     {!access_finish} mutate router state (replay cache, sessions, audit
     log) and must run under whatever lock guards the router; the verify
     inputs they hand over — transcript, URL snapshot, {!current_gpk} —
-    are immutable and safe to use from any domain. *)
+    are immutable and safe to use from any domain.
+
+    A caller holding the (M.2)'s bytes stages the decode as well:
+    {!access_precheck_frame} on the encodings under the lock, then
+    {!access_points} and the verification off it, then {!access_finish}.
+    A decoded record goes through {!access_precheck}, which runs the same
+    checks on its points' encodings. *)
 
 type access_ticket
 (** Pass-through state between {!access_precheck} and {!access_finish}. *)
@@ -74,7 +80,33 @@ val access_precheck :
     transcript, url)] means the request survived the cheap checks: verify
     [transcript]'s group signature against [url] (e.g.
     [Group_sig.verify (current_gpk t) ~url ~msg:transcript m.gsig]) and
-    hand the verdict to {!access_finish}. *)
+    hand the verdict to {!access_finish}. The checks read the shares'
+    encodings only: the beacon is looked up by [ar_g_rr]'s bytes and the
+    transcript is built from bytes. A request that reaches [`Verify]
+    enters the replay cache. *)
+
+val access_precheck_frame :
+  t -> Messages.access_frame ->
+  [ `Reject of Protocol_error.t
+  | `Resend of Messages.access_confirm * Session.t
+  | `Verify of access_ticket * string * Group_sig.revocation_token list ]
+(** {!access_precheck} on an (M.2) that has been framed but whose points
+    are not decoded ({!Messages.access_frame_of_bytes}): the same checks
+    in the same order with the same verdicts, and no point decoded, so a
+    frame refused here costs no square root and no scalar
+    multiplication. On [`Verify], decode its points with {!access_points}
+    before the signature check. *)
+
+val access_points :
+  t -> Group_sig.gpk -> access_ticket -> Messages.access_frame ->
+  Messages.access_request option
+(** The point stage of a frame that passed {!access_precheck_frame} with
+    [ticket]: decodes [g_rj], T1 and T2, each with its subgroup check
+    ({!Messages.access_request_of_frame}). [ar_g_rr] is never decoded:
+    the ticket's beacon holds the point. Reads no mutable router state,
+    so it runs without the router's lock. [None] when a point does not
+    decode; the frame then stays in the replay cache and is not counted
+    as a verification. *)
 
 val access_finish :
   t -> Messages.access_request -> access_ticket ->
@@ -98,7 +130,9 @@ val logged_signature : t -> log_entry -> Group_sig.signature option
 
 val verifications_performed : t -> int
 (** Number of group-signature verifications this router has executed —
-    the DoS experiment's cost metric. *)
+    the DoS experiment's cost metric. Counted by {!access_finish}, which
+    takes a verdict: a request refused by the cheap checks, or whose
+    points do not decode, is not counted. *)
 
 val requests_rejected_cheaply : t -> int
 (** Requests dropped before any expensive verification (bad puzzle /

@@ -21,9 +21,17 @@ type access_request = {
   puzzle_solution : string option;
 }
 
+type access_frame = {
+  af_g_rj : string;
+  af_g_rr : string;
+  af_ts2 : int;
+  af_gsig : string;
+  af_puzzle_solution : string option;
+}
+
 type access_confirm = {
-  ac_g_rj : G1.point;
-  ac_g_rr : G1.point;
+  ac_g_rj : string;
+  ac_g_rr : string;
   payload : string;
 }
 
@@ -35,15 +43,15 @@ type peer_hello = {
 }
 
 type peer_response = {
-  pr_g_rj : G1.point;
+  pr_g_rj : string;
   pr_g_rl : G1.point;
   pr_ts2 : int;
   pr_gsig : Group_sig.signature;
 }
 
 type peer_confirm = {
-  pc_g_rj : G1.point;
-  pc_g_rl : G1.point;
+  pc_g_rj : string;
+  pc_g_rl : string;
   pc_payload : string;
 }
 
@@ -52,17 +60,26 @@ let point_bytes config pt = G1.encode config.Config.pairing pt
 (* Decoders take a frame's components one at a time, cheapest first: the
    fixed-size fields and ECDSA encodings, then the pairing points (a
    square root and a subgroup check each), then the URL. The first
-   component that fails stops the rest. *)
+   component that fails stops the rest. An echoed share is only
+   length-checked: its receiver compares it with the encoding of the
+   share it holds, and the encoding is canonical. *)
 let component what = function Some v -> Ok v | None -> Error what
 let point_of config what s = component what (G1.decode config.Config.pairing s)
 
-let auth_transcript config a b ts =
+let encoding_of config what s =
+  if String.length s = Params.group_element_bytes config.Config.pairing then Ok s
+  else Error what
+
+let auth_transcript_of_encodings a b ts =
   let w = Wire.writer () in
   Wire.raw w "peace-auth-v1";
-  Wire.bytes w (point_bytes config a);
-  Wire.bytes w (point_bytes config b);
+  Wire.bytes w a;
+  Wire.bytes w b;
   Wire.u64 w ts;
   Wire.contents w
+
+let auth_transcript config a b ts =
+  auth_transcript_of_encodings (point_bytes config a) (point_bytes config b) ts
 
 let opt_puzzle_bytes = function None -> "" | Some p -> Puzzle.to_bytes p
 
@@ -91,7 +108,7 @@ let beacon_to_bytes config b =
   Wire.bytes w (Url.to_bytes config b.url);
   Wire.contents w
 
-let beacon_of_bytes config s =
+let decode_beacon config s =
   let open Wire in
   let r = reader s in
   match
@@ -127,6 +144,11 @@ let beacon_of_bytes config s =
   | Ok b -> Some b
   | Error _ -> None
 
+(* a router re-sends one beacon per period, so a member fetches the same
+   bytes again and again: the kept decode spares it both points and the
+   URL *)
+let beacon_of_bytes = Kept.decoder decode_beacon
+
 let access_request_to_bytes config gpk m =
   let w = Wire.writer () in
   Wire.bytes w (point_bytes config m.g_rj);
@@ -136,36 +158,64 @@ let access_request_to_bytes config gpk m =
   Wire.bytes w (match m.puzzle_solution with None -> "" | Some s -> s);
   Wire.contents w
 
-let access_request_of_bytes config gpk s =
+(* the framing stage: every field read and its length checked, the
+   signature's against the gpk's signature size; no point decoded *)
+let access_frame_of_bytes config gpk s =
   let open Wire in
   let r = reader s in
   match
     let* g_rj_bytes = read_bytes r in
     let* g_rr_bytes = read_bytes r in
-    let* ts2 = read_u64 r in
-    let* gsig_bytes = read_bytes r in
+    let* af_ts2 = read_u64 r in
+    let* af_gsig = read_bytes r in
     let* sol = read_bytes r in
     let* () = expect_end r in
     let bad = "access_request: bad component" in
-    let* g_rj = point_of config bad g_rj_bytes in
-    let* ar_g_rr = point_of config bad g_rr_bytes in
-    let* gsig = component bad (Group_sig.signature_of_bytes gpk gsig_bytes) in
-    Ok
-      {
-        g_rj;
-        ar_g_rr;
-        ts2;
-        gsig;
-        puzzle_solution = (if sol = "" then None else Some sol);
-      }
+    let* af_g_rj = encoding_of config bad g_rj_bytes in
+    let* af_g_rr = encoding_of config bad g_rr_bytes in
+    if String.length af_gsig <> Group_sig.signature_size gpk then Error bad
+    else
+      Ok
+        {
+          af_g_rj;
+          af_g_rr;
+          af_ts2;
+          af_gsig;
+          af_puzzle_solution = (if sol = "" then None else Some sol);
+        }
   with
-  | Ok m -> Some m
+  | Ok f -> Some f
   | Error _ -> None
 
-let access_confirm_to_bytes config m =
+(* the point stage: g_rj, then T1 and T2, each with its subgroup check *)
+let access_request_of_frame config gpk ~g_rr f =
+  match G1.decode config.Config.pairing f.af_g_rj with
+  | None -> None
+  | Some g_rj -> (
+    match Group_sig.signature_of_bytes gpk f.af_gsig with
+    | None -> None
+    | Some gsig ->
+      Some
+        {
+          g_rj;
+          ar_g_rr = g_rr;
+          ts2 = f.af_ts2;
+          gsig;
+          puzzle_solution = f.af_puzzle_solution;
+        })
+
+let access_request_of_bytes config gpk s =
+  match access_frame_of_bytes config gpk s with
+  | None -> None
+  | Some f -> (
+    match G1.decode config.Config.pairing f.af_g_rr with
+    | None -> None
+    | Some g_rr -> access_request_of_frame config gpk ~g_rr f)
+
+let access_confirm_to_bytes _config m =
   let w = Wire.writer () in
-  Wire.bytes w (point_bytes config m.ac_g_rj);
-  Wire.bytes w (point_bytes config m.ac_g_rr);
+  Wire.bytes w m.ac_g_rj;
+  Wire.bytes w m.ac_g_rr;
   Wire.bytes w m.payload;
   Wire.contents w
 
@@ -177,8 +227,9 @@ let access_confirm_of_bytes config s =
     let* g_rr_bytes = read_bytes r in
     let* payload = read_bytes r in
     let* () = expect_end r in
-    let* ac_g_rj = point_of config "access_confirm: bad point" g_rj_bytes in
-    let* ac_g_rr = point_of config "access_confirm: bad point" g_rr_bytes in
+    let bad = "access_confirm: bad share" in
+    let* ac_g_rj = encoding_of config bad g_rj_bytes in
+    let* ac_g_rr = encoding_of config bad g_rr_bytes in
     Ok { ac_g_rj; ac_g_rr; payload }
   with
   | Ok m -> Some m
@@ -212,7 +263,7 @@ let peer_hello_of_bytes config gpk s =
 
 let peer_response_to_bytes config gpk m =
   let w = Wire.writer () in
-  Wire.bytes w (point_bytes config m.pr_g_rj);
+  Wire.bytes w m.pr_g_rj;
   Wire.bytes w (point_bytes config m.pr_g_rl);
   Wire.u64 w m.pr_ts2;
   Wire.bytes w (Group_sig.signature_to_bytes gpk m.pr_gsig);
@@ -228,7 +279,7 @@ let peer_response_of_bytes config gpk s =
     let* gsig_bytes = read_bytes r in
     let* () = expect_end r in
     let bad = "peer_response: bad component" in
-    let* pr_g_rj = point_of config bad g_rj_bytes in
+    let* pr_g_rj = encoding_of config bad g_rj_bytes in
     let* pr_g_rl = point_of config bad g_rl_bytes in
     let* pr_gsig = component bad (Group_sig.signature_of_bytes gpk gsig_bytes) in
     Ok { pr_g_rj; pr_g_rl; pr_ts2; pr_gsig }
@@ -236,10 +287,10 @@ let peer_response_of_bytes config gpk s =
   | Ok m -> Some m
   | Error _ -> None
 
-let peer_confirm_to_bytes config m =
+let peer_confirm_to_bytes _config m =
   let w = Wire.writer () in
-  Wire.bytes w (point_bytes config m.pc_g_rj);
-  Wire.bytes w (point_bytes config m.pc_g_rl);
+  Wire.bytes w m.pc_g_rj;
+  Wire.bytes w m.pc_g_rl;
   Wire.bytes w m.pc_payload;
   Wire.contents w
 
@@ -251,8 +302,9 @@ let peer_confirm_of_bytes config s =
     let* g_rl_bytes = read_bytes r in
     let* pc_payload = read_bytes r in
     let* () = expect_end r in
-    let* pc_g_rj = point_of config "peer_confirm: bad point" g_rj_bytes in
-    let* pc_g_rl = point_of config "peer_confirm: bad point" g_rl_bytes in
+    let bad = "peer_confirm: bad share" in
+    let* pc_g_rj = encoding_of config bad g_rj_bytes in
+    let* pc_g_rl = encoding_of config bad g_rl_bytes in
     Ok { pc_g_rj; pc_g_rl; pc_payload }
   with
   | Ok m -> Some m

@@ -84,29 +84,10 @@ let decode config s =
   | Ok t -> Some t
   | Error _ -> None
 
-(* The last successful decode, with its exact bytes and the parameter set
-   and curve it was decoded under. Every router carries the operator's one
-   current URL until the next issue, so consecutive beacons repeat these
-   bytes and one entry spares each of them a decode of every token. The
-   entry is immutable and swapped whole, so concurrent decoders never see
-   a torn one; a failed decode never replaces it. *)
-type kept = { bytes : string; pairing : Params.t; curve : Curve.t; url : t }
-
-let last : kept option Atomic.t = Atomic.make None
-
-let of_bytes config s =
-  match Atomic.get last with
-  | Some k
-    when k.pairing == config.Config.pairing && k.curve == config.Config.curve
-         && String.equal k.bytes s ->
-    Some k.url
-  | Some _ | None -> (
-    match decode config s with
-    | Some url as decoded ->
-      let pairing = config.Config.pairing and curve = config.Config.curve in
-      Atomic.set last (Some { bytes = s; pairing; curve; url });
-      decoded
-    | None -> None)
+(* Every router carries the operator's one current URL until the next
+   issue, so consecutive beacons repeat these bytes, and keeping the last
+   decode spares each of them a decode of every token. *)
+let of_bytes = Kept.decoder decode
 
 let empty config ~operator_key ~now = issue config ~operator_key ~seq:0 ~now ~tokens:[]
 

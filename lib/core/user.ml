@@ -7,6 +7,8 @@ type pending_access = {
   pa_r_j : Bigint.t;
   pa_g_rj : G1.point;
   pa_g_rr : G1.point;
+  pa_g_rj_bytes : string; (* the shares' encodings, which (M.3) echoes *)
+  pa_g_rr_bytes : string;
   pa_router_id : int;
 }
 
@@ -18,8 +20,8 @@ type pending_peer = {
 
 type pending_peer_responder = {
   ppr_r_l : Bigint.t;
-  ppr_g_rj : G1.point;
-  ppr_g_rl : G1.point;
+  ppr_g_rj : string; (* the shares' encodings, which (M̃.3) echoes *)
+  ppr_g_rl : string;
   ppr_ts1 : int;
   ppr_ts2 : int;
   ppr_session : Session.t;
@@ -35,6 +37,8 @@ type t = {
   keys : (int, Group_sig.gsk) Hashtbl.t; (* group_id -> gsk *)
   mutable url : Url.t option;
   mutable crl : Cert.crl option;
+  mutable signed_beacon : Messages.beacon option;
+      (* the last beacon whose four signatures all verified *)
   mutable session_list : Session.t list;
   mutable puzzle_work : int;
 }
@@ -50,6 +54,7 @@ let create config ~identity ~gpk ~operator_public ~rng =
     keys = Hashtbl.create 4;
     url = None;
     crl = None;
+    signed_beacon = None;
     session_list = [];
     puzzle_work = 0;
   }
@@ -100,14 +105,25 @@ let pick_key t ?group_id () =
 
 (* --- user-router protocol --- *)
 
+(* A beacon physically equal to the last one whose four signatures
+   (certificate, CRL, URL, beacon) verified under the operator key skips
+   those four verifies, and only those: records are immutable, so they
+   would pass again. Every other check runs, in the same order. *)
 let validate_beacon t (b : Messages.beacon) =
   let t_now = now t in
+  let signed =
+    match t.signed_beacon with Some known -> known == b | None -> false
+  in
+  let verified check = signed || check () in
   if abs (t_now - b.Messages.ts1) > t.config.Config.ts_window_ms then
     Error Protocol_error.Stale_timestamp
   else begin
     match
-      Cert.verify t.config ~operator_public:t.operator_public ~now:t_now
-        b.Messages.cert
+      if signed then
+        if Cert.expired b.Messages.cert ~now:t_now then Error Cert.Expired else Ok ()
+      else
+        Cert.verify t.config ~operator_public:t.operator_public ~now:t_now
+          b.Messages.cert
     with
     | Error e -> Error (Protocol_error.Bad_router_certificate e)
     | Ok () ->
@@ -119,10 +135,15 @@ let validate_beacon t (b : Messages.beacon) =
            bounds the phishing window of §V-A. Checked before the two
            signatures, which fail with the same error. *)
         Cert.crl_is_stale t.config b.Messages.crl ~now:t_now
-        || Cert.verify_crl t.config ~operator_public:t.operator_public
-             b.Messages.crl
-           <> Ok ()
-        || not (Url.verify t.config ~operator_public:t.operator_public b.Messages.url)
+        || not
+             (verified (fun () ->
+                  Cert.verify_crl t.config ~operator_public:t.operator_public
+                    b.Messages.crl
+                  = Ok ()))
+        || not
+             (verified (fun () ->
+                  Url.verify t.config ~operator_public:t.operator_public
+                    b.Messages.url))
       then Error Protocol_error.Bad_revocation_list
       else begin
         (* check against the freshest CRL known: the beacon's or a
@@ -134,15 +155,17 @@ let validate_beacon t (b : Messages.beacon) =
         in
         if Cert.crl_mem effective_crl ~router_id:b.Messages.router_id then
           Error Protocol_error.Router_revoked
+        else if
+          not
+            (verified (fun () ->
+                 Ecdsa.verify t.config.Config.curve
+                   ~public:b.Messages.cert.Cert.public_key
+                   (Messages.beacon_signed_payload t.config b)
+                   b.Messages.beacon_sig))
+        then Error Protocol_error.Bad_beacon_signature
         else begin
-          let payload = Messages.beacon_signed_payload t.config b in
-          if
-            not
-              (Ecdsa.verify t.config.Config.curve
-                 ~public:b.Messages.cert.Cert.public_key payload
-                 b.Messages.beacon_sig)
-          then Error Protocol_error.Bad_beacon_signature
-          else Ok ()
+          t.signed_beacon <- Some b;
+          Ok ()
         end
       end
   end
@@ -196,17 +219,21 @@ let process_beacon t ?group_id (b : Messages.beacon) =
               pa_r_j = r_j;
               pa_g_rj = g_rj;
               pa_g_rr = b.Messages.g_rr;
+              pa_g_rj_bytes = G1.encode params g_rj;
+              pa_g_rr_bytes = G1.encode params b.Messages.g_rr;
               pa_router_id = b.Messages.router_id;
             } )
     end
   end
 
+(* the echoed shares are compared as bytes: the encoding is canonical, so
+   bytes that differ from the held shares' encodings name other points,
+   or none *)
 let process_confirm t pending (m : Messages.access_confirm) =
-  let params = t.config.Config.pairing in
   if
     not
-      (G1.equal params m.Messages.ac_g_rj pending.pa_g_rj
-      && G1.equal params m.Messages.ac_g_rr pending.pa_g_rr)
+      (String.equal m.Messages.ac_g_rj pending.pa_g_rj_bytes
+      && String.equal m.Messages.ac_g_rr pending.pa_g_rr_bytes)
   then Error Protocol_error.Unknown_session
   else begin
     let session =
@@ -230,8 +257,8 @@ let process_confirm t pending (m : Messages.access_confirm) =
       | Ok (router_id, g_rj_bytes, g_rr_bytes) ->
         if
           router_id <> pending.pa_router_id
-          || g_rj_bytes <> G1.encode params pending.pa_g_rj
-          || g_rr_bytes <> G1.encode params pending.pa_g_rr
+          || g_rj_bytes <> pending.pa_g_rj_bytes
+          || g_rr_bytes <> pending.pa_g_rr_bytes
         then Error Protocol_error.Decryption_failed
         else begin
           t.session_list <- session :: t.session_list;
@@ -284,8 +311,10 @@ let process_peer_hello t ?group_id (m : Messages.peer_hello) =
         let r_l = Bigint.random_range t.rng Bigint.one q in
         let g_rl = G1.mul params r_l m.Messages.ph_g in
         let ts2 = t_now in
+        let g_rj_bytes = G1.encode params m.Messages.ph_g_rj in
+        let g_rl_bytes = G1.encode params g_rl in
         let transcript2 =
-          Messages.auth_transcript t.config m.Messages.ph_g_rj g_rl ts2
+          Messages.auth_transcript_of_encodings g_rj_bytes g_rl_bytes ts2
         in
         let gsig = Group_sig.sign t.gpk gsk ~rng:t.rng ~msg:transcript2 in
         let session =
@@ -295,15 +324,15 @@ let process_peer_hello t ?group_id (m : Messages.peer_hello) =
         in
         Ok
           ( {
-              Messages.pr_g_rj = m.Messages.ph_g_rj;
+              Messages.pr_g_rj = g_rj_bytes;
               pr_g_rl = g_rl;
               pr_ts2 = ts2;
               pr_gsig = gsig;
             },
             {
               ppr_r_l = r_l;
-              ppr_g_rj = m.Messages.ph_g_rj;
-              ppr_g_rl = g_rl;
+              ppr_g_rj = g_rj_bytes;
+              ppr_g_rl = g_rl_bytes;
               ppr_ts1 = m.Messages.ph_ts1;
               ppr_ts2 = ts2;
               ppr_session = session;
@@ -313,14 +342,16 @@ let process_peer_hello t ?group_id (m : Messages.peer_hello) =
 
 let process_peer_response t pending (m : Messages.peer_response) =
   let params = t.config.Config.pairing in
-  if not (G1.equal params m.Messages.pr_g_rj pending.pp_g_rj) then
+  let g_rj_bytes = G1.encode params pending.pp_g_rj in
+  if not (String.equal m.Messages.pr_g_rj g_rj_bytes) then
     Error Protocol_error.Unknown_session
   else if
     abs (m.Messages.pr_ts2 - pending.pp_ts1) > t.config.Config.ts_window_ms
   then Error Protocol_error.Stale_timestamp
   else begin
+    let g_rl_bytes = G1.encode params m.Messages.pr_g_rl in
     let transcript =
-      Messages.auth_transcript t.config m.Messages.pr_g_rj m.Messages.pr_g_rl
+      Messages.auth_transcript_of_encodings m.Messages.pr_g_rj g_rl_bytes
         m.Messages.pr_ts2
     in
     match check_peer_signature t ~transcript m.Messages.pr_gsig with
@@ -333,27 +364,22 @@ let process_peer_response t pending (m : Messages.peer_response) =
       in
       (* (M̃.3): E_K(g^{r_j}, g^{r_l}, ts1, ts2) *)
       let w = Wire.writer () in
-      Wire.bytes w (G1.encode params pending.pp_g_rj);
-      Wire.bytes w (G1.encode params m.Messages.pr_g_rl);
+      Wire.bytes w g_rj_bytes;
+      Wire.bytes w g_rl_bytes;
       Wire.u64 w pending.pp_ts1;
       Wire.u64 w m.Messages.pr_ts2;
       let payload = Session.seal session (Wire.contents w) in
       t.session_list <- session :: t.session_list;
       Ok
-        ( {
-            Messages.pc_g_rj = pending.pp_g_rj;
-            pc_g_rl = m.Messages.pr_g_rl;
-            pc_payload = payload;
-          },
+        ( { Messages.pc_g_rj = g_rj_bytes; pc_g_rl = g_rl_bytes; pc_payload = payload },
           session )
   end
 
 let process_peer_confirm t pending (m : Messages.peer_confirm) =
-  let params = t.config.Config.pairing in
   if
     not
-      (G1.equal params m.Messages.pc_g_rj pending.ppr_g_rj
-      && G1.equal params m.Messages.pc_g_rl pending.ppr_g_rl)
+      (String.equal m.Messages.pc_g_rj pending.ppr_g_rj
+      && String.equal m.Messages.pc_g_rl pending.ppr_g_rl)
   then Error Protocol_error.Unknown_session
   else begin
     match Session.open_ pending.ppr_session m.Messages.pc_payload with
@@ -372,8 +398,8 @@ let process_peer_confirm t pending (m : Messages.peer_confirm) =
       | Error reason -> Error (Protocol_error.Malformed reason)
       | Ok (g_rj_bytes, g_rl_bytes, ts1, ts2) ->
         if
-          g_rj_bytes <> G1.encode params pending.ppr_g_rj
-          || g_rl_bytes <> G1.encode params pending.ppr_g_rl
+          g_rj_bytes <> pending.ppr_g_rj
+          || g_rl_bytes <> pending.ppr_g_rl
           || ts1 <> pending.ppr_ts1 || ts2 <> pending.ppr_ts2
         then Error Protocol_error.Decryption_failed
         else begin

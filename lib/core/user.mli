@@ -43,13 +43,25 @@ val process_beacon :
 (** Validates the beacon (timestamp, certificate, CRL, router signature),
     solves the puzzle if present, signs the DH transcript with the chosen
     group key, and produces (M.2). Also caches the beacon's CRL/URL as the
-    user's current revocation view. *)
+    user's current revocation view.
+
+    The user remembers the last beacon whose four signatures (certificate,
+    CRL, URL, beacon) all verified under its operator key. A beacon
+    physically equal to it — what {!Messages.beacon_of_bytes} returns for
+    the same bytes — skips those four ECDSA verifies and nothing else:
+    the timestamp window, the certificate's expiry, the router id, the
+    CRL's staleness and membership in the freshest known CRL are checked
+    again, in the same order, so every verdict is the one a full check
+    gives. *)
 
 val process_confirm :
   t -> pending_access -> Messages.access_confirm ->
   (Session.t, Protocol_error.t) result
-(** Completes the handshake: decrypts (M.3), checks the echoed session
-    identifiers and router id, and installs the session. *)
+(** Completes the handshake: checks the echoed shares, decrypts (M.3),
+    checks the router id and the shares inside it, and installs the
+    session. The echoes are compared byte for byte with the encodings of
+    the pending shares, with no point decoded; any mismatch, including
+    bytes that encode no point, is [Unknown_session]. *)
 
 (** {1 User–user authentication (§IV-C)} *)
 
@@ -72,10 +84,13 @@ val process_peer_hello :
 val process_peer_response :
   t -> pending_peer -> Messages.peer_response ->
   (Messages.peer_confirm * Session.t, Protocol_error.t) result
+(** (M̃.2)'s echo of the initiator's share is compared as bytes, as in
+    {!process_confirm}; the transcript is built from those bytes. *)
 
 val process_peer_confirm :
   t -> pending_peer_responder -> Messages.peer_confirm ->
   (Session.t, Protocol_error.t) result
+(** (M̃.3)'s two echoes are compared as bytes, as in {!process_confirm}. *)
 
 (** {1 State} *)
 

@@ -74,43 +74,56 @@ let reply_rejected fd err =
   Frames.write fd Frames.Rejected
     (Frames.rejected_payload ~code ~detail:(Protocol_error.to_string err))
 
-(* one (M.2): decode, cheap phases under the router mutex, signature check
-   off-lock on this connection worker, finalize under the mutex *)
+(* one (M.2), cheapest work first: the framing and the cheap phases on
+   the shares' encodings under the router mutex, then the points of a
+   frame that passed them and the signature check off-lock on this
+   connection worker, then finalize under the mutex. Everything before
+   the signature check is one service.decode span, so every access
+   frame's request span has a decode child and a confirmed request's
+   decode child covers its point decodes. *)
 let handle_access t fd payload =
   let gpk = Mesh_router.current_gpk t.router in
-  let request =
+  let staged =
     Trace.with_span "service.decode" (fun () ->
         Obs.Histogram.time h_decode (fun () ->
-            Messages.access_request_of_bytes t.config gpk payload))
+            match Messages.access_frame_of_bytes t.config gpk payload with
+            | None -> `Unparseable
+            | Some frame -> (
+              match
+                with_router t (fun () -> Mesh_router.access_precheck_frame t.router frame)
+              with
+              | (`Reject _ | `Resend _) as early -> early
+              | `Verify (ticket, transcript, url) -> (
+                match Mesh_router.access_points t.router gpk ticket frame with
+                | Some m -> `Verify (m, ticket, transcript, url)
+                | None -> `Unparseable))))
   in
-  match request with
-  | None ->
+  match staged with
+  | `Unparseable ->
     count_error "decode";
     Frames.write fd Frames.Rejected
       (Frames.rejected_payload ~code:14 ~detail:"unparseable access request")
-  | Some m -> (
-    match with_router t (fun () -> Mesh_router.access_precheck t.router m) with
-    | `Reject err -> reply_rejected fd err
-    | `Resend (confirm, _session) ->
+  | `Reject err -> reply_rejected fd err
+  | `Resend (confirm, _session) ->
+    Obs.Counter.incr c_confirms;
+    Frames.write fd Frames.Confirm (Messages.access_confirm_to_bytes t.config confirm)
+  | `Verify (m, ticket, transcript, url) -> (
+    let verdict =
+      Trace.with_span "service.verify" (fun () ->
+          Obs.Histogram.time h_verify (fun () ->
+              Peace_groupsig.Group_sig.verify gpk ~url ~msg:transcript
+                m.Messages.gsig))
+    in
+    match with_router t (fun () -> Mesh_router.access_finish t.router m ticket verdict) with
+    | Error err -> reply_rejected fd err
+    | Ok (confirm, _session) ->
       Obs.Counter.incr c_confirms;
-      Frames.write fd Frames.Confirm (Messages.access_confirm_to_bytes t.config confirm)
-    | `Verify (ticket, transcript, url) -> (
-      let verdict =
-        Trace.with_span "service.verify" (fun () ->
-            Obs.Histogram.time h_verify (fun () ->
-                Peace_groupsig.Group_sig.verify gpk ~url ~msg:transcript
-                  m.Messages.gsig))
+      let bytes =
+        Trace.with_span "service.encode" (fun () ->
+            Obs.Histogram.time h_encode (fun () ->
+                Messages.access_confirm_to_bytes t.config confirm))
       in
-      match with_router t (fun () -> Mesh_router.access_finish t.router m ticket verdict) with
-      | Error err -> reply_rejected fd err
-      | Ok (confirm, _session) ->
-        Obs.Counter.incr c_confirms;
-        let bytes =
-          Trace.with_span "service.encode" (fun () ->
-              Obs.Histogram.time h_encode (fun () ->
-                  Messages.access_confirm_to_bytes t.config confirm))
-        in
-        Frames.write fd Frames.Confirm bytes))
+      Frames.write fd Frames.Confirm bytes)
 
 let handle_request t fd tag payload =
   match tag with

@@ -14,15 +14,20 @@
     of queueing without bound). [workers] connection domains each pop a
     connection and serve its frames to completion. Router state is
     serialised behind one mutex, but only the {e cheap} phases of (M.2)
-    handling hold it ({!Mesh_router.access_precheck} /
-    [access_finish]); the group-signature verification between them runs
-    on the connection worker with the mutex released, so up to [workers]
-    verifications proceed in parallel.
+    handling hold it ({!Mesh_router.access_precheck_frame} /
+    [access_finish]). The precheck reads the frame's encodings: a frame
+    it refuses, at the puzzle gate say, costs no point decode. The points
+    of a frame that passes ({!Mesh_router.access_points}) and the
+    group-signature verification run on the connection worker with the
+    mutex released, so up to [workers] verifications proceed in
+    parallel.
 
     {2 Observability}
 
     Frame handling is wrapped in [service.request] spans with
-    [service.decode] / [service.verify] / [service.encode] children, and
+    [service.decode] / [service.verify] / [service.encode] children (an
+    access frame's [service.decode] covers everything before the
+    signature check: framing, precheck and point decodes), and
     the registry carries [service.connections_total],
     [service.connections_active], [service.conn_queue_depth],
     [service.workers_busy], [service.requests_total],

@@ -376,6 +376,13 @@ let beacon_for world node body =
     Messages.beacon_of_bytes world.config body
   else None
 
+(* an (M.3) whose echoed shares are not the pending request's answers
+   some other request: like an undecodable one, it leaves the pending
+   request waiting *)
+let answers_pending = function
+  | Error Protocol_error.Unknown_session -> false
+  | Ok _ | Error _ -> true
+
 (* the user's radio handler: each beacon goes to [on_beacon sender body];
    an (M.3) answering the pending (M.2) clears it, and the outcome goes to
    [on_confirm] *)
@@ -388,8 +395,10 @@ let user_endpoint world node ~on_beacon ~on_confirm payload =
     with
     | Some pending, Some confirm ->
       let outcome = User.process_confirm node.un pending confirm in
-      node.un_pending <- None;
-      on_confirm outcome
+      if answers_pending outcome then begin
+        node.un_pending <- None;
+        on_confirm outcome
+      end
     | _ -> ()
   end
   | Some _ -> ()
@@ -1224,6 +1233,15 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
               end
             end
             | Some (tag, _sender, _req, body) when tag = tag_access_confirm -> begin
+              (* not ours: a relayed confirm travelling back to a peer *)
+              let relay () =
+                match !relay_return with
+                | Some (peer_addr, session) ->
+                  Net.send world.net ~src:addr ~dst:peer_addr
+                    (envelope ~tag:tag_relay_reply ~sender:addr
+                       (Relay.wrap_reply session body))
+                | None -> ()
+              in
               match (!pending, Messages.access_confirm_of_bytes config body) with
               | Some p, Some confirm -> begin
                 match User.process_confirm user p confirm with
@@ -1231,17 +1249,10 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
                   pending := None;
                   want := false;
                   Metrics.incr world.metrics "near.success"
+                | Error Protocol_error.Unknown_session -> relay ()
                 | Error _ -> pending := None
               end
-              | _ -> begin
-                (* not ours: a relayed confirm travelling back to a peer *)
-                match !relay_return with
-                | Some (peer_addr, session) ->
-                  Net.send world.net ~src:addr ~dst:peer_addr
-                    (envelope ~tag:tag_relay_reply ~sender:addr
-                       (Relay.wrap_reply session body))
-                | None -> ()
-              end
+              | _ -> relay ()
             end
             | Some (tag, sender, _req, body) when tag = tag_peer_hello -> begin
               (* §IV-C responder side *)
@@ -1328,14 +1339,17 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
            match Messages.access_confirm_of_bytes config confirm_bytes with
            | None -> ()
            | Some confirm -> begin
-             router_pending := None;
-             match User.process_confirm user p confirm with
-             | Ok _ ->
-               want := false;
-               Metrics.incr world.metrics "far.success"
-             | Error e ->
-               Metrics.incr world.metrics
-                 ("far.confirm_rejected." ^ Protocol_error.to_string e)
+             let outcome = User.process_confirm user p confirm in
+             if answers_pending outcome then begin
+               router_pending := None;
+               match outcome with
+               | Ok _ ->
+                 want := false;
+                 Metrics.incr world.metrics "far.success"
+               | Error e ->
+                 Metrics.incr world.metrics
+                   ("far.confirm_rejected." ^ Protocol_error.to_string e)
+             end
            end
          in
          Net.register world.net addr ~pos ~tx_range:user_tx (fun payload ->
@@ -1368,6 +1382,7 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
                      (envelope ~tag:tag_peer_confirm ~sender:addr
                         (Messages.peer_confirm_to_bytes config confirm));
                    try_relay_auth ()
+                 | Error Protocol_error.Unknown_session -> ()
                  | Error _ -> peer_pending := None
                end
                | _ -> ()

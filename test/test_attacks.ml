@@ -74,7 +74,10 @@ let test_mitm_access_confirm () =
   let beacon = Mesh_router.beacon router in
   let request, pending = ok (User.process_beacon user beacon) in
   let confirm, _ = ok (Mesh_router.handle_access_request router request) in
-  let other_point = G1.mul params (Bigint.of_int 999) (G1.generator params) in
+  (* the echoes are encodings: another point's encoding in either place *)
+  let other_point =
+    G1.encode params (G1.mul params (Bigint.of_int 999) (G1.generator params))
+  in
   reject "swapped confirm g_rj"
     (User.process_confirm user pending { confirm with Messages.ac_g_rj = other_point });
   reject "swapped confirm g_rr"
@@ -87,6 +90,97 @@ let test_mitm_access_confirm () =
   reject "tampered payload" (User.process_confirm user pending tampered);
   (* pristine confirm still accepted *)
   ignore (ok (User.process_confirm user pending confirm))
+
+(* --- (M.3)'s echoes are compared as bytes --- *)
+
+let confirm_fixture () =
+  let config, _c, d, router = make () in
+  let user = ok_str (Deployment.add_user d (ident "u")) in
+  let beacon = Mesh_router.beacon router in
+  let request, pending = ok (User.process_beacon user beacon) in
+  let confirm, _ = ok (Mesh_router.handle_access_request router request) in
+  (config, user, beacon, request, pending, confirm)
+
+let unknown_session label = function
+  | Error Protocol_error.Unknown_session -> ()
+  | Ok _ -> Alcotest.failf "%s: accepted" label
+  | Error e -> Alcotest.failf "%s: %s" label (Protocol_error.to_string e)
+
+let test_confirm_echo_encodings () =
+  let config, user, _beacon, _request, pending, confirm = confirm_fixture () in
+  let width = Params.group_element_bytes config.Config.pairing in
+  (* right-length encodings of no point: a bad prefix, and x >= p *)
+  List.iter
+    (fun (label, junk) ->
+      Alcotest.(check bool) (label ^ ": not a point") true
+        (G1.decode config.Config.pairing junk = None);
+      unknown_session (label ^ " as g_rj")
+        (User.process_confirm user pending { confirm with Messages.ac_g_rj = junk });
+      unknown_session (label ^ " as g_rr")
+        (User.process_confirm user pending { confirm with Messages.ac_g_rr = junk }))
+    [
+      ("bad prefix", String.make width '\x05');
+      ("x >= p", "\x02" ^ String.make (width - 1) '\xff');
+    ];
+  (* the prefix's parity bit flipped: the encoding of -P *)
+  let negated echo =
+    let b = Bytes.of_string echo in
+    Bytes.set b 0 (Char.chr (Char.code echo.[0] lxor 0x01));
+    let s = Bytes.to_string b in
+    (match G1.decode config.Config.pairing s, G1.decode config.Config.pairing echo with
+    | Some minus, Some p ->
+      Alcotest.(check bool) "the flip names -P" true
+        (G1.equal config.Config.pairing minus (G1.neg config.Config.pairing p))
+    | _ -> Alcotest.fail "parity flip does not decode");
+    s
+  in
+  unknown_session "-g_rj"
+    (User.process_confirm user pending
+       { confirm with Messages.ac_g_rj = negated confirm.Messages.ac_g_rj });
+  unknown_session "-g_rr"
+    (User.process_confirm user pending
+       { confirm with Messages.ac_g_rr = negated confirm.Messages.ac_g_rr });
+  ignore (ok (User.process_confirm user pending confirm))
+
+let test_confirm_echo_oracle () =
+  (* the reference: decode both echoes and compare points with the shares
+     the member holds; it must agree with [process_confirm]'s byte
+     comparison on every confirm below *)
+  let config, user, beacon, request, pending, confirm = confirm_fixture () in
+  let params = config.Config.pairing in
+  let oracle_matches (c : Messages.access_confirm) =
+    match (G1.decode params c.Messages.ac_g_rj, G1.decode params c.Messages.ac_g_rr) with
+    | Some g_rj, Some g_rr ->
+      G1.equal params g_rj request.Messages.g_rj
+      && G1.equal params g_rr beacon.Messages.g_rr
+    | _ -> false
+  in
+  let agree label c =
+    match (oracle_matches c, User.process_confirm user pending c) with
+    | true, Ok _ | false, Error Protocol_error.Unknown_session -> ()
+    | true, Error e -> Alcotest.failf "%s: oracle matches, refused %s" label (Protocol_error.to_string e)
+    | false, Ok _ -> Alcotest.failf "%s: oracle refuses, accepted" label
+    | false, Error e ->
+      Alcotest.failf "%s: oracle refuses, got %s" label (Protocol_error.to_string e)
+  in
+  agree "genuine" confirm;
+  agree "swapped"
+    { confirm with Messages.ac_g_rj = confirm.Messages.ac_g_rr; ac_g_rr = confirm.Messages.ac_g_rj };
+  let mutate echo i mask =
+    let b = Bytes.of_string echo in
+    Bytes.set b i (Char.chr (Char.code echo.[i] lxor mask));
+    Bytes.to_string b
+  in
+  List.iter
+    (fun mask ->
+      String.iteri
+        (fun i _ ->
+          agree (Printf.sprintf "g_rj byte %d ^ %#x" i mask)
+            { confirm with Messages.ac_g_rj = mutate confirm.Messages.ac_g_rj i mask };
+          agree (Printf.sprintf "g_rr byte %d ^ %#x" i mask)
+            { confirm with Messages.ac_g_rr = mutate confirm.Messages.ac_g_rr i mask })
+        confirm.Messages.ac_g_rj)
+    [ 0x01; 0x80; 0xff ]
 
 (* --- cross-session confusion: confirm from session A against pending B --- *)
 
@@ -380,6 +474,8 @@ let suite =
       [
         Alcotest.test_case "access request fields" `Quick test_mitm_access_request;
         Alcotest.test_case "access confirm fields" `Quick test_mitm_access_confirm;
+        Alcotest.test_case "access confirm echo encodings" `Quick test_confirm_echo_encodings;
+        Alcotest.test_case "access confirm echo oracle" `Quick test_confirm_echo_oracle;
         Alcotest.test_case "cross-session confusion" `Quick test_cross_session_confusion;
         Alcotest.test_case "peer protocol fields" `Quick test_mitm_peer_protocol;
       ] );

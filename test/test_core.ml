@@ -854,6 +854,67 @@ let test_url_decode_across_domains () =
   Alcotest.(check bool) "first domain" true (Domain.join da);
   Alcotest.(check bool) "second domain" true (Domain.join db)
 
+(* --- the member's decode of a repeat beacon --- *)
+
+let test_beacon_decode_kept () =
+  let config, _clock, d = make_deployment ~seed:"beacon-kept" () in
+  let router = Deployment.add_router d ~router_id:3 in
+  let bytes = Messages.beacon_to_bytes config (Mesh_router.beacon router) in
+  let kept = Option.get (Messages.beacon_of_bytes config bytes) in
+  let again = Option.get (Messages.beacon_of_bytes config bytes) in
+  Alcotest.(check bool) "identical bytes return the kept value" true (again == kept);
+  (* one flipped byte anywhere: refused, or a value decoded afresh from
+     exactly those bytes; the original bytes then decode afresh too *)
+  let fresh = ref 0 in
+  for i = 0 to String.length bytes - 1 do
+    let flipped = Bytes.of_string bytes in
+    Bytes.set flipped i (Char.chr (Char.code bytes.[i] lxor 0x01));
+    let flipped = Bytes.to_string flipped in
+    match Messages.beacon_of_bytes config flipped with
+    | None -> ()
+    | Some b ->
+      incr fresh;
+      if b == kept then Alcotest.failf "byte %d: the kept beacon came back" i;
+      if Messages.beacon_to_bytes config b <> flipped then
+        Alcotest.failf "byte %d: not decoded from the flipped bytes" i
+  done;
+  Alcotest.(check bool) "some flips decode" true (!fresh > 0);
+  let current = Option.get (Messages.beacon_of_bytes config bytes) in
+  Alcotest.(check bool) "decoded afresh after a flip decoded" true (current != kept);
+  Alcotest.(check string) "to the same beacon" bytes (Messages.beacon_to_bytes config current);
+  (* a failed decode leaves the entry in place *)
+  Alcotest.(check bool) "garbage refused" true (Messages.beacon_of_bytes config "garbage" = None);
+  Alcotest.(check bool) "the kept value survives a refusal" true
+    (Option.get (Messages.beacon_of_bytes config bytes) == current)
+
+let test_beacon_decode_across_domains () =
+  (* two domains take strict turns, each decoding its own router's beacon:
+     each must get its own beacon back every time *)
+  let config, _clock, d = make_deployment ~seed:"beacon-domains" () in
+  let encoded router_id =
+    Messages.beacon_to_bytes config
+      (Mesh_router.beacon (Deployment.add_router d ~router_id))
+  in
+  let a = encoded 1 and b = encoded 2 in
+  let turn = Atomic.make 0 and rounds = 40 in
+  let decoder parity bytes () =
+    List.init rounds (fun _ ->
+        while Atomic.get turn land 1 <> parity do
+          Domain.cpu_relax ()
+        done;
+        let ok =
+          match Messages.beacon_of_bytes config bytes with
+          | Some beacon -> Messages.beacon_to_bytes config beacon = bytes
+          | None -> false
+        in
+        Atomic.incr turn;
+        ok)
+    |> List.for_all Fun.id
+  in
+  let da = Domain.spawn (decoder 0 a) and db = Domain.spawn (decoder 1 b) in
+  Alcotest.(check bool) "first domain" true (Domain.join da);
+  Alcotest.(check bool) "second domain" true (Domain.join db)
+
 let test_beacon_decode_stops_early () =
   (* a malformed ECDSA-signature field stops the decode before the points
      and the 20-token URL, which the process has not decoded before *)
@@ -913,6 +974,121 @@ let test_stale_crl_checked_first () =
     (Error Protocol_error.Bad_revocation_list) verdict;
   Alcotest.(check int) "only the certificate verified" 2 muls
 
+let test_repeat_beacon_skips_signatures () =
+  (* a CRL period and certificate lifetime short enough to run past both
+     inside one beacon's timestamp window *)
+  let c = clock () in
+  let config =
+    { (Config.tiny_test ~clock:c ()) with
+      Config.crl_period_ms = 60_000;
+      cert_lifetime_ms = 70_000;
+    }
+  in
+  let d = Deployment.create ~seed:"repeat-beacon" config in
+  let _gm = Deployment.add_group d ~group_id:1 ~size:4 in
+  let router = Deployment.add_router d ~router_id:7 in
+  let bob = ok_or_fail_str "add bob" (Deployment.add_user d identity_bob) in
+  let scalar_muls = Peace_obs.Registry.counter "ec.scalar_mul" in
+  let process beacon =
+    let before = Peace_obs.Registry.Counter.value scalar_muls in
+    let verdict = Result.map (fun _ -> ()) (User.process_beacon bob beacon) in
+    (verdict, Peace_obs.Registry.Counter.value scalar_muls - before)
+  in
+  let check label expected (verdict, muls) want_muls =
+    Alcotest.(check (result unit perr)) label expected verdict;
+    Alcotest.(check int) (label ^ ": scalar multiplications") want_muls muls
+  in
+  Clock.advance c 50_000;
+  let beacon = Mesh_router.beacon router in
+  check "first" (Ok ()) (process beacon) 8;
+  check "repeat" (Ok ()) (process beacon) 0;
+  (* equal in every field but one signature byte: fully checked *)
+  let curve = config.Config.curve in
+  let sig_bytes =
+    Bytes.of_string (Peace_ec.Ecdsa.signature_to_bytes curve beacon.Messages.beacon_sig)
+  in
+  let last = Bytes.length sig_bytes - 1 in
+  Bytes.set sig_bytes last (Char.chr (Char.code (Bytes.get sig_bytes last) lxor 1));
+  let forged =
+    { beacon with
+      Messages.beacon_sig =
+        Option.get (Peace_ec.Ecdsa.signature_of_bytes curve (Bytes.to_string sig_bytes));
+    }
+  in
+  check "one signature byte flipped" (Error Protocol_error.Bad_beacon_signature)
+    (process forged) 8;
+  check "the kept beacon still skips" (Ok ()) (process beacon) 0;
+  (* every other check still runs on the repeat, in the same order *)
+  let revoking =
+    Cert.issue_crl config
+      ~operator_key:(Peace_ec.Ecdsa.generate curve (Deployment.rng d))
+      ~seq:(beacon.Messages.crl.Cert.seq + 1) ~now:(Clock.now c) ~revoked:[ 7 ]
+  in
+  User.learn_lists bob revoking beacon.Messages.url;
+  check "a fresher known CRL revokes the router" (Error Protocol_error.Router_revoked)
+    (process beacon) 0;
+  Clock.advance c 11_000;
+  check "past the CRL period" (Error Protocol_error.Bad_revocation_list) (process beacon) 0;
+  Clock.advance c 10_000;
+  check "past the certificate's expiry"
+    (Error (Protocol_error.Bad_router_certificate Cert.Expired))
+    (process beacon) 0;
+  Clock.advance c 10_000;
+  check "past the timestamp window" (Error Protocol_error.Stale_timestamp) (process beacon) 0
+
+let test_puzzle_gate_reject_decodes_nothing () =
+  (* a well-formed (M.2) without a puzzle solution, at a `light` router
+     under attack: its framing and precheck decode no point, so together
+     they allocate less than 1/20 of one point decode *)
+  let c = clock () in
+  let config = Config.default ~clock:c (Lazy.force Params.light) in
+  let params = config.Config.pairing in
+  let d = Deployment.create ~seed:"puzzle-gate" config in
+  let gpk = Deployment.gpk d in
+  let router = Deployment.add_router d ~router_id:1 in
+  Mesh_router.set_under_attack router ~difficulty:8;
+  let beacon = Mesh_router.beacon router in
+  let rng = Deployment.rng d in
+  let point () = G1.random params rng in
+  let scalar () = Bigint.random_below rng params.Params.q in
+  let hostile =
+    {
+      Messages.g_rj = point ();
+      ar_g_rr = beacon.Messages.g_rr;
+      ts2 = Clock.now c;
+      gsig =
+        {
+          Group_sig.r_nonce = rng ((Bigint.num_bits params.Params.q + 7) / 8);
+          t1 = point ();
+          t2 = point ();
+          c = scalar ();
+          s_alpha = scalar ();
+          s_x = scalar ();
+          s_delta = scalar ();
+        };
+      puzzle_solution = None;
+    }
+  in
+  let bytes = Messages.access_request_to_bytes config gpk hostile in
+  let encoding = G1.encode params hostile.Messages.g_rj in
+  let decoded, decode_words = minor_words (fun () -> G1.decode params encoding) in
+  Alcotest.(check bool) "the point decodes" true (Option.is_some decoded);
+  let verdict, reject_words =
+    minor_words (fun () ->
+        match Messages.access_frame_of_bytes config gpk bytes with
+        | None -> Alcotest.fail "well-formed frame refused"
+        | Some f -> Mesh_router.access_precheck_frame router f)
+  in
+  (match verdict with
+  | `Reject Protocol_error.Puzzle_required -> ()
+  | `Reject e -> Alcotest.failf "refused %s" (Protocol_error.to_string e)
+  | `Resend _ | `Verify _ -> Alcotest.fail "not refused at the puzzle gate");
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words refusing, %.0f decoding one point" reject_words decode_words)
+    true
+    (reject_words *. 20. < decode_words);
+  Alcotest.(check int) "no verification counted" 0 (Mesh_router.verifications_performed router)
+
 let test_deployment_rng_across_domains () =
   (* the operator, every router and every user draw from the deployment's
      one DRBG, and a live run draws from several domains at once: two
@@ -942,6 +1118,10 @@ let suite =
         Alcotest.test_case "revocation eviction" `Quick test_user_revocation_eviction;
         Alcotest.test_case "client puzzles" `Quick test_puzzles_under_attack;
         Alcotest.test_case "stale CRL checked first" `Quick test_stale_crl_checked_first;
+        Alcotest.test_case "repeat beacon skips signatures" `Quick
+          test_repeat_beacon_skips_signatures;
+        Alcotest.test_case "puzzle-gate reject decodes nothing" `Quick
+          test_puzzle_gate_reject_decodes_nothing;
       ] );
     ( "user-user",
       [
@@ -972,6 +1152,9 @@ let suite =
         Alcotest.test_case "URL decode kept" `Quick test_url_decode_kept;
         Alcotest.test_case "URL decode across domains" `Quick test_url_decode_across_domains;
         Alcotest.test_case "beacon decode stops early" `Quick test_beacon_decode_stops_early;
+        Alcotest.test_case "beacon decode kept" `Quick test_beacon_decode_kept;
+        Alcotest.test_case "beacon decode across domains" `Quick
+          test_beacon_decode_across_domains;
       ] );
     ("core-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

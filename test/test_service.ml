@@ -528,6 +528,48 @@ let test_authority_rejections () =
       ("revoked member", 2, Fun.id, Protocol_error.User_revoked);
       ("stale", 1, stale, Protocol_error.Stale_timestamp);
     ];
+  (* two frames no decoded record can carry, for the live authority only:
+     the precheck reads encodings, and points are decoded only after it *)
+  let params = config.Config.pairing in
+  let width = Peace_pairing.Params.group_element_bytes params in
+  let encode = Peace_pairing.G1.encode params in
+  let frame ~g_rj ~ts2 ~gsig (r : Messages.access_request) =
+    let w = Wire.writer () in
+    Wire.bytes w g_rj;
+    Wire.bytes w (encode r.Messages.ar_g_rr);
+    Wire.u64 w ts2;
+    Wire.bytes w gsig;
+    Wire.bytes w "";
+    Wire.contents w
+  in
+  let code_of label = function
+    | Frames.Rejected, payload -> (
+      match Frames.parse_rejected payload with
+      | Some (code, _) -> code
+      | None -> Alcotest.failf "%s: unparseable Rejected payload" label)
+    | _ -> Alcotest.failf "%s: not rejected" label
+  in
+  let not_a_point = String.make width '\x05' in
+  let r = request_for live live_beacon ~user:0 in
+  let gsig = Peace_groupsig.Group_sig.signature_to_bytes gpk r.Messages.gsig in
+  (* the signature is the nonce, T1, T2 and four scalars of the nonce's width *)
+  let t1_at = (String.length gsig - (2 * width)) / 5 in
+  let bad_t1 =
+    String.sub gsig 0 t1_at ^ not_a_point
+    ^ String.sub gsig (t1_at + width) (String.length gsig - t1_at - width)
+  in
+  let verified = Mesh_router.verifications_performed live.Testbed.tb_router in
+  Alcotest.(check int) "T1 not a point: unparseable" 14
+    (code_of "T1 not a point"
+       (request fd Frames.Access
+          (frame ~g_rj:(encode r.Messages.g_rj) ~ts2:r.Messages.ts2 ~gsig:bad_t1 r)));
+  Alcotest.(check int) "T1 not a point: no verification counted" verified
+    (Mesh_router.verifications_performed live.Testbed.tb_router);
+  Alcotest.(check int) "stale with a garbage g_rj: refused as stale"
+    (Frames.error_code Protocol_error.Stale_timestamp)
+    (code_of "stale garbage g_rj"
+       (request fd Frames.Access
+          (frame ~g_rj:not_a_point ~ts2:(stale r).Messages.ts2 ~gsig r)));
   (* replayed: a genuine request is accepted once, its copy rejected *)
   let live_req = request_for live live_beacon ~user:1 in
   let ref_req = request_for reference ref_beacon ~user:1 in
