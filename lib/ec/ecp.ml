@@ -3,10 +3,11 @@
    multiplication.
 
    Points are affine in Montgomery form. Additions use one field inversion
-   each; scalar multiplication switches to Jacobian coordinates internally
-   to avoid per-step inversions. b never enters the group law, so each
-   curve keeps its own equation check. Nothing here is counted: each
-   caller counts its own operations. *)
+   each; scalar multiplication switches to Jacobian coordinates to avoid
+   per-step inversions, and the pairing's Miller loop walks the same
+   Jacobian steps, hearing of each line they draw. b never enters the
+   group law, so each curve keeps its own equation check. Nothing here is
+   counted: each caller counts its own operations. *)
 
 open Peace_bigint
 
@@ -109,12 +110,19 @@ let add_batch c p qs =
         | Affine _ -> Infinity)
       qs
 
-(* --- Jacobian internals for scalar multiplication --- *)
+(* --- Jacobian steps, for scalar multiplication and the Miller loop --- *)
 
 (* (X, Y, Z) stands for the affine point (X/Z², Y/Z³) *)
 type jac = Jinf | Jac of { jx : Mont.elt; jy : Mont.elt; jz : Mont.elt }
 
-let jac_double c = function
+(* A step that draws a tangent or a chord calls [line n x3 y3 z3] with the
+   numerator n of its slope n / Z₃ and the point (X₃, Y₃, Z₃) it produces;
+   a vertical step (Y = 0, O + P, T + (−T)) calls nothing *)
+type line = Mont.elt -> Mont.elt -> Mont.elt -> Mont.elt -> unit
+
+let no_line _ _ _ _ = ()
+
+let jac_double c line = function
   | Jinf -> Jinf
   | Jac { jx; jy; jz } ->
     let fp = c.fp in
@@ -149,16 +157,17 @@ let jac_double c = function
         let t = Mont.mul fp jy jz in
         Mont.add fp t t
       in
+      line m x3 y3 z3;
       Jac { jx = x3; jy = y3; jz = z3 }
     end
 
 (* The sum of two Jacobian points from U1 = X1·Z2², U2 = X2·Z1²,
    S1 = Y1·Z2³, S2 = Y2·Z1³ and z = Z1·Z2; [p] is the first addend, doubled
    when the two coincide *)
-let jac_sum c p u1 u2 s1 s2 z =
+let jac_sum c line p u1 u2 s1 s2 z =
   let fp = c.fp in
   if Mont.equal fp u1 u2 then
-    if Mont.equal fp s1 s2 then jac_double c p else Jinf
+    if Mont.equal fp s1 s2 then jac_double c line p else Jinf
   else begin
     let h = Mont.sub fp u2 u1 in
     let hh = Mont.sqr fp h in
@@ -167,17 +176,19 @@ let jac_sum c p u1 u2 s1 s2 z =
     let v = Mont.mul fp u1 hh in
     let x3 = Mont.sub fp (Mont.sub fp (Mont.sqr fp r) hhh) (Mont.add fp v v) in
     let y3 = Mont.sub fp (Mont.mul fp r (Mont.sub fp v x3)) (Mont.mul fp s1 hhh) in
-    Jac { jx = x3; jy = y3; jz = Mont.mul fp z h }
+    let z3 = Mont.mul fp z h in
+    line r x3 y3 z3;
+    Jac { jx = x3; jy = y3; jz = z3 }
   end
 
 (* mixed addition: q is affine, Z2 = 1 *)
-let jac_add_affine c p qx qy =
+let jac_add_affine c line p qx qy =
   let fp = c.fp in
   match p with
   | Jinf -> Jac { jx = qx; jy = qy; jz = Mont.one fp }
   | Jac { jx; jy; jz } ->
     let z1z1 = Mont.sqr fp jz in
-    jac_sum c p jx (Mont.mul fp qx z1z1) jy (Mont.mul fp (Mont.mul fp qy jz) z1z1) jz
+    jac_sum c line p jx (Mont.mul fp qx z1z1) jy (Mont.mul fp (Mont.mul fp qy jz) z1z1) jz
 
 (* full Jacobian + Jacobian addition, for the odd-multiple tables *)
 let jac_add c p q =
@@ -186,7 +197,7 @@ let jac_add c p q =
   | Jinf, r | r, Jinf -> r
   | Jac a, Jac b ->
     let z1z1 = Mont.sqr fp a.jz and z2z2 = Mont.sqr fp b.jz in
-    jac_sum c p (Mont.mul fp a.jx z2z2) (Mont.mul fp b.jx z1z1)
+    jac_sum c no_line p (Mont.mul fp a.jx z2z2) (Mont.mul fp b.jx z1z1)
       (Mont.mul fp (Mont.mul fp a.jy b.jz) z2z2)
       (Mont.mul fp (Mont.mul fp b.jy a.jz) z1z1)
       (Mont.mul fp a.jz b.jz)
@@ -270,7 +281,7 @@ let straus_jac c terms =
         let half = (Array.fold_left (fun m x -> max m (abs x)) 0 d + 1) / 2 in
         let row = Array.make half p in
         if half > 1 then begin
-          let two_p = jac_double c p in
+          let two_p = jac_double c no_line p in
           for j = 1 to half - 1 do
             row.(j) <- jac_add c row.(j - 1) two_p
           done
@@ -281,14 +292,14 @@ let straus_jac c terms =
   let table = to_affine_all c jacs in
   let acc = ref Jinf in
   for i = Array.fold_left (fun m d -> max m (Array.length d)) 0 digits - 1 downto 0 do
-    acc := jac_double c !acc;
+    acc := jac_double c no_line !acc;
     for t = 0 to Array.length digits - 1 do
       let d = if i < Array.length digits.(t) then digits.(t).(i) else 0 in
       if d <> 0 then
         match table.(t).(abs d / 2) with
         | Infinity -> ()
         | Affine { x; y } ->
-          acc := jac_add_affine c !acc x (if d > 0 then y else Mont.neg c.fp y)
+          acc := jac_add_affine c no_line !acc x (if d > 0 then y else Mont.neg c.fp y)
     done
   done;
   !acc

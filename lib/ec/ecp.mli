@@ -1,11 +1,14 @@
 (** The group law of a short-Weierstrass curve y² = x³ + ax + b over F_p,
     and its scalar multiplication: one engine for ECDSA's secp curves
-    (a = −3, {!Curve}) and the type-A pairing group G1 (a = 1).
+    (a = −3, {!Curve}) and the type-A pairing group G1 (a = 1), and the
+    steps of the pairing's Miller loop.
 
     Points are affine in Montgomery form. Scalar multiplication runs a
     signed-window (wNAF) chain in Jacobian coordinates over affine odd
-    multiples; {!mul2} interleaves two chains in one (Straus). Nothing is
-    counted here: each curve counts its own operations. *)
+    multiples; {!mul2} interleaves two chains in one (Straus). The Miller
+    loop walks the same Jacobian doubling and mixed addition
+    ({!jac_double}, {!jac_add_affine}) and hears of each line they draw.
+    Nothing is counted here: each curve counts its own operations. *)
 
 open Peace_bigint
 
@@ -41,3 +44,21 @@ val mul2 : t -> Bigint.t -> point -> Bigint.t -> point -> point
 val mul_is_infinity : t -> Bigint.t -> Mont.elt -> Mont.elt -> bool
 (** [mul_is_infinity c k x y] is k·(x, y) = O, read off the Jacobian
     result without an inversion back to affine. *)
+
+(** {1 Jacobian steps} *)
+
+type jac = Jinf | Jac of { jx : Mont.elt; jy : Mont.elt; jz : Mont.elt }
+(** (X, Y, Z) stands for the affine point (X/Z², Y/Z³); [Jinf] is O. *)
+
+type line = Mont.elt -> Mont.elt -> Mont.elt -> Mont.elt -> unit
+(** [line n x3 y3 z3] is told of a step that draws a line: the line's slope
+    is n / Z₃ and the step produces (X₃, Y₃, Z₃). *)
+
+val jac_double : t -> line -> jac -> jac
+(** 2T. Draws the tangent at T, with n = 3X² + a·Z⁴; draws nothing when
+    T = O or Y = 0, where the tangent is vertical. *)
+
+val jac_add_affine : t -> line -> jac -> Mont.elt -> Mont.elt -> jac
+(** T + (x, y) for an affine (x, y). Draws the chord, with n = S₂ − S₁, or
+    the tangent when T = (x, y), as {!jac_double}; draws nothing for
+    O + (x, y) or T = −(x, y), where the line is vertical. *)

@@ -259,7 +259,60 @@ type status = {
   s_detail : string;
 }
 
-(* per-rule runtime state; the (ts, _) sample/event lists are newest
+(* A metric's samples, oldest first, in a ring of 2^k slots that doubles
+   when full: a push or a prune costs amortised O(1) and allocates only
+   to grow *)
+type history = {
+  mutable ts : int array;
+  mutable vs : float array;
+  mutable first : int; (* the slot of the oldest sample *)
+  mutable len : int;
+}
+
+let history () = { ts = Array.make 8 0; vs = Array.make 8 0.0; first = 0; len = 0 }
+let slot h i = (h.first + i) land (Array.length h.ts - 1)
+
+let push h ts v =
+  if h.len = Array.length h.ts then begin
+    let ts' = Array.make (2 * h.len) 0 and vs' = Array.make (2 * h.len) 0.0 in
+    for i = 0 to h.len - 1 do
+      ts'.(i) <- h.ts.(slot h i);
+      vs'.(i) <- h.vs.(slot h i)
+    done;
+    h.ts <- ts';
+    h.vs <- vs';
+    h.first <- 0
+  end;
+  let k = slot h h.len in
+  h.ts.(k) <- ts;
+  h.vs.(k) <- v;
+  h.len <- h.len + 1
+
+(* drop the oldest sample while the next one is at or before [cutoff]:
+   the oldest left is then the newest sample at or before [cutoff], or
+   the oldest overall when the history does not reach back that far —
+   the baseline of a full-window delta *)
+let prune h cutoff =
+  while h.len > 1 && h.ts.(slot h 1) <= cutoff do
+    h.first <- slot h 1;
+    h.len <- h.len - 1
+  done
+
+(* (span, increase) from the baseline to the newest sample *)
+let delta h =
+  if h.len = 0 then None
+  else begin
+    let base = slot h 0 and last = slot h (h.len - 1) in
+    if h.ts.(last) > h.ts.(base) then
+      Some (h.ts.(last) - h.ts.(base), h.vs.(last) -. h.vs.(base))
+    else None
+  end
+
+(* a storm's count of one source's events in the window, and the rank of
+   the newest of them *)
+type tally = { mutable n : int; mutable newest : int }
+
+(* per-rule runtime state; histories and event windows are oldest
    first *)
 type rstate = {
   rule : rule;
@@ -268,9 +321,12 @@ type rstate = {
   mutable pending_since : int;
   mutable value : float;
   mutable detail : string;
-  mutable hist : (int * float) list; (* Rate/Burn numerator samples *)
-  mutable hist2 : (int * float) list; (* Burn denominator samples *)
-  mutable events : (int * string) list; (* Storm/Reuse event times *)
+  (* Rate: its metric's samples; Burn: the numerator's over the short and
+     the long window, then the denominator's *)
+  hists : history array;
+  events : (int * string) Queue.t; (* Storm/Reuse (time, source) *)
+  tallies : (string, tally) Hashtbl.t; (* Storm: per source *)
+  mutable added : int; (* Storm: events ever tallied *)
   mutable ewma_mean : float;
   mutable ewma_var : float;
   mutable ewma_n : int;
@@ -298,6 +354,7 @@ let create ?(now = default_now) ?(audit = false) rules =
       (List.map
          (fun rule ->
            Registry.Gauge.set (firing_gauge rule.r_name) 0;
+           let series = match rule.r_cond with Rate _ -> 1 | Burn _ -> 4 | _ -> 0 in
            {
              rule;
              st = Inactive;
@@ -305,9 +362,10 @@ let create ?(now = default_now) ?(audit = false) rules =
              pending_since = 0;
              value = 0.0;
              detail = "";
-             hist = [];
-             hist2 = [];
-             events = [];
+             hists = Array.init series (fun _ -> history ());
+             events = Queue.create ();
+             tallies = Hashtbl.create 8;
+             added = 0;
              ewma_mean = 0.0;
              ewma_var = 0.0;
              ewma_n = 0;
@@ -334,77 +392,67 @@ let with_lock t f =
 
 let user_revoked_code = 7 (* Protocol_error.wire_code for user-revoked *)
 
+(* drop the window's events at or before [cutoff], oldest first, and
+   untally them *)
+let prune_events r cutoff =
+  while (not (Queue.is_empty r.events)) && fst (Queue.peek r.events) <= cutoff do
+    let _, source = Queue.pop r.events in
+    match Hashtbl.find_opt r.tallies source with
+    | Some c ->
+      c.n <- c.n - 1;
+      if c.n = 0 then Hashtbl.remove r.tallies source
+    | None -> ()
+  done
+
+(* the window of [r] gains an event from [source] at [now]; a storm
+   tallies it under its source *)
+let add_event r ~now ~window_ms source =
+  prune_events r (now - window_ms);
+  Queue.push (now, source) r.events;
+  match r.rule.r_cond with
+  | Storm _ -> (
+    r.added <- r.added + 1;
+    match Hashtbl.find_opt r.tallies source with
+    | Some c ->
+      c.n <- c.n + 1;
+      c.newest <- r.added
+    | None -> Hashtbl.add r.tallies source { n = 1; newest = r.added })
+  | _ -> ()
+
+(* Only the two kinds read here take the lock, and the clock is read
+   under it, so concurrent callers add their events in time order and a
+   window stays sorted *)
 let observe t ~kind attrs =
-  let interested =
-    Array.exists
-      (fun r ->
-        match r.rule.r_cond with Storm _ | Reuse _ -> true | _ -> false)
-      t.states
-  in
-  if interested || kind = "revocation_update" then begin
-    let now = t.now () in
+  match kind with
+  | "revocation_update" ->
+    if List.assoc_opt "list" attrs = Some "url" then
+      with_lock t (fun () -> t.url_reissue_seen <- true)
+  | "access_reject"
+    when Array.exists
+           (fun r -> match r.rule.r_cond with Storm _ | Reuse _ -> true | _ -> false)
+           t.states ->
+    let code =
+      match List.assoc_opt "code" attrs with
+      | Some c -> int_of_string_opt c
+      | None -> None
+    in
+    let source = Option.value ~default:"?" (List.assoc_opt "router" attrs) in
     with_lock t (fun () ->
-        match kind with
-        | "revocation_update" ->
-          if List.assoc_opt "list" attrs = Some "url" then
-            t.url_reissue_seen <- true
-        | "access_reject" ->
-          let code =
-            match List.assoc_opt "code" attrs with
-            | Some c -> int_of_string_opt c
-            | None -> None
-          in
-          let source =
-            Option.value ~default:"?" (List.assoc_opt "router" attrs)
-          in
-          Array.iter
-            (fun r ->
-              match (r.rule.r_cond, code) with
-              | Storm { code = want; window_ms; _ }, Some c when c = want ->
-                let cutoff = now - window_ms in
-                r.events <-
-                  (now, source)
-                  :: List.filter (fun (ts, _) -> ts > cutoff) r.events
-              | Reuse { window_ms; _ }, Some c
-                when c = user_revoked_code && t.url_reissue_seen ->
-                let cutoff = now - window_ms in
-                r.events <-
-                  (now, source)
-                  :: List.filter (fun (ts, _) -> ts > cutoff) r.events
-              | _ -> ())
-            t.states
-        | _ -> ())
-  end
+        let now = t.now () in
+        Array.iter
+          (fun r ->
+            match (r.rule.r_cond, code) with
+            | Storm { code = want; window_ms; _ }, Some c when c = want ->
+              add_event r ~now ~window_ms source
+            | Reuse { window_ms; _ }, Some c
+              when c = user_revoked_code && t.url_reissue_seen ->
+              add_event r ~now ~window_ms source
+            | _ -> ())
+          t.states)
+  | _ -> ()
 
 let install_tap t = Audit.set_tap (Some (fun kind attrs -> observe t ~kind attrs))
 let uninstall_tap () = Audit.set_tap None
-
-(* --- sample history helpers (lists are newest first) --- *)
-
-(* drop samples older than [cutoff], but keep the first one at or before
-   it: that sample is the baseline for a full-window delta *)
-let rec prune_keep_one cutoff = function
-  | [] -> []
-  | (ts, v) :: rest ->
-    if ts > cutoff then (ts, v) :: prune_keep_one cutoff rest
-    else [ (ts, v) ]
-
-(* the newest sample at or before [cutoff]; the oldest overall when the
-   history does not reach back that far *)
-let baseline cutoff hist =
-  let rec go last = function
-    | [] -> last
-    | ((ts, _) as s) :: rest -> if ts <= cutoff then Some s else go (Some s) rest
-  in
-  go None hist
-
-let delta_over ~now ~window hist =
-  match hist with
-  | [] -> None
-  | (ts_now, v_now) :: _ -> (
-    match baseline (now - window) hist with
-    | Some (ts0, v0) when ts_now > ts0 -> Some (ts_now - ts0, v_now -. v0)
-    | _ -> None)
 
 (* --- condition evaluation --- *)
 
@@ -428,11 +476,10 @@ let check ~now ~lookup r =
         Printf.sprintf "%s = %s (floor %s)" metric (Obs_json.num_to_string v)
           (Obs_json.num_to_string limit) ))
   | Rate { metric; per_s; window_ms } -> (
-    (match lookup metric with
-    | Some v -> r.hist <- (now, v) :: r.hist
-    | None -> ());
-    r.hist <- prune_keep_one (now - window_ms) r.hist;
-    match delta_over ~now ~window:window_ms r.hist with
+    let h = r.hists.(0) in
+    (match lookup metric with Some v -> push h now v | None -> ());
+    prune h (now - window_ms);
+    match delta h with
     | Some (span_ms, dv) when span_ms > 0 ->
       let rate = dv /. (float_of_int span_ms /. 1000.0) in
       ( rate > per_s,
@@ -443,22 +490,25 @@ let check ~now ~lookup r =
           (Obs_json.num_to_string per_s) )
     | _ -> (false, 0.0, metric ^ ": not enough history"))
   | Burn { num; den; short_ms; long_ms; budget_pct } -> (
-    (match lookup num with
-    | Some v -> r.hist <- (now, v) :: r.hist
-    | None -> ());
-    (match lookup den with
-    | Some v -> r.hist2 <- (now, v) :: r.hist2
-    | None -> ());
-    r.hist <- prune_keep_one (now - long_ms) r.hist;
-    r.hist2 <- prune_keep_one (now - long_ms) r.hist2;
-    let ratio window =
-      match
-        (delta_over ~now ~window r.hist, delta_over ~now ~window r.hist2)
-      with
+    let sample metric first =
+      match lookup metric with
+      | Some v ->
+        push r.hists.(first) now v;
+        push r.hists.(first + 1) now v
+      | None -> ()
+    in
+    sample num 0;
+    sample den 2;
+    (* each window reads the baseline at the front of its own histories *)
+    let ratio window k =
+      let n = r.hists.(k) and d = r.hists.(k + 2) in
+      prune n (now - window);
+      prune d (now - window);
+      match (delta n, delta d) with
       | Some (_, dn), Some (_, dd) when dd > 0.0 -> Some (100.0 *. dn /. dd)
       | _ -> None
     in
-    match (ratio short_ms, ratio long_ms) with
+    match (ratio short_ms 0, ratio long_ms 1) with
     | Some rs, Some rl ->
       ( rs > budget_pct && rl > budget_pct,
         rs,
@@ -470,17 +520,15 @@ let check ~now ~lookup r =
           (Obs_json.num_to_string budget_pct) )
     | _ -> (false, 0.0, Printf.sprintf "%s/%s: no traffic" num den))
   | Storm { code; count; window_ms } ->
-    let cutoff = now - window_ms in
-    r.events <- List.filter (fun (ts, _) -> ts > cutoff) r.events;
-    (* worst single source: a storm is one prober hammering one router *)
-    let worst, who =
-      List.fold_left
-        (fun (best, who) (_, src) ->
-          let c =
-            List.length (List.filter (fun (_, s) -> s = src) r.events)
-          in
-          if c > best then (c, src) else (best, who))
-        (0, "-") r.events
+    prune_events r (now - window_ms);
+    (* worst single source: a storm is one prober hammering one router;
+       of the sources with the top count, the one heard from last *)
+    let worst, who, _ =
+      Hashtbl.fold
+        (fun src c ((best, _, newest) as acc) ->
+          if c.n > best || (c.n = best && c.newest > newest) then (c.n, src, c.newest)
+          else acc)
+        r.tallies (0, "-", 0)
     in
     ( worst >= count,
       float_of_int worst,
@@ -488,9 +536,8 @@ let check ~now ~lookup r =
         (duration_to_string window_ms)
         count )
   | Reuse { count; window_ms } ->
-    let cutoff = now - window_ms in
-    r.events <- List.filter (fun (ts, _) -> ts > cutoff) r.events;
-    let n = List.length r.events in
+    prune_events r (now - window_ms);
+    let n = Queue.length r.events in
     ( n >= count,
       float_of_int n,
       Printf.sprintf "%d revoked-credential rejects in %s after URL reissue \

@@ -102,7 +102,10 @@ val rules : t -> rule list
 
 val observe : t -> kind:string -> (string * string) list -> unit
 (** Feed one audit event [(kind, attrs)] to the stream detectors,
-    stamped with the evaluator clock. Unknown kinds are ignored. *)
+    stamped with the evaluator clock, read under the evaluator's lock so
+    each window stays in time order. Only [access_reject] and
+    [revocation_update] events take that lock; other kinds are ignored.
+    An event costs O(1), amortised over its window. *)
 
 val install_tap : t -> unit
 (** Register {!observe} as the process-wide {!Audit.set_tap}, so every

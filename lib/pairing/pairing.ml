@@ -1,4 +1,4 @@
-(* Modified Tate pairing on the type-A curve, affine Miller loop with
+(* Modified Tate pairing on the type-A curve: Miller loops with
    denominator elimination.
 
    The second argument is mapped through the distortion map
@@ -8,6 +8,7 @@
    exponentiation, so they are skipped. *)
 
 open Peace_bigint
+module Ecp = Peace_ec.Ecp
 
 module Gt = struct
   type elt = Fq2.elt
@@ -119,10 +120,39 @@ and final_exponentiation params z =
   end
 
 
-(* Inversion-free Miller loop: T is tracked in Jacobian coordinates and
-   line values are scaled by F_p factors, which the (p−1) part of the final
-   exponentiation erases. ~8x faster than the affine reference at 512-bit
-   parameters (ablation A5). *)
+(* --- the Miller loop --- *)
+
+(* The Miller loop of P = (px, py) walks the bits of q below the top one:
+   [bit ()], a doubling step, and an addition step where the bit is set.
+   T starts at P in Jacobian coordinates and takes G1's own steps (Ecp's,
+   with their cases for Y = 0, O + P and T = ±P). Step j's line, of slope
+   N / Z₃ through −(X₃/Z₃², Y₃/Z₃³), goes to [doubling j n x3 y3 z3] or,
+   for an addition step, whose chord or tangent also passes through P, to
+   [adding j n x3 y3 z3]. A vertical step draws no line: its F_p value is
+   erased by the final exponentiation. *)
+let walk params px py ~bit ~doubling ~adding =
+  let ec = params.Params.ec and order = params.Params.q in
+  let t = ref (Ecp.Jac { jx = px; jy = py; jz = Mont.one params.Params.fp }) in
+  let j = ref 0 in
+  let on_double n x3 y3 z3 = doubling !j n x3 y3 z3
+  and on_add n x3 y3 z3 = adding !j n x3 y3 z3 in
+  for i = Bigint.num_bits order - 2 downto 0 do
+    bit ();
+    t := Ecp.jac_double ec on_double !t;
+    incr j;
+    if Bigint.testbit order i then begin
+      t := Ecp.jac_add_affine ec on_add !t px py;
+      incr j
+    end
+  done
+
+(* At φ(Q) = (−x_Q, i·y_Q) the line of slope λ through (x, y) is
+   (λ·(x_Q + x) − y) + y_Q·i, and any F_p factor is erased by the final
+   exponentiation. A doubling's line goes through −(x₃, y₃); with
+   λ = N / Z₃, x₃ = X₃/Z₃², y₃ = Y₃/Z₃³ and scaled by Z₃³ it is
+   (N·(Z₃²·x_Q + X₃) + Y₃) + Z₃³·y_Q·i. An addition's goes through P;
+   scaled by Z₃ it is (N·(x_Q + x_P) − Z₃·y_P) + Z₃·y_Q·i, one square and
+   one product cheaper. *)
 let tate params p q =
   Counters.count_pairing ();
   let fp = params.Params.fp in
@@ -130,224 +160,53 @@ let tate params p q =
   | None, _ | _, None -> Fq2.one fp
   | Some (px, py), Some (xq, yq) ->
     let f = ref (Fq2.one fp) in
-    (* T = (x, y, z) Jacobian; [t_inf] encodes the point at infinity *)
-    let tx = ref px and ty = ref py and tz = ref (Mont.one fp) in
-    let t_inf = ref false in
-    (* shared by the squaring phase and the degenerate T = P addition *)
-    let double_with_line () =
-      if Mont.is_zero fp !ty then t_inf := true (* vertical: skip factor *)
-      else begin
-        (* doubling: M = 3X² + Z⁴ (a = 1), S = 4XY², Z3 = 2YZ *)
-        let xx = Mont.sqr fp !tx in
-        let yy = Mont.sqr fp !ty in
-        let zz = Mont.sqr fp !tz in
-        let m =
-          Mont.add fp (Mont.add fp (Mont.add fp xx xx) xx) (Mont.sqr fp zz)
-        in
-        let s =
-          let t = Mont.mul fp !tx yy in
-          Mont.add fp (Mont.add fp t t) (Mont.add fp t t)
-        in
-        let z3 =
-          let t = Mont.mul fp !ty !tz in
-          Mont.add fp t t
-        in
-        (* line at φ(Q) = (−xq, i·yq), scaled by Z3·Z1²:
-           re = M·(Z1²·xq + X1) − 2Y1², im = Z3·Z1²·yq *)
-        let two_yy = Mont.add fp yy yy in
-        let re =
-          Mont.sub fp
-            (Mont.mul fp m (Mont.add fp (Mont.mul fp zz xq) !tx))
-            two_yy
-        in
-        let im = Mont.mul fp (Mont.mul fp z3 zz) yq in
-        f := Fq2.mul fp !f (Fq2.of_fp re im);
-        let x3 = Mont.sub fp (Mont.sqr fp m) (Mont.add fp s s) in
-        let eight_y4 =
-          let y4 = Mont.sqr fp yy in
-          let t2 = Mont.add fp y4 y4 in
-          let t4 = Mont.add fp t2 t2 in
-          Mont.add fp t4 t4
-        in
-        let y3 = Mont.sub fp (Mont.mul fp m (Mont.sub fp s x3)) eight_y4 in
-        tx := x3;
-        ty := y3;
-        tz := z3
-      end
-    in
-    let order = params.Params.q in
-    for i = Bigint.num_bits order - 2 downto 0 do
-      f := Fq2.sqr fp !f;
-      if not !t_inf then double_with_line ();
-      if Bigint.testbit order i then begin
-        if !t_inf then begin
-          (* O + P = P; vertical line: skip factor *)
-          tx := px;
-          ty := py;
-          tz := Mont.one fp;
-          t_inf := false
-        end
-        else begin
-          (* mixed addition with P = (px, py) affine *)
-          let zz = Mont.sqr fp !tz in
-          let u2 = Mont.mul fp px zz in
-          let s2 = Mont.mul fp (Mont.mul fp py !tz) zz in
-          if Mont.equal fp u2 !tx then begin
-            if Mont.equal fp s2 !ty then
-              (* T = P (impossible mid-loop for ord(P) = q, handled for
-                 robustness on exotic inputs): adding P equals doubling *)
-              double_with_line ()
-            else
-              (* T = −P: vertical, T + P = O; skip factor *)
-              t_inf := true
-          end
-          else begin
-            let h = Mont.sub fp u2 !tx in
-            let r = Mont.sub fp s2 !ty in
-            let hh = Mont.sqr fp h in
-            let hhh = Mont.mul fp h hh in
-            let z3 = Mont.mul fp !tz h in
-            (* line through P scaled by Z3:
-               re = R·(xq + px) − Z3·py, im = Z3·yq *)
-            let re =
-              Mont.sub fp
-                (Mont.mul fp r (Mont.add fp xq px))
-                (Mont.mul fp z3 py)
-            in
-            let im = Mont.mul fp z3 yq in
-            f := Fq2.mul fp !f (Fq2.of_fp re im);
-            let v = Mont.mul fp !tx hh in
-            let x3 =
-              Mont.sub fp (Mont.sub fp (Mont.sqr fp r) hhh) (Mont.add fp v v)
-            in
-            let y3 =
-              Mont.sub fp (Mont.mul fp r (Mont.sub fp v x3))
-                (Mont.mul fp !ty hhh)
-            in
-            tx := x3;
-            ty := y3;
-            tz := z3
-          end
-        end
-      end
-    done;
+    let times re im = f := Fq2.mul fp !f (Fq2.of_fp re im) in
+    let xq_px = Mont.add fp xq px in
+    walk params px py
+      ~bit:(fun () -> f := Fq2.sqr fp !f)
+      ~doubling:(fun _ n x3 y3 z3 ->
+        let zz = Mont.sqr fp z3 in
+        times
+          (Mont.add fp (Mont.mul fp n (Mont.add fp (Mont.mul fp zz xq) x3)) y3)
+          (Mont.mul fp (Mont.mul fp zz z3) yq))
+      ~adding:(fun _ n _ _ z3 ->
+        times (Mont.sub fp (Mont.mul fp n xq_px) (Mont.mul fp z3 py)) (Mont.mul fp z3 yq));
     final_exponentiation params !f
-
 
 (* --- Miller-line tables for a first argument that repeats --- *)
 
-(* The Miller loop of P walks the bits of q below the top one: a doubling
-   step at every bit, an addition step where the bit is set. A step draws
-   either no line (a vertical one, whose F_p value the final exponentiation
-   erases) or a tangent or chord of slope λ that meets the curve again at
-   −(x₃, y₃), for the point (x₃, y₃) the step produces. At
-   φ(Q) = (−x_Q, i·y_Q) that line is (λ·x_Q + c) + y_Q·i with
-   c = λ·x₃ + y₃: the line the affine loop draws. Slot j holds step j's λ
-   and c. *)
+(* Slot j holds the λ and c = λ·x₃ + y₃ of step j's line, whose value at
+   φ(Q) is (λ·x_Q + c) + y_Q·i: the line the affine loop draws. *)
 type lines = {
   slope : Mont.elt array;
   offset : Mont.elt array;
   live : Bytes.t;  (* '\001' where step j draws a line *)
 }
 
-(* The trajectory runs in Jacobian coordinates, as in [tate]. A step with
-   numerator N (M when doubling, R when adding) that produces
-   (X₃, Y₃, Z₃) has λ = N / Z₃ and, with x₃ = X₃/Z₃², y₃ = Y₃/Z₃³,
-   c = (N·X₃ + Y₃) / Z₃³. So slot j first holds N·Z₃² and N·X₃ + Y₃, and
-   one batched inversion of every Z₃³ turns them into λ and c. *)
+(* Slot j first holds N·Z₃² and N·X₃ + Y₃, and one batched inversion of
+   every Z₃³ turns them into λ and c. *)
 let lines_of params p =
   let fp = params.Params.fp in
-  let order = params.Params.q in
-  let nbits = Bigint.num_bits order in
   match G1.coords p with
   | None -> { slope = [||]; offset = [||]; live = Bytes.empty }
   | Some (px, py) ->
+    let order = params.Params.q in
     let steps = ref 0 in
-    for i = nbits - 2 downto 0 do
+    for i = Bigint.num_bits order - 2 downto 0 do
       steps := !steps + if Bigint.testbit order i then 2 else 1
     done;
     let n = !steps and one = Mont.one fp in
     let slope = Array.make n one and offset = Array.make n one in
     let denom = Array.make n one in
     let live = Bytes.make n '\000' in
-    let tx = ref px and ty = ref py and tz = ref one and t_inf = ref false in
-    let j = ref 0 in
-    let record numerator x3 y3 z3 =
+    let store j numerator x3 y3 z3 =
       let zz = Mont.sqr fp z3 in
-      slope.(!j) <- Mont.mul fp numerator zz;
-      offset.(!j) <- Mont.add fp (Mont.mul fp numerator x3) y3;
-      denom.(!j) <- Mont.mul fp zz z3;
-      Bytes.set live !j '\001';
-      tx := x3;
-      ty := y3;
-      tz := z3
+      slope.(j) <- Mont.mul fp numerator zz;
+      offset.(j) <- Mont.add fp (Mont.mul fp numerator x3) y3;
+      denom.(j) <- Mont.mul fp zz z3;
+      Bytes.set live j '\001'
     in
-    let double () =
-      if Mont.is_zero fp !ty then t_inf := true (* vertical: no line *)
-      else begin
-        let xx = Mont.sqr fp !tx in
-        let yy = Mont.sqr fp !ty in
-        let zz = Mont.sqr fp !tz in
-        let m =
-          Mont.add fp (Mont.add fp (Mont.add fp xx xx) xx) (Mont.sqr fp zz)
-        in
-        let s =
-          let t = Mont.mul fp !tx yy in
-          Mont.add fp (Mont.add fp t t) (Mont.add fp t t)
-        in
-        let z3 =
-          let t = Mont.mul fp !ty !tz in
-          Mont.add fp t t
-        in
-        let x3 = Mont.sub fp (Mont.sqr fp m) (Mont.add fp s s) in
-        let eight_y4 =
-          let y4 = Mont.sqr fp yy in
-          let t2 = Mont.add fp y4 y4 in
-          let t4 = Mont.add fp t2 t2 in
-          Mont.add fp t4 t4
-        in
-        let y3 = Mont.sub fp (Mont.mul fp m (Mont.sub fp s x3)) eight_y4 in
-        record m x3 y3 z3
-      end
-    in
-    let add () =
-      if !t_inf then begin
-        (* O + P = P; vertical line: none *)
-        tx := px;
-        ty := py;
-        tz := one;
-        t_inf := false
-      end
-      else begin
-        let zz = Mont.sqr fp !tz in
-        let u2 = Mont.mul fp px zz in
-        let s2 = Mont.mul fp (Mont.mul fp py !tz) zz in
-        if Mont.equal fp u2 !tx then begin
-          (* T = P draws the tangent; T = −P a vertical line *)
-          if Mont.equal fp s2 !ty then double () else t_inf := true
-        end
-        else begin
-          let h = Mont.sub fp u2 !tx in
-          let r = Mont.sub fp s2 !ty in
-          let hh = Mont.sqr fp h in
-          let hhh = Mont.mul fp h hh in
-          let v = Mont.mul fp !tx hh in
-          let x3 = Mont.sub fp (Mont.sub fp (Mont.sqr fp r) hhh) (Mont.add fp v v) in
-          let y3 =
-            Mont.sub fp (Mont.mul fp r (Mont.sub fp v x3)) (Mont.mul fp !ty hhh)
-          in
-          record r x3 y3 (Mont.mul fp !tz h)
-        end
-      end
-    in
-    for i = nbits - 2 downto 0 do
-      if not !t_inf then double ();
-      incr j;
-      if Bigint.testbit order i then begin
-        add ();
-        incr j
-      end
-    done;
+    walk params px py ~bit:ignore ~doubling:store ~adding:store;
     (* dead slots invert their placeholder 1 and are never read *)
     let inverse = Mont.inv_all fp denom in
     for j = 0 to n - 1 do
@@ -360,7 +219,7 @@ let lines_of params p =
 
 (* The Miller value ∏ f_{q,Pᵢ}(φ(Qᵢ)) from the tables of the Pᵢ, before
    the final exponentiation; [None] when no pair draws a line, so the
-   product pairs to 1. The tables share the step layout of q, so one walk
+   product pairs to 1. The tables share the step layout of q, so one pass
    squares f once per bit and multiplies in every pair's line at each
    step. *)
 let miller_lines params pairs =

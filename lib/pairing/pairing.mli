@@ -35,7 +35,11 @@ end
 
 val tate : Params.t -> G1.point -> G1.point -> Gt.elt
 (** [tate params p q] is ê(P, Q); [1] when either argument is infinity.
-    Counted as one pairing. *)
+    Its Miller loop is the one walk over q's bits that {!lines_of} also
+    takes, on G1's own Jacobian doubling and mixed addition
+    ({!Peace_ec.Ecp.jac_double}, {!Peace_ec.Ecp.jac_add_affine}); it
+    multiplies each line in at φ(Q) as the walk draws it. Counted as one
+    pairing. *)
 
 type lines
 (** The Miller loop of a fixed first argument P, kept as the affine
@@ -44,10 +48,11 @@ type lines
     {!Params.t} that built it. *)
 
 val lines_of : Params.t -> G1.point -> lines
-(** [lines_of params p] runs P's Miller loop once, in Jacobian coordinates,
-    and brings its lines to affine with one batched inversion. Costs a
-    little more than a Miller loop without its final exponentiation
-    (ablation A7); counts nothing. *)
+(** [lines_of params p] takes P's Miller loop once, the walk {!tate}
+    takes, stores each line instead of multiplying it in, and brings the
+    lines to affine with one batched inversion. Costs about a Miller loop
+    without its final exponentiation, so a table pays for itself from its
+    second use (ablation A7); counts nothing. *)
 
 val tate_lines : Params.t -> (lines * G1.point) list -> Gt.elt
 (** [tate_lines params [(lines_of p1, q1); …]] is ∏ᵢ ê(pᵢ, qᵢ), equal to
@@ -67,5 +72,6 @@ val lines_equal : Params.t -> lines -> G1.point -> Gt.elt -> bool
 
 val tate_affine : Params.t -> G1.point -> G1.point -> Gt.elt
 (** Reference implementation of {!tate} with an affine Miller loop (one
-    field inversion per step). Slower; kept for cross-checking the
-    optimized projective loop and for the A5 ablation. *)
+    field inversion per step) and its own step formulas. Slower; kept for
+    cross-checking the Jacobian walk that {!tate} and {!lines_of} share,
+    and for the A5 ablation. *)

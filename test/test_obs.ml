@@ -1694,6 +1694,295 @@ let test_alert_replay_and_json () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed sample should be an error"
 
+(* --- the alert windows against the list-based reference --- *)
+
+(* The list-based windows that Alert's rings and queues replace, kept
+   here as the reference: newest-first sample and event lists, each
+   pruned by a rebuild, and a storm's worst source found by counting
+   every event's source across the window. On a stream whose timestamps
+   never decrease, [Alert.eval] must report the same value and detail
+   for every rule after every evaluation, and the same transitions. *)
+module Ref_alert = struct
+  let duration_to_string ms =
+    if ms mod 3_600_000 = 0 then Printf.sprintf "%dh" (ms / 3_600_000)
+    else if ms mod 60_000 = 0 then Printf.sprintf "%dm" (ms / 60_000)
+    else if ms mod 1000 = 0 then Printf.sprintf "%ds" (ms / 1000)
+    else Printf.sprintf "%dms" ms
+
+  let num = J.num_to_string
+
+  let rec prune_keep_one cutoff = function
+    | [] -> []
+    | (ts, v) :: rest ->
+      if ts > cutoff then (ts, v) :: prune_keep_one cutoff rest else [ (ts, v) ]
+
+  let baseline cutoff hist =
+    let rec go last = function
+      | [] -> last
+      | ((ts, _) as s) :: rest -> if ts <= cutoff then Some s else go (Some s) rest
+    in
+    go None hist
+
+  let delta_over ~now ~window hist =
+    match hist with
+    | [] -> None
+    | (ts_now, v_now) :: _ -> (
+      match baseline (now - window) hist with
+      | Some (ts0, v0) when ts_now > ts0 -> Some (ts_now - ts0, v_now -. v0)
+      | _ -> None)
+
+  type r = {
+    rule : Alert.rule;
+    mutable st : Alert.state;
+    mutable pending_since : int;
+    mutable hist : (int * float) list;
+    mutable hist2 : (int * float) list;
+    mutable events : (int * string) list;
+  }
+
+  type t = {
+    states : r array;
+    mutable reissued : bool;
+    mutable trans : (int * string * Alert.state) list;
+  }
+
+  let create rules =
+    {
+      states =
+        Array.of_list
+          (List.map
+             (fun rule ->
+               { rule; st = Alert.Inactive; pending_since = 0; hist = []; hist2 = []; events = [] })
+             rules);
+      reissued = false;
+      trans = [];
+    }
+
+  let observe t ~now ~kind attrs =
+    match kind with
+    | "revocation_update" -> if List.assoc_opt "list" attrs = Some "url" then t.reissued <- true
+    | "access_reject" ->
+      let code = Option.bind (List.assoc_opt "code" attrs) int_of_string_opt in
+      let source = Option.value ~default:"?" (List.assoc_opt "router" attrs) in
+      Array.iter
+        (fun r ->
+          let add window_ms =
+            let cutoff = now - window_ms in
+            r.events <- (now, source) :: List.filter (fun (ts, _) -> ts > cutoff) r.events
+          in
+          match (r.rule.Alert.r_cond, code) with
+          | Alert.Storm { code = want; window_ms; _ }, Some c when c = want -> add window_ms
+          | Alert.Reuse { window_ms; _ }, Some 7 when t.reissued -> add window_ms
+          | _ -> ())
+        t.states
+    | _ -> ()
+
+  let check ~now ~lookup r =
+    match r.rule.Alert.r_cond with
+    | Alert.Rate { metric; per_s; window_ms } -> (
+      (match lookup metric with Some v -> r.hist <- (now, v) :: r.hist | None -> ());
+      r.hist <- prune_keep_one (now - window_ms) r.hist;
+      match delta_over ~now ~window:window_ms r.hist with
+      | Some (span_ms, dv) when span_ms > 0 ->
+        let rate = dv /. (float_of_int span_ms /. 1000.0) in
+        ( rate > per_s,
+          rate,
+          Printf.sprintf "%s +%s/s over %s (limit %s/s)" metric (num rate)
+            (duration_to_string window_ms) (num per_s) )
+      | _ -> (false, 0.0, metric ^ ": not enough history"))
+    | Alert.Burn { num = n; den; short_ms; long_ms; budget_pct } -> (
+      (match lookup n with Some v -> r.hist <- (now, v) :: r.hist | None -> ());
+      (match lookup den with Some v -> r.hist2 <- (now, v) :: r.hist2 | None -> ());
+      r.hist <- prune_keep_one (now - long_ms) r.hist;
+      r.hist2 <- prune_keep_one (now - long_ms) r.hist2;
+      let ratio window =
+        match (delta_over ~now ~window r.hist, delta_over ~now ~window r.hist2) with
+        | Some (_, dn), Some (_, dd) when dd > 0.0 -> Some (100.0 *. dn /. dd)
+        | _ -> None
+      in
+      match (ratio short_ms, ratio long_ms) with
+      | Some rs, Some rl ->
+        ( rs > budget_pct && rl > budget_pct,
+          rs,
+          Printf.sprintf "%s/%s = %.2f%% (%s) / %.2f%% (%s), budget %s%%" n den rs
+            (duration_to_string short_ms) rl (duration_to_string long_ms) (num budget_pct) )
+      | _ -> (false, 0.0, Printf.sprintf "%s/%s: no traffic" n den))
+    | Alert.Storm { code; count; window_ms } ->
+      let cutoff = now - window_ms in
+      r.events <- List.filter (fun (ts, _) -> ts > cutoff) r.events;
+      let worst, who =
+        List.fold_left
+          (fun (best, who) (_, src) ->
+            let c = List.length (List.filter (fun (_, s) -> s = src) r.events) in
+            if c > best then (c, src) else (best, who))
+          (0, "-") r.events
+      in
+      ( worst >= count,
+        float_of_int worst,
+        Printf.sprintf "code %d x%d from %s in %s (threshold %d)" code worst who
+          (duration_to_string window_ms) count )
+    | Alert.Reuse { count; window_ms } ->
+      let cutoff = now - window_ms in
+      r.events <- List.filter (fun (ts, _) -> ts > cutoff) r.events;
+      let n = List.length r.events in
+      ( n >= count,
+        float_of_int n,
+        Printf.sprintf "%d revoked-credential rejects in %s after URL reissue (threshold %d)" n
+          (duration_to_string window_ms) count )
+    | _ -> Alcotest.fail "reference: rate, burn, storm and reuse only"
+
+  let transition t r ~now active =
+    let set st =
+      r.st <- st;
+      t.trans <- (now, r.rule.Alert.r_name, st) :: t.trans
+    in
+    match (r.st, active) with
+    | (Alert.Inactive | Alert.Resolved), true ->
+      r.pending_since <- now;
+      set (if r.rule.Alert.r_for_ms <= 0 then Alert.Firing else Alert.Pending)
+    | Alert.Pending, true -> if now - r.pending_since >= r.rule.Alert.r_for_ms then set Alert.Firing
+    | Alert.Firing, true | (Alert.Inactive | Alert.Resolved), false -> ()
+    | Alert.Pending, false -> set Alert.Inactive
+    | Alert.Firing, false -> set Alert.Resolved
+
+  let eval t ~now ~lookup =
+    Array.to_list
+      (Array.map
+         (fun r ->
+           let active, value, detail = check ~now ~lookup r in
+           transition t r ~now active;
+           (value, detail))
+         t.states)
+end
+
+let test_alert_windows_match_reference () =
+  let rules =
+    alert_rules
+      "r1=rate:m1:5:1s\n\
+       r2=rate:m2:0.5:300ms:200ms\n\
+       b1=burn:err/req:500ms,2s:10%\n\
+       b2=burn:err2/req:200ms,1s:25%:100ms\n\
+       s1=storm:6:3:500ms\n\
+       s2=storm:6:2:1s:200ms\n\
+       s3=storm:9:4:2s\n\
+       u1=reuse:2:1s\n\
+       u2=reuse:3:300ms:100ms"
+  in
+  for seed = 1 to 12 do
+    let rng = Random.State.make [| seed |] in
+    let pick a = a.(Random.State.int rng (Array.length a)) in
+    let clock = ref 0 in
+    let t = Alert.create ~now:(fun () -> !clock) rules in
+    let reference = Ref_alert.create rules in
+    let values : (string, float) Hashtbl.t = Hashtbl.create 8 in
+    let lookup k = Hashtbl.find_opt values k in
+    let evals = ref 0 in
+    for _ = 1 to 3000 do
+      (* about a third of the steps keep the timestamp *)
+      if Random.State.int rng 3 > 0 then clock := !clock + 1 + Random.State.int rng 120;
+      match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 ->
+        let attrs =
+          List.filter_map Fun.id
+            [
+              Option.map (fun c -> ("code", c)) (pick [| Some "6"; Some "6"; Some "7"; Some "9"; Some "x"; None |]);
+              Option.map (fun r -> ("router", r)) (pick [| Some "r1"; Some "r2"; Some "r3"; Some "r4"; None |]);
+            ]
+        in
+        Alert.observe t ~kind:"access_reject" attrs;
+        Ref_alert.observe reference ~now:!clock ~kind:"access_reject" attrs
+      | 4 ->
+        let kind, attrs =
+          pick
+            [|
+              ("revocation_update", [ ("list", "url") ]);
+              ("revocation_update", [ ("list", "crl") ]);
+              ("access_accept", [ ("router", "r1") ]);
+            |]
+        in
+        Alert.observe t ~kind attrs;
+        Ref_alert.observe reference ~now:!clock ~kind attrs
+      | 5 | 6 ->
+        (* counters climb; a series sometimes goes missing *)
+        let k = pick [| "m1"; "m2"; "err"; "err2"; "req"; "req" |] in
+        if Random.State.int rng 12 = 0 then Hashtbl.remove values k
+        else
+          Hashtbl.replace values k
+            (Option.value ~default:0.0 (Hashtbl.find_opt values k)
+            +. float_of_int (Random.State.int rng 20))
+      | _ ->
+        incr evals;
+        let got = Alert.eval ~lookup t in
+        let want = Ref_alert.eval reference ~now:!clock ~lookup in
+        List.iter2
+          (fun s (value, detail) ->
+            let where = Printf.sprintf "seed %d, eval %d, %s" seed !evals s.Alert.s_name in
+            Alcotest.(check (float 0.0)) (where ^ " value") value s.Alert.s_value;
+            Alcotest.(check string) (where ^ " detail") detail s.Alert.s_detail)
+          got want
+    done;
+    Alcotest.(check (list (triple int string string)))
+      (Printf.sprintf "seed %d transitions" seed)
+      (List.rev_map (fun (ts, n, st) -> (ts, n, Alert.state_to_string st)) reference.Ref_alert.trans)
+      (List.map (fun (ts, n, st) -> (ts, n, Alert.state_to_string st)) (Alert.transitions t))
+  done
+
+(* 8 000 code-6 rejects from one router, all inside a storm rule's 30 s
+   window *)
+let storm_of_8000 () =
+  let clock = ref 0 in
+  let t = Alert.create ~now:(fun () -> !clock) (alert_rules "storm=storm:6:20:30s") in
+  for i = 1 to 8000 do
+    clock := 3 * i;
+    Alert.observe t ~kind:"access_reject" [ ("code", "6"); ("router", "r1") ]
+  done;
+  (t, clock)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_alert_storm_eval_cost () =
+  let t, _ = storm_of_8000 () in
+  let eval () = ignore (Alert.eval ~lookup:(fun _ -> None) t) in
+  eval ();
+  let words = minor_words eval in
+  Alcotest.(check bool)
+    (Printf.sprintf "one evaluation allocates %.0f words, under 10 000" words)
+    true (words < 10_000.0);
+  Alcotest.(check (list string)) "the storm fires" [ "storm" ] (firing_names t)
+
+let test_alert_storm_observe_cost () =
+  let t, clock = storm_of_8000 () in
+  incr clock;
+  let words =
+    minor_words (fun () ->
+        Alert.observe t ~kind:"access_reject" [ ("code", "6"); ("router", "r1") ])
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "one observe allocates %.0f words, under 100" words)
+    true (words < 100.0)
+
+let test_alert_history_cost () =
+  (* the stock rules, one evaluation per simulated ms against a fixed
+     lookup: the burn rule's histories grow towards its 1 min window *)
+  let clock = ref 0 in
+  let t =
+    Alert.create ~now:(fun () -> !clock) (alert_rules Peace_service.Authority.default_alert_rules)
+  in
+  let eval () = ignore (Alert.eval ~lookup:(fun _ -> Some 1.0) t) in
+  let words_at = Hashtbl.create 2 in
+  for i = 1 to 20_000 do
+    incr clock;
+    if i = 100 || i = 20_000 then Hashtbl.replace words_at i (minor_words eval) else eval ()
+  done;
+  let w100 = Hashtbl.find words_at 100 and w20k = Hashtbl.find words_at 20_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "evaluation 20 000 allocates %.0f words, evaluation 100 %.0f" w20k w100)
+    true
+    (w20k <= 1.5 *. w100)
+
 let test_registry_lookup () =
   R.Counter.add (R.counter "test.lookup.plain") 5;
   Alcotest.(check (option (float 1e-9))) "exact counter" (Some 5.0)
@@ -1898,6 +2187,13 @@ let () =
             test_alert_storm_and_reuse;
           Alcotest.test_case "latency anomaly (EWMA z)" `Quick
             test_alert_anomaly;
+          Alcotest.test_case "windows match the list reference" `Quick
+            test_alert_windows_match_reference;
+          Alcotest.test_case "storm evaluation cost" `Quick
+            test_alert_storm_eval_cost;
+          Alcotest.test_case "storm observe cost" `Quick
+            test_alert_storm_observe_cost;
+          Alcotest.test_case "history cost flat" `Quick test_alert_history_cost;
           Alcotest.test_case "timeline replay + /alerts JSON" `Quick
             test_alert_replay_and_json;
           Alcotest.test_case "registry lookup resolution" `Quick

@@ -396,6 +396,29 @@ let reference_mul params k pt =
     | None -> G1.infinity
     | Some (x, y) -> G1.of_affine params ~x ~y)
 
+(* A point of order 4 and the 2-torsion point (0, 0): the tangent at the
+   first passes through −2S = (0, 0), so the Miller value of ê(S, (0, 0))
+   is 0, which pairs to 1. #E(F_p) = p + 1, so ((p + 1)/4)·R has order
+   dividing 4 for any curve point R. *)
+let two_torsion params = G1.of_affine params ~x:Bigint.zero ~y:Bigint.zero
+
+let rec order_four params start =
+  let quarter = Bigint.div (Bigint.succ params.Params.p) (Bigint.of_int 4) in
+  let s = G1.mul params quarter (rogue_point params start) in
+  if G1.is_infinity (G1.double params s) then order_four params (Bigint.succ start) else s
+
+(* A point of order dividing d, for each d ≤ 300 that divides h: the
+   curve's group is cyclic of order p + 1 = q·h, so ((p + 1)/d)·R is one
+   for any curve point R *)
+let small_order_points params r =
+  List.filter_map
+    (fun d ->
+      let d = Bigint.of_int d in
+      if Bigint.is_zero (Bigint.erem params.Params.h d) then
+        Some (G1.mul params (Bigint.div (Bigint.succ params.Params.p) d) r)
+      else None)
+    (List.init 299 (fun i -> i + 2))
+
 let engine_tests params ~count =
   let name what = Printf.sprintf "%s (%s)" what params.Params.name in
   let q = params.Params.q in
@@ -477,28 +500,22 @@ let engine_tests params ~count =
                [ (List.nth pts 0, G1.infinity); (G1.infinity, List.nth pts 1); (List.nth pts 2, List.nth pts 2) ];
              ]);
     QCheck.Test.make ~name:(name "lines off the subgroup") ~count seed (fun seed ->
-        (* a first argument outside G_q walks a trajectory the loop never
-           sees for order-q points; the table must still draw the affine
-           loop's lines *)
+        (* arguments outside G_q walk trajectories that order-q points
+           never see: a point of small order meets O + P, T = P, T = −P
+           and Y = 0 mid-loop, where an order-q point meets T = −P only at
+           its last step. Both consumers of the walk must draw the affine
+           loop's lines there *)
         let r = rogue seed and p = subgroup_point seed in
-        List.for_all
-          (fun (a, b) ->
-            Pairing.Gt.equal params
-              (Pairing.tate_lines params [ (Pairing.lines_of params a, b) ])
-              (Pairing.tate_affine params a b))
-          [ (r, p); (p, r); (r, r) ]);
+        let args = Array.of_list (two_torsion params :: r :: p :: small_order_points params r) in
+        let n = Array.length args in
+        let agree (a, b) =
+          let e = Pairing.tate_affine params a b in
+          Pairing.Gt.equal params (Pairing.tate params a b) e
+          && Pairing.Gt.equal params (Pairing.tate_lines params [ (Pairing.lines_of params a, b) ]) e
+        in
+        List.for_all agree
+          ([ (r, p); (p, r); (r, r) ] @ List.init n (fun i -> (args.(i), args.((i + abs seed) mod n)))));
   ]
-
-(* A point of order 4 and the 2-torsion point (0, 0): the tangent at the
-   first passes through −2S = (0, 0), so the Miller value of ê(S, (0, 0))
-   is 0, which pairs to 1. #E(F_p) = p + 1, so ((p + 1)/4)·R has order
-   dividing 4 for any curve point R. *)
-let two_torsion params = G1.of_affine params ~x:Bigint.zero ~y:Bigint.zero
-
-let rec order_four params start =
-  let quarter = Bigint.div (Bigint.succ params.Params.p) (Bigint.of_int 4) in
-  let s = G1.mul params quarter (rogue_point params start) in
-  if G1.is_infinity (G1.double params s) then order_four params (Bigint.succ start) else s
 
 let batch_tests params ~count =
   let name what = Printf.sprintf "%s (%s)" what params.Params.name in
