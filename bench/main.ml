@@ -30,23 +30,56 @@ let subhr title =
    sample list here needs *)
 let sort_asc l = List.sort compare l
 
+(* [quantile p samples] for [p] in [0..100]: linear interpolation between
+   the closest ranks, 0 on no samples *)
+let quantile p samples =
+  let a = Array.of_list samples in
+  Array.sort compare a;
+  Peace_service.Loadgen.percentile a p
+
 (* true median: for an even sample count, the mean of the two middle
    samples (not the upper of the two) *)
-let median samples =
-  match sort_asc samples with
-  | [] -> 0.0
-  | sorted ->
-    let n = List.length sorted in
-    if n mod 2 = 1 then List.nth sorted (n / 2)
-    else (List.nth sorted ((n / 2) - 1) +. List.nth sorted (n / 2)) /. 2.0
+let median = quantile 50.0
+
+(* one wall-clock run of [f], milliseconds *)
+let once_ms f =
+  let t0 = Unix.gettimeofday () in
+  ignore (Sys.opaque_identity (f ()));
+  (Unix.gettimeofday () -. t0) *. 1000.0
 
 (* median-of-n wall-clock timer, milliseconds *)
-let time_ms ?(reps = 5) f =
-  median
-    (List.init reps (fun _ ->
-         let t0 = Unix.gettimeofday () in
-         ignore (Sys.opaque_identity (f ()));
-         (Unix.gettimeofday () -. t0) *. 1000.0))
+let time_ms ?(reps = 5) f = median (List.init reps (fun _ -> once_ms f))
+
+(* Two-arm rows. Timing one arm n times and then the other lets host drift
+   between the two blocks land on one arm, enough to fake or hide a few
+   percent. [alternate a b] times the arms in alternating rounds, swapping
+   which goes first each round, and returns each round's (a, b)
+   milliseconds; [ab_row] prints each arm's median and the median
+   [q1, q3] of the per-round ratio b/a, so the row states how well that
+   ratio is resolved. *)
+let ab_rounds = if quick then 7 else 15
+
+let alternate a b =
+  List.init ab_rounds (fun i ->
+      if i mod 2 = 0 then
+        let ta = once_ms a in
+        (ta, once_ms b)
+      else
+        let tb = once_ms b in
+        (once_ms a, tb))
+
+let ab_header first second =
+  Printf.printf "%d rounds, arms alternating\n" ab_rounds;
+  Printf.printf "%-28s %15s %15s   %s\n" "" first second
+    (Printf.sprintf "%s / %s per round: median [q1, q3]" second first)
+
+(* [rounds] already in [unit_]; returns the two arms' medians *)
+let ab_row label unit_ rounds =
+  let ma = median (List.map fst rounds) and mb = median (List.map snd rounds) in
+  let ratios = List.map (fun (a, b) -> b /. a) rounds in
+  Printf.printf "%-28s %9.2f %-5s %9.2f %-5s   %.3f [%.3f, %.3f]\n" label ma unit_
+    mb unit_ (median ratios) (quantile 25.0 ratios) (quantile 75.0 ratios);
+  (ma, mb)
 
 let drbg seed = Peace_hash.Drbg.bytes_fn (Peace_hash.Drbg.create ~seed ())
 
@@ -739,91 +772,14 @@ let experiment_e10 () =
      (verified by the core test suite's 'fresh session id' case).\n"
 
 (* ================================================================== *)
-(* E12: observability — measured op counts vs paper formulas          *)
-(* ================================================================== *)
-
-let experiment_e12 () =
-  hr "E12 Observability: measured op counts vs paper §V-C, and overhead";
-  let fx = make_fixture tiny "e12" in
-  let fx_fixed = make_fixture ~base_mode:Group_sig.Fixed_bases tiny "e12f" in
-  let rng = drbg "e12-run" in
-  let count f =
-    Counters.reset ();
-    let before = Counters.snapshot () in
-    ignore (Sys.opaque_identity (f ()));
-    Counters.diff (Counters.snapshot ()) before
-  in
-  let assert_row name got ~pairings ~g1_mul ~gt_exp ~hash_to_g1 =
-    let want = { Counters.pairings; g1_mul; gt_exp; hash_to_g1 } in
-    Printf.printf "%-24s measured [%s]  paper [%s]  %s\n" name
-      (Format.asprintf "%a" Counters.pp got)
-      (Format.asprintf "%a" Counters.pp want)
-      (if got = want then "ok" else "MISMATCH");
-    if got <> want then failwith ("E12: " ^ name ^ " diverges from the paper formula")
-  in
-  (* sign: 2 pairings (e(A,g2) per key + e(g1,g2) in the gpk are cached) *)
-  assert_row "sign"
-    (count (fun () -> Group_sig.sign fx.fx_gpk fx.fx_key ~rng ~msg:"e12"))
-    ~pairings:2 ~g1_mul:5 ~gt_exp:4 ~hash_to_g1:2;
-  (* verify: 2 pairings for the proof, plus e(T1,v) and one pairing per
-     URL token when the revocation scan runs *)
-  assert_row "verify |URL|=0"
-    (count (fun () -> Group_sig.verify fx.fx_gpk ~msg:fx.fx_msg fx.fx_sig))
-    ~pairings:2 ~g1_mul:8 ~gt_exp:1 ~hash_to_g1:2;
-  List.iter
-    (fun n ->
-      let url = tokens_for fx n in
-      assert_row
-        (Printf.sprintf "verify |URL|=%d" n)
-        (count (fun () -> Group_sig.verify fx.fx_gpk ~url ~msg:fx.fx_msg fx.fx_sig))
-        ~pairings:(3 + n) ~g1_mul:8 ~gt_exp:1 ~hash_to_g1:2)
-    [ 1; 8 ];
-  (* verify_fast: flat 4 pairings, independent of the table size *)
-  List.iter
-    (fun n ->
-      let table = Group_sig.build_fast_table fx_fixed.fx_gpk (tokens_for fx_fixed n) in
-      assert_row
-        (Printf.sprintf "verify_fast table=%d" n)
-        (count (fun () ->
-             Group_sig.verify_fast fx_fixed.fx_gpk table ~msg:fx_fixed.fx_msg
-               fx_fixed.fx_sig))
-        ~pairings:4 ~g1_mul:8 ~gt_exp:1 ~hash_to_g1:0)
-    [ 5; 50 ];
-  (* instrumentation overhead: the same sequential verify loop with the
-     registry recording vs every record path a no-op. Informational (the
-     acceptance bar is <= 2%): timing noise on a shared host can dominate,
-     so print, don't fail. *)
-  let n = if quick then 20 else 60 in
-  let batch =
-    List.init n (fun i ->
-        let msg = Printf.sprintf "overhead %d" i in
-        (msg, Group_sig.sign fx.fx_gpk fx.fx_key ~rng ~msg))
-  in
-  let verify_all () =
-    List.iter
-      (fun (msg, s) -> ignore (Group_sig.verify fx.fx_gpk ~msg s))
-      batch
-  in
-  let on_ms = time_ms ~reps:5 verify_all in
-  Peace_obs.Registry.set_enabled false;
-  let off_ms = time_ms ~reps:5 verify_all in
-  Peace_obs.Registry.set_enabled true;
-  Printf.printf
-    "\noverhead: %d verifies, counters on %.1f ms vs off %.1f ms -> %+.2f%%\n"
-    n on_ms off_ms
-    (100.0 *. (on_ms -. off_ms) /. off_ms);
-  Bench_record.add ~unit_:"ms" "e12.verify_batch_counters_on_ms" on_ms;
-  Bench_record.add ~unit_:"ms" "e12.verify_batch_counters_off_ms" off_ms
-
-(* ================================================================== *)
 (* E14: profiling & exposition overhead                               *)
 (* ================================================================== *)
 
-(* PR 2 established the instrumentation baseline (registry counters +
-   span histograms, no consumer attached). This experiment measures what
-   the PR 4 layer adds on top of that baseline: the span-tree profiler,
-   the raw event recorder, and the render cost of each exposition format
-   (folded stacks, Chrome trace JSON, Prometheus text). *)
+(* The instrumentation baseline is registry counters + span histograms
+   with no consumer attached. This experiment measures what the profiling
+   layer adds on top of that baseline: the span-tree profiler, the raw
+   event recorder, and the render cost of each exposition format (folded
+   stacks, Chrome trace JSON, Prometheus text). *)
 
 let experiment_e14 () =
   hr "E14 Profiling & exposition overhead vs the instrumentation baseline";
@@ -1054,11 +1010,6 @@ let ab_overhead ~id ~arm ~switch_on =
           let on = run_on () in
           (run "dark", on))
   in
-  let q p xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    Lg.percentile a p
-  in
   let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
   let rps r = r.Lg.lr_throughput_rps in
   (* each pair's overhead is relative to its own dark run, which cancels
@@ -1075,16 +1026,16 @@ let ab_overhead ~id ~arm ~switch_on =
     List.init 2000 (fun _ ->
         mean (List.init ab_pairs (fun _ -> overheads.(Random.State.int st ab_pairs))))
   in
-  let lo = q 2.5 resampled and hi = q 97.5 resampled in
+  let lo = quantile 2.5 resampled and hi = quantile 97.5 resampled in
   Printf.printf "%d pairs of %.0f s closed-loop runs, alternating which arm goes first\n"
     ab_pairs duration_s;
   Printf.printf "%-10s %9s %17s %9s %9s\n" "arm" "auth/s" "[q1, q3]" "p50 ms" "p99 ms";
   let row name runs =
     let tput = List.map rps runs in
-    let lat p = q 50.0 (List.map (fun r -> Lg.percentile r.Lg.lr_latencies_ms p) runs) in
-    Printf.printf "%-10s %9.1f   [%6.1f, %6.1f] %9.2f %9.2f\n" name (q 50.0 tput)
-      (q 25.0 tput) (q 75.0 tput) (lat 50.0) (lat 99.0);
-    q 50.0 tput
+    let lat p = median (List.map (fun r -> Lg.percentile r.Lg.lr_latencies_ms p) runs) in
+    Printf.printf "%-10s %9.1f   [%6.1f, %6.1f] %9.2f %9.2f\n" name (median tput)
+      (quantile 25.0 tput) (quantile 75.0 tput) (lat 50.0) (lat 99.0);
+    median tput
   in
   let b = row "dark" (List.map fst pairs) in
   let t = row arm (List.map snd pairs) in
@@ -1356,62 +1307,56 @@ let ablations () =
   let ctx = Mont.create p in
   let ma = Mont.of_bigint ctx a and mb = Mont.of_bigint ctx b in
   let iters = if quick then 20_000 else 100_000 in
-  let mont_ms =
-    time_ms ~reps:3 (fun () ->
+  let div_iters = iters / 10 in
+  let ns_per_op n ms = ms *. 1e6 /. float_of_int n in
+  ab_header "montgomery" "divmod";
+  let mont_ns, _ =
+    alternate
+      (fun () ->
         let acc = ref ma in
         for _ = 1 to iters do
           acc := Mont.mul ctx !acc mb
         done;
         !acc)
-  in
-  let div_iters = iters / 10 in
-  let divmod_ms =
-    time_ms ~reps:3 (fun () ->
+      (fun () ->
         let acc = ref a in
         for _ = 1 to div_iters do
           acc := Modular.mul !acc b p
         done;
         !acc)
+    |> List.map (fun (m, d) -> (ns_per_op iters m, ns_per_op div_iters d))
+    |> ab_row "mul" "ns/op"
   in
-  let mont_ns = mont_ms *. 1e6 /. float_of_int iters in
-  let div_ns = divmod_ms *. 1e6 /. float_of_int div_iters in
-  Printf.printf "montgomery mul: %8.1f ns/op\n" mont_ns;
-  Printf.printf "divmod mul:     %8.1f ns/op  (%.1fx slower)\n" div_ns
-    (div_ns /. mont_ns);
   Bench_record.add ~unit_:"ns" "abl.mont_mul_ns" mont_ns;
 
   subhr "A2  PEACE variant vs vanilla BS04 (grp = 0) — cost of the key split";
   let fx = make_fixture tiny "ab2" in
   let rng2 = drbg "ab2-run" in
   let vanilla = Group_sig.issue fx.fx_issuer ~grp:Bigint.zero rng2 in
-  let peace_sign =
-    time_ms ~reps:5 (fun () -> Group_sig.sign fx.fx_gpk fx.fx_key ~rng:rng2 ~msg:"m")
-  in
-  let bs04_sign =
-    time_ms ~reps:5 (fun () -> Group_sig.sign fx.fx_gpk vanilla ~rng:rng2 ~msg:"m")
-  in
-  Printf.printf "sign, PEACE variant: %8.2f ms\n" peace_sign;
+  ab_header "PEACE variant" "vanilla BS04";
+  ignore
+    (ab_row "sign" "ms"
+       (alternate
+          (fun () -> Group_sig.sign fx.fx_gpk fx.fx_key ~rng:rng2 ~msg:"m")
+          (fun () -> Group_sig.sign fx.fx_gpk vanilla ~rng:rng2 ~msg:"m")));
   Printf.printf
-    "sign, vanilla BS04:  %8.2f ms  (expect parity: the variant only\n\
-    \  shifts the exponent by grp, a free modular addition)\n"
-    bs04_sign;
+    "expect parity: the variant only shifts the exponent by grp, a free\n\
+    \  modular addition\n";
 
   subhr "A3  windowed vs binary exponentiation (512-bit modexp)";
   let e = Bigint.random_below rng p in
-  let windowed = time_ms ~reps:3 (fun () -> Mont.pow ctx ma e) in
-  let binary =
-    time_ms ~reps:3 (fun () ->
-        let acc = ref (Mont.one ctx) in
-        for i = Bigint.num_bits e - 1 downto 0 do
-          acc := Mont.sqr ctx !acc;
-          if Bigint.testbit e i then acc := Mont.mul ctx !acc ma
-        done;
-        !acc)
-  in
-  Printf.printf "4-bit window: %8.2f ms\n" windowed;
-  Printf.printf "binary:       %8.2f ms  (window saves ~%.0f%% of the multiplies)\n"
-    binary
-    (100.0 *. (1.0 -. (windowed /. binary)));
+  ab_header "4-bit window" "binary";
+  ignore
+    (ab_row "modexp" "ms"
+       (alternate
+          (fun () -> Mont.pow ctx ma e)
+          (fun () ->
+            let acc = ref (Mont.one ctx) in
+            for i = Bigint.num_bits e - 1 downto 0 do
+              acc := Mont.sqr ctx !acc;
+              if Bigint.testbit e i then acc := Mont.mul ctx !acc ma
+            done;
+            !acc)));
 
   subhr "A4  Karatsuba vs schoolbook multiplication crossover";
   List.iter
@@ -1431,11 +1376,13 @@ let ablations () =
 
   subhr "A5  projective vs affine Miller loop (pairing, light params)";
   let g = G1.generator light in
-  let proj = time_ms ~reps:5 (fun () -> Pairing.tate light g g) in
-  let aff = time_ms ~reps:5 (fun () -> Pairing.tate_affine light g g) in
-  Printf.printf "projective (inversion-free): %8.2f ms\n" proj;
-  Printf.printf "affine reference:            %8.2f ms  (%.1fx slower)\n" aff
-    (aff /. proj);
+  ab_header "projective" "affine";
+  let proj, _ =
+    ab_row "pairing" "ms"
+      (alternate
+         (fun () -> Pairing.tate light g g)
+         (fun () -> Pairing.tate_affine light g g))
+  in
   Bench_record.add ~unit_:"ms" "abl.pairing_projective_ms" proj;
 
   subhr "A6  VLR (the paper's choice) vs BBS04 opener-based group signature";
@@ -1452,23 +1399,23 @@ let ablations () =
     List.map (fun t -> (t, ())) (tokens_for fx 99)
     @ [ (Group_sig.token_of_gsk fx.fx_key, ()) ]
   in
-  Printf.printf "%-34s %12s %12s\n" "" "VLR/PEACE" "BBS04";
-  Printf.printf "%-34s %9d B %9d B\n" "signature size"
+  ab_header "VLR/PEACE" "BBS04";
+  Printf.printf "%-28s %9d B     %9d B\n" "signature size"
     (Group_sig.signature_size fx.fx_gpk)
     (Bbs04.signature_size bbs_gpk);
-  Printf.printf "%-34s %9.2f ms %9.2f ms\n" "sign"
-    (time_ms ~reps:5 (fun () -> Group_sig.sign fx.fx_gpk fx.fx_key ~rng:rng6 ~msg))
-    (time_ms ~reps:5 (fun () -> Bbs04.sign bbs_gpk bbs_key ~rng:rng6 ~msg));
-  Printf.printf "%-34s %9.2f ms %9.2f ms\n" "verify, no revocations"
-    (time_ms ~reps:5 (fun () -> Group_sig.verify fx.fx_gpk ~msg vlr_sig))
-    (time_ms ~reps:5 (fun () -> Bbs04.verify bbs_gpk ~msg bbs_sig));
-  Printf.printf "%-34s %9.2f ms %9.2f ms\n" "verify, 20 revoked"
-    (time_ms ~reps:5 (fun () -> Group_sig.verify fx.fx_gpk ~url:url20 ~msg vlr_sig))
-    (time_ms ~reps:5 (fun () -> Bbs04.verify bbs_gpk ~msg bbs_sig));
-  Printf.printf "%-34s %9.2f ms %9.2f ms\n" "open/audit (100 members)"
-    (time_ms ~reps:3 (fun () ->
-         Group_sig.open_signature fx.fx_gpk ~grt:grt100 ~msg vlr_sig))
-    (time_ms ~reps:5 (fun () -> Bbs04.open_signature bbs_gpk bbs_opener bbs_sig));
+  let row label a b = ignore (ab_row label "ms" (alternate a b)) in
+  row "sign"
+    (fun () -> Group_sig.sign fx.fx_gpk fx.fx_key ~rng:rng6 ~msg)
+    (fun () -> Bbs04.sign bbs_gpk bbs_key ~rng:rng6 ~msg);
+  row "verify, no revocations"
+    (fun () -> Group_sig.verify fx.fx_gpk ~msg vlr_sig)
+    (fun () -> Bbs04.verify bbs_gpk ~msg bbs_sig);
+  row "verify, 20 revoked"
+    (fun () -> Group_sig.verify fx.fx_gpk ~url:url20 ~msg vlr_sig)
+    (fun () -> Bbs04.verify bbs_gpk ~msg bbs_sig);
+  row "open/audit (100 members)"
+    (fun () -> Group_sig.open_signature fx.fx_gpk ~grt:grt100 ~msg vlr_sig)
+    (fun () -> Bbs04.open_signature bbs_gpk bbs_opener bbs_sig);
   Printf.printf
     "trade-off: BBS04 verification never pays a URL scan and opening is\n\
      O(1), but the opener key deanonymises EVERY signature — incompatible\n\
@@ -1489,20 +1436,19 @@ let ablations () =
     words
   in
   let l1 = Pairing.lines_of light p1 and l2 = Pairing.lines_of light p2 in
-  let one_proj = time_ms ~reps:5 (fun () -> Pairing.tate light p1 q1) in
-  let one_lines = time_ms ~reps:5 (fun () -> Pairing.tate_lines light [ (l1, q1) ]) in
-  let two_proj =
-    time_ms ~reps:5 (fun () ->
-        Pairing.Gt.mul light (Pairing.tate light p1 q1) (Pairing.tate light p2 q2))
+  ab_header "projective" "lines";
+  let _, one_lines =
+    ab_row "one pairing" "ms"
+      (alternate
+         (fun () -> Pairing.tate light p1 q1)
+         (fun () -> Pairing.tate_lines light [ (l1, q1) ]))
   in
-  let two_lines =
-    time_ms ~reps:5 (fun () -> Pairing.tate_lines light [ (l1, q1); (l2, q2) ])
-  in
-  Printf.printf "%-28s %12s %12s\n" "" "projective" "lines";
-  Printf.printf "%-28s %9.2f ms %9.2f ms  (%.1fx)\n" "one pairing" one_proj one_lines
-    (one_proj /. one_lines);
-  Printf.printf "%-28s %9.2f ms %9.2f ms  (%.1fx)\n" "two-pair product" two_proj two_lines
-    (two_proj /. two_lines);
+  ignore
+    (ab_row "two-pair product" "ms"
+       (alternate
+          (fun () ->
+            Pairing.Gt.mul light (Pairing.tate light p1 q1) (Pairing.tate light p2 q2))
+          (fun () -> Pairing.tate_lines light [ (l1, q1); (l2, q2) ])));
   Printf.printf
     "a table pays for itself from its second use: g2 and w serve every\n\
     \  sign and verify, u serves every token of one scan\n";
@@ -1512,12 +1458,13 @@ let ablations () =
   subhr "A8  mul2 (one Straus chain) vs two mul plus add (light params)";
   let k1 = Bigint.random_below rng7 light.Params.q in
   let k2 = Bigint.random_below rng7 light.Params.q in
-  let straus = time_ms ~reps:5 (fun () -> G1.mul2 light k1 p1 k2 p2) in
-  let separate =
-    time_ms ~reps:5 (fun () -> G1.add light (G1.mul light k1 p1) (G1.mul light k2 p2))
+  ab_header "mul2" "mul, mul, add";
+  let straus, _ =
+    ab_row "k1*p1 + k2*p2" "ms"
+      (alternate
+         (fun () -> G1.mul2 light k1 p1 k2 p2)
+         (fun () -> G1.add light (G1.mul light k1 p1) (G1.mul light k2 p2)))
   in
-  Printf.printf "mul2:          %8.2f ms\n" straus;
-  Printf.printf "mul, mul, add: %8.2f ms  (%.1fx slower)\n" separate (separate /. straus);
   Bench_record.add ~unit_:"ms" "abl.g1_mul2_ms" straus
 
 (* ================================================================== *)
@@ -1534,7 +1481,6 @@ let experiments =
     ("E8", experiment_e8);
     ("E9", experiment_e9);
     ("E10", experiment_e10);
-    ("E12", experiment_e12);
     ("E14", experiment_e14);
     ("E15", experiment_e15);
     ("E16", experiment_e16);
@@ -1570,7 +1516,7 @@ let cli_opts =
   opts
 
 let selected_experiments () =
-  (* --only E12,E16 restricts the run *)
+  (* --only E14,E16 restricts the run *)
   match Hashtbl.find_opt cli_opts "--only" with
   | None -> experiments
   | Some spec ->

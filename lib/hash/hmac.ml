@@ -5,17 +5,12 @@ let xor_pad key block_size pad =
     key;
   Bytes.unsafe_to_string b
 
-let generic ~block_size ~hash ~key msg =
-  let key = if String.length key > block_size then hash key else key in
+let sha256 ~key msg =
+  let block_size = Sha256.block_size in
+  let key = if String.length key > block_size then Sha256.digest key else key in
   let ipad = xor_pad key block_size '\x36' in
   let opad = xor_pad key block_size '\x5c' in
-  hash (opad ^ hash (ipad ^ msg))
-
-let sha256 ~key msg =
-  generic ~block_size:Sha256.block_size ~hash:Sha256.digest ~key msg
-
-let sha512 ~key msg =
-  generic ~block_size:Sha512.block_size ~hash:Sha512.digest ~key msg
+  Sha256.digest (opad ^ Sha256.digest (ipad ^ msg))
 
 let equal_constant_time a b =
   String.length a = String.length b

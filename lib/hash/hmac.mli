@@ -1,10 +1,7 @@
-(** HMAC (RFC 2104) over SHA-256 and SHA-512, plus HKDF (RFC 5869). *)
+(** HMAC-SHA256 (RFC 2104), plus HKDF-SHA256 (RFC 5869). *)
 
 val sha256 : key:string -> string -> string
 (** [sha256 ~key msg] is the 32-byte HMAC-SHA256 tag. *)
-
-val sha512 : key:string -> string -> string
-(** [sha512 ~key msg] is the 64-byte HMAC-SHA512 tag. *)
 
 val equal_constant_time : string -> string -> bool
 (** Tag comparison that does not short-circuit on the first mismatch. *)

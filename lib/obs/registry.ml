@@ -5,15 +5,7 @@
    authority's connection workers can hammer the same metric concurrently
    without contention beyond the cache line itself. The registry mutex
    guards only metric creation and enumeration, which happen at
-   module-init time or in exporters.
-
-   A single process-wide [enabled] switch turns every record path into a
-   no-op, so the instrumentation overhead can itself be measured (bench
-   E12). *)
-
-let enabled = Atomic.make true
-let set_enabled v = Atomic.set enabled v
-let is_enabled () = Atomic.get enabled
+   module-init time or in exporters. *)
 
 (* wall-clock nanoseconds as an int; 63-bit ints hold epoch-nanoseconds
    until the year 2262, and all consumers only ever look at differences *)
@@ -24,8 +16,8 @@ module Counter = struct
 
   let make name = { name; v = Atomic.make 0 }
   let name c = c.name
-  let incr c = if Atomic.get enabled then ignore (Atomic.fetch_and_add c.v 1)
-  let add c n = if Atomic.get enabled then ignore (Atomic.fetch_and_add c.v n)
+  let incr c = ignore (Atomic.fetch_and_add c.v 1)
+  let add c n = ignore (Atomic.fetch_and_add c.v n)
   let value c = Atomic.get c.v
   let reset c = Atomic.set c.v 0
 end
@@ -35,8 +27,8 @@ module Gauge = struct
 
   let make name = { name; v = Atomic.make 0 }
   let name g = g.name
-  let set g n = if Atomic.get enabled then Atomic.set g.v n
-  let add g n = if Atomic.get enabled then ignore (Atomic.fetch_and_add g.v n)
+  let set g n = Atomic.set g.v n
+  let add g n = ignore (Atomic.fetch_and_add g.v n)
   let incr g = add g 1
   let decr g = add g (-1)
   let value g = Atomic.get g.v
@@ -80,18 +72,13 @@ module Histogram = struct
   let upper_bound i = if i >= 62 then max_int else (1 lsl i) - 1
 
   let observe h v =
-    if Atomic.get enabled then begin
-      ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) 1);
-      ignore (Atomic.fetch_and_add h.count 1);
-      ignore (Atomic.fetch_and_add h.sum v)
-    end
+    ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) 1);
+    ignore (Atomic.fetch_and_add h.count 1);
+    ignore (Atomic.fetch_and_add h.sum v)
 
   let time h f =
-    if Atomic.get enabled then begin
-      let t0 = now_ns () in
-      Fun.protect ~finally:(fun () -> observe h (now_ns () - t0)) f
-    end
-    else f ()
+    let t0 = now_ns () in
+    Fun.protect ~finally:(fun () -> observe h (now_ns () - t0)) f
 
   let count h = Atomic.get h.count
   let sum h = Atomic.get h.sum

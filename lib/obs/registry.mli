@@ -11,12 +11,6 @@
     Metrics are process-global and keyed by name: [counter "x"] twice
     returns the same counter. *)
 
-val set_enabled : bool -> unit
-(** Turns every record path into a no-op (reads stay live). Default: on.
-    Used to measure the instrumentation's own overhead (bench E12). *)
-
-val is_enabled : unit -> bool
-
 val now_ns : unit -> int
 (** Wall-clock nanoseconds as an int (differences are what matter). *)
 
@@ -57,7 +51,7 @@ module Histogram : sig
 
   val time : t -> (unit -> 'a) -> 'a
   (** [time h f] runs [f] and observes its wall-clock duration in
-      nanoseconds. When the registry is disabled the clock is not read. *)
+      nanoseconds. *)
 
   val count : t -> int
   val sum : t -> int

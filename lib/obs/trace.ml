@@ -105,11 +105,8 @@ let with_parent h f =
   Fun.protect ~finally:(fun () -> Domain.DLS.set stack_key stack) f
 
 let with_span ?attrs name f =
-  if (not (Registry.is_enabled ())) && not (collector_active ()) then f ()
-  else begin
-    let h = start ?attrs ?parent:(current_span ()) name in
-    Fun.protect ~finally:(fun () -> finish h) (fun () -> with_parent h f)
-  end
+  let h = start ?attrs ?parent:(current_span ()) name in
+  Fun.protect ~finally:(fun () -> finish h) (fun () -> with_parent h f)
 
 (* Trace ids correlate spans across processes, so a plain counter is not
    enough: the loadgen and the authority would both start at 1. Mix the

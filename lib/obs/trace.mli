@@ -16,8 +16,7 @@ val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Runs the thunk inside a span: a handle {!start}ed under
     {!current_span}, made the innermost parent for the thunk, and
     {!finish}ed when it returns. Exceptions propagate; the end event and
-    the histogram observation still happen. When the registry is disabled
-    and no collector is set, this is a direct call with no overhead. *)
+    the histogram observation still happen. *)
 
 val current_span : unit -> int option
 (** The innermost open span id on the calling domain, if any. *)

@@ -30,6 +30,42 @@ let test_chacha20_encrypt () =
   Alcotest.(check string) "xor round trip" plaintext
     (Chacha20.xor ~key:rfc_key ~nonce ~counter:1 ciphertext)
 
+(* RFC 8439 appendix A.1: keystream blocks for zero and one-bit keys and
+   nonces at counters 0, 1 and 2 *)
+let test_chacha20_keystream_vectors () =
+  let zero_key = String.make 32 '\000' and zero_nonce = String.make 12 '\000' in
+  let cases =
+    [
+      ( "test vector 1", zero_key, zero_nonce, 0,
+        "76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586" );
+      ( "test vector 2", zero_key, zero_nonce, 1,
+        "9f07e7be5551387a98ba977c732d080dcb0f29a048e3656912c6533e32ee7aed29b721769ce64e43d57133b074d839d531ed1f28510afb45ace10a1f4b794d6f" );
+      ( "test vector 3", String.make 31 '\000' ^ "\001", zero_nonce, 1,
+        "3aeb5224ecf849929b9d828db1ced4dd832025e8018b8160b82284f3c949aa5a8eca00bbb4a73bdad192b5c42f73f2fd4e273644c8b36125a64addeb006c13a0" );
+      ( "test vector 4", "\000\255" ^ String.make 30 '\000', zero_nonce, 2,
+        "72d54dfbf12ec44b362692df94137f328fea8da73990265ec1bbbea1ae9af0ca13b25aa26cb4a648cb9b9d1be65b2c0924a66c54d545ec1b7374f4872e99f096" );
+      ( "test vector 5", zero_key, String.make 11 '\000' ^ "\002", 0,
+        "c2c64d378cd536374ae204b9ef933fcd1a8b2288b3dfa49672ab765b54ee27c78a970e0e955c14f3a88e741b97c286f75f8fc299e8148362fa198a39531bed6d" );
+    ]
+  in
+  List.iter
+    (fun (name, key, nonce, counter, expected) ->
+      Alcotest.(check string) name expected
+        (Sha256.to_hex (Chacha20.block ~key ~nonce ~counter)))
+    cases
+
+(* RFC 8439 appendix A.2 test vector 3: two blocks from counter 42 *)
+let test_chacha20_counter42_vector () =
+  let key = hex_to_string "1c9240a5eb55d38af333888604f6b5f0473917c1402b80099dca5cbc207075c0" in
+  let nonce = String.make 11 '\000' ^ "\002" in
+  let plaintext =
+    "'Twas brillig, and the slithy toves\nDid gyre and gimble in the wabe:\n\
+     All mimsy were the borogoves,\nAnd the mome raths outgrabe."
+  in
+  Alcotest.(check string) "ciphertext vector"
+    "62e6347f95ed87a45ffae7426f27a1df5fb69110044c0d73118effa95b01e5cf166d3df2d721caf9b21e5fb14c616871fd84c54f9d65b283196c7fe4f60553ebf39c6402c42234e32a356b3e764312a61a5532055716ead6962568f87d3f3f7704c6a8d1bcd1bf4d50d6154b6da731b187b58dfd728afa36757a797ac188d1"
+    (Sha256.to_hex (Chacha20.xor ~key ~nonce ~counter:42 plaintext))
+
 let test_chacha20_errors () =
   Alcotest.check_raises "short key" (Invalid_argument "Chacha20: key must be 32 bytes")
     (fun () -> ignore (Chacha20.block ~key:"short" ~nonce:(String.make 12 '\000') ~counter:0));
@@ -84,38 +120,6 @@ let test_aead_empty_plaintext () =
   | Some _ -> Alcotest.fail "nonempty decryption"
   | None -> Alcotest.fail "decrypt failed"
 
-(* --- AES-128 (FIPS 197 / SP 800-38A vectors) --- *)
-
-let test_aes_block () =
-  (* FIPS 197 appendix C.1 *)
-  let key = Aes.expand_key (String.init 16 Char.chr) in
-  let plaintext = hex_to_string "00112233445566778899aabbccddeeff" in
-  let ciphertext = Aes.encrypt_block key plaintext in
-  Alcotest.(check string) "fips c.1 encrypt"
-    "69c4e0d86a7b0430d8cdb78070b4c55a" (Sha256.to_hex ciphertext);
-  Alcotest.(check string) "fips c.1 decrypt"
-    (Sha256.to_hex plaintext)
-    (Sha256.to_hex (Aes.decrypt_block key ciphertext));
-  Alcotest.check_raises "short key" (Invalid_argument "Aes.expand_key: key must be 16 bytes")
-    (fun () -> ignore (Aes.expand_key "short"));
-  Alcotest.check_raises "short block" (Invalid_argument "Aes: block must be 16 bytes")
-    (fun () -> ignore (Aes.encrypt_block key "short"))
-
-let test_aes_ctr () =
-  (* SP 800-38A F.5.1 CTR-AES128.Encrypt, first block: the initial counter
-     f0f1..feff maps to nonce f0..fb and counter 0xfcfdfeff *)
-  let key = hex_to_string "2b7e151628aed2a6abf7158809cf4f3c" in
-  let nonce = hex_to_string "f0f1f2f3f4f5f6f7f8f9fafb" in
-  let plaintext = hex_to_string "6bc1bee22e409f96e93d7e117393172a" in
-  let ciphertext = Aes.ctr ~key ~nonce ~counter:0xfcfdfeff plaintext in
-  Alcotest.(check string) "sp800-38a ctr block 1"
-    "874d6191b620e3261bef6864990db6ce" (Sha256.to_hex ciphertext);
-  (* involution and partial blocks *)
-  let data = String.init 45 (fun i -> Char.chr (i * 5 mod 256)) in
-  Alcotest.(check string) "ctr involutive" data
-    (Aes.ctr ~key ~nonce (Aes.ctr ~key ~nonce data));
-  Alcotest.(check string) "empty" "" (Aes.ctr ~key ~nonce "")
-
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"aead round trip" ~count:100
@@ -126,17 +130,18 @@ let qcheck_tests =
         | None -> false);
     QCheck.Test.make ~name:"chacha xor involutive" ~count:100 QCheck.string
       (fun data -> Chacha20.xor ~key ~nonce (Chacha20.xor ~key ~nonce data) = data);
-    QCheck.Test.make ~name:"aes block decrypt inverts encrypt" ~count:100
-      (QCheck.pair QCheck.string QCheck.string)
-      (fun (ks, bs) ->
-        let pad s n = String.sub (s ^ String.make n '\000') 0 n in
-        let k = Aes.expand_key (pad ks 16) in
-        let block = pad bs 16 in
-        Aes.decrypt_block k (Aes.encrypt_block k block) = block);
-    QCheck.Test.make ~name:"aes ctr involutive" ~count:100 QCheck.string
-      (fun data ->
-        let k = String.make 16 'k' and n12 = String.make 12 'n' in
-        Aes.ctr ~key:k ~nonce:n12 (Aes.ctr ~key:k ~nonce:n12 data) = data);
+    (* xor steps the block counter once per 64 bytes *)
+    QCheck.Test.make ~name:"chacha xor follows consecutive blocks" ~count:100
+      (QCheck.pair (QCheck.string_of_size QCheck.Gen.(0 -- 300)) (QCheck.int_range 0 1000))
+      (fun (data, counter) ->
+        let keystream =
+          String.concat ""
+            (List.init
+               ((String.length data + 63) / 64)
+               (fun i -> Chacha20.block ~key ~nonce ~counter:(counter + i)))
+        in
+        Chacha20.xor ~key ~nonce ~counter data
+        = String.mapi (fun i c -> Char.chr (Char.code c lxor Char.code keystream.[i])) data);
     QCheck.Test.make ~name:"distinct nonces give distinct keystreams" ~count:50
       QCheck.small_nat
       (fun i ->
@@ -152,12 +157,12 @@ let suite =
       [
         Alcotest.test_case "chacha20 block vector" `Quick test_chacha20_block;
         Alcotest.test_case "chacha20 encrypt vector" `Quick test_chacha20_encrypt;
+        Alcotest.test_case "chacha20 keystream vectors" `Quick test_chacha20_keystream_vectors;
+        Alcotest.test_case "chacha20 counter 42 vector" `Quick test_chacha20_counter42_vector;
         Alcotest.test_case "chacha20 input validation" `Quick test_chacha20_errors;
         Alcotest.test_case "aead round trip" `Quick test_aead_round_trip;
         Alcotest.test_case "aead tamper rejection" `Quick test_aead_tamper;
         Alcotest.test_case "aead empty plaintext" `Quick test_aead_empty_plaintext;
-        Alcotest.test_case "aes block vectors" `Quick test_aes_block;
-        Alcotest.test_case "aes ctr vectors" `Quick test_aes_ctr;
       ] );
     ("cipher-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

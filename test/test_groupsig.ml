@@ -742,7 +742,7 @@ let test_points_outside_subgroup () =
       ("T2 shifted off G_q", { s with Group_sig.t2 = G1.add params s.Group_sig.t2 off });
     ]
 
-(* E12: the paper's §V-C operation counts hold on the real code path.
+(* The paper's §V-C operation counts hold on the real code path.
    verify = 2 pairings for the proof plus (1 + |URL|) for the revocation
    scan; verify_fast is independent of the table size. *)
 let test_op_counts () =
@@ -780,8 +780,8 @@ let test_op_counts () =
              Alcotest.check vres "valid" Group_sig.Valid
                (Group_sig.verify gpk ~url ~msg s)))
         ~pairings:(3 + n) ~g1_mul:8 ~gt_exp:1 ~hash_to_g1:2)
-    [ 1; 6 ];
-  (* verify_fast: |URL|-independent — identical counts for 4 and 24 tokens *)
+    [ 1; 6; 8 ];
+  (* verify_fast: |URL|-independent — identical counts for 4 to 50 tokens *)
   let fi = Group_sig.setup ~base_mode:Group_sig.Fixed_bases tiny (test_rng 91) in
   let fgpk = fi.Group_sig.gpk in
   let dave = Group_sig.issue fi ~grp:(Bigint.of_int 1) rng in
@@ -800,7 +800,7 @@ let test_op_counts () =
              Alcotest.check vres "valid" Group_sig.Valid
                (Group_sig.verify_fast fgpk table ~msg s_f)))
         ~pairings:4 ~g1_mul:8 ~gt_exp:1 ~hash_to_g1:0)
-    [ 4; 24 ]
+    [ 4; 5; 24; 50 ]
 
 let suite =
   [

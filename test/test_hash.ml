@@ -37,22 +37,11 @@ let test_sha256_streaming () =
         (Sha256.to_hex (Sha256.finalize ctx)))
     chunkings
 
-let test_sha512_vectors () =
-  check_hex "sha512 empty"
-    "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"
-    (Sha512.digest "");
-  check_hex "sha512 abc"
-    "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
-    (Sha512.digest "abc")
-
 let test_hmac_vectors () =
   let fox = "The quick brown fox jumps over the lazy dog" in
   check_hex "hmac-sha256"
     "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8"
     (Hmac.sha256 ~key:"key" fox);
-  check_hex "hmac-sha512"
-    "b42af09057bac1e2d41708e48a902e09b5ff7f12ab428a4fe86653c73dd248fb82f948a549f7b791a5b41915ee4d1ec3935357e4e2317250d0372afa2ebeeb3a"
-    (Hmac.sha512 ~key:"key" fox);
   (* keys longer than the block size are hashed first *)
   check_hex "hmac long key"
     "e2adadca233bc31c6e6126c865132c3e945f9dedd44797a1e5acc3c037bc21fc"
@@ -68,6 +57,62 @@ let test_hkdf_rfc5869 () =
   check_hex "hkdf okm"
     "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
     (Hmac.hkdf ~salt ~info ikm 42)
+
+(* RFC 4231 test cases 1-4, 6 and 7 (case 5 truncates the tag): keys
+   shorter than, and (6, 7) longer than, the 64-byte block *)
+let test_hmac_rfc4231 () =
+  let cases =
+    [
+      ( "case 1", String.make 20 '\x0b', "Hi There",
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+      ( "case 2", "Jefe", "what do ya want for nothing?",
+        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+      ( "case 3", String.make 20 '\xaa', String.make 50 '\xdd',
+        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+      ( "case 4", String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+      ( "case 6", String.make 131 '\xaa',
+        "Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+      ( "case 7", String.make 131 '\xaa',
+        "This is a test using a larger than block-size key and a larger than \
+         block-size data. The key needs to be hashed before being used by the \
+         HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+    ]
+  in
+  List.iter (fun (name, key, msg, tag) -> check_hex name tag (Hmac.sha256 ~key msg)) cases
+
+(* RFC 5869 A.2 (80-byte inputs, three expand blocks) and A.3 (empty salt
+   and info: the salt defaults to 32 zero bytes) *)
+let test_hkdf_rfc5869_long_and_empty () =
+  let range lo hi = String.init (hi - lo) (fun i -> Char.chr (lo + i)) in
+  let ikm = range 0x00 0x50 and salt = range 0x60 0xb0 and info = range 0xb0 0x100 in
+  check_hex "long prk"
+    "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244"
+    (Hmac.hkdf_extract ~salt ikm);
+  check_hex "long okm"
+    "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71cc30c58179ec3e87c14c01d5c1f3434f1d87"
+    (Hmac.hkdf ~salt ~info ikm 82);
+  let ikm = String.make 22 '\x0b' in
+  check_hex "empty-salt prk"
+    "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04"
+    (Hmac.hkdf_extract ikm);
+  check_hex "empty-salt okm"
+    "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
+    (Hmac.hkdf ~info:"" ikm 42)
+
+(* RFC 5869 caps the output at 255 blocks *)
+let test_hkdf_length_bounds () =
+  let hkdf n = Hmac.hkdf ~info:"bounds" "ikm" n in
+  Alcotest.(check string) "zero length" "" (hkdf 0);
+  Alcotest.(check int) "255 blocks" (255 * Sha256.digest_size)
+    (String.length (hkdf (255 * Sha256.digest_size)));
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "length %d" n)
+        (Invalid_argument "Hmac.hkdf_expand: bad length") (fun () -> ignore (hkdf n)))
+    [ -1; (255 * Sha256.digest_size) + 1 ]
 
 let test_constant_time_equal () =
   Alcotest.(check bool) "equal" true (Hmac.equal_constant_time "abcd" "abcd");
@@ -96,8 +141,6 @@ let qcheck_tests =
   [
     QCheck.Test.make ~name:"sha256 is 32 bytes" ~count:100 QCheck.string
       (fun s -> String.length (Sha256.digest s) = 32);
-    QCheck.Test.make ~name:"sha512 is 64 bytes" ~count:100 QCheck.string
-      (fun s -> String.length (Sha512.digest s) = 64);
     QCheck.Test.make ~name:"split update = one-shot" ~count:100
       (QCheck.pair QCheck.string QCheck.string)
       (fun (a, b) ->
@@ -113,6 +156,27 @@ let qcheck_tests =
     QCheck.Test.make ~name:"constant-time equal agrees with (=)" ~count:200
       (QCheck.pair QCheck.string QCheck.string)
       (fun (a, b) -> Hmac.equal_constant_time a b = (a = b));
+    (* RFC 2104: a key up to the block size is zero-padded to it, a longer
+       key is replaced by its digest; a quarter of the keys straddle the
+       64-byte boundary *)
+    QCheck.Test.make ~name:"hmac key padding and hashing" ~count:200
+      (QCheck.pair
+         (QCheck.string_of_size QCheck.Gen.(frequency [ (3, 0 -- 160); (1, 63 -- 65) ]))
+         QCheck.string)
+      (fun (key, msg) ->
+        let block = Sha256.block_size in
+        let equivalent =
+          if String.length key > block then Sha256.digest key
+          else key ^ String.make (block - String.length key) '\000'
+        in
+        Hmac.sha256 ~key msg = Hmac.sha256 ~key:equivalent msg);
+    QCheck.Test.make ~name:"hkdf shorter output is a prefix" ~count:100
+      (QCheck.quad QCheck.string QCheck.string (QCheck.int_range 0 200)
+         (QCheck.int_range 0 200))
+      (fun (ikm, info, a, b) ->
+        let short = min a b and long = max a b in
+        let okm = Hmac.hkdf ~info ikm long in
+        Hmac.hkdf ~info ikm short = String.sub okm 0 short);
   ]
 
 let suite =
@@ -121,9 +185,12 @@ let suite =
       [
         Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
         Alcotest.test_case "sha256 streaming" `Quick test_sha256_streaming;
-        Alcotest.test_case "sha512 vectors" `Quick test_sha512_vectors;
         Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors;
         Alcotest.test_case "hkdf rfc5869" `Quick test_hkdf_rfc5869;
+        Alcotest.test_case "hmac rfc4231 vectors" `Quick test_hmac_rfc4231;
+        Alcotest.test_case "hkdf rfc5869 long and empty inputs" `Quick
+          test_hkdf_rfc5869_long_and_empty;
+        Alcotest.test_case "hkdf length bounds" `Quick test_hkdf_length_bounds;
         Alcotest.test_case "constant-time equal" `Quick test_constant_time_equal;
         Alcotest.test_case "hmac-drbg" `Quick test_drbg;
       ] );

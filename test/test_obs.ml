@@ -1,6 +1,6 @@
 (* Peace_obs tests: lock-free metric semantics (including exactness under
-   concurrent domains), the enabled switch, span nesting and JSONL trace
-   well-formedness, registry enumeration, and the exporters. *)
+   concurrent domains), span nesting and JSONL trace well-formedness,
+   registry enumeration, and the exporters. *)
 
 module R = Peace_obs.Registry
 module Trace = Peace_obs.Trace
@@ -109,22 +109,6 @@ let test_histogram () =
   Alcotest.(check int) "time passes the result through" 13 v;
   Alcotest.(check int) "time observed once" 1 (R.Histogram.count h)
 
-let test_disabled () =
-  let c = R.counter "test.obs.disabled" in
-  let h = R.histogram "test.obs.disabled_h" in
-  R.Counter.reset c;
-  R.Histogram.reset h;
-  R.set_enabled false;
-  Fun.protect ~finally:(fun () -> R.set_enabled true) (fun () ->
-      R.Counter.incr c;
-      R.Counter.add c 10;
-      R.Histogram.observe h 5;
-      ignore (R.Histogram.time h (fun () -> ()));
-      Alcotest.(check int) "counter untouched" 0 (R.Counter.value c);
-      Alcotest.(check int) "histogram untouched" 0 (R.Histogram.count h));
-  R.Counter.incr c;
-  Alcotest.(check int) "recording resumes" 1 (R.Counter.value c)
-
 let test_registry_enumeration_and_delta () =
   let c1 = R.counter "test.obs.enum_a" and c2 = R.counter "test.obs.enum_b" in
   R.Counter.reset c1;
@@ -191,6 +175,27 @@ let test_span_histogram_and_exceptions () =
   in
   Alcotest.(check int) "B and E emitted despite the raise" 2 (List.length lines);
   Alcotest.(check int) "duration recorded despite the raise" 1 (R.Histogram.count h)
+
+(* with no collector installed, a span still times into its histogram and
+   still nests *)
+let test_span_histogram_without_collector () =
+  Alcotest.(check bool) "no collector installed" false (Trace.collector_active ());
+  let h = R.histogram "span.test.obs.bare.dur_ns" in
+  R.Histogram.reset h;
+  let inner =
+    Trace.with_span "test.obs.bare" (fun () ->
+        let outer = Trace.current_span () in
+        Trace.with_span "test.obs.bare" (fun () ->
+            (outer, Trace.current_span ())))
+  in
+  (match inner with
+  | Some outer, Some nested ->
+    Alcotest.(check bool) "nested span has its own id" true (outer <> nested)
+  | _ -> Alcotest.fail "span not on the stack");
+  Alcotest.(check (option int)) "stack empty afterwards" None (Trace.current_span ());
+  Alcotest.(check int) "both spans timed" 2 (R.Histogram.count h);
+  (try Trace.with_span "test.obs.bare" (fun () -> failwith "boom") with Failure _ -> ());
+  Alcotest.(check int) "timed despite the raise" 3 (R.Histogram.count h)
 
 let test_span_attrs_escaping () =
   let lines =
@@ -2095,13 +2100,14 @@ let () =
           Alcotest.test_case "counter concurrent exactness" `Quick test_counter_concurrent;
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "disabled switch" `Quick test_disabled;
           Alcotest.test_case "enumeration and delta" `Quick test_registry_enumeration_and_delta;
         ] );
       ( "trace",
         [
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception safety" `Quick test_span_histogram_and_exceptions;
+          Alcotest.test_case "span histogram without a collector" `Quick
+            test_span_histogram_without_collector;
           Alcotest.test_case "attr escaping" `Quick test_span_attrs_escaping;
           Alcotest.test_case "explicit handles" `Quick test_span_handles;
         ] );
