@@ -50,23 +50,34 @@ let once_ms f =
 (* median-of-n wall-clock timer, milliseconds *)
 let time_ms ?(reps = 5) f = median (List.init reps (fun _ -> once_ms f))
 
-(* Two-arm rows. Timing one arm n times and then the other lets host drift
-   between the two blocks land on one arm, enough to fake or hide a few
-   percent. [alternate a b] times the arms in alternating rounds, swapping
-   which goes first each round, and returns each round's (a, b)
-   milliseconds; [ab_row] prints each arm's median and the median
-   [q1, q3] of the per-round ratio b/a, so the row states how well that
-   ratio is resolved. *)
+(* Rows that compare arms. Timing one arm n times and then the next lets
+   host drift between the blocks land on one arm, enough to fake or hide a
+   few percent. [rotate arms] times the arms in rounds, each round starting
+   one arm later than the one before, and returns each round's
+   milliseconds in arm order; [alternate a b] is the two-arm case, which
+   swaps the first arm each round and returns (a, b) pairs. [ab_row]
+   prints each arm's median and the median [q1, q3] of the per-round ratio
+   b/a, so the row states how well that ratio is resolved. *)
 let ab_rounds = if quick then 7 else 15
 
-let alternate a b =
+let rotate arms =
+  let n = Array.length arms in
   List.init ab_rounds (fun i ->
-      if i mod 2 = 0 then
-        let ta = once_ms a in
-        (ta, once_ms b)
-      else
-        let tb = once_ms b in
-        (once_ms a, tb))
+      let t = Array.make n 0.0 in
+      for j = 0 to n - 1 do
+        let k = (i + j) mod n in
+        t.(k) <- once_ms arms.(k)
+      done;
+      t)
+
+let alternate a b =
+  let arm f () = ignore (Sys.opaque_identity (f ())) in
+  List.map (fun t -> (t.(0), t.(1))) (rotate [| arm a; arm b |])
+
+(* the median [q1, q3] of per-round ratios, as the rows print it *)
+let ratio_summary ratios =
+  Printf.sprintf "%.3f [%.3f, %.3f]" (median ratios) (quantile 25.0 ratios)
+    (quantile 75.0 ratios)
 
 let ab_header first second =
   Printf.printf "%d rounds, arms alternating\n" ab_rounds;
@@ -76,9 +87,8 @@ let ab_header first second =
 (* [rounds] already in [unit_]; returns the two arms' medians *)
 let ab_row label unit_ rounds =
   let ma = median (List.map fst rounds) and mb = median (List.map snd rounds) in
-  let ratios = List.map (fun (a, b) -> b /. a) rounds in
-  Printf.printf "%-28s %9.2f %-5s %9.2f %-5s   %.3f [%.3f, %.3f]\n" label ma unit_
-    mb unit_ (median ratios) (quantile 25.0 ratios) (quantile 75.0 ratios);
+  Printf.printf "%-28s %9.2f %-5s %9.2f %-5s   %s\n" label ma unit_ mb unit_
+    (ratio_summary (List.map (fun (a, b) -> b /. a) rounds));
   (ma, mb)
 
 let drbg seed = Peace_hash.Drbg.bytes_fn (Peace_hash.Drbg.create ~seed ())
@@ -796,25 +806,34 @@ let experiment_e14 () =
       (fun (msg, s) -> ignore (Group_sig.verify fx.fx_gpk ~msg s))
       batch
   in
-  (* baseline: registry on, no span consumer — the PR-2 state *)
-  let base_ms = time_ms ~reps:5 verify_all in
-  (* + span-tree profiler folding every begin/end into the call tree *)
-  let prof = Peace_obs.Profile.create () in
-  Peace_obs.Trace.set_collector (Some (Peace_obs.Profile.collector prof));
-  let prof_ms = time_ms ~reps:5 verify_all in
-  Peace_obs.Trace.set_collector None;
-  (* + raw event recorder (what --profile-out FILE.json attaches) *)
-  let rec_ = Peace_obs.Expo.recorder () in
-  Peace_obs.Trace.set_collector (Some (Peace_obs.Expo.record rec_));
-  let rec_ms = time_ms ~reps:5 verify_all in
-  Peace_obs.Trace.set_collector None;
-  let pct x = 100.0 *. (x -. base_ms) /. base_ms in
-  Printf.printf "%d verifies (tiny params), median of 5 reps:\n" n;
-  Printf.printf "  baseline (registry only)   %8.1f ms\n" base_ms;
-  Printf.printf "  + profile collector        %8.1f ms  (%+.2f%%)\n" prof_ms
-    (pct prof_ms);
-  Printf.printf "  + event recorder           %8.1f ms  (%+.2f%%)\n" rec_ms
-    (pct rec_ms);
+  (* the same verify loop with span consumer [c] installed, or none *)
+  let with_collector c () =
+    Peace_obs.Trace.set_collector c;
+    Fun.protect ~finally:(fun () -> Peace_obs.Trace.set_collector None) verify_all
+  in
+  (* baseline: registry counters and span histograms, no span consumer;
+     + the span-tree profiler folding every begin/end into the call tree;
+     + the raw event recorder (what --profile-out FILE.json attaches) *)
+  let prof = Peace_obs.Profile.create () and rec_ = Peace_obs.Expo.recorder () in
+  let rounds =
+    rotate
+      [|
+        with_collector None;
+        with_collector (Some (Peace_obs.Profile.collector prof));
+        with_collector (Some (Peace_obs.Expo.record rec_));
+      |]
+  in
+  let arm k = median (List.map (fun t -> t.(k)) rounds) in
+  let base_ms = arm 0 and prof_ms = arm 1 and rec_ms = arm 2 in
+  Printf.printf "%d verifies (tiny params) per run, %d rounds, arms rotating:\n" n
+    ab_rounds;
+  Printf.printf "  %-26s %8s     %s\n" "" "median" "arm / baseline per round: median [q1, q3]";
+  Printf.printf "  %-26s %8.1f ms\n" "baseline (registry only)" base_ms;
+  List.iter
+    (fun (label, k) ->
+      Printf.printf "  %-26s %8.1f ms  %s\n" label (arm k)
+        (ratio_summary (List.map (fun t -> t.(k) /. t.(0)) rounds)))
+    [ ("+ profile collector", 1); ("+ event recorder", 2) ];
   (* render costs, measured on the data those runs produced *)
   let folded_ms =
     time_ms ~reps:3 (fun () -> Peace_obs.Expo.folded prof)
@@ -1097,14 +1116,7 @@ let experiment_e18 () =
   let module Audit = Peace_obs.Audit in
   let module Ecdsa = Peace_ec.Ecdsa in
   let module Curve = Peace_ec.Curve in
-  let hex s =
-    String.concat "" (List.init (String.length s) (fun i ->
-        Printf.sprintf "%02x" (Char.code s.[i])))
-  in
-  let unhex h =
-    String.init (String.length h / 2) (fun i ->
-        Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-  in
+  let hex = Peace_hash.Sha256.to_hex and unhex = Peace_hash.Sha256.of_hex in
   let curve = Lazy.force Peace_ec.Curves.secp160r1 in
   let key = Ecdsa.generate curve (drbg "e18-audit") in
   let signer =
@@ -1118,7 +1130,8 @@ let experiment_e18 () =
   in
   let verify_sig ~algo:_ ~pk ~payload ~signature =
     match
-      (Curve.decode curve (unhex pk), Ecdsa.signature_of_bytes curve (unhex signature))
+      ( Option.bind (unhex pk) (Curve.decode curve),
+        Option.bind (unhex signature) (Ecdsa.signature_of_bytes curve) )
     with
     | Some public, Some s -> Ecdsa.verify curve ~public payload s
     | _ -> false

@@ -29,22 +29,10 @@ let or_die = function
     prerr_endline ("error: " ^ reason);
     exit 1
 
-let hex_encode s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
-
 let hex_decode hex =
   let hex = String.trim hex in
   if String.length hex mod 2 <> 0 then Error "odd-length hex"
-  else begin
-    match
-      String.init (String.length hex / 2) (fun i ->
-          Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
-    with
-    | s -> Ok s
-    | exception _ -> Error "bad hex"
-  end
+  else Option.to_result ~none:"bad hex" (Peace_hash.Sha256.of_hex hex)
 
 let os_entropy =
   (* seed a DRBG from /dev/urandom once per process *)
@@ -206,7 +194,7 @@ let sign trace profile_out gpk_path key_path message =
   let gpk = or_die (Group_sig.gpk_of_text (read_file gpk_path)) in
   let gsk = or_die (Group_sig.gsk_of_text gpk (read_file key_path)) in
   let signature = Group_sig.sign gpk gsk ~rng:(fresh_rng ()) ~msg:message in
-  print_endline (hex_encode (Group_sig.signature_to_bytes gpk signature))
+  print_endline (Peace_hash.Sha256.to_hex (Group_sig.signature_to_bytes gpk signature))
 
 let message_arg =
   Arg.(required & opt (some string) None & info [ "m"; "message" ] ~doc:"Message to sign/verify.")
@@ -289,10 +277,10 @@ let audit gpk_path message sig_hex grt_path =
 let audit_signer curve ~public ~sign =
   {
     Peace_obs.Audit.s_algo = "ecdsa-" ^ Peace_ec.Curve.name curve;
-    s_pk = hex_encode (Peace_ec.Curve.encode curve public);
+    s_pk = Peace_hash.Sha256.to_hex (Peace_ec.Curve.encode curve public);
     s_sign =
       (fun payload ->
-        hex_encode (Peace_ec.Ecdsa.signature_to_bytes curve (sign payload)));
+        Peace_hash.Sha256.to_hex (Peace_ec.Ecdsa.signature_to_bytes curve (sign payload)));
   }
 
 (* checkpoint verification from genesis-embedded (algo, pk) alone *)

@@ -49,77 +49,3 @@ let invert a m =
   let g, s, _ = egcd a m in
   if not (Bigint.is_one g) then raise Division_by_zero;
   Bigint.erem s m
-
-let jacobi a n =
-  if Bigint.sign n <= 0 || Bigint.is_even n then
-    invalid_arg "Modular.jacobi: n must be odd and positive";
-  let rec go a n acc =
-    let a = Bigint.erem a n in
-    if Bigint.is_zero a then (if Bigint.is_one n then acc else 0)
-    else begin
-      (* strip factors of two from a *)
-      let rec strip a flips =
-        if Bigint.is_even a then strip (Bigint.shift_right a 1) (flips + 1)
-        else (a, flips)
-      in
-      let a, flips = strip a 0 in
-      let n_mod8 = Bigint.to_int (Bigint.erem n (Bigint.of_int 8)) in
-      let acc =
-        if flips land 1 = 1 && (n_mod8 = 3 || n_mod8 = 5) then -acc else acc
-      in
-      (* quadratic reciprocity *)
-      let a_mod4 = Bigint.to_int (Bigint.erem a (Bigint.of_int 4)) in
-      let acc = if a_mod4 = 3 && n_mod8 land 3 = 3 then -acc else acc in
-      if Bigint.is_one a then acc else go n a acc
-    end
-  in
-  go a n 1
-
-let sqrt a p =
-  let a = Bigint.erem a p in
-  if Bigint.is_zero a then Some Bigint.zero
-  else if jacobi a p <> 1 then None
-  else begin
-    let p_mod4 = Bigint.to_int (Bigint.erem p (Bigint.of_int 4)) in
-    let root =
-      if p_mod4 = 3 then
-        (* r = a^{(p+1)/4} *)
-        powm a (Bigint.shift_right (Bigint.succ p) 2) p
-      else begin
-        (* Tonelli-Shanks *)
-        let rec split q s =
-          if Bigint.is_even q then split (Bigint.shift_right q 1) (s + 1)
-          else (q, s)
-        in
-        let q, s = split (Bigint.pred p) 0 in
-        (* find a quadratic non-residue z *)
-        let rec find_non_residue z =
-          if jacobi z p = -1 then z
-          else find_non_residue (Bigint.succ z)
-        in
-        let z = find_non_residue Bigint.two in
-        let m = ref s in
-        let c = ref (powm z q p) in
-        let t = ref (powm a q p) in
-        let r = ref (powm a (Bigint.shift_right (Bigint.succ q) 1) p) in
-        while not (Bigint.is_one !t) do
-          (* find least i with t^{2^i} = 1 *)
-          let rec order i acc =
-            if Bigint.is_one acc then i else order (i + 1) (mul acc acc p)
-          in
-          let i = order 0 !t in
-          let b = ref !c in
-          for _ = 1 to !m - i - 1 do
-            b := mul !b !b p
-          done;
-          m := i;
-          c := mul !b !b p;
-          t := mul !t !c p;
-          r := mul !r !b p
-        done;
-        !r
-      end
-    in
-    (* paranoia: verify, since jacobi only proves residuosity for prime p *)
-    if Bigint.equal (mul root root p) a then Some root else None
-  end

@@ -1,7 +1,8 @@
 (** Modular arithmetic helpers over [Bigint].
 
     All moduli must be positive. Results are canonical representatives in
-    [\[0, m)]. *)
+    [\[0, m)]. Square roots are taken in the Montgomery domain, by
+    {!Mont.sqrt}. *)
 
 val add : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
 (** [add a b m] is [(a + b) mod m]. *)
@@ -16,11 +17,3 @@ val powm : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
 val invert : Bigint.t -> Bigint.t -> Bigint.t
 (** [invert a m] is the [x] in [\[0, m)] with [a*x = 1 (mod m)].
     @raise Division_by_zero if no inverse exists. *)
-
-val jacobi : Bigint.t -> Bigint.t -> int
-(** [jacobi a n] is the Jacobi symbol [(a/n)] for odd positive [n];
-    [-1], [0] or [1]. *)
-
-val sqrt : Bigint.t -> Bigint.t -> Bigint.t option
-(** [sqrt a p] is a square root of [a] modulo an odd prime [p] when one
-    exists (Tonelli–Shanks; fast path for [p = 3 (mod 4)]). *)

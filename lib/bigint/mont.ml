@@ -13,6 +13,7 @@ type ctx = {
   r2 : int array;         (* R^2 mod m, Montgomery form of R *)
   one_m : int array;      (* R mod m = Montgomery form of 1 *)
   modulus : Bigint.t;
+  root_exp : Bigint.t;    (* (m + 1)/4, the square-root exponent *)
 }
 
 type elt = int array
@@ -104,6 +105,7 @@ let create modulus =
     r2 = fixed_width k (Bigint.Internal.magnitude r2);
     one_m = fixed_width k (Bigint.Internal.magnitude one_m);
     modulus;
+    root_exp = Bigint.shift_right (Bigint.succ modulus) 2;
   }
 
 let modulus ctx = ctx.modulus
@@ -195,6 +197,14 @@ let pow ctx b e =
   end
 
 let of_int ctx v = of_bigint ctx (Bigint.of_int v)
+
+(* For m ≡ 3 (mod 4), r = a^((m+1)/4) squares to a exactly when a is a
+   square (0 included); for a non-residue r² = −a, so no Jacobi symbol is
+   needed *)
+let sqrt ctx a =
+  if not (Bigint.testbit ctx.modulus 1) then invalid "Mont.sqrt: modulus is not 3 mod 4";
+  let r = pow ctx a ctx.root_exp in
+  if equal ctx (sqr ctx r) a then Some r else None
 
 let inv ctx a =
   (* from Montgomery form -> canonical -> extended gcd -> back *)

@@ -46,6 +46,12 @@ val is_zero : ctx -> elt -> bool
 val pow : ctx -> elt -> Bigint.t -> elt
 (** [pow ctx b e] for [e >= 0], 4-bit fixed-window exponentiation. *)
 
+val sqrt : ctx -> elt -> elt option
+(** [sqrt ctx a] is r = a{^(m+1)/4} when r² = a: the square root for a
+    prime modulus m ≡ 3 (mod 4), [None] when a is not a square. The
+    exponent is computed once, by {!create}.
+    @raise Invalid_argument unless m ≡ 3 (mod 4). *)
+
 val inv : ctx -> elt -> elt
 (** Multiplicative inverse. @raise Division_by_zero if the element is not
     invertible (shares a factor with the modulus). *)

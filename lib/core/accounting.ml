@@ -32,11 +32,6 @@ let record_down meter ~session_id ~bytes =
   let l = live_of meter session_id in
   l.bytes_down <- l.bytes_down + bytes
 
-let hex_prefix ?(bytes = 8) s =
-  let n = Stdlib.min bytes (String.length s) in
-  String.concat ""
-    (List.init n (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
-
 let close_session meter ~session_id ~duration_ms =
   (* only live sessions close: closing an unknown (or already-closed)
      session is a no-op, so a duplicate or forged close frame can neither
@@ -55,7 +50,7 @@ let close_session meter ~session_id ~duration_ms =
       :: meter.closed;
     Peace_obs.Audit.emit ~kind:"session_close"
       [
-        ("session", hex_prefix session_id);
+        ("session", Session.short_id session_id);
         ("bytes_up", string_of_int l.bytes_up);
         ("bytes_down", string_of_int l.bytes_down);
         ("duration_ms", string_of_int duration_ms);

@@ -65,7 +65,8 @@ let of_bytes config s =
     let* expires_at = read_u64 r in
     let* sig_bytes = read_bytes r in
     let* () = expect_end r in
-    (* the signature's encoding before the point's square root *)
+    (* the signature's length check before the point's field conversions
+       and curve equation *)
     match Ecdsa.signature_of_bytes config.Config.curve sig_bytes with
     | None -> Error "Cert: bad signature"
     | Some signature -> (

@@ -13,14 +13,6 @@ let h_verify = Obs.histogram "router.verify_ns"
 let h_finalize = Obs.histogram "router.finalize_ns"
 let h_url_scan = Obs.histogram "router.url_scan_len"
 
-(* audit-ledger attribute helpers: session ids are raw bytes, recorded
-   as a short hex prefix (enough to join against the access log without
-   bloating every record) *)
-let hex_prefix ?(bytes = 8) s =
-  let n = Stdlib.min bytes (String.length s) in
-  String.concat ""
-    (List.init n (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
-
 let audit_reject router_id err =
   let code = Protocol_error.wire_code err in
   Audit.emit ~kind:"access_reject"
@@ -349,7 +341,7 @@ let finalize t (m : Messages.access_request) ob transcript =
   Audit.emit ~kind:"access_accept"
     [
       ("router", string_of_int t.router_id);
-      ("session", hex_prefix (Session.id session));
+      ("session", Session.short_id (Session.id session));
       ("ts2", string_of_int m.Messages.ts2);
     ];
   Ok (confirm, session)

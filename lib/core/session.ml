@@ -15,6 +15,7 @@ type t = {
 }
 
 let id t = t.id
+let short_id id = Sha256.to_hex (String.sub id 0 (min 8 (String.length id)))
 let role t = t.role
 
 let derive config ~role ~local_secret ~remote_share ~initiator_share

@@ -18,6 +18,11 @@ val id : t -> string
 (** The session identifier derived from the DH shares (g^{r_a}, g^{r_b}) —
     the paper's fresh-random-pair identifier, unlinkable across sessions. *)
 
+val short_id : string -> string
+(** How the audit ledger records a session identifier: the hex of its
+    first 8 bytes, enough to join against the access log without bloating
+    every record. *)
+
 val role : t -> role
 
 val derive :

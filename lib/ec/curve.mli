@@ -1,7 +1,7 @@
 (** Short Weierstrass elliptic curves y² = x³ + ax + b (a = −3 or 1) over a
-    prime field: domain parameters, the equation check and the SEC 1 codec.
-    The group law and the scalar multiplication are {!Ecp}'s, shared with
-    the pairing group G1. Used by ECDSA (router certificates,
+    prime field: domain parameters and the uncompressed SEC 1 codec. The
+    equation, the group law and the scalar multiplication are {!Ecp}'s,
+    shared with the pairing group G1. Used by ECDSA (router certificates,
     non-repudiation receipts in PEACE). *)
 
 open Peace_bigint
@@ -62,13 +62,14 @@ val mul_base : t -> Bigint.t -> point
 val equal : t -> point -> point -> bool
 val on_curve : t -> point -> bool
 
-val encode : t -> ?compress:bool -> point -> string
-(** SEC 1 encoding: [0x00] for infinity, [0x04 ‖ x ‖ y] uncompressed
-    (default), [0x02/0x03 ‖ x] compressed. *)
+val encode : t -> point -> string
+(** Uncompressed SEC 1 encoding: [0x00] for infinity, [0x04 ‖ x ‖ y]
+    otherwise. *)
 
 val decode : t -> string -> point option
-(** Parses and validates a SEC 1 encoding. [None] on malformed input, a
-    coordinate not below p, or a point not on the curve. *)
+(** Parses and validates an {!encode} output. [None] on any other input
+    (a compressed [0x02]/[0x03] form included), a coordinate not below p,
+    or a point not on the curve. *)
 
 val byte_size : t -> int
 (** Bytes needed for one field element. *)

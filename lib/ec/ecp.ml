@@ -1,27 +1,42 @@
-(* The group law of y² = x³ + ax + b over F_p for a = 1 (the type-A
-   pairing curve) and a = −3 (the secp curves), and its scalar
-   multiplication.
+(* The curve y² = x³ + ax + b over F_p for a = 1 (the type-A pairing
+   curve, b = 0) and a = −3 (the secp curves): its equation, its group law
+   and its scalar multiplication.
 
    Points are affine in Montgomery form. Additions use one field inversion
    each; scalar multiplication switches to Jacobian coordinates to avoid
    per-step inversions, and the pairing's Miller loop walks the same
-   Jacobian steps, hearing of each line they draw. b never enters the
-   group law, so each curve keeps its own equation check. Nothing here is
-   counted: each caller counts its own operations. *)
+   Jacobian steps, hearing of each line they draw. b enters only the
+   equation, never the group law. Nothing here is counted: each caller
+   counts its own operations. *)
 
 open Peace_bigint
 
-type t = { fp : Mont.ctx; a : Mont.elt; minus3 : bool }
+type t = { fp : Mont.ctx; a : Mont.elt; b : Mont.elt; minus3 : bool }
 
 type point = Infinity | Affine of { x : Mont.elt; y : Mont.elt }
 
-let make fp ~a =
+let make fp ~a ~b =
   let p = Mont.modulus fp in
   let a = Bigint.erem a p in
   let minus3 = Bigint.equal a (Bigint.sub p (Bigint.of_int 3)) in
   if not (minus3 || Bigint.equal a Bigint.one) then
     invalid_arg "Ecp.make: a must be 1 or -3";
-  { fp; a = Mont.of_bigint fp a; minus3 }
+  { fp; a = Mont.of_bigint fp a; b = Mont.of_bigint fp b; minus3 }
+
+(* x³ + ax + b, as x·(x² + a) + b *)
+let rhs c x =
+  let fp = c.fp in
+  Mont.add fp (Mont.mul fp (Mont.add fp (Mont.sqr fp x) c.a) x) c.b
+
+let on_curve c = function
+  | Infinity -> true
+  | Affine { x; y } -> Mont.equal c.fp (Mont.sqr c.fp y) (rhs c x)
+
+let of_affine c ~x ~y =
+  let p = Affine { x = Mont.of_bigint c.fp x; y = Mont.of_bigint c.fp y } in
+  if on_curve c p then Some p else None
+
+let lift c x = Mont.sqrt c.fp (rhs c x)
 
 let is_infinity = function Infinity -> true | Affine _ -> false
 

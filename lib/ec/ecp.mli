@@ -1,7 +1,7 @@
-(** The group law of a short-Weierstrass curve y² = x³ + ax + b over F_p,
-    and its scalar multiplication: one engine for ECDSA's secp curves
-    (a = −3, {!Curve}) and the type-A pairing group G1 (a = 1), and the
-    steps of the pairing's Miller loop.
+(** A short-Weierstrass curve y² = x³ + ax + b over F_p: its equation,
+    its group law and its scalar multiplication. One engine for ECDSA's
+    secp curves (a = −3, {!Curve}) and the type-A pairing group G1 (a = 1,
+    b = 0), and the steps of the pairing's Miller loop.
 
     Points are affine in Montgomery form. Scalar multiplication runs a
     signed-window (wNAF) chain in Jacobian coordinates over affine odd
@@ -13,13 +13,25 @@
 open Peace_bigint
 
 type t
-(** The field context and the coefficient a. *)
+(** The field context and the coefficients a and b. *)
 
 type point = Infinity | Affine of { x : Mont.elt; y : Mont.elt }
 (** Only meaningful with the {!t} whose field made the coordinates. *)
 
-val make : Mont.ctx -> a:Bigint.t -> t
+val make : Mont.ctx -> a:Bigint.t -> b:Bigint.t -> t
 (** @raise Invalid_argument unless a ≡ 1 or a ≡ −3 (mod p). *)
+
+val on_curve : t -> point -> bool
+(** y² = x³ + ax + b; true for the point at infinity. *)
+
+val of_affine : t -> x:Bigint.t -> y:Bigint.t -> point option
+(** The point (x, y), the coordinates reduced modulo p; [None] when it is
+    not on the curve. *)
+
+val lift : t -> Mont.elt -> Mont.elt option
+(** [lift c x] is {!Mont.sqrt} of x³ + ax + b: a y with (x, y) on the
+    curve, or [None] when there is none.
+    @raise Invalid_argument unless p ≡ 3 (mod 4). *)
 
 val is_infinity : point -> bool
 val to_affine : t -> point -> (Bigint.t * Bigint.t) option

@@ -384,23 +384,9 @@ let signature_of_bytes gpk bytes =
 
 (* --- textual key storage for the CLI --- *)
 
-let point_hex params pt =
-  (* hex of the compressed encoding *)
-  let s = G1.encode params pt in
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
-
-let point_of_hex params hex =
-  if String.length hex mod 2 <> 0 then None
-  else begin
-    match
-      String.init (String.length hex / 2) (fun i ->
-          Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
-    with
-    | bytes -> G1.decode params bytes
-    | exception _ -> None
-  end
+(* hex of the compressed encoding *)
+let point_hex params pt = Sha256.to_hex (G1.encode params pt)
+let point_of_hex params hex = Option.bind (Sha256.of_hex hex) (G1.decode params)
 
 let gpk_to_text gpk =
   let params = gpk.params in

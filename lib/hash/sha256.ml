@@ -150,3 +150,18 @@ let to_hex s =
   let buf = Buffer.create (2 * String.length s) in
   String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
   Buffer.contents buf
+
+let of_hex h =
+  let digit = function
+    | '0' .. '9' as c -> Char.code c - Char.code '0'
+    | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+    | _ -> raise Exit
+  in
+  if String.length h mod 2 <> 0 then None
+  else
+    try
+      Some
+        (String.init (String.length h / 2) (fun i ->
+             Char.chr ((digit h.[2 * i] lsl 4) lor digit h.[(2 * i) + 1])))
+    with Exit -> None

@@ -21,3 +21,7 @@ val block_size : int
 
 val to_hex : string -> string
 (** Renders a raw byte string in lower-case hexadecimal (any input). *)
+
+val of_hex : string -> string option
+(** The bytes of an even number of hexadecimal digits, either case; [None]
+    on anything else (a sign, a [0x] prefix, a separator or whitespace). *)

@@ -1,7 +1,7 @@
-(* The pairing group on E : y² = x³ + x over F_p: the curve equation,
-   hashing onto the q-subgroup and the compressed codec with its subgroup
-   check. The group law and the wNAF/Straus scalar multiplication are
-   Peace_ec.Ecp's (a = 1), shared with ECDSA's curves. *)
+(* The pairing group on E : y² = x³ + x over F_p: hashing onto the
+   q-subgroup and the compressed codec with its subgroup check. The curve
+   equation, the group law and the wNAF/Straus scalar multiplication are
+   Peace_ec.Ecp's (a = 1, b = 0), shared with ECDSA's curves. *)
 
 open Peace_bigint
 open Peace_hash
@@ -12,15 +12,10 @@ type point = Ecp.point = Infinity | Affine of { x : Mont.elt; y : Mont.elt }
 let infinity = Infinity
 let is_infinity = Ecp.is_infinity
 
-(* x³ + x, the right-hand side of E *)
-let rhs fp x = Mont.add fp (Mont.mul fp (Mont.sqr fp x) x) x
-let on_curve_raw fp x y = Mont.equal fp (Mont.sqr fp y) (rhs fp x)
-
 let of_affine params ~x ~y =
-  let fp = params.Params.fp in
-  let mx = Mont.of_bigint fp x and my = Mont.of_bigint fp y in
-  if not (on_curve_raw fp mx my) then invalid_arg "G1.of_affine: not on curve";
-  Affine { x = mx; y = my }
+  match Ecp.of_affine params.Params.ec ~x ~y with
+  | Some p -> p
+  | None -> invalid_arg "G1.of_affine: not on curve"
 
 let generator params = of_affine params ~x:params.Params.gx ~y:params.Params.gy
 let to_affine params p = Ecp.to_affine params.Params.ec p
@@ -28,9 +23,7 @@ let coords = function Infinity -> None | Affine { x; y } -> Some (x, y)
 let neg params p = Ecp.neg params.Params.ec p
 let equal params p q = Ecp.equal params.Params.ec p q
 
-let on_curve params = function
-  | Infinity -> true
-  | Affine { x; y } -> on_curve_raw params.Params.fp x y
+let on_curve params p = Ecp.on_curve params.Params.ec p
 
 let double params p = Ecp.double params.Params.ec p
 let add params p q = Ecp.add params.Params.ec p q
@@ -48,18 +41,9 @@ let mul2 params a p b q =
 
 let in_subgroup params = function
   | Infinity -> true
-  | Affine { x; y } -> on_curve_raw params.Params.fp x y && killed_by_q params x y
+  | Affine { x; y } as p -> on_curve params p && killed_by_q params x y
 
 let field_width params = (Bigint.num_bits params.Params.p + 7) / 8
-
-(* A square root of x³ + x, all in the cached field context. For
-   p ≡ 3 (mod 4), r = rhs^((p+1)/4) is a root exactly when r² = rhs; when
-   rhs is a non-residue r² = −rhs instead, so no Jacobi symbol is needed. *)
-let sqrt_rhs params x =
-  let fp = params.Params.fp in
-  let y2 = rhs fp x in
-  let r = Mont.pow fp y2 params.Params.sqrt_exp in
-  if Mont.equal fp (Mont.sqr fp r) y2 then Some r else None
 
 let hash_to_point params msg =
   Counters.count_hash_to_g1 ();
@@ -72,7 +56,7 @@ let hash_to_point params msg =
         Hmac.hkdf ~info:"peace-h2c" (msg ^ string_of_int counter) (width + 8)
       in
       let x = Mont.of_bigint fp (Bigint.of_bytes_be seed) in
-      match sqrt_rhs params x with
+      match Ecp.lift params.Params.ec x with
       | Some y when not (Mont.is_zero fp y) ->
         let cleared = Ecp.mul params.Params.ec params.Params.h (Affine { x; y }) in
         if is_infinity cleared then attempt (counter + 1) else cleared
@@ -106,7 +90,7 @@ let decode params s =
       else begin
         let fp = params.Params.fp in
         let x = Mont.of_bigint fp x in
-        match sqrt_rhs params x with
+        match Ecp.lift params.Params.ec x with
         | None -> None
         | Some r ->
           let want_even = s.[0] = '\x02' in

@@ -1,4 +1,5 @@
 open Peace_bigint
+module Ecp = Peace_ec.Ecp
 
 type t = {
   name : string;
@@ -6,16 +7,19 @@ type t = {
   q : Bigint.t;
   h : Bigint.t;
   fp : Mont.ctx;
-  ec : Peace_ec.Ecp.t;
-  sqrt_exp : Bigint.t;
+  ec : Ecp.t;
   gx : Bigint.t;
   gy : Bigint.t;
 }
 
-let make ~name ~p ~q ~h ~gx ~gy =
-  let sqrt_exp = Bigint.shift_right (Bigint.succ p) 2 in
+(* E : y² = x³ + x over F_p *)
+let curve p =
   let fp = Mont.create p in
-  { name; p; q; h; fp; ec = Peace_ec.Ecp.make fp ~a:Bigint.one; sqrt_exp; gx; gy }
+  (fp, Ecp.make fp ~a:Bigint.one ~b:Bigint.zero)
+
+let make ~name ~p ~q ~h ~gx ~gy =
+  let fp, ec = curve p in
+  { name; p; q; h; fp; ec; gx; gy }
 
 let of_hex = Bigint.of_string
 
@@ -108,10 +112,7 @@ let validate t =
     check (Bigint.equal (Bigint.succ t.p) (Bigint.mul t.q t.h)) "q*h <> p+1"
   in
   let* () =
-    check
-      (Bigint.equal (Modular.mul t.gy t.gy t.p)
-         (Modular.add (Modular.powm t.gx (Bigint.of_int 3) t.p) t.gx t.p))
-      "generator not on curve"
+    check (Ecp.of_affine t.ec ~x:t.gx ~y:t.gy <> None) "generator not on curve"
   in
   let* () =
     check (affine_mul t.p t.q (Some (t.gx, t.gy)) = None) "generator order <> q"
@@ -141,11 +142,11 @@ let generate rng ~qbits ~pbits ~name =
     | None -> attempt ()
     | Some (q, h, p) ->
       (* find a generator: lift x to a curve point, clear the cofactor *)
+      let fp, ec = curve p in
       let rec find_generator x =
-        let rhs = Modular.add (Modular.powm x (Bigint.of_int 3) p) x p in
-        match Modular.sqrt rhs p with
-        | Some y when not (Bigint.is_zero y) -> begin
-          match affine_mul p h (Some (x, y)) with
+        match Ecp.lift ec (Mont.of_bigint fp x) with
+        | Some y when not (Mont.is_zero fp y) -> begin
+          match affine_mul p h (Some (x, Mont.to_bigint fp y)) with
           | Some (gx, gy) when affine_mul p q (Some (gx, gy)) = None ->
             make ~name ~p ~q ~h ~gx ~gy
           | _ -> find_generator (Bigint.succ x)

@@ -17,8 +17,7 @@ type t = {
   q : Bigint.t;    (** prime subgroup order, q | p+1 *)
   h : Bigint.t;    (** cofactor, p + 1 = q·h *)
   fp : Mont.ctx;   (** Montgomery context for F_p *)
-  ec : Peace_ec.Ecp.t; (** E's group law (a = 1) *)
-  sqrt_exp : Bigint.t; (** (p+1)/4, the square-root exponent *)
+  ec : Peace_ec.Ecp.t; (** E's equation and group law (a = 1, b = 0) *)
   gx : Bigint.t;   (** generator x *)
   gy : Bigint.t;   (** generator y *)
 }

@@ -337,16 +337,11 @@ let test_nonsubgroup_point_rejected () =
   let beacon = Mesh_router.beacon router in
   let request, _ = ok (User.process_beacon user beacon) in
   (* find a curve point of full order p+1 (not in the q-subgroup) *)
+  let fp = params.Params.fp in
   let rec find_nonsubgroup x =
-    let xb = Bigint.of_int x in
-    let rhs =
-      Modular.add
-        (Modular.powm xb (Bigint.of_int 3) params.Params.p)
-        xb params.Params.p
-    in
-    match Modular.sqrt rhs params.Params.p with
-    | Some y when not (Bigint.is_zero y) -> begin
-      let pt = G1.of_affine params ~x:xb ~y in
+    match Peace_ec.Ecp.lift params.Params.ec (Mont.of_int fp x) with
+    | Some y when not (Mont.is_zero fp y) -> begin
+      let pt = G1.of_affine params ~x:(Bigint.of_int x) ~y:(Mont.to_bigint fp y) in
       if not (G1.in_subgroup params pt) then pt else find_nonsubgroup (x + 1)
     end
     | _ -> find_nonsubgroup (x + 1)

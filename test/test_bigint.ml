@@ -110,37 +110,7 @@ let test_modular_edges () =
   (* even modulus falls back to the generic path *)
   Alcotest.(check big) "powm even modulus"
     (Bigint.of_int 1)
-    (Modular.powm (Bigint.of_int 3) (Bigint.of_int 4) (Bigint.of_int 16));
-  Alcotest.(check int) "jacobi (2/15)" 1 (Modular.jacobi Bigint.two (Bigint.of_int 15));
-  Alcotest.(check int) "jacobi (7/15)" (-1)
-    (Modular.jacobi (Bigint.of_int 7) (Bigint.of_int 15));
-  Alcotest.(check int) "jacobi (5/15)" 0
-    (Modular.jacobi (Bigint.of_int 5) (Bigint.of_int 15))
-
-let test_sqrt () =
-  let p = Bigint.of_string "0xfffffffffffffffffffffffffffffffeffffffffffffffff" in
-  (* p = 2^192 - 2^64 - 1 (NIST P-192 prime), p mod 4 = 3 *)
-  let x = Bigint.of_string "0x123456789abcdef0fedcba987654321" in
-  let sq = Modular.mul x x p in
-  (match Modular.sqrt sq p with
-  | None -> Alcotest.fail "sqrt: no root found"
-  | Some r ->
-    Alcotest.(check bool) "root squares back" true
-      (Bigint.equal (Modular.mul r r p) sq));
-  (* a prime with p mod 4 = 1 exercises Tonelli-Shanks *)
-  let p1 = Bigint.of_int 1000033 in
-  let sq1 = Modular.mul (Bigint.of_int 54321) (Bigint.of_int 54321) p1 in
-  (match Modular.sqrt sq1 p1 with
-  | None -> Alcotest.fail "tonelli: no root found"
-  | Some r ->
-    Alcotest.(check big) "tonelli root squares back" sq1 (Modular.mul r r p1));
-  (* non-residue *)
-  let nr =
-    (* find a non-residue mod p1 = 5 *)
-    Modular.sqrt (Bigint.of_int 5) p1
-  in
-  if Modular.jacobi (Bigint.of_int 5) p1 = -1 then
-    Alcotest.(check bool) "non-residue rejected" true (nr = None)
+    (Modular.powm (Bigint.of_int 3) (Bigint.of_int 4) (Bigint.of_int 16))
 
 let test_primes () =
   let check_prime n expected =
@@ -323,6 +293,27 @@ let test_mont_kernel () =
     [ 1; 2; 3; 6; 18; 35 ];
   List.iter (check_kernel rng) preset_moduli
 
+(* the secp160r1 and secp256r1 field orders, the ECDSA curves' fields *)
+let sqrt_secp_moduli =
+  [
+    ("secp160r1", Bigint.of_string "0xffffffffffffffffffffffffffffffff7fffffff");
+    ( "secp256r1",
+      Bigint.of_string "0xffffffff00000001000000000000000000000000ffffffffffffffffffffffff" );
+  ]
+
+(* the root is defined for m ≡ 3 (mod 4) only; −1 is a non-residue there *)
+let test_mont_sqrt_edges () =
+  let ctx = Mont.create (Bigint.of_int 23) in
+  let root v = Option.map (Mont.to_bigint ctx) (Mont.sqrt ctx (Mont.of_int ctx v)) in
+  Alcotest.(check (option big)) "sqrt 0" (Some Bigint.zero) (root 0);
+  Alcotest.(check (option big)) "sqrt 1" (Some Bigint.one) (root 1);
+  Alcotest.(check (option big)) "sqrt 4 = 4^6 mod 23" (Some Bigint.two) (root 4);
+  Alcotest.(check (option big)) "sqrt -1" None (root (-1));
+  Alcotest.check_raises "m = 1 (mod 4)" (Invalid_argument "Mont.sqrt: modulus is not 3 mod 4")
+    (fun () ->
+      let ctx = Mont.create (Bigint.of_int 13) in
+      ignore (Mont.sqrt ctx (Mont.one ctx)))
+
 let test_mont_width_guard () =
   let rng = test_rng 29 in
   let narrow = Mont.create (List.nth preset_moduli 0) in
@@ -478,17 +469,31 @@ let qcheck_tests =
         Bigint.equal
           (Mont.to_bigint ctx (Mont.mul ctx ma mb))
           (Modular.mul (Bigint.erem a m) (Bigint.erem b m) m));
-    prop "sqrt of square exists" 60
-      (QCheck.pair arbitrary_bigint QCheck.small_nat)
-      (fun (a, seed) ->
-        let rng = test_rng (seed + 17) in
-        let p = Prime.random_prime rng ~bits:72 in
-        let a = Bigint.erem (Bigint.abs a) p in
-        let sq = Modular.mul a a p in
-        match Modular.sqrt sq p with
-        | None -> false
-        | Some r -> Bigint.equal (Modular.mul r r p) sq);
   ]
+  @ List.map
+      (fun (name, p) ->
+        let ctx = Mont.create p in
+        let half = Bigint.shift_right p 1 and quarter = Bigint.shift_right (Bigint.succ p) 2 in
+        (* Euler's criterion: a ≠ 0 is a square exactly when a^((p−1)/2) = 1;
+           a root is a^((p+1)/4), squared back, and a square has one *)
+        prop ("mont sqrt = euler (" ^ name ^ ")") 40 QCheck.small_nat
+          (fun seed ->
+            let rng = test_rng (seed + 41) in
+            let b = Bigint.random_below rng p in
+            List.for_all
+              (fun a ->
+                let euler = Modular.powm a half p in
+                match Mont.sqrt ctx (Mont.of_bigint ctx a) with
+                | Some r ->
+                  let r = Mont.to_bigint ctx r in
+                  (Bigint.is_zero a || Bigint.is_one euler)
+                  && Bigint.equal r (Modular.powm a quarter p)
+                  && Bigint.equal (Modular.mul r r p) a
+                | None -> Bigint.equal euler (Bigint.pred p))
+              [ Bigint.random_below rng p; Modular.mul b b p; Bigint.zero; Bigint.pred p ]))
+      (("tiny", List.nth preset_moduli 0)
+      :: ("light", List.nth preset_moduli 1)
+      :: sqrt_secp_moduli)
 
 let suite =
   [
@@ -501,12 +506,12 @@ let suite =
         Alcotest.test_case "division edges" `Quick test_division_edges;
         Alcotest.test_case "karatsuba" `Quick test_karatsuba;
         Alcotest.test_case "modular edges" `Quick test_modular_edges;
-        Alcotest.test_case "modular sqrt" `Quick test_sqrt;
         Alcotest.test_case "primality" `Quick test_primes;
         Alcotest.test_case "randomness" `Quick test_random;
         Alcotest.test_case "montgomery" `Quick test_mont;
         Alcotest.test_case "montgomery kernel vs modular" `Quick test_mont_kernel;
         Alcotest.test_case "montgomery width guard" `Quick test_mont_width_guard;
+        Alcotest.test_case "montgomery sqrt edges" `Quick test_mont_sqrt_edges;
       ] );
     ("bigint-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -3,9 +3,7 @@
 open Peace_cipher
 open Peace_hash
 
-let hex_to_string h =
-  let n = String.length h / 2 in
-  String.init n (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+let hex_to_string h = Option.get (Sha256.of_hex h)
 
 let rfc_key = String.init 32 Char.chr
 

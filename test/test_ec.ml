@@ -32,6 +32,15 @@ let secp =
         "0xffffffff00000001000000000000000000000000ffffffffffffffffffffffff" );
   ]
 
+(* and their coefficients b *)
+let secp_b =
+  [
+    (s160, Bigint.of_string "0x1c97befc54bd7a8b65acf89f81d4d4adc565fa45");
+    ( p256,
+      Bigint.of_string
+        "0x5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b" );
+  ]
+
 (* Textbook affine double-and-add on integer coordinates for
    y² = x³ + ax + b over F_p ([None] is the point at infinity): the slow
    reference for [Curve.mul] and [Curve.mul2], as [Params.affine_mul] is
@@ -130,12 +139,9 @@ let test_encoding () =
   for _ = 1 to 10 do
     let k = Bigint.random_range rng Bigint.one (Curve.order s160) in
     let pt = Curve.mul_base s160 k in
-    (match Curve.decode s160 (Curve.encode s160 pt) with
+    match Curve.decode s160 (Curve.encode s160 pt) with
     | Some pt' -> Alcotest.(check bool) "uncompressed round trip" true (Curve.equal s160 pt pt')
-    | None -> Alcotest.fail "decode failed");
-    match Curve.decode s160 (Curve.encode s160 ~compress:true pt) with
-    | Some pt' -> Alcotest.(check bool) "compressed round trip" true (Curve.equal s160 pt pt')
-    | None -> Alcotest.fail "compressed decode failed"
+    | None -> Alcotest.fail "decode failed"
   done;
   (* infinity *)
   (match Curve.decode s160 (Curve.encode s160 (Curve.infinity s160)) with
@@ -143,11 +149,11 @@ let test_encoding () =
   | None -> Alcotest.fail "infinity decode failed");
   Alcotest.(check bool) "garbage rejected" true (Curve.decode s160 "garbage" = None);
   Alcotest.(check bool) "empty rejected" true (Curve.decode s160 "" = None);
-  (* an x with no curve point must be rejected in compressed form *)
-  let bad = "\x02" ^ String.make (Curve.byte_size s160) '\x01' in
-  match Curve.decode s160 bad with
-  | None -> ()
-  | Some pt -> Alcotest.(check bool) "if decodable, must be on curve" true (Curve.on_curve s160 pt)
+  (* the base point with y one off is not on the curve *)
+  let x, y = affine_exn s160 (Curve.base s160) in
+  let bytes v = Bigint.to_bytes_be ~width:(Curve.byte_size s160) v in
+  Alcotest.(check bool) "off-curve rejected" true
+    (Curve.decode s160 ("\x04" ^ bytes x ^ bytes (Bigint.succ y)) = None)
 
 (* SEC 1 coordinates must lie below p: read mod p, x + p would be a second
    encoding of the point at x *)
@@ -155,10 +161,13 @@ let test_decode_canonical () =
   List.iter
     (fun (curve, p) ->
       let bytes v = Bigint.to_bytes_be ~width:(Curve.byte_size curve) v in
-      (* the smallest x >= 1 on the curve, found through the compressed form *)
+      (* the smallest x >= 1 on the curve: x³ − 3x + b has a root *)
+      let fp = Mont.create p and b = List.assq curve secp_b in
       let rec first x =
-        match Curve.decode curve ("\x02" ^ bytes x) with
-        | Some pt -> affine_exn curve pt
+        let xx_minus_3 = Modular.sub (Modular.mul x x p) (Bigint.of_int 3) p in
+        let rhs = Modular.add (Modular.mul x xx_minus_3 p) b p in
+        match Mont.sqrt fp (Mont.of_bigint fp rhs) with
+        | Some y -> (x, Mont.to_bigint fp y)
         | None -> first (Bigint.succ x)
       in
       let x, y = first Bigint.one in
@@ -306,6 +315,25 @@ let qcheck_tests =
               && same (Curve.mul2 curve j pt j pt) (ref_add p a jp jp)
               && Curve.is_infinity (Curve.mul2 curve j pt j (Curve.neg curve pt))
               && same (Curve.mul2 curve Bigint.zero pt k qt) kq);
+          (* only the uncompressed form decodes: a point's x, its x ‖ y and
+             random bodies of every length behind 0x02 or 0x03 are refused *)
+          QCheck.Test.make ~name:(name "decode refuses 02/03") ~count:20 QCheck.int
+            (fun seed ->
+              let rng = test_rng seed and _, pt = draw seed in
+              let size = Curve.byte_size curve and e = Curve.encode curve pt in
+              List.for_all
+                (fun prefix ->
+                  List.for_all
+                    (fun body -> Curve.decode curve (prefix ^ body) = None)
+                    [
+                      String.sub e 1 size;
+                      String.sub e 1 (2 * size);
+                      "";
+                      rng size;
+                      rng (2 * size);
+                      rng (Char.code (rng 1).[0]);
+                    ])
+                [ "\x02"; "\x03" ]);
         ])
       secp
 

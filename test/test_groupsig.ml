@@ -715,12 +715,11 @@ let scan_tests params ~count =
    encoding must not decode *)
 let test_points_outside_subgroup () =
   let params = tiny in
+  let fp = params.Params.fp in
   let rec rogue x =
-    let xb = Bigint.of_int x in
-    let p = params.Params.p in
-    match Modular.sqrt (Modular.add (Modular.powm xb (Bigint.of_int 3) p) xb p) p with
-    | Some y when not (Bigint.is_zero y) ->
-      let pt = G1.of_affine params ~x:xb ~y in
+    match Peace_ec.Ecp.lift params.Params.ec (Mont.of_int fp x) with
+    | Some y when not (Mont.is_zero fp y) ->
+      let pt = G1.of_affine params ~x:(Bigint.of_int x) ~y:(Mont.to_bigint fp y) in
       if G1.in_subgroup params pt then rogue (x + 1) else pt
     | Some _ | None -> rogue (x + 1)
   in

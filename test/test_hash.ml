@@ -137,8 +137,23 @@ let test_drbg () =
   Alcotest.(check int) "requested length" 100 (String.length (Drbg.generate d1 100));
   Alcotest.(check string) "zero length" "" (Drbg.generate d1 0)
 
+(* [of_hex] takes pairs of hex digits and nothing else: OCaml's
+   int_of_string reads "0xa_" as 10, so a decoder built on it would give
+   the byte 0x0a a second spelling *)
+let test_hex_strict () =
+  let dec = Alcotest.(option string) in
+  Alcotest.check dec "lower" (Some "\x0a\xff") (Sha256.of_hex "0aff");
+  Alcotest.check dec "upper" (Some "\x0a\xff") (Sha256.of_hex "0AFF");
+  Alcotest.check dec "empty" (Some "") (Sha256.of_hex "");
+  List.iter
+    (fun h -> Alcotest.check dec (Printf.sprintf "%S refused" h) None (Sha256.of_hex h))
+    [ "a_"; "_a"; "0a_b"; "a"; "0x0a"; "+a"; "-1"; " a"; "a "; "zz"; "0g" ]
+
 let qcheck_tests =
   [
+    QCheck.Test.make ~name:"hex round trip" ~count:200 QCheck.string (fun s ->
+        Sha256.of_hex (Sha256.to_hex s) = Some s
+        && Sha256.of_hex (String.uppercase_ascii (Sha256.to_hex s)) = Some s);
     QCheck.Test.make ~name:"sha256 is 32 bytes" ~count:100 QCheck.string
       (fun s -> String.length (Sha256.digest s) = 32);
     QCheck.Test.make ~name:"split update = one-shot" ~count:100
@@ -193,6 +208,7 @@ let suite =
         Alcotest.test_case "hkdf length bounds" `Quick test_hkdf_length_bounds;
         Alcotest.test_case "constant-time equal" `Quick test_constant_time_equal;
         Alcotest.test_case "hmac-drbg" `Quick test_drbg;
+        Alcotest.test_case "hex codec strict" `Quick test_hex_strict;
       ] );
     ("hash-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

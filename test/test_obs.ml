@@ -1143,16 +1143,6 @@ let test_live_ops_endpoints () =
 module Audit = Peace_obs.Audit
 module Ecdsa = Peace_ec.Ecdsa
 
-let hex s =
-  String.concat ""
-    (List.init (String.length s) (fun i ->
-         Printf.sprintf "%02x" (Char.code s.[i])))
-
-let unhex h =
-  String.init
-    (String.length h / 2)
-    (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-
 let audit_curve = Lazy.force Peace_ec.Curves.secp160r1
 
 let audit_key =
@@ -1165,18 +1155,19 @@ let audit_signer () =
   let key = Lazy.force audit_key in
   {
     Audit.s_algo = "ecdsa-" ^ Peace_ec.Curve.name audit_curve;
-    s_pk = hex (Peace_ec.Curve.encode audit_curve key.Ecdsa.q);
+    s_pk = Peace_hash.Sha256.to_hex (Peace_ec.Curve.encode audit_curve key.Ecdsa.q);
     s_sign =
       (fun payload ->
-        hex
+        Peace_hash.Sha256.to_hex
           (Ecdsa.signature_to_bytes audit_curve
              (Ecdsa.sign audit_curve ~key payload)));
   }
 
 let audit_verify_sig ~algo:_ ~pk ~payload ~signature =
   match
-    ( Peace_ec.Curve.decode audit_curve (unhex pk),
-      Ecdsa.signature_of_bytes audit_curve (unhex signature) )
+    ( Option.bind (Peace_hash.Sha256.of_hex pk) (Peace_ec.Curve.decode audit_curve),
+      Option.bind (Peace_hash.Sha256.of_hex signature)
+        (Ecdsa.signature_of_bytes audit_curve) )
   with
   | Some public, Some s -> Ecdsa.verify audit_curve ~public payload s
   | _ -> false

@@ -19,6 +19,17 @@ let test_rng seed =
 
 let scalar params seed = Bigint.random_range (test_rng seed) Bigint.one params.Params.q
 
+(* x³ + x and its square root through generic [Modular], not the field
+   root under test: Euler's criterion, rhs^((p−1)/2) = 1, decides whether
+   a root exists, and the root is rhs^((p+1)/4), the one [Mont.sqrt]
+   returns *)
+let reference_root params x =
+  let p = params.Params.p in
+  let rhs = Modular.add (Modular.powm x (Bigint.of_int 3) p) x p in
+  if Bigint.is_zero rhs || Bigint.is_one (Modular.powm rhs (Bigint.shift_right p 1) p)
+  then Some (Modular.powm rhs (Bigint.shift_right (Bigint.succ p) 2) p)
+  else None
+
 let test_params_valid () =
   List.iter
     (fun (name, params) ->
@@ -38,6 +49,14 @@ let test_params_generate () =
   | Error e -> Alcotest.failf "generated params invalid: %s" e);
   Alcotest.(check int) "q bits" 40 (Bigint.num_bits params.q);
   Alcotest.(check int) "p bits" 96 (Bigint.num_bits params.p)
+
+(* Generation under a fixed DRBG seed gives one exact parameter set: a
+   change in which root or which generator is picked shows here *)
+let test_params_generate_golden () =
+  let rng = Peace_hash.Drbg.bytes_fn (Peace_hash.Drbg.create ~seed:"params-golden" ()) in
+  Alcotest.(check string) "20/48-bit parameters"
+    "peace-params-v1\ngolden\n920f042ffef7\nab037\ndaa4cc8\n81cdb6df6f0b\n3bf51d0c2d12\n"
+    (Params.to_text (Params.generate rng ~qbits:20 ~pbits:48 ~name:"golden"))
 
 let test_g1_group_laws () =
   let params = tiny in
@@ -84,9 +103,7 @@ let test_decode_rejects_nonsubgroup () =
   (* find an on-curve point of full order (outside the q-subgroup) *)
   let rec find x =
     let xb = Bigint.of_int x in
-    let p = params.Params.p in
-    let rhs = Modular.add (Modular.powm xb (Bigint.of_int 3) p) xb p in
-    match Modular.sqrt rhs p with
+    match reference_root params xb with
     | Some y when not (Bigint.is_zero y) ->
       let pt = G1.of_affine params ~x:xb ~y in
       if not (G1.in_subgroup params pt) then pt else find (x + 1)
@@ -282,13 +299,6 @@ let qcheck_tests =
 
 (* --- decode, in_subgroup and hash_to_point on the cached field context,
    each against the generic composition it replaced --- *)
-
-(* x³ + x and its square root through generic [Modular] (a fresh Montgomery
-   context per call, a Jacobi symbol first), the composition G1 used before
-   it moved onto [params.fp] *)
-let reference_root params x =
-  let p = params.Params.p in
-  Modular.sqrt (Modular.add (Modular.powm x (Bigint.of_int 3) p) x p) p
 
 let reference_in_subgroup params pt =
   G1.is_infinity pt
@@ -589,6 +599,7 @@ let suite =
       [
         Alcotest.test_case "presets valid" `Quick test_params_valid;
         Alcotest.test_case "generation" `Quick test_params_generate;
+        Alcotest.test_case "generation golden" `Quick test_params_generate_golden;
       ] );
     ( "g1",
       [
