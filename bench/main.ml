@@ -1356,9 +1356,9 @@ let ablations () =
     "expect parity: the variant only shifts the exponent by grp, a free\n\
     \  modular addition\n";
 
-  subhr "A3  windowed vs binary exponentiation (512-bit modexp)";
+  subhr "A3  window chain vs binary exponentiation (512-bit modexp)";
   let e = Bigint.random_below rng p in
-  ab_header "4-bit window" "binary";
+  ab_header "window chain" "binary";
   ignore
     (ab_row "modexp" "ms"
        (alternate
@@ -1370,22 +1370,6 @@ let ablations () =
               if Bigint.testbit e i then acc := Mont.mul ctx !acc ma
             done;
             !acc)));
-
-  subhr "A4  Karatsuba vs schoolbook multiplication crossover";
-  List.iter
-    (fun bits ->
-      let x = Bigint.random_bits rng bits and y = Bigint.random_bits rng bits in
-      let iters = Stdlib.max 1 (2_000_000 / bits) in
-      let msv =
-        time_ms ~reps:3 (fun () ->
-            for _ = 1 to iters do
-              ignore (Sys.opaque_identity (Bigint.mul x y))
-            done)
-      in
-      Printf.printf "%6d-bit mul: %8.2f us/op\n" bits
-        (msv *. 1000.0 /. float_of_int iters))
-    [ 512; 1024; 2048; 4096; 8192 ];
-  Printf.printf "(the >720-bit rows run Karatsuba; growth flattens from O(n^2) toward O(n^1.58))\n";
 
   subhr "A5  projective vs affine Miller loop (pairing, light params)";
   let g = G1.generator light in

@@ -772,7 +772,8 @@ let bench_report old_path new_path threshold json_out update_baseline =
         in
         Printf.printf "  %-44s %10.3f -> %10.3f %-6s %+7.1f%%  %s\n" name ov
           nv unit_
-          (if better = "higher" then -.pct else pct)
+          (* 0. -. pct, not -.pct: an unchanged row prints +0.0%, not -0.0% *)
+          (if better = "higher" then 0. -. pct else pct)
           verdict;
         json_rows :=
           row_json

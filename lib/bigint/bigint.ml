@@ -69,7 +69,7 @@ let mag_sub a b =
   assert (!borrow = 0);
   normalize r
 
-let mag_mul_school a b =
+let mag_mul a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then mag_zero
   else begin
@@ -87,42 +87,6 @@ let mag_mul_school a b =
       end
     done;
     normalize r
-  end
-
-(* Karatsuba above this operand size (in limbs); schoolbook below. The
-   crossover was measured with the A4 ablation bench. *)
-let karatsuba_threshold = 24
-
-let mag_shift_limbs x k =
-  let lx = Array.length x in
-  if lx = 0 then mag_zero
-  else begin
-    let r = Array.make (lx + k) 0 in
-    Array.blit x 0 r k lx;
-    r
-  end
-
-let rec mag_mul a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then mag_zero
-  else if Stdlib.min la lb <= karatsuba_threshold then mag_mul_school a b
-  else begin
-    (* split both at m limbs: x = x1·B^m + x0 *)
-    let m = (Stdlib.max la lb + 1) / 2 in
-    let low x =
-      let lx = Array.length x in
-      normalize (Array.sub x 0 (Stdlib.min m lx))
-    in
-    let high x =
-      let lx = Array.length x in
-      if lx <= m then mag_zero else Array.sub x m (lx - m)
-    in
-    let a0 = low a and a1 = high a and b0 = low b and b1 = high b in
-    let z0 = mag_mul a0 b0 in
-    let z2 = mag_mul a1 b1 in
-    (* z1 = (a0+a1)(b0+b1) - z0 - z2, always non-negative *)
-    let z1 = mag_sub (mag_mul (mag_add a0 a1) (mag_add b0 b1)) (mag_add z0 z2) in
-    mag_add z0 (mag_add (mag_shift_limbs z1 m) (mag_shift_limbs z2 (2 * m)))
   end
 
 let mag_mul_int a m =
@@ -453,6 +417,22 @@ let gcd a b =
   let rec go a b = if Array.length b = 0 then a else go b (snd (mag_divmod a b)) in
   let m = go (abs a).mag (abs b).mag in
   make 1 m
+
+(* The extended Euclidean algorithm on (m, a mod m), keeping only the
+   coefficient of a: every remainder r has r ≡ s·a (mod m) beside it, so
+   the coefficient beside a last remainder of 1 is the inverse. *)
+let invert a m =
+  if m.sign <= 0 then invalid_arg "Bigint.invert: modulus must be positive";
+  let rec go r0 s0 r1 s1 =
+    if r1.sign = 0 then if is_one r0 then erem s0 m else raise Division_by_zero
+    else begin
+      let q, r2 = divmod r0 r1 in
+      go r1 s1 r2 (sub s0 (mul q s1))
+    end
+  in
+  let a = erem a m in
+  if a.sign = 0 then raise Division_by_zero;
+  go m zero a one
 
 (* ------------------------------------------------------------------ *)
 (* Byte / string conversions                                           *)

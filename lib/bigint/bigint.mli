@@ -91,6 +91,13 @@ val pow : t -> int -> t
 val gcd : t -> t -> t
 (** Greatest common divisor of the magnitudes; [gcd 0 0 = 0]. *)
 
+val invert : t -> t -> t
+(** [invert a m] is the [x] in [\[0, m)] with [a*x = 1 (mod m)], by the
+    extended Euclidean algorithm: the one inverse under {!Modular.invert}
+    and {!Mont.inv}.
+    @raise Division_by_zero if [a ≡ 0] or no inverse exists.
+    @raise Invalid_argument if [m <= 0]. *)
+
 (** {1 Bit operations}
 
     Defined on non-negative arguments only; raise [Invalid_argument]

@@ -11,9 +11,10 @@ val sub : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
 val mul : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
 
 val powm : Bigint.t -> Bigint.t -> Bigint.t -> Bigint.t
-(** [powm b e m] is [b{^e} mod m] for [e >= 0]. Uses Montgomery windowed
-    exponentiation when [m] is odd, square-and-multiply otherwise. *)
+(** [powm b e m] is [b{^e} mod m] for [e >= 0] and odd [m], by
+    {!Mont.pow}; [0] when [m = 1].
+    @raise Invalid_argument if [m] is even, as {!Mont.create} does. *)
 
 val invert : Bigint.t -> Bigint.t -> Bigint.t
-(** [invert a m] is the [x] in [\[0, m)] with [a*x = 1 (mod m)].
+(** {!Bigint.invert}: the [x] in [\[0, m)] with [a*x = 1 (mod m)].
     @raise Division_by_zero if no inverse exists. *)

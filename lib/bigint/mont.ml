@@ -95,15 +95,18 @@ let create modulus =
   let k = Array.length mag in
   let m = Array.copy mag in
   let m' = (limb_mask + 1 - limb_inverse m.(0)) land limb_mask in
-  let r = Bigint.shift_left Bigint.one (k * limb_bits) in
-  let one_m = Bigint.erem r modulus in
-  let r2 = Bigint.erem (Bigint.mul r r) modulus in
+  (* R mod m and R² mod m for R = 2^(30·k): a shift and a reduction *)
+  let radix_power e =
+    fixed_width k
+      (Bigint.Internal.magnitude
+         (Bigint.erem (Bigint.shift_left Bigint.one (e * k * limb_bits)) modulus))
+  in
   {
     m;
     k;
     m';
-    r2 = fixed_width k (Bigint.Internal.magnitude r2);
-    one_m = fixed_width k (Bigint.Internal.magnitude one_m);
+    r2 = radix_power 2;
+    one_m = radix_power 1;
     modulus;
     root_exp = Bigint.shift_right (Bigint.succ modulus) 2;
   }
@@ -163,38 +166,43 @@ let mul = mont_mul
 let sqr ctx a = mont_mul ctx a a
 let equal _ctx a b = a = b
 
-let pow ctx b e =
-  if Bigint.sign e < 0 then invalid "Mont.pow: negative exponent";
-  if Bigint.is_zero e then one ctx
+(* Fixed windows of w bits: 1 below 48-bit exponents, where a 4-bit
+   table's 14 products cost more than the chain products it saves (a plain
+   square-and-multiply ladder, as for tiny's 9-bit cofactor), 4 beyond *)
+let window_bits nbits = if nbits < 48 then 1 else 4
+
+let chain ~one ~mul ~sqr b e =
+  if Bigint.sign e < 0 then invalid "Mont.chain: negative exponent";
+  let nbits = Bigint.num_bits e in
+  if nbits = 0 then one
   else begin
-    (* 4-bit fixed window *)
-    let table = Array.make 16 (one ctx) in
-    table.(1) <- Array.copy b;
-    for i = 2 to 15 do
-      table.(i) <- mont_mul ctx table.(i - 1) b
+    let w = window_bits nbits in
+    (* table.(v) = b^v for 0 < v < 2^w; slot 0 is never read *)
+    let table = Array.make (1 lsl w) b in
+    for v = 2 to (1 lsl w) - 1 do
+      table.(v) <- mul table.(v - 1) b
     done;
-    let nbits = Bigint.num_bits e in
-    let nwin = (nbits + 3) / 4 in
-    let window w =
-      (* bits [4w, 4w+4) of e *)
+    let window i =
+      (* bits [w·i, w·i + w) of e *)
       let v = ref 0 in
-      for b = 3 downto 0 do
-        let idx = (4 * w) + b in
-        v := (!v lsl 1) lor (if idx < nbits && Bigint.testbit e idx then 1 else 0)
+      for bit = (w * i) + w - 1 downto w * i do
+        v := (!v lsl 1) lor if bit < nbits && Bigint.testbit e bit then 1 else 0
       done;
       !v
     in
-    let acc = ref (Array.copy table.(window (nwin - 1))) in
-    for w = nwin - 2 downto 0 do
-      acc := sqr ctx !acc;
-      acc := sqr ctx !acc;
-      acc := sqr ctx !acc;
-      acc := sqr ctx !acc;
-      let v = window w in
-      if v <> 0 then acc := mont_mul ctx !acc table.(v)
+    let nwin = (nbits + w - 1) / w in
+    let acc = ref table.(window (nwin - 1)) in
+    for i = nwin - 2 downto 0 do
+      for _ = 1 to w do
+        acc := sqr !acc
+      done;
+      let v = window i in
+      if v <> 0 then acc := mul !acc table.(v)
     done;
     !acc
   end
+
+let pow ctx b e = chain ~one:(one ctx) ~mul:(mont_mul ctx) ~sqr:(sqr ctx) b e
 
 let of_int ctx v = of_bigint ctx (Bigint.of_int v)
 
@@ -206,21 +214,7 @@ let sqrt ctx a =
   let r = pow ctx a ctx.root_exp in
   if equal ctx (sqr ctx r) a then Some r else None
 
-let inv ctx a =
-  (* from Montgomery form -> canonical -> extended gcd -> back *)
-  let x = to_bigint ctx a in
-  if Bigint.is_zero x then raise Division_by_zero;
-  let rec egcd a b =
-    if Bigint.is_zero b then (a, Bigint.one, Bigint.zero)
-    else begin
-      let q, r = Bigint.divmod a b in
-      let g, s, t = egcd b r in
-      (g, t, Bigint.sub s (Bigint.mul q t))
-    end
-  in
-  let g, s, _ = egcd x ctx.modulus in
-  if not (Bigint.is_one g) then raise Division_by_zero;
-  of_bigint ctx s
+let inv ctx a = of_bigint ctx (Bigint.invert (to_bigint ctx a) ctx.modulus)
 
 (* Montgomery's trick: prefix products, one inversion of the last, then
    peel one factor off per element walking back, 3(n − 1) products. *)

@@ -43,8 +43,17 @@ val sqr : ctx -> elt -> elt
 val equal : ctx -> elt -> elt -> bool
 val is_zero : ctx -> elt -> bool
 
+val chain :
+  one:'a -> mul:('a -> 'a -> 'a) -> sqr:('a -> 'a) -> 'a -> Bigint.t -> 'a
+(** [chain ~one ~mul ~sqr b e] is [b{^e}] for [e >= 0] in the monoid of
+    [one], [mul] and [sqr]: the one exponentiation chain, under {!pow} and
+    [Fq2.pow]. Its fixed window is 4 bits wide for exponents of 48 bits
+    and more, with a table of 14 products; below that it is 1 bit wide, a
+    square-and-multiply ladder with no table.
+    @raise Invalid_argument if [e < 0]. *)
+
 val pow : ctx -> elt -> Bigint.t -> elt
-(** [pow ctx b e] for [e >= 0], 4-bit fixed-window exponentiation. *)
+(** [pow ctx b e] is {!chain} on the context's product. *)
 
 val sqrt : ctx -> elt -> elt option
 (** [sqrt ctx a] is r = a{^(m+1)/4} when r² = a: the square root for a
@@ -53,7 +62,8 @@ val sqrt : ctx -> elt -> elt option
     @raise Invalid_argument unless m ≡ 3 (mod 4). *)
 
 val inv : ctx -> elt -> elt
-(** Multiplicative inverse. @raise Division_by_zero if the element is not
+(** Multiplicative inverse, by {!Bigint.invert} on the canonical
+    representative. @raise Division_by_zero if the element is not
     invertible (shares a factor with the modulus). *)
 
 val inv_all : ctx -> elt array -> elt array

@@ -184,27 +184,31 @@ let gauge ?(labels = []) name =
 let histogram ?(labels = []) name =
   get_or_create histograms_tbl Histogram.make (name ^ encode_labels labels)
 
-(* A counter family memoizes the per-label-value lookup: [counter] pays a
-   string concatenation plus the registry mutex on every call, which is
-   wasteful on hot error paths that bump the same few series forever. The
-   family keeps an immutable assoc list in an [Atomic]; hits are one
-   atomic read and a pointer walk over a handful of entries, misses fall
-   back to [counter] and publish via CAS (losing a race just re-reads). *)
-let counter_family ~label name =
-  let cache : (string * Counter.t) list Atomic.t = Atomic.make [] in
-  fun value ->
-    match List.assoc_opt value (Atomic.get cache) with
-    | Some c -> c
+(* A lookup memoized by key: [counter] and [histogram] pay a string
+   concatenation plus the registry mutex on every call, which is wasteful
+   on hot paths that reach the same few series forever. The cache is an
+   immutable assoc list in an [Atomic]; hits are one atomic read and a
+   pointer walk over a handful of entries, misses fall back to [make] and
+   publish via CAS (losing a race just re-reads). [make] resolves through
+   the registry, so racing misses get the same metric. *)
+let memo make =
+  let cache = Atomic.make [] in
+  fun key ->
+    match List.assoc_opt key (Atomic.get cache) with
+    | Some m -> m
     | None ->
-      let c = counter ~labels:[ (label, value) ] name in
+      let m = make key in
       let rec publish () =
         let cur = Atomic.get cache in
-        if List.mem_assoc value cur then ()
-        else if not (Atomic.compare_and_set cache cur ((value, c) :: cur))
+        if List.mem_assoc key cur then ()
+        else if not (Atomic.compare_and_set cache cur ((key, m) :: cur))
         then publish ()
       in
       publish ();
-      c
+      m
+
+let counter_family ~label name =
+  memo (fun value -> counter ~labels:[ (label, value) ] name)
 
 let dump tbl value =
   with_lock (fun () ->

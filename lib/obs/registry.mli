@@ -92,14 +92,17 @@ val counter : ?labels:(string * string) list -> string -> Counter.t
 val gauge : ?labels:(string * string) list -> string -> Gauge.t
 val histogram : ?labels:(string * string) list -> string -> Histogram.t
 
+val memo : ('k -> 'm) -> 'k -> 'm
+(** [memo make] caches [make key] by key: a repeat lookup is one atomic
+    read and a walk over the keys seen so far, instead of the string build
+    plus registry mutex a [make] that calls {!counter} or {!histogram}
+    pays. Partially apply once at module level and keep the closure — that
+    is where the cache lives. Intended for hot paths over a small, stable
+    set of keys (error kinds, log levels, span names). *)
+
 val counter_family : label:string -> string -> string -> Counter.t
-(** [counter_family ~label name] memoizes the per-label-value counter
-    lookup: the returned function maps a label value to the same counter
-    [counter ~labels:[(label, value)] name] would, but a repeat lookup is
-    one atomic read instead of a string build plus the registry mutex.
-    Partially apply once at module level and keep the closure — that is
-    where the cache lives. Intended for hot paths that bump a small,
-    stable set of series (error kinds, log levels). *)
+(** [counter_family ~label name] is [memo] over label values: it maps a
+    value to the counter [counter ~labels:[(label, value)] name]. *)
 
 val encode_labels : (string * string) list -> string
 (** The canonical label suffix: empty for no labels, else the brace-quoted

@@ -6,7 +6,7 @@
    process-global.
 
    Every wall-clock span records its duration into the registry histogram
-   "span.<name>.dur_ns"; when a collector is installed each span
+   "<name>_ns"; when a collector is installed each span
    additionally emits a begin and an end event to it. The collector is the
    only output: the JSONL, Chrome and folded-stack renderings live in
    Expo. *)
@@ -87,13 +87,14 @@ let start_remote ?attrs ?ts ~trace ~parent name =
 let id h = h.h_id
 let trace_of h = h.h_trace
 
+(* one registry lookup, with its mutex, per span name rather than per span *)
+let duration_histogram = Registry.memo (fun name -> Registry.histogram (name ^ "_ns"))
+
 let finish ?ts h =
   if Atomic.compare_and_set h.h_finished false true then begin
     let t1 = match ts with Some t -> t | None -> Registry.now_ns () in
     if h.h_wall then
-      Registry.Histogram.observe
-        (Registry.histogram ("span." ^ h.h_name ^ ".dur_ns"))
-        (t1 - h.h_t0);
+      Registry.Histogram.observe (duration_histogram h.h_name) (t1 - h.h_t0);
     collect (End { name = h.h_name; id = h.h_id; ts = t1; dur = t1 - h.h_t0 })
   end
 

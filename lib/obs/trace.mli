@@ -2,7 +2,7 @@
     stream.
 
     [with_span "groupsig.verify" (fun () -> ...)] times the thunk into the
-    registry histogram ["span.groupsig.verify.dur_ns"] and — when a
+    registry histogram ["groupsig.verify_ns"] and — when a
     collector is installed — hands it a begin event and an end event.
     Renderers in {!Expo} turn the stream into span JSONL (one JSON object
     per event), Chrome trace-event JSON or folded stacks; {!Profile} folds
@@ -51,8 +51,7 @@ val start :
     overrides the begin timestamp — simulation code passes simulated
     time, so durations come out in simulated units; default is wall
     {!Registry.now_ns}. Use one time base consistently per trace. Only a
-    wall-clock span (no [ts]) records into the ["span.<name>.dur_ns"]
-    histogram. *)
+    wall-clock span (no [ts]) records into the ["<name>_ns"] histogram. *)
 
 val start_linked :
   ?attrs:(string * string) list -> ?ts:int -> parent:handle -> string -> handle
@@ -88,8 +87,8 @@ val fresh_trace_id : unit -> int
 
 val finish : ?ts:int -> handle -> unit
 (** Emit the end event and, for a wall-clock span, record the duration
-    into the ["span.<name>.dur_ns"] histogram. [ts] must use the same
-    time base as [start]'s. Idempotent. *)
+    into the ["<name>_ns"] histogram, resolved once per name. [ts] must
+    use the same time base as [start]'s. Idempotent. *)
 
 (** {1 The event stream}
 

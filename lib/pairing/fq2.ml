@@ -12,7 +12,7 @@ let neg fp a = { re = Mont.neg fp a.re; im = Mont.neg fp a.im }
 let conj fp a = { re = a.re; im = Mont.neg fp a.im }
 
 let mul fp a b =
-  (* Karatsuba: (a+bi)(c+di) = (ac - bd) + ((a+b)(c+d) - ac - bd) i *)
+  (* three F_p products: (a+bi)(c+di) = (ac - bd) + ((a+b)(c+d) - ac - bd) i *)
   let ac = Mont.mul fp a.re b.re in
   let bd = Mont.mul fp a.im b.im in
   let cross = Mont.mul fp (Mont.add fp a.re a.im) (Mont.add fp b.re b.im) in
@@ -39,18 +39,7 @@ let inv fp a =
 let equal fp a b = Mont.equal fp a.re b.re && Mont.equal fp a.im b.im
 let is_one fp a = equal fp a (one fp)
 
-let pow fp base e =
-  if Bigint.sign e < 0 then invalid_arg "Fq2.pow: negative exponent";
-  let nbits = Bigint.num_bits e in
-  if nbits = 0 then one fp
-  else begin
-    let acc = ref base in
-    for i = nbits - 2 downto 0 do
-      acc := sqr fp !acc;
-      if Bigint.testbit e i then acc := mul fp !acc base
-    done;
-    !acc
-  end
+let pow fp base e = Mont.chain ~one:(one fp) ~mul:(mul fp) ~sqr:(sqr fp) base e
 
 let to_bigints fp a = (Mont.to_bigint fp a.re, Mont.to_bigint fp a.im)
 let of_bigints fp re im = { re = Mont.of_bigint fp re; im = Mont.of_bigint fp im }

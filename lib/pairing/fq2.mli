@@ -23,10 +23,12 @@ val conj : Mont.ctx -> elt -> elt
 (** Complex conjugation, which is the p-power Frobenius on F_p². *)
 
 val inv : Mont.ctx -> elt -> elt
-(** @raise Division_by_zero on zero. *)
+(** (a − bi)/(a² + b²), with one F_p inversion. An element of norm 1, as
+    every element of GT is, has its conjugate for inverse.
+    @raise Division_by_zero on zero. *)
 
 val pow : Mont.ctx -> elt -> Bigint.t -> elt
-(** Square-and-multiply exponentiation; the exponent must be
+(** {!Peace_bigint.Mont.chain} on the F_p² product; the exponent must be
     non-negative. *)
 
 val equal : Mont.ctx -> elt -> elt -> bool

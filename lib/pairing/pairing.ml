@@ -15,7 +15,9 @@ module Gt = struct
 
   let one params = Fq2.one params.Params.fp
   let mul params a b = Fq2.mul params.Params.fp a b
-  let inv params a = Fq2.inv params.Params.fp a
+
+  (* an element of GT has norm 1: its inverse is its conjugate *)
+  let inv params a = Fq2.conj params.Params.fp a
   let equal params a b = Fq2.equal params.Params.fp a b
   let is_one params a = Fq2.is_one params.Params.fp a
 
@@ -23,7 +25,7 @@ module Gt = struct
     Counters.count_gt_exp ();
     let fp = params.Params.fp in
     if Bigint.sign e >= 0 then Fq2.pow fp a e
-    else Fq2.inv fp (Fq2.pow fp a (Bigint.neg e))
+    else Fq2.conj fp (Fq2.pow fp a (Bigint.neg e))
 
   let encode params a = Fq2.encode params.Params.fp a
   let decode params s = Fq2.decode params.Params.fp s

@@ -15,12 +15,20 @@ module Gt : sig
 
   val one : Params.t -> elt
   val mul : Params.t -> elt -> elt -> elt
+
   val inv : Params.t -> elt -> elt
+  (** The conjugate ({!Fq2.conj}), which is the inverse of an element of
+      GT: q divides p + 1, so every x in GT has x·conj(x) = x{^p+1} = 1.
+      Takes elements of GT only, such as pairing values and their products
+      and powers; on any other element of F_p² it is not the inverse. *)
+
   val equal : Params.t -> elt -> elt -> bool
   val is_one : Params.t -> elt -> bool
 
   val pow : Params.t -> elt -> Bigint.t -> elt
-  (** Counted as one GT exponentiation. Negative exponents allowed. *)
+  (** {!Fq2.pow}, counted as one GT exponentiation. A negative exponent
+      conjugates the power of its magnitude, so, as for {!inv}, the base
+      must lie in GT. *)
 
   val encode : Params.t -> elt -> string
 

@@ -5,8 +5,9 @@ module Log = Peace_obs.Log
 module Serve = Peace_obs.Serve
 module Bq = Bounded_queue
 
-(* service.* observability: connection lifecycle, per-frame outcomes, and
-   the latency of each phase of (M.2) handling as seen by the server *)
+(* service.* observability: connection lifecycle and per-frame outcomes;
+   the service.request span and its decode, verify and encode children
+   time each phase of (M.2) handling into service.<phase>_ns *)
 let c_connections = Obs.counter "service.connections_total"
 let g_active = Obs.gauge "service.connections_active"
 let g_queue_depth = Obs.gauge "service.conn_queue_depth"
@@ -14,10 +15,6 @@ let g_workers_busy = Obs.gauge "service.workers_busy"
 let c_requests = Obs.counter "service.requests_total"
 let c_confirms = Obs.counter "service.confirms_total"
 let c_beacons = Obs.counter "service.beacons_total"
-let h_request = Obs.histogram "service.request_ns"
-let h_decode = Obs.histogram "service.decode_ns"
-let h_verify = Obs.histogram "service.verify_ns"
-let h_encode = Obs.histogram "service.encode_ns"
 
 (* error kinds are a small stable set hit on hot paths, so resolve each
    label's counter once through a memoized family instead of rebuilding
@@ -85,18 +82,17 @@ let handle_access t fd payload =
   let gpk = Mesh_router.current_gpk t.router in
   let staged =
     Trace.with_span "service.decode" (fun () ->
-        Obs.Histogram.time h_decode (fun () ->
-            match Messages.access_frame_of_bytes t.config gpk payload with
-            | None -> `Unparseable
-            | Some frame -> (
-              match
-                with_router t (fun () -> Mesh_router.access_precheck_frame t.router frame)
-              with
-              | (`Reject _ | `Resend _) as early -> early
-              | `Verify (ticket, transcript, url) -> (
-                match Mesh_router.access_points t.router gpk ticket frame with
-                | Some m -> `Verify (m, ticket, transcript, url)
-                | None -> `Unparseable))))
+        match Messages.access_frame_of_bytes t.config gpk payload with
+        | None -> `Unparseable
+        | Some frame -> (
+          match
+            with_router t (fun () -> Mesh_router.access_precheck_frame t.router frame)
+          with
+          | (`Reject _ | `Resend _) as early -> early
+          | `Verify (ticket, transcript, url) -> (
+            match Mesh_router.access_points t.router gpk ticket frame with
+            | Some m -> `Verify (m, ticket, transcript, url)
+            | None -> `Unparseable)))
   in
   match staged with
   | `Unparseable ->
@@ -110,9 +106,7 @@ let handle_access t fd payload =
   | `Verify (m, ticket, transcript, url) -> (
     let verdict =
       Trace.with_span "service.verify" (fun () ->
-          Obs.Histogram.time h_verify (fun () ->
-              Peace_groupsig.Group_sig.verify gpk ~url ~msg:transcript
-                m.Messages.gsig))
+          Peace_groupsig.Group_sig.verify gpk ~url ~msg:transcript m.Messages.gsig)
     in
     match with_router t (fun () -> Mesh_router.access_finish t.router m ticket verdict) with
     | Error err -> reply_rejected fd err
@@ -120,8 +114,7 @@ let handle_access t fd payload =
       Obs.Counter.incr c_confirms;
       let bytes =
         Trace.with_span "service.encode" (fun () ->
-            Obs.Histogram.time h_encode (fun () ->
-                Messages.access_confirm_to_bytes t.config confirm))
+            Messages.access_confirm_to_bytes t.config confirm)
       in
       Frames.write fd Frames.Confirm bytes)
 
@@ -152,9 +145,7 @@ let handle_request t fd tag payload =
    physical-equality checks. *)
 let handle_frame ?ctx t fd tag payload =
   Obs.Counter.incr c_requests;
-  let body () =
-    Obs.Histogram.time h_request @@ fun () -> handle_request t fd tag payload
-  in
+  let body () = handle_request t fd tag payload in
   let write_result =
     match ctx with
     | Some { Frames.tc_trace; tc_parent }

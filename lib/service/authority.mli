@@ -31,8 +31,9 @@
     the registry carries [service.connections_total],
     [service.connections_active], [service.conn_queue_depth],
     [service.workers_busy], [service.requests_total],
-    [service.confirms_total], [service.beacons_total], labelled
-    [service.errors_total{kind=...}] counters and
+    [service.confirms_total], [service.beacons_total] and labelled
+    [service.errors_total{kind=...}] counters, and the four spans time
+    themselves into the
     [service.request_ns]/[decode_ns]/[verify_ns]/[encode_ns] histograms —
     all scrapeable through the existing {!Peace_obs.Serve} listener.
 

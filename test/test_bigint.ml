@@ -107,10 +107,14 @@ let test_modular_edges () =
     (Modular.powm (Bigint.of_int 5) (Bigint.of_int 3) Bigint.one);
   Alcotest.(check big) "powm e=0" Bigint.one
     (Modular.powm (Bigint.of_int 5) Bigint.zero (Bigint.of_int 7));
-  (* even modulus falls back to the generic path *)
-  Alcotest.(check big) "powm even modulus"
-    (Bigint.of_int 1)
-    (Modular.powm (Bigint.of_int 3) (Bigint.of_int 4) (Bigint.of_int 16))
+  (* the Montgomery path is the only one, and it takes odd moduli only *)
+  List.iter
+    (fun m ->
+      Alcotest.check_raises
+        (Printf.sprintf "powm refuses modulus %d" m)
+        (Invalid_argument "Modular.powm: even modulus")
+        (fun () -> ignore (Modular.powm (Bigint.of_int 3) (Bigint.of_int 4) (Bigint.of_int m))))
+    [ 2; 16; 1 lsl 40 ]
 
 let test_primes () =
   let check_prime n expected =
@@ -136,33 +140,33 @@ let test_primes () =
   Alcotest.(check big) "next_prime 29" (Bigint.of_int 31)
     (Prime.next_prime (Bigint.of_int 29))
 
-let kar_a =
+let wide_a =
   Bigint.of_string
     "0x57a5da05f73dba1c1b5b32097ce80c2d0fd6d9a90965f580d16aaff1a41fe52d78dc4bfb9e8ddaecc2c55e986d484271143591cab5f7c4bf5cb443292af8f3b713b4c7ebb7344df3d2273a37403227210f4d0c5b86c0ef0d2329d9fa09ca46767389669b02a56d32b55d35e67646f184c69290764b501814b062ae88c88ad1eee1f220fd5475125ccedc773429e79c6cda4ccb01f35efe8ed5f03644f758cd0aeb34f96712489050fe32817812f170167a34d0c643e653ad689cf88759f153b7785728f2655b19153d3a3f56bc09cb91215785d99773382dd301c8a91afa5c7623c4dd26fb984f366c5acdaeafb905dc8ac0bb635b4c41d283eb3a5fbd238ec9cf158de6e96d45cae8c077377925b396a1da2c9cfbba43b8e3c71f6bf08d62331057ca7d411fab9fb932d4f039772216ff82e389e3995ab35331ceaf2ed9dd87e355b26210b784baa1c6f1404b6eaf162a01dec28753f8221c4e003f9931ee3af27f802dc5fd3d9974d75b333824fe61790134676b1b69"
 
-let kar_b =
+let wide_b =
   Bigint.of_string
     "0x33cff79c40d286a6a75635823a662b78f5608162c33760e399566223050c349a2ad5223ad895eff22502daa0b349a7a4bf8050cbb812881d4eada6af532f9a8bcb5c988a90d2856dcbdb9d1cca1e01b04f41f1fc30d89bacfa3be14460cc4779447fc73719c543e39651b0f6188f9b7341e163e7ce3523eb0dec9409ff25403cfd68ed8a232d7a2d12fdba24d02c941da54bc4f0a024c70f481e64176618b3205e1fd6833568865042f0f404719ba8272c26833ccabf49e557c768beaf9983d819b7e6ace5dd2a7afebd11e14f21846d9e0e4a1175ec15426979e48824b1eb72c8f0fc795a5a9331f620588857c3881083d33bf8206770fa788ba3fb8041f089dc7166a9f536209dbca3f3760f0e2eb028f94cf6b0c986fa9fe66471833367433467c3b9fe85fdadc422c4d84f5467115b618d3f430173745f9e0d54254f4f81b02495da1716055583a1cbb7236ce8571befca6c3a14c6e95e6b451936d1d5c42faf11c1e779462a34"
 
-let test_karatsuba () =
-  (* operands well past the Karatsuba threshold; product checked against a
+let test_large_products () =
+  (* 3000-bit operands through the schoolbook product; checked against a
      CPython-computed digest of its hex rendering *)
-  let product = Bigint.mul kar_a kar_b in
+  let product = Bigint.mul wide_a wide_b in
   Alcotest.(check string) "3000-bit product"
     "7357372c453d09c1d60330863b4dc32768febc1d0089ea5d7b5c7aebfc6a1bb3"
     (Peace_hash.Sha256.to_hex (Peace_hash.Sha256.digest (Bigint.to_hex product)));
-  (* identities stressing the splitting logic with skewed operand sizes *)
+  (* identities over skewed operand sizes *)
   let small = Bigint.of_string "0xdeadbeef" in
-  Alcotest.(check big) "skewed commutes" (Bigint.mul kar_a small)
-    (Bigint.mul small kar_a);
-  Alcotest.(check big) "divmod recovers factor" kar_b
-    (Bigint.div product kar_b |> fun q -> Bigint.div product q |> fun _ ->
-     Bigint.div product kar_a);
+  Alcotest.(check big) "skewed commutes" (Bigint.mul wide_a small)
+    (Bigint.mul small wide_a);
+  Alcotest.(check big) "divmod recovers factor" wide_b
+    (Bigint.div product wide_b |> fun q -> Bigint.div product q |> fun _ ->
+     Bigint.div product wide_a);
   Alcotest.(check big) "square of sum"
-    (Bigint.mul (Bigint.add kar_a kar_b) (Bigint.add kar_a kar_b))
+    (Bigint.mul (Bigint.add wide_a wide_b) (Bigint.add wide_a wide_b))
     (Bigint.add
-       (Bigint.add (Bigint.mul kar_a kar_a) (Bigint.mul kar_b kar_b))
-       (Bigint.mul_int (Bigint.mul kar_a kar_b) 2))
+       (Bigint.add (Bigint.mul wide_a wide_a) (Bigint.mul wide_b wide_b))
+       (Bigint.mul_int (Bigint.mul wide_a wide_b) 2))
 
 (* Deterministic pseudo-random byte source for tests *)
 let test_rng seed =
@@ -301,6 +305,84 @@ let sqrt_secp_moduli =
       Bigint.of_string "0xffffffff00000001000000000000000000000000ffffffffffffffffffffffff" );
   ]
 
+(* --- the one exponentiation chain against a ladder --- *)
+
+(* square-and-multiply from the top bit, the reference for Mont.chain *)
+let ladder ~one ~mul ~sqr b e =
+  let acc = ref one in
+  for i = Bigint.num_bits e - 1 downto 0 do
+    acc := sqr !acc;
+    if Bigint.testbit e i then acc := mul !acc b
+  done;
+  !acc
+
+(* exponents on both sides of the window switch at 48 bits: 0, 1, 2,
+   2^100, 65 537, tiny's 9-bit cofactor h, a scalar of light's 160-bit q,
+   light's 352-bit h, a 512-bit value, and 2^47 − 1 and 2^48 − 1 *)
+let chain_exponents rng =
+  let tiny = Lazy.force Peace_pairing.Params.tiny
+  and light = Lazy.force Peace_pairing.Params.light in
+  [
+    Bigint.zero;
+    Bigint.one;
+    Bigint.two;
+    Bigint.shift_left Bigint.one 100;
+    Bigint.of_int 65537;
+    tiny.Peace_pairing.Params.h;
+    Bigint.random_below rng light.Peace_pairing.Params.q;
+    light.Peace_pairing.Params.h;
+    Bigint.logor (Bigint.random_bits rng 512) (Bigint.shift_left Bigint.one 511);
+    Bigint.pred (Bigint.shift_left Bigint.one 47);
+    Bigint.pred (Bigint.shift_left Bigint.one 48);
+  ]
+
+(* an RSA-1024 modulus from Rsa.generate, fixed here so that the test does
+   not run the chain under test to find its primes *)
+let rsa_1024 =
+  Bigint.of_hex
+    "b421314372a8fc460238139766eb24aa859bb10901b0ab0b7a6c8d5a62ab8ca1880a421b0f86e5bc5a39d6d7af2162a061ab65c19a8e7368eccd168dd8adfd939a82759bdb2950bbb2ac17b19ca969fd0532ef9777ca336d238d234008753697933a908f508a4c74830f6285fce09e145c20f9d2a9b2466ba9d8e3ed2e4e910b"
+
+let test_chain_vs_ladder () =
+  let rng = test_rng 31 in
+  let exponents = chain_exponents rng in
+  let fp_moduli =
+    [
+      ("tiny", List.nth preset_moduli 0);
+      ("light", List.nth preset_moduli 1);
+      ("secp160r1", List.assoc "secp160r1" sqrt_secp_moduli);
+      ("rsa-1024", rsa_1024);
+    ]
+  in
+  List.iter
+    (fun (name, m) ->
+      let ctx = Mont.create m in
+      let one = Mont.one ctx and mul = Mont.mul ctx and sqr = Mont.sqr ctx in
+      List.iter
+        (fun b ->
+          let mb = Mont.of_bigint ctx b in
+          List.iter
+            (fun e ->
+              if not (Mont.equal ctx (Mont.pow ctx mb e) (ladder ~one ~mul ~sqr mb e)) then
+                Alcotest.failf "F_p %s: %s^%s" name (Bigint.to_hex b) (Bigint.to_hex e))
+            exponents)
+        [ Bigint.zero; Bigint.pred m; Bigint.random_below rng m ])
+    fp_moduli;
+  List.iter
+    (fun (name, m) ->
+      let module Fq2 = Peace_pairing.Fq2 in
+      let fp = Mont.create m in
+      let one = Fq2.one fp and mul = Fq2.mul fp and sqr = Fq2.sqr fp in
+      let random () = Fq2.of_bigints fp (Bigint.random_below rng m) (Bigint.random_below rng m) in
+      List.iter
+        (fun b ->
+          List.iter
+            (fun e ->
+              if not (Fq2.equal fp (Fq2.pow fp b e) (ladder ~one ~mul ~sqr b e)) then
+                Alcotest.failf "F_p² %s: exponent %s" name (Bigint.to_hex e))
+            exponents)
+        [ Fq2.zero fp; random (); random () ])
+    [ ("tiny", List.nth preset_moduli 0); ("light", List.nth preset_moduli 1) ]
+
 (* the root is defined for m ≡ 3 (mod 4) only; −1 is a non-residue there *)
 let test_mont_sqrt_edges () =
   let ctx = Mont.create (Bigint.of_int 23) in
@@ -348,7 +430,7 @@ let arbitrary_bigint =
                 Bigint.random_bits rng (1 + abs bits mod 400))
               int int );
           ( 1,
-            (* large enough to exercise the Karatsuba path *)
+            (* products of up to 100 limbs a side *)
             map2
               (fun bits seed ->
                 let rng = test_rng seed in
@@ -504,7 +586,7 @@ let suite =
         Alcotest.test_case "bytes round trip" `Quick test_bytes_round_trip;
         Alcotest.test_case "shifts and bits" `Quick test_shift_and_bits;
         Alcotest.test_case "division edges" `Quick test_division_edges;
-        Alcotest.test_case "karatsuba" `Quick test_karatsuba;
+        Alcotest.test_case "3000-bit products" `Quick test_large_products;
         Alcotest.test_case "modular edges" `Quick test_modular_edges;
         Alcotest.test_case "primality" `Quick test_primes;
         Alcotest.test_case "randomness" `Quick test_random;
@@ -512,6 +594,7 @@ let suite =
         Alcotest.test_case "montgomery kernel vs modular" `Quick test_mont_kernel;
         Alcotest.test_case "montgomery width guard" `Quick test_mont_width_guard;
         Alcotest.test_case "montgomery sqrt edges" `Quick test_mont_sqrt_edges;
+        Alcotest.test_case "exponentiation chain vs ladder" `Quick test_chain_vs_ladder;
       ] );
     ("bigint-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

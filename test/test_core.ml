@@ -974,6 +974,26 @@ let test_stale_crl_checked_first () =
     (Error Protocol_error.Bad_revocation_list) verdict;
   Alcotest.(check int) "only the certificate verified" 2 muls
 
+(* a beacon costs its router one ECDSA signature; two seeded beacons
+   keep the bytes recorded when each beacon was signed twice *)
+let test_beacon_signed_once () =
+  let config, _c, d = make_deployment ~seed:"beacon-golden" () in
+  let _gm = Deployment.add_group d ~group_id:1 ~size:4 in
+  let router = Deployment.add_router d ~router_id:7 in
+  let scalar_muls = Peace_obs.Registry.counter "ec.scalar_mul" in
+  let digest b =
+    Peace_hash.Sha256.to_hex (Peace_hash.Sha256.digest (Messages.beacon_to_bytes config b))
+  in
+  let before = Peace_obs.Registry.Counter.value scalar_muls in
+  let first = Mesh_router.beacon router in
+  Alcotest.(check int) "one scalar multiplication" 1
+    (Peace_obs.Registry.Counter.value scalar_muls - before);
+  Alcotest.(check string) "first beacon"
+    "fbd5f89c1c7ea36f816728396777070ff5c02d34a1d91d66de9a754d314da1bd" (digest first);
+  Alcotest.(check string) "second beacon"
+    "1c7dd72571c67270de07d9bfb2d3a94167881b281fe74a774a6d1db3d1f0369b"
+    (digest (Mesh_router.beacon router))
+
 let test_repeat_beacon_skips_signatures () =
   (* a CRL period and certificate lifetime short enough to run past both
      inside one beacon's timestamp window *)
@@ -1118,6 +1138,7 @@ let suite =
         Alcotest.test_case "revocation eviction" `Quick test_user_revocation_eviction;
         Alcotest.test_case "client puzzles" `Quick test_puzzles_under_attack;
         Alcotest.test_case "stale CRL checked first" `Quick test_stale_crl_checked_first;
+        Alcotest.test_case "beacon signed once" `Quick test_beacon_signed_once;
         Alcotest.test_case "repeat beacon skips signatures" `Quick
           test_repeat_beacon_skips_signatures;
         Alcotest.test_case "puzzle-gate reject decodes nothing" `Quick

@@ -52,6 +52,18 @@ let test_sign_verify () =
         (Group_sig.verify gpk ~msg s))
     [ bob; carol ]
 
+(* a seeded signature and e(g1, g2), pinned to bytes recorded under other
+   exponentiation and GT-inversion algorithms: the arithmetic may change
+   how it computes, never what *)
+let test_golden_signature () =
+  Alcotest.(check string) "e(g1, g2)" "9ebafc04c6dfc684be3b822fbd513cfc0c4c8b3ee03b"
+    (Peace_hash.Sha256.to_hex (Pairing.Gt.encode tiny gpk.Group_sig.e_g1_g2));
+  let s = Group_sig.sign gpk alice ~rng:(test_rng 77) ~msg:"golden" in
+  Alcotest.(check string) "signature digest"
+    "2cea8ade8eabee32bc956dd92b3659aac75343688e44cdeed4af519c5bfdb4cd"
+    (Peace_hash.Sha256.to_hex (Peace_hash.Sha256.digest (Group_sig.signature_to_bytes gpk s)));
+  Alcotest.check vres "verifies" Group_sig.Valid (Group_sig.verify gpk ~msg:"golden" s)
+
 let test_tampering () =
   let rng = test_rng 6 in
   let msg = "tamper target" in
@@ -807,6 +819,7 @@ let suite =
       [
         Alcotest.test_case "key validity" `Quick test_key_validity;
         Alcotest.test_case "sign/verify" `Quick test_sign_verify;
+        Alcotest.test_case "golden signature" `Quick test_golden_signature;
         Alcotest.test_case "tampering" `Quick test_tampering;
         Alcotest.test_case "revocation" `Quick test_revocation;
         Alcotest.test_case "opening" `Quick test_open;

@@ -166,7 +166,7 @@ let test_span_nesting () =
   Alcotest.(check (option int)) "stack unwound" None (Trace.current_span ())
 
 let test_span_histogram_and_exceptions () =
-  let h = R.histogram "span.test.obs.boom.dur_ns" in
+  let h = R.histogram "test.obs.boom_ns" in
   R.Histogram.reset h;
   let lines =
     capture_spans (fun () ->
@@ -180,7 +180,7 @@ let test_span_histogram_and_exceptions () =
    still nests *)
 let test_span_histogram_without_collector () =
   Alcotest.(check bool) "no collector installed" false (Trace.collector_active ());
-  let h = R.histogram "span.test.obs.bare.dur_ns" in
+  let h = R.histogram "test.obs.bare_ns" in
   R.Histogram.reset h;
   let inner =
     Trace.with_span "test.obs.bare" (fun () ->
@@ -560,7 +560,7 @@ let test_concurrent_finish () =
      span must end exactly once (the CAS in finish), both in the collector
      stream and in the duration histogram *)
   let n = 500 in
-  let h = R.histogram "span.h.race.dur_ns" in
+  let h = R.histogram "h.race_ns" in
   R.Histogram.reset h;
   let ends = Atomic.make 0 in
   Trace.set_collector

@@ -243,6 +243,43 @@ let test_product_pairing () =
         (Pairing.Gt.is_one params (product [])))
     [ tiny; light ]
 
+(* GT has norm 1, so Gt.inv and a negative Gt.pow conjugate; the field
+   inverse is the reference, on pairing values, their products and a
+   tate_lines product *)
+let test_gt_inverse_by_conjugation () =
+  List.iter
+    (fun params ->
+      let fp = params.Params.fp in
+      let rng = test_rng 47 in
+      let pt () = G1.random params rng in
+      let a = pt () and b = pt () and c = pt () in
+      let e_ab = Pairing.tate params a b and e_cb = Pairing.tate params c b in
+      let values =
+        [
+          e_ab;
+          Pairing.tate params a c;
+          Pairing.Gt.mul params e_ab e_cb;
+          Pairing.tate_lines params
+            [ (Pairing.lines_of params a, b); (Pairing.lines_of params c, a) ];
+        ]
+      in
+      let exponents =
+        [ Bigint.one; Bigint.two; params.Params.h; Bigint.random_range rng Bigint.one params.Params.q ]
+      in
+      List.iter
+        (fun x ->
+          Alcotest.(check bool) "Gt.inv x = Fq2.inv x" true
+            (Fq2.equal fp (Pairing.Gt.inv params x) (Fq2.inv fp x));
+          List.iter
+            (fun e ->
+              Alcotest.(check bool) "Gt.pow x (-e) = Fq2.inv (Gt.pow x e)" true
+                (Fq2.equal fp
+                   (Pairing.Gt.pow params x (Bigint.neg e))
+                   (Fq2.inv fp (Pairing.Gt.pow params x e))))
+            exponents)
+        values)
+    [ tiny; light ]
+
 let test_pairing_counters () =
   Counters.reset ();
   let params = tiny in
@@ -616,6 +653,7 @@ let suite =
         Alcotest.test_case "bilinearity (light)" `Slow (test_bilinearity light);
         Alcotest.test_case "projective = affine" `Quick test_projective_matches_affine;
         Alcotest.test_case "product pairing" `Quick test_product_pairing;
+        Alcotest.test_case "gt inverse by conjugation" `Quick test_gt_inverse_by_conjugation;
         Alcotest.test_case "gt membership" `Quick (fun () ->
             let params = tiny in
             let g = G1.generator params in

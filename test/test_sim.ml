@@ -271,7 +271,7 @@ let test_city_smoke () =
    stay out of the nanosecond histograms: their durations are simulated
    milliseconds *)
 let test_city_spans_for_any_collector () =
-  let h = Peace_obs.Registry.histogram "span.sim.handshake.dur_ns" in
+  let h = Peace_obs.Registry.histogram "sim.handshake_ns" in
   let before = Peace_obs.Registry.Histogram.count h in
   let r = Peace_obs.Expo.recorder () in
   Peace_obs.Trace.set_collector (Some (Peace_obs.Expo.record r));
