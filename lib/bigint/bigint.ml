@@ -317,8 +317,6 @@ let compare a b =
   else mag_compare b.mag a.mag
 
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 let neg x = if x.sign = 0 then x else { x with sign = -x.sign }
 let abs x = if x.sign < 0 then { x with sign = 1 } else x
 
@@ -367,17 +365,6 @@ let ediv_rem a b =
   else (add q one, sub r b)
 
 let erem a b = snd (ediv_rem a b)
-
-let pow b e =
-  if e < 0 then invalid_arg "Bigint.pow: negative exponent";
-  let rec go acc base e =
-    if e = 0 then acc
-    else begin
-      let acc = if e land 1 = 1 then mul acc base else acc in
-      go acc (mul base base) (e lsr 1)
-    end
-  in
-  go one b e
 
 let shift_left x n =
   if n < 0 then invalid_arg "Bigint.shift_left";
@@ -597,10 +584,6 @@ let random_range rng lo hi =
 (* ------------------------------------------------------------------ *)
 (* Miscellanea                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let hash x =
-  Array.fold_left (fun acc l -> (acc * 1000003) lxor l) x.sign x.mag
-  land Stdlib.max_int
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)
 

@@ -52,8 +52,6 @@ val to_bytes_be : ?width:int -> t -> string
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val sign : t -> int
-val min : t -> t -> t
-val max : t -> t -> t
 val is_zero : t -> bool
 val is_one : t -> bool
 val is_even : t -> bool
@@ -85,9 +83,6 @@ val erem : t -> t -> t
 val mul_int : t -> int -> t
 val add_int : t -> int -> t
 
-val pow : t -> int -> t
-(** [pow b e] is [b{^e}] for [e >= 0]. @raise Invalid_argument otherwise. *)
-
 val gcd : t -> t -> t
 (** Greatest common divisor of the magnitudes; [gcd 0 0 = 0]. *)
 
@@ -105,7 +100,6 @@ val invert : t -> t -> t
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
-val logand : t -> t -> t
 val logor : t -> t -> t
 val logxor : t -> t -> t
 
@@ -134,7 +128,6 @@ val random_range : (int -> string) -> t -> t -> t
 
 (** {1 Miscellanea} *)
 
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 (**/**)

@@ -1,14 +1,18 @@
 (** A short-Weierstrass curve y² = x³ + ax + b over F_p: its equation,
-    its group law and its scalar multiplication. One engine for ECDSA's
-    secp curves (a = −3, {!Curve}) and the type-A pairing group G1 (a = 1,
-    b = 0), and the steps of the pairing's Miller loop.
+    its group law and its scalar multiplication. One engine for two curve
+    shapes: ECDSA's secp curves (a = −3, {!Curve}) and the type-A pairing
+    group G1 (a = 1, b = 0), and the steps of the pairing's Miller loop.
 
     Points are affine in Montgomery form. Scalar multiplication runs a
     signed-window (wNAF) chain in Jacobian coordinates over affine odd
     multiples; {!mul2} interleaves two chains in one (Straus). The Miller
     loop walks the same Jacobian doubling and mixed addition
     ({!jac_double}, {!jac_add_affine}) and hears of each line they draw.
-    Nothing is counted here: each curve counts its own operations. *)
+    Each shape has one Jacobian doubling. The b = 0 one reads Y² off the
+    curve equation, so the group law and scalar multiplication take only
+    points on the curve: every point built by {!of_affine} or {!lift}, or
+    decoded by {!Curve.decode} or G1's codec, is one. Nothing is counted
+    here: each curve counts its own operations. *)
 
 open Peace_bigint
 
@@ -19,7 +23,7 @@ type point = Infinity | Affine of { x : Mont.elt; y : Mont.elt }
 (** Only meaningful with the {!t} whose field made the coordinates. *)
 
 val make : Mont.ctx -> a:Bigint.t -> b:Bigint.t -> t
-(** @raise Invalid_argument unless a ≡ 1 or a ≡ −3 (mod p). *)
+(** @raise Invalid_argument unless a ≡ −3, or a ≡ 1 and b ≡ 0 (mod p). *)
 
 val on_curve : t -> point -> bool
 (** y² = x³ + ax + b; true for the point at infinity. *)
@@ -67,8 +71,9 @@ type line = Mont.elt -> Mont.elt -> Mont.elt -> Mont.elt -> unit
     is n / Z₃ and the step produces (X₃, Y₃, Z₃). *)
 
 val jac_double : t -> line -> jac -> jac
-(** 2T. Draws the tangent at T, with n = 3X² + a·Z⁴; draws nothing when
-    T = O or Y = 0, where the tangent is vertical. *)
+(** 2T for T on the curve, with Z₃ = 2YZ. Draws the tangent at T, with
+    n = 3X² + a·Z⁴; draws nothing when T = O or Y = 0, where the tangent
+    is vertical. *)
 
 val jac_add_affine : t -> line -> jac -> Mont.elt -> Mont.elt -> jac
 (** T + (x, y) for an affine (x, y). Draws the chord, with n = S₂ − S₁, or

@@ -127,12 +127,16 @@ let test_point_validation () =
   Alcotest.(check bool) "base on curve" true (Curve.on_curve s160 g);
   Alcotest.(check bool) "infinity on curve" true
     (Curve.on_curve s160 (Curve.infinity s160));
-  (* the group law knows a = 1 and a = −3 only *)
-  Alcotest.check_raises "a = 0 refused"
-    (Invalid_argument "Ecp.make: a must be 1 or -3") (fun () ->
-      ignore
-        (Curve.make ~name:"a0" ~p:(List.assq s160 secp) ~a:Bigint.zero
-           ~b:Bigint.one ~gx:Bigint.zero ~gy:Bigint.one ~n:(Curve.order s160)))
+  (* the group law knows a = −3 and y² = x³ + x only *)
+  let refused name ~a ~b =
+    Alcotest.check_raises name
+      (Invalid_argument "Ecp.make: a must be -3, or 1 with b = 0") (fun () ->
+        ignore
+          (Curve.make ~name ~p:(List.assq s160 secp) ~a ~b ~gx:Bigint.zero
+             ~gy:Bigint.one ~n:(Curve.order s160)))
+  in
+  refused "a = 0 refused" ~a:Bigint.zero ~b:Bigint.one;
+  refused "a = 1, b = 1 refused" ~a:Bigint.one ~b:Bigint.one
 
 let test_encoding () =
   let rng = test_rng 99 in
@@ -337,6 +341,195 @@ let qcheck_tests =
         ])
       secp
 
+(* --- G1's doubling on y² = x³ + x against the general formula --- *)
+
+module Params = Peace_pairing.Params
+module G1 = Peace_pairing.G1
+
+let presets =
+  [ ("tiny", Params.tiny); ("light", Params.light); ("paper_size", Params.paper_size) ]
+
+(* The general Jacobian doubling for a = 1 (3M + 6S, 14 additions), which
+   never reads the curve equation: the oracle for Ecp's b = 0 doubling.
+   M = 3X² + Z⁴, S = 4XY², X₃ = M² − 2S, Y₃ = M(S − X₃) − 8Y⁴, Z₃ = 2YZ;
+   it returns M and the triple. *)
+let general_double fp x y z =
+  let ( + ) = Mont.add fp and ( - ) = Mont.sub fp and ( * ) = Mont.mul fp in
+  let twice t = t + t in
+  let yy = y * y and xx = x * x and zz = z * z in
+  let s = twice (twice (x * yy)) in
+  let m = xx + xx + xx + (zz * zz) in
+  let x3 = (m * m) - twice s in
+  let y3 = (m * (s - x3)) - twice (twice (twice (yy * yy))) in
+  (m, x3, y3, twice (y * z))
+
+(* the point (x, y) on E with a y for [x], if x³ + x is a square *)
+let point_at params x =
+  let x = Mont.of_bigint params.Params.fp x in
+  Option.map (fun y -> (x, y)) (Ecp.lift params.Params.ec x)
+
+let rec random_point params rng =
+  let x = Bigint.random_below rng params.Params.p in
+  match point_at params x with
+  | Some (x, y) ->
+    (x, if Char.code (rng 1).[0] land 1 = 0 then y else Mont.neg params.Params.fp y)
+  | None -> random_point params rng
+
+(* (1, √2) or (−1, √−2), whichever exists: p ≡ 3 (mod 4) makes exactly one
+   of 2 and −2 a square, and twice either point is (0, 0) *)
+let order_four params =
+  match point_at params Bigint.one with
+  | Some xy -> xy
+  | None -> Option.get (point_at params (Bigint.pred params.Params.p))
+
+(* G1's random element, and G1's view of an E point, across the codec's
+   abstract type *)
+let g1_random params rng = Option.get (G1.coords (G1.random params rng))
+
+let g1_of params pt =
+  match Ecp.to_affine params.Params.ec pt with
+  | Some (x, y) -> G1.of_affine params ~x ~y
+  | None -> G1.infinity
+
+let affine_of fp x y z =
+  let zi = Mont.inv fp z in
+  let zi2 = Mont.sqr fp zi in
+  (Mont.mul fp x zi2, Mont.mul fp y (Mont.mul fp zi2 zi))
+
+(* From random Jacobian representatives (x·z², y·z³, z) of random points
+   in and outside G_q, of (0, 0) and of a point of order 4, [jac_double]
+   gives the general formula's triple, hands its hook the general
+   numerator, and lands on [Ecp.double]'s and [Params.affine_mul]'s
+   affine 2P. Each of the mutations Y₃ = D·((A + C)² − X₃) (no factor 2),
+   C = Z² (not Z⁴) and Z₃ = YZ fails this case and the next. *)
+let test_g1_doubling () =
+  List.iter
+    (fun (name, params) ->
+      let params = Lazy.force params in
+      let fp = params.Params.fp and ec = params.Params.ec and p = params.Params.p in
+      let rng = test_rng (Hashtbl.hash name) in
+      let points =
+        ((Mont.zero fp, Mont.zero fp) :: order_four params
+        :: List.init 8 (fun _ -> random_point params rng))
+        @ List.init 8 (fun _ -> g1_random params rng)
+      in
+      List.iter
+        (fun (x, y) ->
+          let z = Mont.of_bigint fp (Bigint.random_range rng Bigint.one p) in
+          let zz = Mont.sqr fp z in
+          let jx = Mont.mul fp x zz and jy = Mont.mul fp y (Mont.mul fp zz z) in
+          let heard = ref None in
+          let doubled =
+            Ecp.jac_double ec (fun n x3 y3 z3 -> heard := Some (n, x3, y3, z3))
+              (Ecp.Jac { jx; jy; jz = z })
+          in
+          let want =
+            Option.map (fun (x, y) -> (Mont.of_bigint fp x, Mont.of_bigint fp y))
+              (Params.affine_mul p Bigint.two (Some (Mont.to_bigint fp x, Mont.to_bigint fp y)))
+          in
+          let same_affine label got =
+            Alcotest.(check bool) (label ^ " = affine_mul") true
+              (Option.equal (fun (a, b) (c, d) -> Mont.equal fp a c && Mont.equal fp b d) got want);
+            Alcotest.(check bool) (label ^ " = Ecp.double") true
+              (Ecp.equal ec (Ecp.double ec (Ecp.Affine { x; y }))
+                 (match got with Some (x, y) -> Ecp.Affine { x; y } | None -> Ecp.Infinity))
+          in
+          match doubled with
+          | Ecp.Jinf ->
+            Alcotest.(check bool) (name ^ ": only Y = 0 doubles to O") true (Mont.is_zero fp y);
+            Alcotest.(check bool) (name ^ ": a vertical tangent draws no line") true (!heard = None);
+            same_affine (name ^ ": 2·(0, 0)") None
+          | Ecp.Jac { jx = x3; jy = y3; jz = z3 } ->
+            let m, gx3, gy3, gz3 = general_double fp jx jy z in
+            let eq = Mont.equal fp in
+            Alcotest.(check bool) (name ^ ": triple = general formula's") true
+              (eq x3 gx3 && eq y3 gy3 && eq z3 gz3);
+            (match !heard with
+            | Some (n, hx, hy, hz) ->
+              Alcotest.(check bool) (name ^ ": hook hears 3X² + Z⁴") true (eq n m);
+              Alcotest.(check bool) (name ^ ": hook hears the triple") true
+                (eq hx x3 && eq hy y3 && eq hz z3)
+            | None -> Alcotest.fail (name ^ ": tangent not drawn"));
+            same_affine (name ^ ": 2P") (Some (affine_of fp x3 y3 z3)))
+        points)
+    presets
+
+(* the distinct prime factors of a small h *)
+let prime_factors h =
+  let rec go n d acc =
+    if n = 1 then List.rev acc
+    else if n mod d = 0 then
+      let rec strip n = if n mod d = 0 then strip (n / d) else n in
+      go (strip n) (d + 1) (d :: acc)
+    else go n (d + 1) acc
+  in
+  go h 2 []
+
+(* S + E for S ∈ G_q and E ≠ O of order dividing h is outside G_q: q·(S + E)
+   = q·E ≠ O, so the subgroup check's scalar multiplication must not reach
+   O and G1's decode must refuse the encoding. Where h is small (tiny's 288,
+   paper_size's 36) E runs over every nonzero q·R, the multiples of a
+   generator of the h-torsion; at light (352-bit h) over (0, 0), both
+   points of order 4 and eight random q·R. *)
+let test_g1_outside_subgroup () =
+  List.iter
+    (fun (name, params) ->
+      let params = Lazy.force params in
+      let fp = params.Params.fp and ec = params.Params.ec and q = params.Params.q in
+      let h = params.Params.h in
+      let rng = test_rng (Hashtbl.hash (name ^ " torsion")) in
+      let q_times (x, y) = Ecp.mul ec q (Ecp.Affine { x; y }) in
+      let torsion =
+        if Bigint.num_bits h <= 16 then begin
+          let h = Bigint.to_int h in
+          (* a q·R of order exactly h *)
+          let rec generator () =
+            let e = q_times (random_point params rng) in
+            if
+              List.exists
+                (fun l -> Ecp.is_infinity (Ecp.mul ec (Bigint.of_int (h / l)) e))
+                (prime_factors h)
+            then generator ()
+            else e
+          in
+          let e0 = generator () in
+          (* E0, 2·E0, …, (h − 1)·E0 by repeated addition *)
+          let multiples = ref [ e0 ] in
+          for _ = 2 to h - 1 do
+            multiples := Ecp.add ec (List.hd !multiples) e0 :: !multiples
+          done;
+          !multiples
+        end
+        else begin
+          let x4, y4 = order_four params in
+          [
+            Ecp.Affine { x = Mont.zero fp; y = Mont.zero fp };
+            Ecp.Affine { x = x4; y = y4 };
+            Ecp.Affine { x = x4; y = Mont.neg fp y4 };
+          ]
+          @ List.init 8 (fun _ -> q_times (random_point params rng))
+        end
+      in
+      let sx, sy = g1_random params rng in
+      let s = Ecp.Affine { x = sx; y = sy } in
+      Alcotest.(check bool) (name ^ ": S decodes") true
+        (Option.is_some (G1.decode params (G1.encode params (g1_of params s))));
+      Alcotest.(check bool) (name ^ ": q·S = O") true (Ecp.mul_is_infinity ec q sx sy);
+      List.iteri
+        (fun k e ->
+          match (e, Ecp.add ec s e) with
+          | Ecp.Infinity, _ | _, Ecp.Infinity ->
+            Alcotest.failf "%s: E%d or S + E%d is O" name k k
+          | Ecp.Affine _, (Ecp.Affine { x; y } as se) ->
+            if Ecp.mul_is_infinity ec q x y then Alcotest.failf "%s: q·(S + E%d) = O" name k;
+            if G1.decode params (G1.encode params (g1_of params se)) <> None then
+              Alcotest.failf "%s: S + E%d decodes" name k)
+        torsion;
+      if Bigint.num_bits h <= 16 then
+        Alcotest.(check int) (name ^ ": every nonzero E") (Bigint.to_int h - 1)
+          (List.length (List.sort_uniq String.compare (List.map (fun e -> G1.encode params (g1_of params e)) torsion))))
+    presets
+
 let suite =
   [
     ( "curve",
@@ -346,6 +539,8 @@ let suite =
         Alcotest.test_case "point validation" `Quick test_point_validation;
         Alcotest.test_case "encoding" `Quick test_encoding;
         Alcotest.test_case "decode refuses non-canonical" `Quick test_decode_canonical;
+        Alcotest.test_case "G1 doubling = general formula" `Quick test_g1_doubling;
+        Alcotest.test_case "G1 points outside G_q refused" `Quick test_g1_outside_subgroup;
       ] );
     ( "ecdsa",
       [
