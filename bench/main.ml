@@ -253,6 +253,14 @@ let experiment_e2 () =
   in
   Bench_record.add ~unit_:"words" "e2.ecdsa_verify.minor_words" ecdsa_words;
   Printf.printf "ECDSA-160 verify allocates %.0f minor words\n" ecdsa_words;
+  (* one inversion in the light field: the extended Euclid under every
+     affine conversion, the final exponentiation's easy part and each
+     point decode *)
+  let fp = light.Params.fp in
+  let x = Mont.of_bigint fp (Bigint.random_below (drbg "e2-invert") light.Params.p) in
+  let invert_words = words_of (fun () -> Mont.inv fp x) in
+  Bench_record.add ~unit_:"words" "e2.invert_light.minor_words" invert_words;
+  Printf.printf "one Mont.inv at light allocates %.0f minor words\n" invert_words;
   count "audit/open (50-key grt)" (fun () ->
       Group_sig.open_signature fx.fx_gpk
         ~grt:(List.map (fun t -> (t, ())) (tokens_for fx 50))
@@ -303,8 +311,108 @@ let experiment_e3 () =
      column is flat (the paper's 'running time independent of |URL|').\n"
 
 (* ================================================================== *)
-(* E4: absolute microbenchmarks (bechamel)                            *)
+(* E4: absolute microbenchmarks (bechamel), and in kernel products     *)
 (* ================================================================== *)
+
+(* The kernel that peacebench/calib.ml freezes, with its modulus and
+   operands: a copy of the library's CIOS Montgomery product as it was
+   when that benchmark was written, on 18 limbs, the size of the light
+   field. E4 times each operation in rounds
+   against it and reads the operation in units of one kernel product, a
+   figure that the host's speed of the moment moves far less than it
+   moves milliseconds. It must not track Mont.mul: a change to the
+   library's product would move the unit along with the rows it measures,
+   and the rows could not show that change. *)
+module Kernel = struct
+  let limb_bits = 30
+  let limb_mask = (1 lsl limb_bits) - 1
+  let limbs = 18
+
+  type t = { m : int array; m' : int; x : int array; y : int array }
+
+  let limb_inverse x =
+    let inv = ref x in
+    for _ = 1 to 6 do
+      inv := (!inv * (2 - (x * !inv))) land limb_mask
+    done;
+    !inv
+
+  let make () =
+    let s = ref 0x2545F491 in
+    let next () =
+      s := ((!s * 1103515245) + 12345) land 0x3fffffffffff;
+      (!s lsr 8) land limb_mask
+    in
+    let m = Array.init limbs (fun _ -> next ()) in
+    m.(0) <- m.(0) lor 1;
+    m.(limbs - 1) <- m.(limbs - 1) lor (1 lsl (limb_bits - 1));
+    let below () = Array.init limbs (fun i -> if i = limbs - 1 then next () lsr 2 else next ()) in
+    let m' = (limb_mask + 1 - limb_inverse m.(0)) land limb_mask in
+    { m; m'; x = below (); y = below () }
+
+  let mont_mul kn a b =
+    let k = limbs and m = kn.m and m' = kn.m' in
+    let t = Array.make (k + 2) 0 in
+    for i = 0 to k - 1 do
+      let ai = a.(i) in
+      let c = ref 0 in
+      for j = 0 to k - 1 do
+        let s = t.(j) + (ai * b.(j)) + !c in
+        t.(j) <- s land limb_mask;
+        c := s lsr limb_bits
+      done;
+      let s = t.(k) + !c in
+      t.(k) <- s land limb_mask;
+      t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
+      let u = (t.(0) * m') land limb_mask in
+      let s0 = t.(0) + (u * m.(0)) in
+      let c = ref (s0 lsr limb_bits) in
+      for j = 1 to k - 1 do
+        let s = t.(j) + (u * m.(j)) + !c in
+        t.(j - 1) <- s land limb_mask;
+        c := s lsr limb_bits
+      done;
+      let s = t.(k) + !c in
+      t.(k - 1) <- s land limb_mask;
+      t.(k) <- t.(k + 1) + (s lsr limb_bits);
+      t.(k + 1) <- 0
+    done;
+    let r = Array.sub t 0 k in
+    let rec geq i = i < 0 || r.(i) > m.(i) || (r.(i) = m.(i) && geq (i - 1)) in
+    if t.(k) > 0 || geq (k - 1) then begin
+      let borrow = ref 0 in
+      for i = 0 to k - 1 do
+        let d = r.(i) - m.(i) - !borrow in
+        if d < 0 then (r.(i) <- d + (1 lsl limb_bits); borrow := 1)
+        else (r.(i) <- d; borrow := 0)
+      done
+    end;
+    r
+
+  (* one arm of a round: this many products, about 2 ms on the build host *)
+  let products = 2000
+
+  let run kn () =
+    let x = ref kn.x in
+    for _ = 1 to products do
+      x := mont_mul kn !x kn.y
+    done;
+    ignore (Sys.opaque_identity !x)
+end
+
+(* [op] in kernel products, one figure per round: each round times the
+   kernel and enough runs of [op] to take about as long ([est_ms] is its
+   Bechamel estimate), in rotated order *)
+let kernel_units kn est_ms op =
+  let reps = max 1 (int_of_float (Float.ceil (2.0 /. Float.max est_ms 1e-6))) in
+  let arm () =
+    for _ = 1 to reps do
+      op ()
+    done
+  in
+  List.map
+    (fun t -> t.(1) /. float_of_int reps /. (t.(0) /. float_of_int Kernel.products))
+    (rotate [| Kernel.run kn; arm |])
 
 let experiment_e4 () =
   hr "E4  Micro-benchmarks (light = 512-bit/160-bit paper-security params)";
@@ -316,6 +424,9 @@ let experiment_e4 () =
   let g = G1.generator light in
   let scalar = Bigint.random_range (drbg "e4-s") Bigint.one light.Params.q in
   let e_gg = Pairing.tate light g g in
+  let fp = light.Params.fp in
+  let fa = Mont.of_bigint fp (Bigint.random_below (drbg "e4-fa") light.Params.p) in
+  let fb = Mont.of_bigint fp (Bigint.random_below (drbg "e4-fb") light.Params.p) in
   let curve = Lazy.force Peace_ec.Curves.secp160r1 in
   let ecdsa_key = Peace_ec.Ecdsa.generate curve rng in
   let ecdsa_sig = Peace_ec.Ecdsa.sign curve ~key:ecdsa_key "m" in
@@ -323,39 +434,30 @@ let experiment_e4 () =
   let rsa_sig = Peace_rsa.Rsa.sign rsa_key "m" in
   let aead_key = String.make 32 'k' and nonce = String.make 12 'n' in
   let data4k = String.make 4096 'd' in
-  let tests =
+  let op f () = ignore (Sys.opaque_identity (f ())) in
+  let ops =
     [
-      Test.make ~name:"groupsig-sign"
-        (Staged.stage (fun () -> Group_sig.sign fx.fx_gpk fx.fx_key ~rng ~msg:"b"));
-      Test.make ~name:"groupsig-verify-url0"
-        (Staged.stage (fun () -> Group_sig.verify fx.fx_gpk ~msg:fx.fx_msg fx.fx_sig));
-      Test.make ~name:"groupsig-verify-url10"
-        (Staged.stage (fun () ->
-             Group_sig.verify fx.fx_gpk ~url:url10 ~msg:fx.fx_msg fx.fx_sig));
-      Test.make ~name:"pairing-tate"
-        (Staged.stage (fun () -> Pairing.tate light g g));
-      Test.make ~name:"g1-scalar-mul"
-        (Staged.stage (fun () -> G1.mul light scalar g));
-      Test.make ~name:"gt-exp"
-        (Staged.stage (fun () -> Pairing.Gt.pow light e_gg scalar));
-      Test.make ~name:"ecdsa160-sign"
-        (Staged.stage (fun () -> Peace_ec.Ecdsa.sign curve ~key:ecdsa_key "m"));
-      Test.make ~name:"ecdsa160-verify"
-        (Staged.stage (fun () ->
-             Peace_ec.Ecdsa.verify curve ~public:ecdsa_key.Peace_ec.Ecdsa.q "m"
-               ecdsa_sig));
-      Test.make ~name:"rsa1024-sign"
-        (Staged.stage (fun () -> Peace_rsa.Rsa.sign rsa_key "m"));
-      Test.make ~name:"rsa1024-verify"
-        (Staged.stage (fun () ->
-             Peace_rsa.Rsa.verify rsa_key.Peace_rsa.Rsa.public "m" rsa_sig));
-      Test.make ~name:"sha256-4k"
-        (Staged.stage (fun () -> Peace_hash.Sha256.digest data4k));
-      Test.make ~name:"aead-seal-4k"
-        (Staged.stage (fun () ->
-             Peace_cipher.Aead.encrypt ~key:aead_key ~nonce data4k));
+      ("groupsig-sign", op (fun () -> Group_sig.sign fx.fx_gpk fx.fx_key ~rng ~msg:"b"));
+      ("groupsig-verify-url0", op (fun () -> Group_sig.verify fx.fx_gpk ~msg:fx.fx_msg fx.fx_sig));
+      ( "groupsig-verify-url10",
+        op (fun () -> Group_sig.verify fx.fx_gpk ~url:url10 ~msg:fx.fx_msg fx.fx_sig) );
+      ("pairing-tate", op (fun () -> Pairing.tate light g g));
+      ("g1-scalar-mul", op (fun () -> G1.mul light scalar g));
+      ("gt-exp", op (fun () -> Pairing.Gt.pow light e_gg scalar));
+      ("mont-mul", op (fun () -> Mont.mul fp fa fb));
+      ("mont-inv", op (fun () -> Mont.inv fp fa));
+      ("ecdsa160-sign", op (fun () -> Peace_ec.Ecdsa.sign curve ~key:ecdsa_key "m"));
+      ( "ecdsa160-verify",
+        op (fun () ->
+            Peace_ec.Ecdsa.verify curve ~public:ecdsa_key.Peace_ec.Ecdsa.q "m" ecdsa_sig) );
+      ("rsa1024-sign", op (fun () -> Peace_rsa.Rsa.sign rsa_key "m"));
+      ( "rsa1024-verify",
+        op (fun () -> Peace_rsa.Rsa.verify rsa_key.Peace_rsa.Rsa.public "m" rsa_sig) );
+      ("sha256-4k", op (fun () -> Peace_hash.Sha256.digest data4k));
+      ("aead-seal-4k", op (fun () -> Peace_cipher.Aead.encrypt ~key:aead_key ~nonce data4k));
     ]
   in
+  let tests = List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) ops in
   let cfg =
     Benchmark.cfg ~limit:200
       ~quota:(Time.second (if quick then 0.2 else 0.5))
@@ -379,10 +481,17 @@ let experiment_e4 () =
       results []
     |> sort_asc
   in
-  Printf.printf "%-28s %12s\n" "operation" "ms/op";
+  let kn = Kernel.make () in
+  Printf.printf "%d rounds, each timing %d frozen-kernel products and the operation\n"
+    ab_rounds Kernel.products;
+  Printf.printf "%-28s %12s   %s\n" "operation" "ms/op" "kernel products/op: median [q1, q3]";
   List.iter
     (fun (name, ms) ->
-      Printf.printf "%-28s %12.3f\n" name ms;
+      let short = List.nth (String.split_on_char '/' name) 1 in
+      let units = kernel_units kn ms (List.assoc short ops) in
+      let fmt v = Printf.sprintf (if v < 10.0 then "%.3f" else "%.0f") v in
+      Printf.printf "%-28s %12.4f   %s [%s, %s]\n%!" name ms (fmt (median units))
+        (fmt (quantile 25.0 units)) (fmt (quantile 75.0 units));
       let flat = String.map (fun c -> if c = '/' then '.' else c) name in
       Bench_record.add ~unit_:"ms" ("e4." ^ flat ^ "_ms") ms)
     rows;

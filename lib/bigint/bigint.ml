@@ -405,21 +405,134 @@ let gcd a b =
   let m = go (abs a).mag (abs b).mag in
   make 1 m
 
-(* The extended Euclidean algorithm on (m, a mod m), keeping only the
-   coefficient of a: every remainder r has r ≡ s·a (mod m) beside it, so
-   the coefficient beside a last remainder of 1 is the inverse. *)
+(* Limbs in use among the first [n] of [x] *)
+let rec used x n = if n > 0 && x.(n - 1) = 0 then used x (n - 1) else n
+
+(* Lehmer's extended Euclid (Knuth, TAOCP vol. 2, §4.5.2, Algorithm L) on
+   (m, a mod m), keeping only the coefficient of a: every remainder r has
+   r ≡ s·a (mod m) beside it, so the coefficient beside a last remainder
+   of 1 is the inverse.
+
+   With r_0 = m, s_0 = 0, r_1 = a and s_1 = 1, Euclid's s_i has the sign
+   of (−1)^(i+1), so |s_(i+1)| = |s_(i−1)| + q_i·|s_i|: the loop keeps the
+   magnitudes beside u = r_(i−1) and v = r_i, and the parity of i.
+
+   Each pass reads the leading 30 bits of u and the bits of v at the same
+   offset, and runs Euclid on them for as long as Knuth's test shows that
+   each quotient is the true one. The k steps it simulates make a matrix
+   with (u, v) ← (A·u + B·v, C·u + D·v), whose entries stay below one
+   limb; the pass applies it in place to both remainders and, entry by
+   entry in magnitude (A and B, like C and D, have opposite signs), to both
+   coefficients. A pass that simulates no step, as on a quotient of a limb
+   or more, takes one full division instead. Once u fits in one limb, the
+   pass runs Euclid on it exactly, to the end. No remainder or coefficient
+   exceeds m, so four buffers one limb wider than m hold them all. *)
 let invert a m =
   if m.sign <= 0 then invalid_arg "Bigint.invert: modulus must be positive";
-  let rec go r0 s0 r1 s1 =
-    if r1.sign = 0 then if is_one r0 then erem s0 m else raise Division_by_zero
-    else begin
-      let q, r2 = divmod r0 r1 in
-      go r1 s1 r2 (sub s0 (mul q s1))
-    end
-  in
   let a = erem a m in
   if a.sign = 0 then raise Division_by_zero;
-  go m zero a one
+  let w = Array.length m.mag + 1 in
+  let fill buf mag =
+    Array.fill buf 0 w 0;
+    Array.blit mag 0 buf 0 (Array.length mag)
+  in
+  let limbs mag =
+    let buf = Array.make w 0 in
+    fill buf mag;
+    buf
+  in
+  let u = ref (limbs m.mag) and v = ref (limbs a.mag) in
+  let su = ref (Array.make w 0) and sv = ref (limbs one.mag) in
+  (* limbs in use of u (v uses no more) and of the coefficients *)
+  let nu = ref (Array.length m.mag) and ns = ref 1 in
+  let odd = ref true in
+  while used !v !nu > 0 do
+    let u' = !u and v' = !v and n = !nu in
+    let exact = n = 1 in
+    let uh = ref u'.(0) and vh = ref v'.(0) in
+    if not exact then begin
+      let nb = bits_in_limb u'.(n - 1) in
+      uh := (u'.(n - 1) lsl (limb_bits - nb)) lor (u'.(n - 2) lsr nb);
+      vh := (v'.(n - 1) lsl (limb_bits - nb)) lor (v'.(n - 2) lsr nb)
+    end;
+    let ca = ref 1 and cb = ref 0 and cc = ref 0 and cd = ref 1 and k = ref 0 in
+    let go = ref true in
+    while !go do
+      (* 0 stops the pass: a true quotient is at least 1, as u > v *)
+      let q =
+        if exact then if !vh = 0 then 0 else !uh / !vh
+        else if !vh + !cc <= 0 || !vh + !cd <= 0 then 0
+        else begin
+          let q = (!uh + !ca) / (!vh + !cc) in
+          if q = (!uh + !cb) / (!vh + !cd) then q else 0
+        end
+      in
+      let c' = !ca - (q * !cc) and d' = !cb - (q * !cd) in
+      if q = 0 || Stdlib.abs c' >= limb_base || Stdlib.abs d' >= limb_base then go := false
+      else begin
+        ca := !cc;
+        cb := !cd;
+        cc := c';
+        cd := d';
+        let t = !uh - (q * !vh) in
+        uh := !vh;
+        vh := t;
+        incr k
+      end
+    done;
+    if !k = 0 then begin
+      (* (u, v) ← (v, u mod v), and s_(i+1) from the full quotient *)
+      let q, r = mag_divmod (Array.sub u' 0 n) (normalize (Array.sub v' 0 n)) in
+      let s =
+        mag_add (normalize (Array.sub !su 0 !ns))
+          (mag_mul q (normalize (Array.sub !sv 0 !ns)))
+      in
+      let su' = !su in
+      u := v';
+      v := u';
+      fill u' r;
+      su := !sv;
+      sv := su';
+      fill su' s;
+      ns := Stdlib.max !ns (Array.length s);
+      odd := not !odd
+    end
+    else begin
+      let a = !ca and b = !cb and c = !cc and d = !cd in
+      let cu = ref 0 and cv = ref 0 in
+      for j = 0 to n - 1 do
+        let x = u'.(j) and y = v'.(j) in
+        let t = (a * x) + (b * y) + !cu in
+        u'.(j) <- t land limb_mask;
+        cu := t asr limb_bits;
+        let t = (c * x) + (d * y) + !cv in
+        v'.(j) <- t land limb_mask;
+        cv := t asr limb_bits
+      done;
+      assert (!cu = 0 && !cv = 0);
+      let a = Stdlib.abs a and b = Stdlib.abs b in
+      let c = Stdlib.abs c and d = Stdlib.abs d in
+      let su' = !su and sv' = !sv in
+      let width = Stdlib.min (!ns + 2) w in
+      for j = 0 to width - 1 do
+        let x = su'.(j) and y = sv'.(j) in
+        let t = (a * x) + (b * y) + !cu in
+        su'.(j) <- t land limb_mask;
+        cu := t lsr limb_bits;
+        let t = (c * x) + (d * y) + !cv in
+        sv'.(j) <- t land limb_mask;
+        cv := t lsr limb_bits
+      done;
+      assert (!cu = 0 && !cv = 0);
+      ns := used sv' width;
+      if !k land 1 = 1 then odd := not !odd
+    end;
+    nu := used !u n
+  done;
+  if not (!nu = 1 && !u.(0) = 1) then raise Division_by_zero;
+  (* u = r_(i−1), whose coefficient has the sign of (−1)^i *)
+  let s = make 1 (Array.sub !su 0 !ns) in
+  erem (if !odd then neg s else s) m
 
 (* ------------------------------------------------------------------ *)
 (* Byte / string conversions                                           *)

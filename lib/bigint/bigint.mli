@@ -87,9 +87,14 @@ val gcd : t -> t -> t
 (** Greatest common divisor of the magnitudes; [gcd 0 0 = 0]. *)
 
 val invert : t -> t -> t
-(** [invert a m] is the [x] in [\[0, m)] with [a*x = 1 (mod m)], by the
-    extended Euclidean algorithm: the one inverse under {!Modular.invert}
-    and {!Mont.inv}.
+(** [invert a m] is the [x] in [\[0, m)] with [a*x = 1 (mod m)], by
+    Lehmer's extended Euclid on 30-bit limbs (Knuth, TAOCP vol. 2, §4.5.2,
+    Algorithm L): it simulates single-limb quotients on the remainders'
+    leading 30 bits, applies each run of them to both remainders in one
+    pass, and takes a full division where the simulation makes no
+    progress. The one extended Euclid, under {!Modular.invert} and
+    {!Mont.inv}. Its working remainders and coefficients live in four
+    buffers one limb wider than [m].
     @raise Division_by_zero if [a ≡ 0] or no inverse exists.
     @raise Invalid_argument if [m <= 0]. *)
 

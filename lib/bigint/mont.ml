@@ -1,10 +1,21 @@
-(* Montgomery multiplication (fused CIOS) on 30-bit limbs.
+(* Montgomery multiplication (fused CIOS) on 30-bit limbs, and the
+   inverse by Bigint's extended Euclid.
 
    All elements are int arrays of exactly [ctx.k] limbs. The product loop
    keeps every intermediate below 2^62, within OCaml's native int. *)
 
-let limb_bits = Bigint.Internal.limb_bits
-let limb_mask = Bigint.Internal.limb_mask
+(* The limb width and mask are literals, not Bigint.Internal's values:
+   dune's default (dev) profile compiles every module with -opaque, which
+   hides another module's constants, so the product would reload both from
+   Bigint's module block on every inner iteration and shift by a register.
+   Literals compile to immediate shifts and masks in every profile; the
+   check below keeps them equal to Bigint's. *)
+let limb_bits = 30
+let limb_mask = 0x3FFFFFFF
+
+let () =
+  if limb_bits <> Bigint.Internal.limb_bits || limb_mask <> Bigint.Internal.limb_mask then
+    failwith "Mont: limb width differs from Bigint's"
 
 type ctx = {
   m : int array;          (* modulus limbs, length k *)

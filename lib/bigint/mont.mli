@@ -5,7 +5,10 @@
     vectors in Montgomery representation; they are only meaningful relative
     to the context that created them.
 
-    This is the hot inner loop of the pairing, ECDSA and RSA layers. *)
+    This is the hot inner loop of the pairing, ECDSA and RSA layers. The
+    limb width and mask are literals in this module, checked against
+    {!Bigint}'s when it is initialised, so that the product, {!add} and
+    {!sub} shift and mask by immediates under every build profile. *)
 
 type ctx
 (** Precomputed state for one odd modulus. *)
@@ -62,9 +65,10 @@ val sqrt : ctx -> elt -> elt option
     @raise Invalid_argument unless m ≡ 3 (mod 4). *)
 
 val inv : ctx -> elt -> elt
-(** Multiplicative inverse, by {!Bigint.invert} on the canonical
-    representative. @raise Division_by_zero if the element is not
-    invertible (shares a factor with the modulus). *)
+(** Multiplicative inverse, by {!Bigint.invert} (Lehmer's extended Euclid)
+    on the canonical representative, and two products to leave and
+    re-enter Montgomery form. @raise Division_by_zero if the element is
+    not invertible (shares a factor with the modulus). *)
 
 val inv_all : ctx -> elt array -> elt array
 (** The inverse of every element, with one {!inv} and 3(n − 1)

@@ -129,31 +129,37 @@ let add_batch c p qs =
 
 (* --- Jacobian steps, for scalar multiplication and the Miller loop --- *)
 
-(* (X, Y, Z) stands for the affine point (X/Z², Y/Z³) *)
-type jac = Jinf | Jac of { jx : Mont.elt; jy : Mont.elt; jz : Mont.elt }
+(* (X, Y, Z) stands for the affine point (X/Z², Y/Z³). Every step needs
+   Z² of the point it starts from, so each step squares the Z it produces
+   once and keeps the square beside it, [jzz] = Z². *)
+type jac = Jinf | Jac of { jx : Mont.elt; jy : Mont.elt; jz : Mont.elt; jzz : Mont.elt }
 
-(* A step that draws a tangent or a chord calls [line n x3 y3 z3] with the
-   numerator n of its slope n / Z₃ and the point (X₃, Y₃, Z₃) it produces;
-   a vertical step (Y = 0, O + P, T + (−T)) calls nothing *)
-type line = Mont.elt -> Mont.elt -> Mont.elt -> Mont.elt -> unit
+(* A step that draws a tangent or a chord calls [line n x3 y3 z3 zz3] with
+   the numerator n of its slope n / Z₃, the point (X₃, Y₃, Z₃) it produces
+   and Z₃²; a vertical step (Y = 0, O + P, T + (−T)) calls nothing *)
+type line = Mont.elt -> Mont.elt -> Mont.elt -> Mont.elt -> Mont.elt -> unit
 
 (* Scalar multiplication listens to no line. A b = 0 doubling handed
    [no_line] skips the tangent's numerator, which there costs two
    additions of its own. *)
-let no_line _ _ _ _ = ()
+let no_line _ _ _ _ _ = ()
+
+let jac_of_affine fp x y =
+  let one = Mont.one fp in
+  Jac { jx = x; jy = y; jz = one; jzz = one }
 
 (* 2T, with Z₃ = 2YZ; the tangent's numerator is M = 3X² + a·Z⁴ *)
 let jac_double c line = function
   | Jinf -> Jinf
-  | Jac { jx; jy; jz } ->
+  | Jac { jx; jy; jz; jzz = zz } ->
     let fp = c.fp in
     if Mont.is_zero fp jy then Jinf
     else begin
-      let zz = Mont.sqr fp jz in
       let z3 =
         let t = Mont.mul fp jy jz in
         Mont.add fp t t
       in
+      let zz3 = Mont.sqr fp z3 in
       if c.minus3 then begin
         (* S = 4XY², M = 3(X − Z²)(X + Z²), X₃ = M² − 2S,
            Y₃ = M(S − X₃) − 8Y⁴ *)
@@ -174,8 +180,8 @@ let jac_double c line = function
           Mont.add fp t4 t4
         in
         let y3 = Mont.sub fp (Mont.mul fp m (Mont.sub fp s x3)) eight_yyyy in
-        line m x3 y3 z3;
-        Jac { jx = x3; jy = y3; jz = z3 }
+        line m x3 y3 z3 zz3;
+        Jac { jx = x3; jy = y3; jz = z3; jzz = zz3 }
       end
       else begin
         (* b = 0: Y² = X³ + XZ⁴ on the curve. With A = X², C = Z⁴ and
@@ -190,8 +196,8 @@ let jac_double c line = function
           let e = Mont.sqr fp a_c in
           Mont.mul fp d (Mont.sub fp (Mont.add fp e e) x3)
         in
-        if line != no_line then line (Mont.add fp (Mont.add fp a_c a) a) x3 y3 z3;
-        Jac { jx = x3; jy = y3; jz = z3 }
+        if line != no_line then line (Mont.add fp (Mont.add fp a_c a) a) x3 y3 z3 zz3;
+        Jac { jx = x3; jy = y3; jz = z3; jzz = zz3 }
       end
     end
 
@@ -211,17 +217,17 @@ let jac_sum c line p u1 u2 s1 s2 z =
     let x3 = Mont.sub fp (Mont.sub fp (Mont.sqr fp r) hhh) (Mont.add fp v v) in
     let y3 = Mont.sub fp (Mont.mul fp r (Mont.sub fp v x3)) (Mont.mul fp s1 hhh) in
     let z3 = Mont.mul fp z h in
-    line r x3 y3 z3;
-    Jac { jx = x3; jy = y3; jz = z3 }
+    let zz3 = Mont.sqr fp z3 in
+    line r x3 y3 z3 zz3;
+    Jac { jx = x3; jy = y3; jz = z3; jzz = zz3 }
   end
 
 (* mixed addition: q is affine, Z2 = 1 *)
 let jac_add_affine c line p qx qy =
   let fp = c.fp in
   match p with
-  | Jinf -> Jac { jx = qx; jy = qy; jz = Mont.one fp }
-  | Jac { jx; jy; jz } ->
-    let z1z1 = Mont.sqr fp jz in
+  | Jinf -> jac_of_affine fp qx qy
+  | Jac { jx; jy; jz; jzz = z1z1 } ->
     jac_sum c line p jx (Mont.mul fp qx z1z1) jy (Mont.mul fp (Mont.mul fp qy jz) z1z1) jz
 
 (* full Jacobian + Jacobian addition, for the odd-multiple tables *)
@@ -230,10 +236,9 @@ let jac_add c p q =
   match (p, q) with
   | Jinf, r | r, Jinf -> r
   | Jac a, Jac b ->
-    let z1z1 = Mont.sqr fp a.jz and z2z2 = Mont.sqr fp b.jz in
-    jac_sum c no_line p (Mont.mul fp a.jx z2z2) (Mont.mul fp b.jx z1z1)
-      (Mont.mul fp (Mont.mul fp a.jy b.jz) z2z2)
-      (Mont.mul fp (Mont.mul fp b.jy a.jz) z1z1)
+    jac_sum c no_line p (Mont.mul fp a.jx b.jzz) (Mont.mul fp b.jx a.jzz)
+      (Mont.mul fp (Mont.mul fp a.jy b.jz) b.jzz)
+      (Mont.mul fp (Mont.mul fp b.jy a.jz) a.jzz)
       (Mont.mul fp a.jz b.jz)
 
 (* the affine point of (X, Y, Z), given zi = 1/Z *)
@@ -243,7 +248,7 @@ let scale fp jx jy zi =
 
 let jac_to_affine c = function
   | Jinf -> Infinity
-  | Jac { jx; jy; jz } -> scale c.fp jx jy (Mont.inv c.fp jz)
+  | Jac { jx; jy; jz; _ } -> scale c.fp jx jy (Mont.inv c.fp jz)
 
 (* every point of the rows of [jacs] in affine, with one shared inversion *)
 let to_affine_all c jacs =
@@ -311,7 +316,7 @@ let straus_jac c terms =
   let jacs =
     Array.map2
       (fun (_, x, y) d ->
-        let p = Jac { jx = x; jy = y; jz = Mont.one c.fp } in
+        let p = jac_of_affine c.fp x y in
         let half = (Array.fold_left (fun m x -> max m (abs x)) 0 d + 1) / 2 in
         let row = Array.make half p in
         if half > 1 then begin

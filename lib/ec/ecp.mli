@@ -63,12 +63,17 @@ val mul_is_infinity : t -> Bigint.t -> Mont.elt -> Mont.elt -> bool
 
 (** {1 Jacobian steps} *)
 
-type jac = Jinf | Jac of { jx : Mont.elt; jy : Mont.elt; jz : Mont.elt }
-(** (X, Y, Z) stands for the affine point (X/Z², Y/Z³); [Jinf] is O. *)
+type jac = Jinf | Jac of { jx : Mont.elt; jy : Mont.elt; jz : Mont.elt; jzz : Mont.elt }
+(** (X, Y, Z) stands for the affine point (X/Z², Y/Z³); [Jinf] is O.
+    [jzz] must be Z²: each step squares the Z it produces once and keeps
+    the square, which the next step reads instead of squaring Z again. *)
 
-type line = Mont.elt -> Mont.elt -> Mont.elt -> Mont.elt -> unit
-(** [line n x3 y3 z3] is told of a step that draws a line: the line's slope
-    is n / Z₃ and the step produces (X₃, Y₃, Z₃). *)
+type line = Mont.elt -> Mont.elt -> Mont.elt -> Mont.elt -> Mont.elt -> unit
+(** [line n x3 y3 z3 zz3] is told of a step that draws a line: the line's
+    slope is n / Z₃, the step produces (X₃, Y₃, Z₃), and zz3 = Z₃². *)
+
+val jac_of_affine : Mont.ctx -> Mont.elt -> Mont.elt -> jac
+(** [jac_of_affine fp x y] is (x, y, 1), with Z² = 1. *)
 
 val jac_double : t -> line -> jac -> jac
 (** 2T for T on the curve, with Z₃ = 2YZ. Draws the tangent at T, with

@@ -128,16 +128,17 @@ and final_exponentiation params z =
    [bit ()], a doubling step, and an addition step where the bit is set.
    T starts at P in Jacobian coordinates and takes G1's own steps (Ecp's,
    with their cases for Y = 0, O + P and T = ±P). Step j's line, of slope
-   N / Z₃ through −(X₃/Z₃², Y₃/Z₃³), goes to [doubling j n x3 y3 z3] or,
-   for an addition step, whose chord or tangent also passes through P, to
-   [adding j n x3 y3 z3]. A vertical step draws no line: its F_p value is
-   erased by the final exponentiation. *)
+   N / Z₃ through −(X₃/Z₃², Y₃/Z₃³), goes to [doubling j n x3 y3 z3 zz3]
+   or, for an addition step, whose chord or tangent also passes through P,
+   to [adding j n x3 y3 z3 zz3], with zz3 = Z₃², the square the next step
+   reads. A vertical step draws no line: its F_p value is erased by the
+   final exponentiation. *)
 let walk params px py ~bit ~doubling ~adding =
   let ec = params.Params.ec and order = params.Params.q in
-  let t = ref (Ecp.Jac { jx = px; jy = py; jz = Mont.one params.Params.fp }) in
+  let t = ref (Ecp.jac_of_affine params.Params.fp px py) in
   let j = ref 0 in
-  let on_double n x3 y3 z3 = doubling !j n x3 y3 z3
-  and on_add n x3 y3 z3 = adding !j n x3 y3 z3 in
+  let on_double n x3 y3 z3 zz3 = doubling !j n x3 y3 z3 zz3
+  and on_add n x3 y3 z3 zz3 = adding !j n x3 y3 z3 zz3 in
   for i = Bigint.num_bits order - 2 downto 0 do
     bit ();
     t := Ecp.jac_double ec on_double !t;
@@ -166,12 +167,11 @@ let tate params p q =
     let xq_px = Mont.add fp xq px in
     walk params px py
       ~bit:(fun () -> f := Fq2.sqr fp !f)
-      ~doubling:(fun _ n x3 y3 z3 ->
-        let zz = Mont.sqr fp z3 in
+      ~doubling:(fun _ n x3 y3 z3 zz ->
         times
           (Mont.add fp (Mont.mul fp n (Mont.add fp (Mont.mul fp zz xq) x3)) y3)
           (Mont.mul fp (Mont.mul fp zz z3) yq))
-      ~adding:(fun _ n _ _ z3 ->
+      ~adding:(fun _ n _ _ z3 _ ->
         times (Mont.sub fp (Mont.mul fp n xq_px) (Mont.mul fp z3 py)) (Mont.mul fp z3 yq));
     final_exponentiation params !f
 
@@ -201,8 +201,7 @@ let lines_of params p =
     let slope = Array.make n one and offset = Array.make n one in
     let denom = Array.make n one in
     let live = Bytes.make n '\000' in
-    let store j numerator x3 y3 z3 =
-      let zz = Mont.sqr fp z3 in
+    let store j numerator x3 y3 z3 zz =
       slope.(j) <- Mont.mul fp numerator zz;
       offset.(j) <- Mont.add fp (Mont.mul fp numerator x3) y3;
       denom.(j) <- Mont.mul fp zz z3;

@@ -412,6 +412,169 @@ let test_mont_width_guard () =
   raises "wide ctx, narrow operand" (fun () -> Mont.mul wide b a);
   raises "sqr of a foreign element" (fun () -> Mont.sqr wide a)
 
+(* --- Lehmer's extended Euclid against the one it replaced --- *)
+
+(* The extended Euclidean algorithm on (m, a mod m), keeping only the
+   coefficient of a: every remainder r has r ≡ s·a (mod m) beside it, so
+   the coefficient beside a last remainder of 1 is the inverse. This is
+   the library's Bigint.invert before Lehmer's algorithm, one division
+   per step, word for word but for the accessors of the abstract
+   Bigint.t: the oracle of Bigint.invert, Mont.inv and Mont.inv_all. *)
+let euclid_invert a m =
+  if Bigint.sign m <= 0 then invalid_arg "Bigint.invert: modulus must be positive";
+  let rec go r0 s0 r1 s1 =
+    if Bigint.sign r1 = 0 then
+      if Bigint.is_one r0 then Bigint.erem s0 m else raise Division_by_zero
+    else begin
+      let q, r2 = Bigint.divmod r0 r1 in
+      go r1 s1 r2 (Bigint.sub s0 (Bigint.mul q s1))
+    end
+  in
+  let a = Bigint.erem a m in
+  if Bigint.sign a = 0 then raise Division_by_zero;
+  go m Bigint.zero a Bigint.one
+
+(* λ = lcm(p − 1, q − 1) of an RSA-1024 key from Rsa.generate, fixed
+   here: the even modulus that key generation inverts 65 537 by *)
+let rsa_1024_lambda =
+  Bigint.of_hex
+    "1c173385df7f3f9780efa815fc413262a83d016bf23568277fe56e91c89c468c27651f9f7fe9b88cdbfb687a7218eacfd43d8889899bd9601548f5b7a0c0da275d1d4baf0146eb38e3d38aa398b3f33cdee7ffaad788b5346d9a3a357e297a74f5cfa8e41969ca0d0581d5d9ee9446360115934d950652de394da01d4270660a"
+
+(* Bigint.invert returns what the oracle returns, or raises what it
+   raises *)
+let same_inverse what a m =
+  let run f = match f a m with x -> Ok x | exception e -> Error (Printexc.to_string e) in
+  match (run Bigint.invert, run euclid_invert) with
+  | Ok x, Ok y when Bigint.equal x y -> ()
+  | Error e, Error e' when e = e' -> ()
+  | got, want ->
+    let show = function Ok x -> Bigint.to_hex x | Error e -> e in
+    Alcotest.failf "%s: invert %s mod %s: got %s, want %s" what (Bigint.to_hex a)
+      (Bigint.to_hex m) (show got) (show want)
+
+(* Moduli of 1 to 40 limbs, odd (the kernel's, with the largest, the
+   smallest and a random top limb) and each plus one, and an RSA-1024 λ,
+   each with a random a, a negative a, a ≥ m, a = 1, a = m − 1, a = 0 and
+   an a that shares a factor with m *)
+let test_invert_vs_euclid () =
+  let rng = test_rng 37 in
+  let moduli =
+    List.concat_map
+      (fun k ->
+        let odd = kernel_moduli rng k in
+        odd @ List.map Bigint.succ odd)
+      (List.init 40 (fun k -> k + 1))
+  in
+  List.iter
+    (fun m ->
+      let what = Printf.sprintf "%d-bit m" (Bigint.num_bits m) in
+      let r = Bigint.random_below rng m in
+      List.iter
+        (fun a -> same_inverse what a m)
+        [
+          r;
+          Bigint.neg r;
+          Bigint.neg (Bigint.add m r);
+          Bigint.add m r;
+          Bigint.mul_int m 3;
+          Bigint.one;
+          Bigint.pred m;
+          Bigint.zero;
+          Bigint.mul (Bigint.gcd m (Bigint.of_int 30)) (Bigint.add_int r 1);
+        ])
+    (rsa_1024_lambda :: moduli);
+  let d = Bigint.invert (Bigint.of_int 65537) rsa_1024_lambda in
+  Alcotest.(check big) "e·d ≡ 1 (mod λ)" Bigint.one
+    (Bigint.erem (Bigint.mul_int d 65537) rsa_1024_lambda);
+  Alcotest.check_raises "non-coprime" Division_by_zero (fun () ->
+      ignore (Bigint.invert (Bigint.of_int 65536) rsa_1024_lambda));
+  List.iter
+    (fun m ->
+      Alcotest.check_raises
+        (Printf.sprintf "m = %s" (Bigint.to_string m))
+        (Invalid_argument "Bigint.invert: modulus must be positive")
+        (fun () -> ignore (Bigint.invert (Bigint.of_int 3) m)))
+    [ Bigint.zero; Bigint.minus_one; Bigint.neg rsa_1024_lambda ]
+
+(* (F_n, F_(n+1)) *)
+let fibonacci n =
+  let rec go i a b = if i = n then (a, b) else go (i + 1) b (Bigint.add a b) in
+  go 0 Bigint.zero Bigint.one
+
+(* (r_0, r_1) whose remainder sequence has exactly the quotients [qs] and
+   ends at a gcd of 1; the last quotient must be at least 2 *)
+let with_quotients qs =
+  List.fold_right
+    (fun q (r, r') -> (Bigint.add (Bigint.mul q r) r', r))
+    qs (Bigint.one, Bigint.zero)
+
+(* Consecutive Fibonacci numbers, whose quotients are all 1, make the
+   longest remainder sequence for their size; F_45 is the first above one
+   limb, 2^30. A quotient of a limb or more
+   defeats the leading-bits simulation and forces the full division, here
+   with quotients up to 2^90 amid multi-limb remainders. *)
+let test_invert_sequences () =
+  List.iter
+    (fun n ->
+      let f, f' = fibonacci n in
+      same_inverse (Printf.sprintf "F_%d mod F_%d" n (n + 1)) f f';
+      same_inverse (Printf.sprintf "F_%d mod F_%d" (n + 1) n) f' f)
+    [ 3; 10; 44; 45; 46; 90; 300; 1000; 2000 ];
+  let rng = test_rng 43 in
+  let small () = Bigint.of_int (1 + Bigint.to_int (Bigint.random_below rng (Bigint.of_int 20))) in
+  let run n = List.init n (fun _ -> small ()) in
+  let pow2 n = Bigint.shift_left Bigint.one n in
+  List.iter
+    (fun big ->
+      List.iter
+        (fun (before, after) ->
+          let qs = run before @ [ big ] @ run after @ [ Bigint.two ] in
+          let m, a = with_quotients qs in
+          let what = Printf.sprintf "quotient %s after %d steps" (Bigint.to_hex big) before in
+          same_inverse what a m;
+          same_inverse (what ^ ", negated") (Bigint.neg a) m)
+        [ (0, 0); (0, 80); (40, 80); (80, 5); (200, 200) ])
+    [
+      Bigint.of_int limb_mask;
+      pow2 limb_bits;
+      Bigint.succ (pow2 limb_bits);
+      Bigint.add_int (pow2 60) 5;
+      Bigint.pred (pow2 64);
+      Bigint.add (pow2 90) (Bigint.random_bits rng 80);
+    ]
+
+(* Mont.inv and Mont.inv_all against the oracle over the preset fields
+   and the ECDSA curves' fields *)
+let test_mont_inverse () =
+  let rng = test_rng 47 in
+  let paper = (Lazy.force Peace_pairing.Params.paper_size).Peace_pairing.Params.p in
+  List.iter
+    (fun (name, m) ->
+      let ctx = Mont.create m in
+      let values =
+        [ Bigint.one; Bigint.pred m; Mont.to_bigint ctx (Mont.of_int ctx 2) ]
+        @ List.init 12 (fun _ -> Bigint.random_range rng Bigint.one m)
+      in
+      let want x = Mont.of_bigint ctx (euclid_invert x m) in
+      List.iter
+        (fun x ->
+          if not (Mont.equal ctx (Mont.inv ctx (Mont.of_bigint ctx x)) (want x)) then
+            Alcotest.failf "%s: Mont.inv %s" name (Bigint.to_hex x))
+        values;
+      let all = Mont.inv_all ctx (Array.of_list (List.map (Mont.of_bigint ctx) values)) in
+      List.iteri
+        (fun i x ->
+          if not (Mont.equal ctx all.(i) (want x)) then
+            Alcotest.failf "%s: Mont.inv_all, element %d" name i)
+        values;
+      Alcotest.(check int) (name ^ ": inv_all of none") 0 (Array.length (Mont.inv_all ctx [||]));
+      Alcotest.check_raises (name ^ ": inv 0") Division_by_zero (fun () ->
+          ignore (Mont.inv ctx (Mont.zero ctx)));
+      Alcotest.check_raises (name ^ ": inv_all with a 0") Division_by_zero (fun () ->
+          ignore (Mont.inv_all ctx [| Mont.one ctx; Mont.zero ctx |])))
+    ([ ("tiny", List.nth preset_moduli 0); ("paper_size", paper); ("light", List.nth preset_moduli 1) ]
+    @ sqrt_secp_moduli)
+
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -603,6 +766,10 @@ let suite =
         Alcotest.test_case "montgomery width guard" `Quick test_mont_width_guard;
         Alcotest.test_case "montgomery sqrt edges" `Quick test_mont_sqrt_edges;
         Alcotest.test_case "exponentiation chain vs ladder" `Quick test_chain_vs_ladder;
+        Alcotest.test_case "lehmer invert vs euclid" `Quick test_invert_vs_euclid;
+        Alcotest.test_case "lehmer invert on long and lopsided sequences" `Quick
+          test_invert_sequences;
+        Alcotest.test_case "montgomery inverse vs euclid" `Quick test_mont_inverse;
       ] );
     ("bigint-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -420,8 +420,9 @@ let test_g1_doubling () =
           let jx = Mont.mul fp x zz and jy = Mont.mul fp y (Mont.mul fp zz z) in
           let heard = ref None in
           let doubled =
-            Ecp.jac_double ec (fun n x3 y3 z3 -> heard := Some (n, x3, y3, z3))
-              (Ecp.Jac { jx; jy; jz = z })
+            Ecp.jac_double ec
+              (fun n x3 y3 z3 zz3 -> heard := Some (n, x3, y3, z3, zz3))
+              (Ecp.Jac { jx; jy; jz = z; jzz = zz })
           in
           let want =
             Option.map (fun (x, y) -> (Mont.of_bigint fp x, Mont.of_bigint fp y))
@@ -439,16 +440,17 @@ let test_g1_doubling () =
             Alcotest.(check bool) (name ^ ": only Y = 0 doubles to O") true (Mont.is_zero fp y);
             Alcotest.(check bool) (name ^ ": a vertical tangent draws no line") true (!heard = None);
             same_affine (name ^ ": 2·(0, 0)") None
-          | Ecp.Jac { jx = x3; jy = y3; jz = z3 } ->
+          | Ecp.Jac { jx = x3; jy = y3; jz = z3; jzz = zz3 } ->
             let m, gx3, gy3, gz3 = general_double fp jx jy z in
             let eq = Mont.equal fp in
             Alcotest.(check bool) (name ^ ": triple = general formula's") true
               (eq x3 gx3 && eq y3 gy3 && eq z3 gz3);
+            Alcotest.(check bool) (name ^ ": keeps Z₃²") true (eq zz3 (Mont.sqr fp z3));
             (match !heard with
-            | Some (n, hx, hy, hz) ->
+            | Some (n, hx, hy, hz, hzz) ->
               Alcotest.(check bool) (name ^ ": hook hears 3X² + Z⁴") true (eq n m);
-              Alcotest.(check bool) (name ^ ": hook hears the triple") true
-                (eq hx x3 && eq hy y3 && eq hz z3)
+              Alcotest.(check bool) (name ^ ": hook hears the triple and Z₃²") true
+                (eq hx x3 && eq hy y3 && eq hz z3 && eq hzz zz3)
             | None -> Alcotest.fail (name ^ ": tangent not drawn"));
             same_affine (name ^ ": 2P") (Some (affine_of fp x3 y3 z3)))
         points)
