@@ -7,8 +7,6 @@
    ("e3.verify_scan.url100_ms"), so a name is unique across the run and
    the report can match old to new by name alone. *)
 
-module J = Peace_obs.Obs_json
-
 type better = Lower | Higher
 
 (* name, unit, value, better — newest first *)
@@ -22,30 +20,12 @@ let add ?(better = Lower) ~unit_ name value =
 let count () = List.length !records
 
 let write_file path ~rev ~date =
-  let results =
+  let rows =
     List.rev_map
       (fun (name, unit_, value, better) ->
-        J.Obj
-          [
-            ("name", J.Str name);
-            ("unit", J.Str unit_);
-            ("value", J.Num value);
-            ( "better",
-              J.Str (match better with Lower -> "lower" | Higher -> "higher")
-            );
-          ])
+        (name, unit_, value, match better with Lower -> "lower" | Higher -> "higher"))
       !records
   in
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Num 1.0);
-        ("rev", J.Str rev);
-        ("date", J.Str date);
-        ("results", J.Arr results);
-      ]
-  in
   let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
+  output_string oc (Peace_obs.Obs_json.results_document ~rev ~date rows);
   close_out oc

@@ -26,10 +26,6 @@ let subhr title =
   Gc.compact ();
   Printf.printf "\n--- %s ---\n%!" title
 
-(* ascending sort under polymorphic compare — the idiom every table and
-   sample list here needs *)
-let sort_asc l = List.sort compare l
-
 (* [quantile p samples] for [p] in [0..100]: linear interpolation between
    the closest ranks, 0 on no samples *)
 let quantile p samples =
@@ -41,43 +37,47 @@ let quantile p samples =
    samples (not the upper of the two) *)
 let median = quantile 50.0
 
-(* one wall-clock run of [f], milliseconds *)
+(* one wall-clock run of [f]: its milliseconds and its result *)
 let once_ms f =
   let t0 = Unix.gettimeofday () in
-  ignore (Sys.opaque_identity (f ()));
-  (Unix.gettimeofday () -. t0) *. 1000.0
+  let r = Sys.opaque_identity (f ()) in
+  ((Unix.gettimeofday () -. t0) *. 1000.0, r)
 
-(* median-of-n wall-clock timer, milliseconds *)
-let time_ms ?(reps = 5) f = median (List.init reps (fun _ -> once_ms f))
-
-(* Rows that compare arms. Timing one arm n times and then the next lets
+(* The bench's one timer. Timing one arm n times and then the next lets
    host drift between the blocks land on one arm, enough to fake or hide a
-   few percent. [rotate arms] times the arms in rounds, each round starting
-   one arm later than the one before, and returns each round's
-   milliseconds in arm order; [alternate a b] is the two-arm case, which
-   swaps the first arm each round and returns (a, b) pairs. [ab_row]
-   prints each arm's median and the median [q1, q3] of the per-round ratio
-   b/a, so the row states how well that ratio is resolved. *)
+   few percent, and one run says nothing of the spread. [rotate rounds
+   arms] times the arms in [rounds] rounds, each round starting one arm
+   later than the one before, and returns each round's (milliseconds,
+   result) pairs in arm order. A timed row prints the median [q1, q3] of
+   its rounds; [alternate a b] is the two-arm case as (a, b) milliseconds,
+   and [ab_row] prints each arm's median and the per-round ratio b/a, so
+   the row states how well that ratio is resolved. *)
 let ab_rounds = if quick then 7 else 15
 
-let rotate arms =
+let rotate rounds arms =
   let n = Array.length arms in
-  List.init ab_rounds (fun i ->
-      let t = Array.make n 0.0 in
-      for j = 0 to n - 1 do
-        let k = (i + j) mod n in
-        t.(k) <- once_ms arms.(k)
-      done;
-      t)
+  List.init rounds (fun i ->
+      let timed = Array.init n (fun j -> once_ms arms.((i + j) mod n)) in
+      Array.init n (fun k -> timed.((k - (i mod n) + n) mod n)))
+
+(* one arm's milliseconds over [ab_rounds] rounds *)
+let rounds_ms f = List.map (fun t -> fst t.(0)) (rotate ab_rounds [| f |])
 
 let alternate a b =
   let arm f () = ignore (Sys.opaque_identity (f ())) in
-  List.map (fun t -> (t.(0), t.(1))) (rotate [| arm a; arm b |])
+  List.map (fun t -> (fst t.(0), fst t.(1))) (rotate ab_rounds [| arm a; arm b |])
 
-(* the median [q1, q3] of per-round ratios, as the rows print it *)
-let ratio_summary ratios =
-  Printf.sprintf "%.3f [%.3f, %.3f]" (median ratios) (quantile 25.0 ratios)
-    (quantile 75.0 ratios)
+(* the median [q1, q3] of per-round samples, each printed with [fmt] *)
+let summary fmt samples =
+  Printf.sprintf "%s [%s, %s]" (fmt (median samples)) (fmt (quantile 25.0 samples))
+    (fmt (quantile 75.0 samples))
+
+let ratio_summary = summary (Printf.sprintf "%.3f")
+let ms_summary = summary (Printf.sprintf "%.2f")
+let count_summary = summary (Printf.sprintf "%.0f")
+
+(* [n] operations a round, as a rate per second for each round *)
+let per_s n rounds = List.map (fun ms -> float_of_int n /. ms *. 1000.0) rounds
 
 let ab_header first second =
   Printf.printf "%d rounds, arms alternating\n" ab_rounds;
@@ -284,34 +284,34 @@ let experiment_e3 () =
   let fx = make_fixture tiny "e3" in
   let fx_fixed = make_fixture ~base_mode:Group_sig.Fixed_bases tiny "e3f" in
   let sizes = if quick then [ 0; 10; 40 ] else [ 0; 5; 10; 20; 40; 70; 100 ] in
-  Printf.printf "%8s %14s %14s\n" "|URL|" "scan (ms)" "fast (ms)";
+  Printf.printf "%d rounds, the two checks alternating; median [q1, q3]\n" ab_rounds;
+  Printf.printf "%8s %24s %24s\n" "|URL|" "scan (ms)" "fast (ms)";
   List.iter
     (fun n ->
       let url = tokens_for fx n in
       let table = Group_sig.build_fast_table fx_fixed.fx_gpk (tokens_for fx_fixed n) in
-      let scan_ms =
-        time_ms ~reps:3 (fun () ->
-            Group_sig.verify fx.fx_gpk ~url ~msg:fx.fx_msg fx.fx_sig)
-      in
-      let fast_ms =
-        time_ms ~reps:3 (fun () ->
-            Group_sig.verify_fast fx_fixed.fx_gpk table ~msg:fx_fixed.fx_msg
-              fx_fixed.fx_sig)
+      let scan_ms, fast_ms =
+        List.split
+          (alternate
+             (fun () -> Group_sig.verify fx.fx_gpk ~url ~msg:fx.fx_msg fx.fx_sig)
+             (fun () ->
+               Group_sig.verify_fast fx_fixed.fx_gpk table ~msg:fx_fixed.fx_msg
+                 fx_fixed.fx_sig))
       in
       Bench_record.add ~unit_:"ms"
         (Printf.sprintf "e3.verify_scan.url%d_ms" n)
-        scan_ms;
+        (median scan_ms);
       Bench_record.add ~unit_:"ms"
         (Printf.sprintf "e3.verify_fast.url%d_ms" n)
-        fast_ms;
-      Printf.printf "%8d %14.2f %14.2f\n" n scan_ms fast_ms)
+        (median fast_ms);
+      Printf.printf "%8d %24s %24s\n" n (ms_summary scan_ms) (ms_summary fast_ms))
     sizes;
   Printf.printf
     "\nshape check: the scan column grows linearly with |URL|; the fast\n\
      column is flat (the paper's 'running time independent of |URL|').\n"
 
 (* ================================================================== *)
-(* E4: absolute microbenchmarks (bechamel), and in kernel products     *)
+(* E4: absolute microbenchmarks, in ms and in kernel products         *)
 (* ================================================================== *)
 
 (* The kernel that peacebench/calib.ml freezes, with its modulus and
@@ -400,24 +400,30 @@ module Kernel = struct
     ignore (Sys.opaque_identity !x)
 end
 
-(* [op] in kernel products, one figure per round: each round times the
-   kernel and enough runs of [op] to take about as long ([est_ms] is its
-   Bechamel estimate), in rotated order *)
-let kernel_units kn est_ms op =
-  let reps = max 1 (int_of_float (Float.ceil (2.0 /. Float.max est_ms 1e-6))) in
-  let arm () =
+(* [op] over [ab_rounds] rounds, as (ms/op, kernel products/op) per round.
+   Each round times one kernel arm and a batch of [op] that takes about as
+   long, in rotated order; the batch is sized by doubling it until one
+   round of it outlasts the kernel. *)
+let kernel_rounds kn op =
+  let batch reps () =
     for _ = 1 to reps do
       op ()
     done
   in
+  let rec size reps =
+    match rotate 1 [| Kernel.run kn; batch reps |] with
+    | [ t ] when fst t.(1) < fst t.(0) -> size (2 * reps)
+    | _ -> reps
+  in
+  let reps = size 1 in
   List.map
-    (fun t -> t.(1) /. float_of_int reps /. (t.(0) /. float_of_int Kernel.products))
-    (rotate [| Kernel.run kn; arm |])
+    (fun t ->
+      let per_op = fst t.(1) /. float_of_int reps in
+      (per_op, per_op /. (fst t.(0) /. float_of_int Kernel.products)))
+    (rotate ab_rounds [| Kernel.run kn; batch reps |])
 
 let experiment_e4 () =
   hr "E4  Micro-benchmarks (light = 512-bit/160-bit paper-security params)";
-  let open Bechamel in
-  let open Toolkit in
   let fx = make_fixture light "e4" in
   let rng = drbg "e4-run" in
   let url10 = tokens_for fx 10 in
@@ -457,44 +463,21 @@ let experiment_e4 () =
       ("aead-seal-4k", op (fun () -> Peace_cipher.Aead.encrypt ~key:aead_key ~nonce data4k));
     ]
   in
-  let tests = List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) ops in
-  let cfg =
-    Benchmark.cfg ~limit:200
-      ~quota:(Time.second (if quick then 0.2 else 0.5))
-      ~kde:None ()
-  in
-  let raw =
-    Benchmark.all cfg
-      [ Instance.monotonic_clock ]
-      (Test.make_grouped ~name:"micro" tests)
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        match Analyze.OLS.estimates ols with
-        | Some (est :: _) -> (name, est /. 1e6) :: acc
-        | _ -> acc)
-      results []
-    |> sort_asc
-  in
   let kn = Kernel.make () in
-  Printf.printf "%d rounds, each timing %d frozen-kernel products and the operation\n"
+  Printf.printf
+    "%d rounds, each timing %d frozen-kernel products and a batch of the\n\
+     operation that takes about as long; median [q1, q3] over the rounds\n"
     ab_rounds Kernel.products;
-  Printf.printf "%-28s %12s   %s\n" "operation" "ms/op" "kernel products/op: median [q1, q3]";
+  Printf.printf "%-22s %34s   %s\n" "operation" "ms/op" "kernel products/op";
   List.iter
-    (fun (name, ms) ->
-      let short = List.nth (String.split_on_char '/' name) 1 in
-      let units = kernel_units kn ms (List.assoc short ops) in
-      let fmt v = Printf.sprintf (if v < 10.0 then "%.3f" else "%.0f") v in
-      Printf.printf "%-28s %12.4f   %s [%s, %s]\n%!" name ms (fmt (median units))
-        (fmt (quantile 25.0 units)) (fmt (quantile 75.0 units));
-      let flat = String.map (fun c -> if c = '/' then '.' else c) name in
-      Bench_record.add ~unit_:"ms" ("e4." ^ flat ^ "_ms") ms)
-    rows;
+    (fun (name, f) ->
+      let ms, units = List.split (kernel_rounds kn f) in
+      let in_products v = Printf.sprintf (if v < 10.0 then "%.3f" else "%.0f") v in
+      Printf.printf "%-22s %34s   %s\n%!" name
+        (summary (Printf.sprintf "%.4g") ms)
+        (summary in_products units);
+      Bench_record.add ~unit_:"ms" ("e4.micro." ^ name ^ "_ms") (median ms))
+    ops;
   Printf.printf
     "\nshape check (paper): group ops dominated by pairings; verify > sign;\n\
      both orders of magnitude above ECDSA-160/RSA-1024 ops — the price of\n\
@@ -635,7 +618,8 @@ let experiment_e6 () =
   hr "E6  Audit (open) latency vs issued keys (linear scan over grt)";
   let fx = make_fixture tiny "e6" in
   let sizes = if quick then [ 10; 50 ] else [ 10; 50; 100; 250; 500 ] in
-  Printf.printf "%12s %14s\n" "|grt|" "audit (ms)";
+  Printf.printf "%d rounds; median [q1, q3]\n" ab_rounds;
+  Printf.printf "%12s %28s\n" "|grt|" "audit (ms)";
   List.iter
     (fun n ->
       (* the signer's token sits at the END of the list: worst case *)
@@ -644,13 +628,13 @@ let experiment_e6 () =
         @ [ (Group_sig.token_of_gsk fx.fx_key, "signer") ]
       in
       let ms =
-        time_ms ~reps:3 (fun () ->
+        rounds_ms (fun () ->
             match Group_sig.open_signature fx.fx_gpk ~grt ~msg:fx.fx_msg fx.fx_sig with
             | Some "signer" -> ()
             | _ -> failwith "audit failed")
       in
-      Bench_record.add ~unit_:"ms" (Printf.sprintf "e6.audit.grt%d_ms" n) ms;
-      Printf.printf "%12d %14.2f\n" n ms)
+      Bench_record.add ~unit_:"ms" (Printf.sprintf "e6.audit.grt%d_ms" n) (median ms);
+      Printf.printf "%12d %28s\n" n (ms_summary ms))
     sizes;
   Printf.printf
     "\nshape check: linear in the operator's token count (one pairing per\n\
@@ -658,8 +642,8 @@ let experiment_e6 () =
 
   subhr "E6b provisioning throughput (operator-side key issuance, tiny params)";
   let batch = if quick then 50 else 200 in
-  let issue_ms =
-    time_ms ~reps:3 (fun () ->
+  let rounds =
+    rounds_ms (fun () ->
         let issuer = Group_sig.setup tiny (drbg "e6b") in
         let rng = drbg "e6b-issue" in
         for _ = 1 to batch do
@@ -668,9 +652,10 @@ let experiment_e6 () =
                (Group_sig.issue issuer ~grp:(Bigint.of_int 5) rng))
         done)
   in
+  let issue_ms = median rounds in
   Printf.printf
-    "issuing %d member keys: %.0f ms total, %.2f ms/key (~%.0f keys/s)\n" batch
-    issue_ms (issue_ms /. float_of_int batch)
+    "issuing %d member keys, %d rounds: %s ms total, %.2f ms/key (~%.0f keys/s)\n"
+    batch ab_rounds (ms_summary rounds) (issue_ms /. float_of_int batch)
     (1000.0 /. (issue_ms /. float_of_int batch));
   Bench_record.add ~unit_:"ms" "e6b.issue_ms_per_key"
     (issue_ms /. float_of_int batch);
@@ -925,12 +910,13 @@ let experiment_e14 () =
      + the raw event recorder (what --profile-out FILE.json attaches) *)
   let prof = Peace_obs.Profile.create () and rec_ = Peace_obs.Expo.recorder () in
   let rounds =
-    rotate
+    rotate ab_rounds
       [|
         with_collector None;
         with_collector (Some (Peace_obs.Profile.collector prof));
         with_collector (Some (Peace_obs.Expo.record rec_));
       |]
+    |> List.map (Array.map fst)
   in
   let arm k = median (List.map (fun t -> t.(k)) rounds) in
   let base_ms = arm 0 and prof_ms = arm 1 and rec_ms = arm 2 in
@@ -944,16 +930,18 @@ let experiment_e14 () =
         (ratio_summary (List.map (fun t -> t.(k) /. t.(0)) rounds)))
     [ ("+ profile collector", 1); ("+ event recorder", 2) ];
   (* render costs, measured on the data those runs produced *)
-  let folded_ms =
-    time_ms ~reps:3 (fun () -> Peace_obs.Expo.folded prof)
+  let renders =
+    rotate ab_rounds
+      [|
+        (fun () -> Peace_obs.Expo.folded prof);
+        (fun () -> Peace_obs.Expo.chrome (Peace_obs.Expo.events rec_));
+        (fun () -> Peace_obs.Expo.prometheus ());
+      |]
   in
-  let chrome_ms =
-    time_ms ~reps:3 (fun () ->
-        Peace_obs.Expo.chrome (Peace_obs.Expo.events rec_))
-  in
-  let prom_ms = time_ms ~reps:3 (fun () -> Peace_obs.Expo.prometheus ()) in
-  Printf.printf "render: folded %.2f ms, chrome %.2f ms, prometheus %.2f ms\n"
-    folded_ms chrome_ms prom_ms;
+  let render k = List.map (fun t -> fst t.(k)) renders in
+  Printf.printf "render (ms, median [q1, q3]): folded %s, chrome %s, prometheus %s\n"
+    (ms_summary (render 0)) (ms_summary (render 1)) (ms_summary (render 2));
+  let prom_ms = median (render 2) in
   Printf.printf
     "(collectors see one begin + one end per span — overhead scales with\n\
      span rate, not with work done inside the span)\n";
@@ -1105,7 +1093,7 @@ let experiment_e16 () =
 
 (* One instrumentation's price on the live path: the E16 closed-loop
    authority in pairs of runs, one arm dark and one with the
-   instrumentation switched on, alternating which arm goes first so that
+   instrumentation switched on, one rotation round per pair, so that
    host-speed drift lands on both arms alike. A single 1–3 s closed-loop
    run has about ±6% throughput noise, so the verdict on the < 5% bar is
    a bootstrap 95% interval of the mean per-pair overhead (pairs
@@ -1130,13 +1118,9 @@ let ab_overhead ~id ~arm ~switch_on =
     Fun.protect ~finally:switch_off (fun () -> run arm)
   in
   let pairs =
-    List.init ab_pairs (fun i ->
-        if i mod 2 = 0 then
-          let dark = run "dark" in
-          (dark, run_on ())
-        else
-          let on = run_on () in
-          (run "dark", on))
+    List.map
+      (fun t -> (snd t.(0), snd t.(1)))
+      (rotate ab_pairs [| (fun () -> run "dark"); run_on |])
   in
   let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
   let rps r = r.Lg.lr_throughput_rps in
@@ -1250,7 +1234,7 @@ let experiment_e18 () =
   let bench_chain label signer_opt verify_sig_opt =
     let lines = ref [] in
     let append_ms =
-      time_ms ~reps:3 (fun () ->
+      rounds_ms (fun () ->
           let acc = ref [] in
           let ledger =
             Audit.create ?signer:signer_opt
@@ -1266,23 +1250,22 @@ let experiment_e18 () =
           lines := List.rev !acc)
     in
     let verify_ms =
-      time_ms ~reps:3 (fun () ->
+      rounds_ms (fun () ->
           match Audit.verify ?verify_sig:verify_sig_opt !lines with
           | Ok _ -> ()
           | Error b -> failwith ("E18 verify: " ^ b.Audit.br_reason))
     in
-    Printf.printf "%-22s %12.0f %12.0f\n" label
-      (float_of_int n /. append_ms *. 1000.0)
-      (float_of_int n /. verify_ms *. 1000.0);
-    (append_ms, verify_ms)
+    let append = per_s n append_ms and verify = per_s n verify_ms in
+    Printf.printf "%-16s %26s %26s\n" label (count_summary append)
+      (count_summary verify);
+    (median append, median verify)
   in
-  Printf.printf "%-22s %12s %12s\n" "chain" "append/s" "verify/s";
+  Printf.printf "%d rounds; median [q1, q3]\n" ab_rounds;
+  Printf.printf "%-16s %26s %26s\n" "chain" "append/s" "verify/s";
   let _ = bench_chain "unsigned" None None in
-  let append_ms, verify_ms = bench_chain "signed ckpt/32" (Some signer) (Some verify_sig) in
-  Bench_record.add ~better:Bench_record.Higher ~unit_:"ops"
-    "e18.append_per_s" (float_of_int n /. append_ms *. 1000.0);
-  Bench_record.add ~better:Bench_record.Higher ~unit_:"ops"
-    "e18.verify_per_s" (float_of_int n /. verify_ms *. 1000.0);
+  let append, verify = bench_chain "signed ckpt/32" (Some signer) (Some verify_sig) in
+  Bench_record.add ~better:Bench_record.Higher ~unit_:"ops" "e18.append_per_s" append;
+  Bench_record.add ~better:Bench_record.Higher ~unit_:"ops" "e18.verify_per_s" verify;
   subhr "macro: closed-loop authority, dark vs audit-enabled";
   let sink_buf = Buffer.create (1 lsl 20) in
   ab_overhead ~id:"e18" ~arm:"audited" ~switch_on:(fun () ->
@@ -1333,17 +1316,19 @@ let experiment_e19 () =
   let clock = ref 0 in
   let t = Alert.create ~now:(fun () -> !clock) rules in
   let eval_ms =
-    time_ms ~reps:3 (fun () ->
+    rounds_ms (fun () ->
         for _ = 1 to n do
           incr clock;
           ignore (Alert.eval t)
         done)
   in
-  let evals_per_s = float_of_int n /. eval_ms *. 1000.0 in
-  Printf.printf "%d evals of %d rules: %.0f rule-set evals/s (%.1f us/eval)\n"
-    n (List.length rules) evals_per_s (eval_ms *. 1000.0 /. float_of_int n);
-  Bench_record.add ~better:Bench_record.Higher ~unit_:"ops"
-    "e19.evals_per_s" evals_per_s;
+  let rates = per_s n eval_ms in
+  Printf.printf
+    "%d evals of %d rules, %d rounds: %s rule-set evals/s (%.1f us/eval), median [q1, q3]\n"
+    n (List.length rules) ab_rounds (count_summary rates)
+    (median eval_ms *. 1000.0 /. float_of_int n);
+  Bench_record.add ~better:Bench_record.Higher ~unit_:"ops" "e19.evals_per_s"
+    (median rates);
   subhr "micro: one evaluation with 8 000 rejects in the storm window";
   let clock = ref 0 in
   let t = Alert.create ~now:(fun () -> !clock) rules in
@@ -1352,12 +1337,12 @@ let experiment_e19 () =
     Alert.observe t ~kind:"access_reject" [ ("code", "6"); ("router", "r1") ]
   done;
   ignore (Alert.eval t);
-  let storm_eval_us = 1000.0 *. time_ms ~reps:5 (fun () -> Alert.eval t) in
+  let storm_us = List.map (fun ms -> 1000.0 *. ms) (rounds_ms (fun () -> Alert.eval t)) in
   Printf.printf
     "stock rules, 8000 code-6 rejects from one router in the 30 s window: \
-     %.1f us per eval\n"
-    storm_eval_us;
-  Bench_record.add ~unit_:"us" "e19.storm_eval_us" storm_eval_us;
+     %s us per eval, median [q1, q3]\n"
+    (summary (Printf.sprintf "%.1f") storm_us);
+  Bench_record.add ~unit_:"us" "e19.storm_eval_us" (median storm_us);
   subhr "micro: reject-storm detection latency (eval every 500 ms)";
   (* the storm begins mid-period; detection waits for the threshold
      count plus the remainder of the evaluation period *)
@@ -1536,8 +1521,9 @@ let ablations () =
     let before = Gc.minor_words () in
     let table = Pairing.lines_of light p1 in
     let words = Gc.minor_words () -. before in
-    Printf.printf "table: built in %.2f ms, allocating %.0f words; holds %d words\n"
-      (time_ms ~reps:5 (fun () -> Pairing.lines_of light p1))
+    Printf.printf
+      "table: built in %s ms (median [q1, q3]), allocating %.0f words; holds %d words\n"
+      (ms_summary (rounds_ms (fun () -> Pairing.lines_of light p1)))
       words (Obj.reachable_words (Obj.repr table));
     words
   in

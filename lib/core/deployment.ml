@@ -29,7 +29,6 @@ let create ?(seed = "peace-deployment") config =
     rng;
   }
 
-let config t = t.config
 let operator t = t.no
 let ttp t = t.ttp
 let gpk t = Network_operator.gpk t.no

@@ -13,7 +13,6 @@ val create : ?seed:string -> Config.t -> t
 (** Fresh deployment: operator + TTP, no groups/routers/users yet.
     Deterministic for a given [seed]. *)
 
-val config : t -> Config.t
 val operator : t -> Network_operator.t
 val ttp : t -> Ttp.t
 val gpk : t -> Group_sig.gpk

@@ -52,14 +52,13 @@ type t = {
   mutable request_times : int list; (* arrival times in the current window *)
   outstanding : (string, outstanding_beacon) Hashtbl.t; (* by g_rr encoding *)
   seen_requests : (string, int) Hashtbl.t; (* transcript hash -> ts (replay cache) *)
-  sessions : (string, Session.t) Hashtbl.t;
   mutable log : log_entry list;
   mutable verifications : int;
   mutable cheap_rejections : int;
   mutable max_outstanding : int; (* pending-handshake table bound *)
   mutable resend_cache : bool; (* idempotent duplicate-(M.2) handling *)
-  completed : (string, int * Messages.access_confirm * string) Hashtbl.t;
-      (* transcript hash -> (ts, confirm, session id): replays of an
+  completed : (string, int * Messages.access_confirm * Session.t) Hashtbl.t;
+      (* transcript hash -> (ts, confirm, session): replays of an
          already-answered (M.2) get the cached (M.3) back, no re-verify *)
   mutable resends : int;
 }
@@ -80,7 +79,6 @@ let create config ~router_id ~gpk ~operator_public ~rng =
     request_times = [];
     outstanding = Hashtbl.create 32;
     seen_requests = Hashtbl.create 64;
-    sessions = Hashtbl.create 32;
     log = [];
     verifications = 0;
     cheap_rejections = 0;
@@ -264,13 +262,9 @@ let precheck t ~g_rj ~g_rr ~ts2 ~puzzle_solution =
           if t.resend_cache then Hashtbl.find_opt t.completed fingerprint
           else None
         with
-        | Some (_, confirm, session_id) -> begin
-          match Hashtbl.find_opt t.sessions session_id with
-          | Some session ->
-            t.resends <- t.resends + 1;
-            `Resend (confirm, session)
-          | None -> `Reject (cheap_reject t Protocol_error.Stale_timestamp)
-        end
+        | Some (_, confirm, session) ->
+          t.resends <- t.resends + 1;
+          `Resend (confirm, session)
         | None -> `Reject (cheap_reject t Protocol_error.Stale_timestamp)
       end
       else begin
@@ -318,7 +312,6 @@ let finalize t (m : Messages.access_request) ob transcript =
       ~remote_share:m.Messages.g_rj ~initiator_share:m.Messages.g_rj
       ~responder_share:ob.ob_g_rr
   in
-  Hashtbl.replace t.sessions (Session.id session) session;
   t.log <-
     {
       le_session_id = Session.id session;
@@ -339,7 +332,7 @@ let finalize t (m : Messages.access_request) ob transcript =
   if t.resend_cache then
     Hashtbl.replace t.completed
       (Peace_hash.Sha256.digest transcript)
-      (m.Messages.ts2, confirm, Session.id session);
+      (m.Messages.ts2, confirm, session);
   Audit.emit ~kind:"access_accept"
     [
       ("router", string_of_int t.router_id);
@@ -373,8 +366,6 @@ let handle_access_request t (m : Messages.access_request) =
     Group_sig.verify t.gpk ~url ~msg:transcript m.Messages.gsig
     |> access_finish t m ticket
 
-let session_count t = Hashtbl.length t.sessions
-let find_session t ~id = Hashtbl.find_opt t.sessions id
 let access_log t = t.log
 
 let logged_signature t entry =

@@ -118,9 +118,6 @@ val access_finish :
 val current_gpk : t -> Group_sig.gpk
 (** The group public key this router currently verifies against. *)
 
-val session_count : t -> int
-val find_session : t -> id:string -> Session.t option
-
 val access_log : t -> log_entry list
 (** Most recent first. *)
 

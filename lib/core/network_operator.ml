@@ -67,7 +67,6 @@ let create config ~rng =
     url = Url.issue config ~operator_key ~seq:0 ~now:t0 ~tokens:[];
   }
 
-let config t = t.config
 let gpk t = t.issuer.Group_sig.gpk
 let public_key t = t.operator_key.Ecdsa.q
 

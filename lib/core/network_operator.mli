@@ -33,7 +33,6 @@ val registration_payload : Config.t -> int -> gm_share list -> string
     receipt). *)
 
 val create : Config.t -> rng:(int -> string) -> t
-val config : t -> Config.t
 val gpk : t -> Group_sig.gpk
 val public_key : t -> Curve.point
 (** NPK — pre-distributed to every entity. *)

@@ -89,8 +89,3 @@ let decode config s =
    decode spares each of them a decode of every token. *)
 let of_bytes = Kept.decoder decode
 
-let empty config ~operator_key ~now = issue config ~operator_key ~seq:0 ~now ~tokens:[]
-
-let pp fmt t =
-  Format.fprintf fmt "URL#%d (%d tokens, issued %d)" t.seq (List.length t.tokens)
-    t.issued_at

@@ -33,8 +33,3 @@ val of_bytes : Config.t -> string -> t option
     [config.curve]) it returns the kept value without decoding again. Any
     other input is decoded afresh and, if it decodes, replaces the kept
     value. Safe to call from several domains. *)
-
-val empty : Config.t -> operator_key:Ecdsa.keypair -> now:int -> t
-(** Sequence-0 list with no tokens. *)
-
-val pp : Format.formatter -> t -> unit

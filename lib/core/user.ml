@@ -39,7 +39,6 @@ type t = {
   mutable crl : Cert.crl option;
   mutable signed_beacon : Messages.beacon option;
       (* the last beacon whose four signatures all verified *)
-  mutable session_list : Session.t list;
   mutable puzzle_work : int;
 }
 
@@ -55,14 +54,12 @@ let create config ~identity ~gpk ~operator_public ~rng =
     url = None;
     crl = None;
     signed_beacon = None;
-    session_list = [];
     puzzle_work = 0;
   }
 
 let identity t = t.identity
 let receipt_public_key t = t.receipt_key.Ecdsa.q
 let now t = Clock.now t.config.Config.clock
-let sessions t = t.session_list
 let current_url t = t.url
 let puzzle_work_done t = t.puzzle_work
 
@@ -260,10 +257,7 @@ let process_confirm t pending (m : Messages.access_confirm) =
           || g_rj_bytes <> pending.pa_g_rj_bytes
           || g_rr_bytes <> pending.pa_g_rr_bytes
         then Error Protocol_error.Decryption_failed
-        else begin
-          t.session_list <- session :: t.session_list;
-          Ok session
-        end
+        else Ok session
     end
   end
 
@@ -369,13 +363,12 @@ let process_peer_response t pending (m : Messages.peer_response) =
       Wire.u64 w pending.pp_ts1;
       Wire.u64 w m.Messages.pr_ts2;
       let payload = Session.seal session (Wire.contents w) in
-      t.session_list <- session :: t.session_list;
       Ok
         ( { Messages.pc_g_rj = g_rj_bytes; pc_g_rl = g_rl_bytes; pc_payload = payload },
           session )
   end
 
-let process_peer_confirm t pending (m : Messages.peer_confirm) =
+let process_peer_confirm _t pending (m : Messages.peer_confirm) =
   if
     not
       (String.equal m.Messages.pc_g_rj pending.ppr_g_rj
@@ -402,10 +395,7 @@ let process_peer_confirm t pending (m : Messages.peer_confirm) =
           || g_rl_bytes <> pending.ppr_g_rl
           || ts1 <> pending.ppr_ts1 || ts2 <> pending.ppr_ts2
         then Error Protocol_error.Decryption_failed
-        else begin
-          t.session_list <- pending.ppr_session :: t.session_list;
-          Ok pending.ppr_session
-        end
+        else Ok pending.ppr_session
     end
   end
 

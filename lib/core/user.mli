@@ -1,6 +1,6 @@
 (** A network user (uid_j): enrolls with its user groups, authenticates
     anonymously to mesh routers (§IV-B) and to peer users (§IV-C), and
-    maintains established sessions.
+    hands each established session to its caller.
 
     A user may belong to several user groups and holds one group private
     key per membership; which key signs a given session determines which
@@ -94,7 +94,6 @@ val process_peer_confirm :
 
 (** {1 State} *)
 
-val sessions : t -> Session.t list
 val current_url : t -> Url.t option
 (** The latest URL learned from beacons. *)
 

@@ -48,6 +48,26 @@ let rec to_string = function
         (List.map (fun (k, v) -> str k ^ ":" ^ to_string v) fields)
     ^ "}"
 
+let results_document ~rev ~date rows =
+  let row (name, unit_, value, better) =
+    Obj
+      [
+        ("name", Str name);
+        ("unit", Str unit_);
+        ("value", Num value);
+        ("better", Str better);
+      ]
+  in
+  to_string
+    (Obj
+       [
+         ("schema", Num 1.0);
+         ("rev", Str rev);
+         ("date", Str date);
+         ("results", Arr (List.map row rows));
+       ])
+  ^ "\n"
+
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let to_float = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None

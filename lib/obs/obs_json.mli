@@ -26,6 +26,14 @@ val to_string : t -> string
 (** Compact (single-line) rendering. Integral [Num]s print without a
     fractional part; [parse (to_string v)] round-trips. *)
 
+val results_document :
+  rev:string -> date:string -> (string * string * float * string) list -> string
+(** The schema-1 results document that [peace bench-report] reads, and a
+    newline: [{"schema":1,"rev":..,"date":..,"results":[..]}] with one
+    [{"name","unit","value","better"}] object per (name, unit, value,
+    better) row, in the order given; [better] is ["lower"] or
+    ["higher"]. *)
+
 val parse : string -> (t, string) result
 (** Parse one complete JSON value (trailing garbage is an error).
     [\uXXXX] escapes decode to UTF-8; a high/low surrogate pair (e.g.

@@ -60,23 +60,15 @@ let run ?params ?(n_users = 4) ?(workers = 2) ?(concurrency = 2) ?rate ?(duratio
                 { slo_report = report; slo_counters = Authority.service_counters () })
               outcome)
 
-(* Schema-1 bench JSON (the same shape bench/bench_record.ml writes), so
-   `peace bench-report OLD NEW` can diff two SLO runs — or an SLO run
-   against a committed baseline — without the bench harness. *)
+(* Schema-1 bench JSON (Obs_json's one results document, which the bench
+   harness writes too), so `peace bench-report OLD NEW` can diff two SLO
+   runs — or an SLO run against a committed baseline — without the bench
+   harness. *)
 let bench_json ?(prefix = "slo") ~rev ~date r =
-  let module J = Peace_obs.Obs_json in
   let rep = r.slo_report in
   let pct p = Loadgen.percentile rep.Loadgen.lr_latencies_ms p in
-  let row name unit_ value better =
-    J.Obj
-      [
-        ("name", J.Str (prefix ^ "." ^ name));
-        ("unit", J.Str unit_);
-        ("value", J.Num value);
-        ("better", J.Str better);
-      ]
-  in
-  let results =
+  let row name unit_ value better = (prefix ^ "." ^ name, unit_, value, better) in
+  Peace_obs.Obs_json.results_document ~rev ~date
     [
       row "throughput_rps" "rps" rep.Loadgen.lr_throughput_rps "higher";
       row "p50_ms" "ms" (pct 50.0) "lower";
@@ -88,16 +80,6 @@ let bench_json ?(prefix = "slo") ~rev ~date r =
            (List.fold_left (fun a (_, n) -> a + n) 0 rep.Loadgen.lr_errors))
         "lower";
     ]
-  in
-  J.to_string
-    (J.Obj
-       [
-         ("schema", J.Num 1.0);
-         ("rev", J.Str rev);
-         ("date", J.Str date);
-         ("results", J.Arr results);
-       ])
-  ^ "\n"
 
 let print r =
   Loadgen.print_report r.slo_report;

@@ -372,7 +372,7 @@ let test_interleaving_fuzzer () =
       (!state lsr 13) mod bound
   in
   let pendings = ref [] in (* (user, request, pending) not yet delivered *)
-  let confirmed = ref [] in (* user sessions successfully established *)
+  let confirmed = ref [] in (* (user, router) sessions successfully established *)
   let router_accepted = ref 0 in (* M.2s the router verified (it commits then) *)
   let old_requests = ref [] in (* already-delivered M.2s, for replay *)
   for _step = 1 to 120 do
@@ -398,7 +398,7 @@ let test_interleaving_fuzzer () =
           | Ok user_session ->
             if not (Session.matches user_session router_session) then
               Alcotest.fail "established sessions disagree";
-            confirmed := user_session :: !confirmed
+            confirmed := (user_session, router_session) :: !confirmed
           | Error _ -> Alcotest.fail "user rejected honest confirm"
         end
         | Error _ -> ())
@@ -448,16 +448,20 @@ let test_interleaving_fuzzer () =
      (never for replays/stale/cross-wired forgeries), and user-side
      confirmations are a subset of those *)
   Alcotest.(check int) "router sessions = verified M.2s" !router_accepted
-    (Mesh_router.session_count router);
+    (List.length (Mesh_router.access_log router));
   Alcotest.(check bool) "confirmed <= router sessions" true
     (List.length !confirmed <= !router_accepted);
-  (* every confirmed user session exists at the router and matches *)
+  (* every confirmed user session is logged at the router and matches the
+     session the router returned for it *)
+  let logged =
+    List.map (fun e -> e.Mesh_router.le_session_id) (Mesh_router.access_log router)
+  in
   List.iter
-    (fun user_session ->
-      match Mesh_router.find_session router ~id:(Session.id user_session) with
-      | Some rs ->
-        Alcotest.(check bool) "pair matches" true (Session.matches user_session rs)
-      | None -> Alcotest.fail "confirmed session missing at router")
+    (fun (user_session, router_session) ->
+      if not (List.mem (Session.id user_session) logged) then
+        Alcotest.fail "confirmed session missing at router";
+      Alcotest.(check bool) "pair matches" true
+        (Session.matches user_session router_session))
     !confirmed;
   (* the fuzzer must have actually exercised the success path *)
   Alcotest.(check bool) "some handshakes completed" true

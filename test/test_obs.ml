@@ -265,6 +265,52 @@ let test_json_roundtrip () =
   Alcotest.(check string) "integral floats print without fraction" "149"
     (J.num_to_string 149.0)
 
+(* the document the bench harness and [Slo.bench_json] write, read back the
+   way bench-report reads it *)
+let test_results_document () =
+  let rows =
+    [
+      ("e4.micro.mont-mul_ms", "ms", 0.000512, "lower");
+      ("e16.closed.throughput_rps", "ops", 409.0, "higher");
+      ("e9.\"quoted\"\\name", "count", -3.25, "lower");
+    ]
+  in
+  let text = J.results_document ~rev:"r1" ~date:"fixed" rows in
+  Alcotest.(check bool) "one trailing newline" true
+    (String.length text > 0
+    && text.[String.length text - 1] = '\n'
+    && not (String.contains (String.sub text 0 (String.length text - 1)) '\n'));
+  match J.parse (String.trim text) with
+  | Error e -> Alcotest.failf "results document does not parse: %s" e
+  | Ok j ->
+    Alcotest.(check (option (float 0.0))) "schema 1" (Some 1.0)
+      (Option.bind (J.member "schema" j) J.to_float);
+    Alcotest.(check (option string)) "rev" (Some "r1")
+      (Option.bind (J.member "rev" j) J.to_str);
+    Alcotest.(check (option string)) "date" (Some "fixed")
+      (Option.bind (J.member "date" j) J.to_str);
+    let field key r = Option.bind (J.member key r) J.to_str in
+    let back =
+      match Option.bind (J.member "results" j) J.to_list with
+      | None -> Alcotest.fail "no results array"
+      | Some rs ->
+        List.map
+          (fun r ->
+            match
+              ( field "name" r,
+                field "unit" r,
+                Option.bind (J.member "value" r) J.to_float,
+                field "better" r )
+            with
+            | Some n, Some u, Some v, Some b -> (n, u, v, b)
+            | _ -> Alcotest.fail "a result lacks a field")
+          rs
+    in
+    Alcotest.(check (list (pair string (pair string (pair (float 0.0) string)))))
+      "the same rows, in order"
+      (List.map (fun (n, u, v, b) -> (n, (u, (v, b)))) rows)
+      (List.map (fun (n, u, v, b) -> (n, (u, (v, b)))) back)
+
 (* --- time series --- *)
 
 module Ts = Peace_obs.Timeseries
@@ -2112,6 +2158,8 @@ let () =
         [
           Alcotest.test_case "json escaping" `Quick test_json_escape;
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "results document round-trip" `Quick
+            test_results_document;
           Alcotest.test_case "utf-16 surrogate pairs" `Quick
             test_json_surrogates;
         ] );
