@@ -660,7 +660,7 @@ let experiment_e6 () =
   Bench_record.add ~unit_:"ms" "e6b.issue_ms_per_key"
     (issue_ms /. float_of_int batch);
   Printf.printf
-    "a metropolitan operator provisioning 100k subscribers spends ~%.0f min\n\
+    "a metropolitan operator provisioning 100k subscribers spends ~%.2g min\n\
      of CPU — a one-off setup cost, done offline per §IV-A.\n"
     (issue_ms /. float_of_int batch *. 100_000.0 /. 60_000.0)
 

@@ -613,7 +613,7 @@ let status_of r =
     s_detail = r.detail;
   }
 
-let eval ?(lookup = Registry.lookup) t =
+let eval ?(lookup = fun name -> Registry.lookup name) t =
   let now = t.now () in
   let out, effects =
     with_lock t (fun () ->

@@ -1,9 +1,10 @@
-(* The global metric registry.
+(* Metric registries: a process-wide one behind every call that names
+   none, and any number of private ones (a simulation run owns one).
 
    Every record path (counter bump, gauge move, histogram observation) is a
    handful of [Atomic] operations and never takes a lock, so the
    authority's connection workers can hammer the same metric concurrently
-   without contention beyond the cache line itself. The registry mutex
+   without contention beyond the cache line itself. A registry's mutex
    guards only metric creation and enumeration, which happen at
    module-init time or in exporters. *)
 
@@ -119,6 +120,21 @@ module Histogram = struct
     Atomic.set h.sum 0
 end
 
+(* linear interpolation between closest ranks (numpy's default, R-7):
+   rank = p/100·(n−1); a rank between two samples blends them *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else begin
+    let p = Stdlib.max 0.0 (Stdlib.min 100.0 p) in
+    let rank = p /. 100.0 *. float_of_int (n - 1) in
+    let lo = int_of_float (floor rank) in
+    if lo >= n - 1 then sorted.(n - 1)
+    else
+      let frac = rank -. float_of_int lo in
+      sorted.(lo) +. (frac *. (sorted.(lo + 1) -. sorted.(lo)))
+  end
+
 (* --- labels ---
 
    A labeled metric is an ordinary metric whose registry key is the
@@ -157,17 +173,29 @@ let split_name full =
 
 (* --- the registry proper --- *)
 
-let lock = Mutex.create ()
-let counters_tbl : (string, Counter.t) Hashtbl.t = Hashtbl.create 32
-let gauges_tbl : (string, Gauge.t) Hashtbl.t = Hashtbl.create 16
-let histograms_tbl : (string, Histogram.t) Hashtbl.t = Hashtbl.create 16
+type t = {
+  lock : Mutex.t;
+  counters_tbl : (string, Counter.t) Hashtbl.t;
+  gauges_tbl : (string, Gauge.t) Hashtbl.t;
+  histograms_tbl : (string, Histogram.t) Hashtbl.t;
+}
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let create () =
+  {
+    lock = Mutex.create ();
+    counters_tbl = Hashtbl.create 32;
+    gauges_tbl = Hashtbl.create 16;
+    histograms_tbl = Hashtbl.create 16;
+  }
 
-let get_or_create tbl make name =
-  with_lock (fun () ->
+let global = create ()
+
+let with_lock r f =
+  Mutex.lock r.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
+
+let get_or_create r tbl make name =
+  with_lock r (fun () ->
       match Hashtbl.find_opt tbl name with
       | Some m -> m
       | None ->
@@ -175,14 +203,14 @@ let get_or_create tbl make name =
         Hashtbl.replace tbl name m;
         m)
 
-let counter ?(labels = []) name =
-  get_or_create counters_tbl Counter.make (name ^ encode_labels labels)
+let counter ?registry:(r = global) ?(labels = []) name =
+  get_or_create r r.counters_tbl Counter.make (name ^ encode_labels labels)
 
-let gauge ?(labels = []) name =
-  get_or_create gauges_tbl Gauge.make (name ^ encode_labels labels)
+let gauge ?registry:(r = global) ?(labels = []) name =
+  get_or_create r r.gauges_tbl Gauge.make (name ^ encode_labels labels)
 
-let histogram ?(labels = []) name =
-  get_or_create histograms_tbl Histogram.make (name ^ encode_labels labels)
+let histogram ?registry:(r = global) ?(labels = []) name =
+  get_or_create r r.histograms_tbl Histogram.make (name ^ encode_labels labels)
 
 (* A lookup memoized by key: [counter] and [histogram] pay a string
    concatenation plus the registry mutex on every call, which is wasteful
@@ -210,25 +238,25 @@ let memo make =
 let counter_family ~label name =
   memo (fun value -> counter ~labels:[ (label, value) ] name)
 
-let dump tbl value =
-  with_lock (fun () ->
+let dump r tbl value =
+  with_lock r (fun () ->
       Hashtbl.fold (fun name m acc -> (name, value m) :: acc) tbl [])
   |> List.sort compare
 
-let counters () = dump counters_tbl Counter.value
-let gauges () = dump gauges_tbl Gauge.value
-let histograms () = dump histograms_tbl (fun h -> h)
+let counters ?registry:(r = global) () = dump r r.counters_tbl Counter.value
+let gauges ?registry:(r = global) () = dump r r.gauges_tbl Gauge.value
+let histograms ?registry:(r = global) () = dump r r.histograms_tbl Fun.id
 
 (* Resolve a metric name to one float for rule evaluation (Alert):
    an exact gauge or counter wins; otherwise all labelled series whose
    base name matches are summed (counters, then gauges); otherwise the
-   count-weighted mean of matching histograms. *)
-let lookup name =
-  let find tbl = with_lock (fun () -> Hashtbl.find_opt tbl name) in
-  match find gauges_tbl with
+   count-weighted mean of matching histograms. Creates nothing. *)
+let lookup ?registry:(r = global) name =
+  let find tbl = with_lock r (fun () -> Hashtbl.find_opt tbl name) in
+  match find r.gauges_tbl with
   | Some g -> Some (float_of_int (Gauge.value g))
   | None -> (
-    match find counters_tbl with
+    match find r.counters_tbl with
     | Some c -> Some (float_of_int (Counter.value c))
     | None -> (
       let matching dump_list =
@@ -237,13 +265,13 @@ let lookup name =
       let sum_values l =
         List.fold_left (fun acc (_, v) -> acc + v) 0 l
       in
-      match matching (counters ()) with
+      match matching (counters ~registry:r ()) with
       | _ :: _ as hits -> Some (float_of_int (sum_values hits))
       | [] -> (
-        match matching (gauges ()) with
+        match matching (gauges ~registry:r ()) with
         | _ :: _ as hits -> Some (float_of_int (sum_values hits))
         | [] ->
-          let hs = matching (histograms ()) in
+          let hs = matching (histograms ~registry:r ()) in
           let count =
             List.fold_left (fun a (_, h) -> a + Histogram.count h) 0 hs
           in

@@ -1,15 +1,25 @@
-(** Global registry of named counters, gauges, and latency histograms.
+(** Registries of named counters, gauges, and latency histograms.
 
     The paper's whole evaluation (Section V) is framed as operation counts
     — pairings and exponentiations per sign/verify, revocation cost linear
     in |URL| — so the registry's job is to make those counts (and the
     latencies behind them) observable on the real code paths.
 
+    A registry is a value. Every function that takes [?registry] uses the
+    process-wide one when it is omitted; the crypto counters, the
+    authority, {!Expo.prometheus} and {!Alert} live there. A simulation
+    run creates its own, so its counts never mix with those.
+
     Record paths are lock-free ([Atomic] only), so the authority's
     connection workers on separate domains can update the same metric
-    concurrently; the registry mutex guards only creation and enumeration.
-    Metrics are process-global and keyed by name: [counter "x"] twice
+    concurrently; a registry's mutex guards only creation and enumeration.
+    Metrics are keyed by name within a registry: [counter "x"] twice
     returns the same counter. *)
+
+type t
+
+val create : unit -> t
+(** A new, empty registry, independent of the process-wide one. *)
 
 val now_ns : unit -> int
 (** Wall-clock nanoseconds as an int (differences are what matter). *)
@@ -81,7 +91,14 @@ module Histogram : sig
   val reset : t -> unit
 end
 
-val counter : ?labels:(string * string) list -> string -> Counter.t
+val percentile : float array -> float -> float
+(** [percentile sorted p] over exact samples in ascending order: linear
+    interpolation between closest ranks (numpy's default), rank
+    p/100·(n − 1) with [p] clamped to [0..100]; 0 on an empty array.
+    {!Histogram.quantile} is its log-bucketed approximation. *)
+
+val counter :
+  ?registry:t -> ?labels:(string * string) list -> string -> Counter.t
 (** Get-or-create by name. [labels] adds a label dimension: the metric is
     keyed by the canonical Prometheus-style series name (labels sorted by
     key, values escaped), so the same label set always returns the same
@@ -89,8 +106,9 @@ val counter : ?labels:(string * string) list -> string -> Counter.t
     [counter ~labels:["router","r7"] "router.requests_total"]. Base names
     must not contain an opening brace. *)
 
-val gauge : ?labels:(string * string) list -> string -> Gauge.t
-val histogram : ?labels:(string * string) list -> string -> Histogram.t
+val gauge : ?registry:t -> ?labels:(string * string) list -> string -> Gauge.t
+val histogram :
+  ?registry:t -> ?labels:(string * string) list -> string -> Histogram.t
 
 val memo : ('k -> 'm) -> 'k -> 'm
 (** [memo make] caches [make key] by key: a repeat lookup is one atomic
@@ -114,17 +132,17 @@ val split_name : string -> string * string
     empty or the full braced part, verbatim as {!encode_labels} built
     it. *)
 
-val counters : unit -> (string * int) list
+val counters : ?registry:t -> unit -> (string * int) list
 (** Current values, sorted by name. *)
 
-val gauges : unit -> (string * int) list
-val histograms : unit -> (string * Histogram.t) list
+val gauges : ?registry:t -> unit -> (string * int) list
+val histograms : ?registry:t -> unit -> (string * Histogram.t) list
 
-val lookup : string -> float option
+val lookup : ?registry:t -> string -> float option
 (** Resolve a metric name to one float for rule evaluation ({!Alert}):
     an exact gauge or counter (full series key) wins; otherwise every
     labelled series whose base name matches is summed — counters first,
     then gauges (e.g. [service.errors_total] sums all
     [service.errors_total{kind=...}]); otherwise the count-weighted mean
     of matching histograms. [None] when no metric matches or matching
-    histograms hold no observations. *)
+    histograms hold no observations. A lookup never creates a metric. *)

@@ -49,16 +49,7 @@ type report = {
   lr_throughput_rps : float;
 }
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = Stdlib.min (n - 1) (lo + 1) in
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-  end
+let percentile = Peace_obs.Registry.percentile
 
 (* per-worker tally, merged after join *)
 type tally = {

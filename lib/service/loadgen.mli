@@ -52,8 +52,8 @@ type report = {
 }
 
 val percentile : float array -> float -> float
-(** [percentile sorted p] for [p] in [0..100]; linear interpolation, 0 on
-    an empty array. *)
+(** {!Peace_obs.Registry.percentile}: [percentile sorted p] for [p] in
+    [0..100], linear interpolation, 0 on an empty array. *)
 
 val run :
   connect:Peace_sock.addr ->

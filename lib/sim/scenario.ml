@@ -2,6 +2,7 @@ open Peace_bigint
 open Peace_pairing
 open Peace_groupsig
 open Peace_core
+module Registry = Peace_obs.Registry
 
 (* Per-operation processing costs in milliseconds of simulated time,
    with magnitudes from the light-parameter measurements of this repo's
@@ -68,7 +69,10 @@ type world = {
   config : Config.t;
   deployment : Deployment.t;
   net : Net.t;
-  metrics : Metrics.t;
+  metrics : Registry.t;
+      (* the run's own counters and histograms; the live series
+         ([sim.router.*], [sim.engine.*], [sim.net.*], [sim.faults.*])
+         stay process-wide, where /metrics and alert rules read them *)
   faults : Faults.link option;
 }
 
@@ -93,9 +97,23 @@ let make_world ?(seed = 42) ?(faults = Faults.none) () =
     config;
     deployment;
     net;
-    metrics = Metrics.create ();
+    metrics = Registry.create ();
     faults = link;
   }
+
+let tally world name =
+  Registry.(Counter.incr (counter ~registry:world.metrics name))
+
+let observe world name v =
+  Registry.(Histogram.observe (histogram ~registry:world.metrics name) v)
+
+(* a counter's count or a histogram's mean, 0 for what the run never
+   recorded; reading creates nothing, so the run's counter list is
+   exactly what it incremented *)
+let read world name =
+  Option.value ~default:0.0 (Registry.lookup ~registry:world.metrics name)
+
+let count world name = int_of_float (read world name)
 
 (* pad the operator's URL with [n] revoked-but-never-assigned keys so the
    revocation scan costs what the paper's analysis predicts *)
@@ -147,9 +165,9 @@ type router_node = {
   mutable rn_epoch : int;
   (* per-router labeled registry series (router="rN"): load, queue depth,
      and revocation-scan length, scrapeable via `peace serve` /metrics *)
-  rn_c_requests : Peace_obs.Registry.Counter.t;
-  rn_g_queue : Peace_obs.Registry.Gauge.t;
-  rn_h_scan : Peace_obs.Registry.Histogram.t;
+  rn_c_requests : Registry.Counter.t;
+  rn_g_queue : Registry.Gauge.t;
+  rn_h_scan : Registry.Histogram.t;
 }
 
 (* a router drops an (M.2) that finds this many ahead of it *)
@@ -165,10 +183,9 @@ let make_router_node ~addr rn =
     rn_queue = 0;
     rn_down = false;
     rn_epoch = 0;
-    rn_c_requests =
-      Peace_obs.Registry.counter ~labels "sim.router.requests_total";
-    rn_g_queue = Peace_obs.Registry.gauge ~labels "sim.router.queue_depth";
-    rn_h_scan = Peace_obs.Registry.histogram ~labels "sim.router.scan_len";
+    rn_c_requests = Registry.counter ~labels "sim.router.requests_total";
+    rn_g_queue = Registry.gauge ~labels "sim.router.queue_depth";
+    rn_h_scan = Registry.histogram ~labels "sim.router.scan_len";
   }
 
 (* crash/restart one router according to the fault plan's churn cycle:
@@ -191,13 +208,13 @@ let drive_churn world ~duration_ms ~churn nodes =
             node.rn_epoch <- node.rn_epoch + 1;
             node.rn_queue <- 0;
             node.rn_busy_until <- 0;
-            Peace_obs.Registry.Gauge.set node.rn_g_queue 0;
+            Registry.Gauge.set node.rn_g_queue 0;
             Net.unregister world.net node.rn_addr;
-            Metrics.incr world.metrics "faults.crashes";
+            tally world "faults.crashes";
             Engine.schedule world.engine ~delay:churn_downtime_ms (fun () ->
                 node.rn_down <- false;
                 Net.register world.net node.rn_addr ~pos handler;
-                Metrics.incr world.metrics "faults.restarts")
+                tally world "faults.restarts")
           end)
 
 (* a span is only opened when a trace collector is live AND the frame
@@ -221,13 +238,13 @@ let router_service world node ~url_size ~sender ~under_attack ~req
     +. cost.verify_base_ms
     +. (cost.verify_per_token_ms *. float_of_int url_size)
   in
-  Peace_obs.Registry.Counter.incr node.rn_c_requests;
-  Peace_obs.Registry.Histogram.observe node.rn_h_scan url_size;
+  Registry.Counter.incr node.rn_c_requests;
+  Registry.Histogram.observe node.rn_h_scan url_size;
   if node.rn_queue >= queue_limit then
-    Metrics.incr world.metrics "router.dropped_queue_full"
+    tally world "router.dropped_queue_full"
   else begin
     node.rn_queue <- node.rn_queue + 1;
-    Peace_obs.Registry.Gauge.set node.rn_g_queue node.rn_queue;
+    Registry.Gauge.set node.rn_g_queue node.rn_queue;
     (* the span covers queueing + modeled verify: it opens in this event
        and closes in the scheduled one, parented on the id that travelled
        inside the (M.2) envelope *)
@@ -240,13 +257,13 @@ let router_service world node ~url_size ~sender ~under_attack ~req
     Engine.schedule_at world.engine ~time:finish (fun () ->
         if node.rn_epoch <> epoch then
           (* the router crashed mid-service: the in-flight job dies with it *)
-          Metrics.incr world.metrics "router.dropped_crash"
+          tally world "router.dropped_crash"
         else begin
           node.rn_queue <- node.rn_queue - 1;
-          Peace_obs.Registry.Gauge.set node.rn_g_queue node.rn_queue;
+          Registry.Gauge.set node.rn_g_queue node.rn_queue;
           match Mesh_router.handle_access_request node.rn request with
           | Ok (confirm, session) ->
-            Metrics.incr world.metrics "router.accepted";
+            tally world "router.accepted";
             (match on_accept with Some f -> f sender | None -> ());
             let confirm_bytes =
               Messages.access_confirm_to_bytes world.config confirm
@@ -270,8 +287,7 @@ let router_service world node ~url_size ~sender ~under_attack ~req
               (envelope ~req ~tag:tag_access_confirm ~sender:node.rn_addr
                  confirm_bytes)
           | Error e ->
-            Metrics.incr world.metrics
-              ("router.rejected." ^ Protocol_error.to_string e)
+            tally world ("router.rejected." ^ Protocol_error.to_string e)
         end;
         sim_finish world span)
   end
@@ -293,11 +309,11 @@ let router_endpoint ?on_accept ?meter ?(on_request = ignore) world node
         ?on_accept
         ?meter:(Option.map (fun m -> (m, String.length body)) meter)
         request
-    | None -> Metrics.incr world.metrics "router.unparseable"
+    | None -> tally world "router.unparseable"
   end
   | Some _ -> ()
   | None ->
-    Metrics.incr world.metrics
+    tally world
       ("router.dropped."
       ^ Protocol_error.to_string Protocol_error.Malformed_frame)
 
@@ -403,7 +419,7 @@ let user_endpoint world node ~on_beacon ~on_confirm payload =
   end
   | Some _ -> ()
   | None ->
-    Metrics.incr world.metrics
+    tally world
       ("user.dropped." ^ Protocol_error.to_string Protocol_error.Malformed_frame)
 
 (* the user's signing step: busy for the modeled validate-and-sign time,
@@ -527,9 +543,12 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
     | _ -> -1
   in
   let revoked_addr = ref (-1) in
+  (* the one percentile the simulator reports needs exact samples; its
+     histogram keeps only log buckets *)
+  let handshakes = ref [] in
   let on_accept node sender =
     if node.rn_addr = stale_router_addr && sender = !revoked_addr then
-      Metrics.incr world.metrics "faults.stale_accepts"
+      tally world "faults.stale_accepts"
   in
   (* per-router session meters, kept for §IV-D attribution after the run *)
   let meters = ref [] in
@@ -570,7 +589,7 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
           node.un_avoid <- dst;
           node.un_avoid_until <-
             Engine.now world.engine + (2 * beacon_period_ms);
-          Metrics.incr world.metrics
+          tally world
             ("user.abandoned." ^ Protocol_error.to_string Protocol_error.Timeout)
         in
         let rec schedule_retx () =
@@ -588,7 +607,7 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
                       Stdlib.min retx_cap_ms (node.un_backoff_ms * 2);
                     if node.un_trouble_at = 0 then
                       node.un_trouble_at <- Engine.now world.engine;
-                    Metrics.incr world.metrics "user.retransmissions";
+                    tally world "user.retransmissions";
                     Net.send world.net ~src:node.un_addr ~dst frame;
                     schedule_retx ()
                   end
@@ -605,7 +624,7 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
                when Engine.now world.engine - node.un_m2_sent > legacy_timeout_ms
                ->
                node.un_pending <- None;
-               Metrics.incr world.metrics "user.handshake_timeout"
+               tally world "user.handshake_timeout"
              | _ -> ());
           if
             not
@@ -620,7 +639,7 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
                       (* a fresh attempt at a different router after an
                          abandoned one is the failover *)
                       if node.un_avoid >= 0 && sender <> node.un_avoid then
-                        Metrics.incr world.metrics "user.failover";
+                        tally world "user.failover";
                       node.un_avoid <- -1;
                       node.un_frame <- Some (sender, frame);
                       node.un_retx_left <- retx_max;
@@ -630,7 +649,7 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
                     end;
                     Net.send world.net ~src:node.un_addr ~dst:sender frame
                   | Error e ->
-                    Metrics.incr world.metrics
+                    tally world
                       ("user.beacon_rejected." ^ Protocol_error.to_string e)))
               (beacon_for world node body)
         in
@@ -647,19 +666,16 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
               node.un_span <- None
             | None -> ());
             if node.un_trouble_at > 0 then begin
-              Metrics.sample world.metrics "recovery_ms"
-                (float_of_int (now - node.un_trouble_at));
+              observe world "recovery_ms" (now - node.un_trouble_at);
               node.un_trouble_at <- 0
             end;
-            Metrics.incr world.metrics "user.authenticated";
-            Metrics.sample world.metrics "handshake_ms"
-              (float_of_int (now - node.un_m2_sent));
-            Metrics.sample world.metrics "time_to_auth_ms"
-              (float_of_int (now - node.un_attempt_started))
+            tally world "user.authenticated";
+            observe world "handshake_ms" (now - node.un_m2_sent);
+            handshakes := float_of_int (now - node.un_m2_sent) :: !handshakes;
+            observe world "time_to_auth_ms" (now - node.un_attempt_started)
           | Error e ->
             settle ();
-            Metrics.incr world.metrics
-              ("user.confirm_rejected." ^ Protocol_error.to_string e)
+            tally world ("user.confirm_rejected." ^ Protocol_error.to_string e)
         in
         Net.register world.net node.un_addr ~pos
           (user_endpoint world node ~on_beacon ~on_confirm);
@@ -724,7 +740,7 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
   (match sampler with
   | None -> ()
   | Some s ->
-    let track name read = ignore (Peace_obs.Timeseries.track s name read) in
+    let track name f = ignore (Peace_obs.Timeseries.track s name f) in
     track "sim.router.queue_depth" (fun () ->
         List.fold_left
           (fun acc node -> acc +. float_of_int node.rn_queue)
@@ -733,15 +749,16 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
         List.fold_left
           (fun acc u -> if u.un_pending <> None then acc +. 1.0 else acc)
           0.0 users);
-    track "sim.authenticated" (fun () ->
-        float_of_int (Metrics.count world.metrics "user.authenticated"));
+    track "sim.authenticated" (fun () -> read world "user.authenticated");
     track "sim.net.bytes_on_air" (fun () ->
         float_of_int (Net.bytes_sent world.net));
     Engine.attach_sampler world.engine ~period:1_000
       ~until:(1_000_000 + duration_ms) s);
   Engine.run ~until:(1_000_000 + duration_ms) world.engine;
   (match alerts with Some _ -> Peace_obs.Alert.uninstall_tap () | None -> ());
-  let successes = Metrics.count world.metrics "user.authenticated" in
+  let successes = count world "user.authenticated" in
+  let handshakes = Array.of_list !handshakes in
+  Array.sort compare handshakes;
   let failures =
     List.filter
       (fun (name, _) ->
@@ -751,7 +768,7 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
         (* recovery activity, not failure classes *)
         && name <> "user.retransmissions"
         && name <> "user.failover")
-      (Metrics.counters world.metrics)
+      (Registry.counters ~registry:world.metrics ())
   in
   let util =
     List.fold_left
@@ -789,25 +806,21 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
     cr_attempts = !attempts;
     cr_successes = successes;
     cr_failures = failures;
-    cr_handshake_mean_ms =
-      Option.value ~default:0.0 (Metrics.mean world.metrics "handshake_ms");
-    cr_handshake_p95_ms =
-      Option.value ~default:0.0 (Metrics.percentile world.metrics "handshake_ms" 95.0);
-    cr_time_to_auth_mean_ms =
-      Option.value ~default:0.0 (Metrics.mean world.metrics "time_to_auth_ms");
+    cr_handshake_mean_ms = read world "handshake_ms";
+    cr_handshake_p95_ms = Registry.percentile handshakes 95.0;
+    cr_time_to_auth_mean_ms = read world "time_to_auth_ms";
     cr_bytes_on_air = Net.bytes_sent world.net;
     cr_router_utilisation = util;
-    cr_retransmissions = Metrics.count world.metrics "user.retransmissions";
-    cr_timeouts = Metrics.count world.metrics "user.abandoned.timeout";
-    cr_failovers = Metrics.count world.metrics "user.failover";
-    cr_recovery_mean_ms =
-      Option.value ~default:0.0 (Metrics.mean world.metrics "recovery_ms");
+    cr_retransmissions = count world "user.retransmissions";
+    cr_timeouts = count world "user.abandoned.timeout";
+    cr_failovers = count world "user.failover";
+    cr_recovery_mean_ms = read world "recovery_ms";
     cr_fault_counters =
       (match world.faults with Some l -> Faults.counters l | None -> [])
       @ [
-          ("crashes", Metrics.count world.metrics "faults.crashes");
-          ("restarts", Metrics.count world.metrics "faults.restarts");
-          ("stale_accepts", Metrics.count world.metrics "faults.stale_accepts");
+          ("crashes", count world "faults.crashes");
+          ("restarts", count world "faults.restarts");
+          ("stale_accepts", count world "faults.stale_accepts");
           ("dropped_unknown", Net.frames_dropped_unknown world.net);
         ];
     cr_invoices = invoice_table;
@@ -883,7 +896,7 @@ let dos_attack ?(seed = 42) ~puzzles
         let on_confirm = function
           | Ok _ ->
             node_u.un_want_auth <- false;
-            Metrics.incr world.metrics "user.authenticated"
+            tally world "user.authenticated"
           | Error _ -> ()
         in
         Net.register world.net node_u.un_addr ~pos:(random_pos world 100.0)
@@ -960,7 +973,7 @@ let dos_attack ?(seed = 42) ~puzzles
   Engine.run ~until:(1_000_000 + duration_ms) world.engine;
   {
     dr_legit_attempts = !legit_attempts;
-    dr_legit_successes = Metrics.count world.metrics "user.authenticated";
+    dr_legit_successes = count world "user.authenticated";
     dr_bogus_received = !bogus_received;
     dr_expensive_verifications = Mesh_router.verifications_performed router;
     dr_cheap_rejections = Mesh_router.requests_rejected_cheaply router;
@@ -996,7 +1009,8 @@ let phishing ?(seed = 42) ~crl_refresh_ms ~revoke_at_ms ~duration_ms
   let accepted_window = ref 0 in
   let accepted_after_refresh = ref 0 in
   let last_refresh = ref 0 in
-  let first_rejection_after_revoke = ref None in
+  (* the exposure window: the latest stale acceptance after revocation *)
+  let window = ref 0 in
   let revoke_time = 1_000_000 + revoke_at_ms in
   (* the operator re-issues lists periodically; the compromised router only
      receives them while not revoked *)
@@ -1030,23 +1044,15 @@ let phishing ?(seed = 42) ~crl_refresh_ms ~revoke_at_ms ~duration_ms
         else if !last_refresh > revoke_time then incr accepted_after_refresh
         else begin
           incr accepted_window;
-          Metrics.sample world.metrics "phish_after_revoke_ms"
-            (float_of_int (now - revoke_time))
+          window := Stdlib.max !window (now - revoke_time)
         end
-      | Error _ ->
-        if now >= revoke_time && !first_rejection_after_revoke = None then
-          first_rejection_after_revoke := Some now);
+      | Error _ -> ());
   Engine.run ~until:(1_000_000 + duration_ms) world.engine;
-  let window =
-    match Metrics.samples world.metrics "phish_after_revoke_ms" with
-    | [] -> 0
-    | xs -> int_of_float (List.fold_left Float.max 0.0 xs)
-  in
   {
     pr_accepted_before_revocation = !accepted_before;
     pr_accepted_in_window = !accepted_window;
     pr_accepted_after_refresh = !accepted_after_refresh;
-    pr_window_ms = window;
+    pr_window_ms = !window;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1195,8 +1201,7 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
               (envelope ~req ~tag:tag_access_confirm ~sender:0
                  (Messages.access_confirm_to_bytes config confirm))
           | Error e ->
-            Metrics.incr world.metrics
-              ("router.rejected." ^ Protocol_error.to_string e)
+            tally world ("router.rejected." ^ Protocol_error.to_string e)
         end
         | None -> ()
       end
@@ -1224,7 +1229,7 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
                   match User.process_beacon user beacon with
                   | Ok (request, p) ->
                     pending := Some p;
-                    Metrics.incr world.metrics "near.attempt";
+                    tally world "near.attempt";
                     Net.send world.net ~src:addr ~dst:sender
                       (envelope ~tag:tag_access_request ~sender:addr
                          (Messages.access_request_to_bytes config gpk request))
@@ -1248,7 +1253,7 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
                 | Ok _ ->
                   pending := None;
                   want := false;
-                  Metrics.incr world.metrics "near.success"
+                  tally world "near.success"
                 | Error Protocol_error.Unknown_session -> relay ()
                 | Error _ -> pending := None
               end
@@ -1266,7 +1271,7 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
                     (envelope ~tag:tag_peer_response ~sender:addr
                        (Messages.peer_response_to_bytes config gpk response))
                 | Error e ->
-                  Metrics.incr world.metrics
+                  tally world
                     ("relay.hello_rejected." ^ Protocol_error.to_string e)
               end
             end
@@ -1281,7 +1286,7 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
                     incr peer_handshakes;
                     relay_return := Some (sender, session)
                   | Error e ->
-                    Metrics.incr world.metrics
+                    tally world
                       ("relay.confirm_rejected." ^ Protocol_error.to_string e)
                 end
               end
@@ -1294,7 +1299,7 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
                 match Relay.unwrap session body with
                 | Some (_dst, inner) ->
                   Net.send world.net ~src:addr ~dst:0 inner
-                | None -> Metrics.incr world.metrics "relay.bad_forward"
+                | None -> tally world "relay.bad_forward"
               end
               | _ -> ()
             end
@@ -1322,7 +1327,7 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
              match User.process_beacon user beacon with
              | Ok (request, p) ->
                router_pending := Some p;
-               Metrics.incr world.metrics "far.attempt";
+               tally world "far.attempt";
                let m2 =
                  envelope ~tag:tag_access_request ~sender:addr
                    (Messages.access_request_to_bytes config gpk request)
@@ -1345,9 +1350,9 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
                match outcome with
                | Ok _ ->
                  want := false;
-                 Metrics.incr world.metrics "far.success"
+                 tally world "far.success"
                | Error e ->
-                 Metrics.incr world.metrics
+                 tally world
                    ("far.confirm_rejected." ^ Protocol_error.to_string e)
              end
            end
@@ -1403,10 +1408,10 @@ let multihop_auth ?(seed = 42) ~n_near ~n_far ~duration_ms () =
   refresh_lists world ~duration_ms;
   Engine.run ~until:(Engine.now world.engine + duration_ms) world.engine;
   {
-    mh_near_successes = Metrics.count world.metrics "near.success";
-    mh_near_attempts = Metrics.count world.metrics "near.attempt";
-    mh_far_successes = Metrics.count world.metrics "far.success";
-    mh_far_attempts = Metrics.count world.metrics "far.attempt";
+    mh_near_successes = count world "near.success";
+    mh_near_attempts = count world "near.attempt";
+    mh_far_successes = count world "far.success";
+    mh_far_attempts = count world "far.attempt";
     mh_peer_handshakes = !peer_handshakes;
     mh_frames_out_of_range = Net.frames_out_of_range world.net;
   }
@@ -1454,19 +1459,19 @@ let roaming ?(seed = 42) ~n_routers ~n_users
       Option.iter
         (fun beacon ->
           node.un_attempt_started <- Engine.now world.engine;
-          Metrics.incr world.metrics "roam.handoff_started";
+          tally world "roam.handoff_started";
           sign_request world node beacon (function
             | Ok frame -> Net.send world.net ~src:node.un_addr ~dst:sender frame
-            | Error _ -> Metrics.incr world.metrics "roam.handoff_failed"))
+            | Error _ -> tally world "roam.handoff_failed"))
         (beacon_for world node body)
     in
     let on_confirm = function
       | Ok _ ->
         node.un_want_auth <- false;
-        Metrics.incr world.metrics "roam.handoff_done";
-        Metrics.sample world.metrics "roam.handoff_ms"
-          (float_of_int (Engine.now world.engine - node.un_attempt_started))
-      | Error _ -> Metrics.incr world.metrics "roam.handoff_failed"
+        tally world "roam.handoff_done";
+        observe world "roam.handoff_ms"
+          (Engine.now world.engine - node.un_attempt_started)
+      | Error _ -> tally world "roam.handoff_failed"
     in
     Net.register world.net node.un_addr ~pos:(random_pos world area)
       (user_endpoint world node ~on_beacon ~on_confirm);
@@ -1487,12 +1492,11 @@ let roaming ?(seed = 42) ~n_routers ~n_users
   broadcast_beacons world ~period:400 ~range ~duration_ms routers;
   refresh_lists world ~duration_ms;
   Engine.run ~until:(Engine.now world.engine + duration_ms) world.engine;
-  let handoffs = Metrics.count world.metrics "roam.handoff_done" in
+  let handoffs = count world "roam.handoff_done" in
   {
     ro_handoffs = handoffs;
-    ro_handoff_failures = Metrics.count world.metrics "roam.handoff_failed";
-    ro_handoff_mean_ms =
-      Option.value ~default:0.0 (Metrics.mean world.metrics "roam.handoff_ms");
+    ro_handoff_failures = count world "roam.handoff_failed";
+    ro_handoff_mean_ms = read world "roam.handoff_ms";
     ro_moves = !moves;
     ro_sessions_per_user = float_of_int handoffs /. float_of_int n_users;
   }

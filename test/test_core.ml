@@ -638,59 +638,6 @@ let test_relay_envelope () =
   Alcotest.(check bool) "foreign session cannot unwrap" true
     (Relay.unwrap sc (Relay.wrap sa ~dst:"d" "p") = None)
 
-let test_onion_layers () =
-  let _config, _clock, d = make_deployment () in
-  let _gm = Deployment.add_group d ~group_id:1 ~size:8 in
-  let _gm2 = Deployment.add_group d ~group_id:2 ~size:8 in
-  let router = Deployment.add_router d ~router_id:7 in
-  let sender = ok_or_fail_str "sender" (Deployment.add_user d identity_alice) in
-  let relay1 = ok_or_fail_str "relay1" (Deployment.add_user d identity_bob) in
-  let relay2 =
-    ok_or_fail_str "relay2"
-      (Deployment.add_user d
-         (Identity.make ~uid:"carl" ~name:"Carl" ~national_id:"c"
-            [ { Identity.group_id = 1; description = "r" } ]))
-  in
-  (* anonymous pairwise sessions with both relays *)
-  let s1_sender, s1_relay =
-    ok_or_fail "peer 1"
-      (Deployment.peer_authenticate d ~initiator:sender ~responder:relay1
-         ~router ~initiator_group:1 ())
-  in
-  let s2_sender, s2_relay =
-    ok_or_fail "peer 2"
-      (Deployment.peer_authenticate d ~initiator:sender ~responder:relay2
-         ~router ~initiator_group:1 ())
-  in
-  let onion =
-    Onion.wrap [ (s1_sender, "relay1"); (s2_sender, "relay2") ] "secret uplink"
-  in
-  (* hop 1 peels one layer: learns only the next hop, not the payload *)
-  (match Onion.peel s1_relay onion with
-  | Some (Onion.Forward ("relay2", inner)) -> begin
-    Alcotest.(check bool) "payload still hidden from hop 1" true
-      (inner <> "secret uplink");
-    (* hop 2 delivers *)
-    match Onion.peel s2_relay inner with
-    | Some (Onion.Deliver payload) ->
-      Alcotest.(check string) "delivered" "secret uplink" payload
-    | _ -> Alcotest.fail "hop 2 failed"
-  end
-  | _ -> Alcotest.fail "hop 1 failed");
-  (* a single-hop onion degenerates to direct delivery *)
-  let single = Onion.wrap [ (s1_sender, "relay1") ] "short path" in
-  (match Onion.peel s1_relay single with
-  | Some (Onion.Deliver p) -> Alcotest.(check string) "single hop" "short path" p
-  | _ -> Alcotest.fail "single hop failed");
-  (* the wrong relay cannot peel a layer meant for another *)
-  let onion2 =
-    Onion.wrap [ (s1_sender, "relay1"); (s2_sender, "relay2") ] "x"
-  in
-  Alcotest.(check bool) "wrong relay rejected" true
-    (Onion.peel s2_relay onion2 = None);
-  Alcotest.check_raises "empty path" (Invalid_argument "Onion.wrap: empty path")
-    (fun () -> ignore (Onion.wrap [] "x"))
-
 let test_router_redundancy () =
   (* §III-A deployment assumption: "revocation of individual mesh routers
      will not affect network connection" — overlapping coverage keeps
@@ -1165,7 +1112,6 @@ let suite =
         Alcotest.test_case "session adversity" `Quick test_session_adversity;
         Alcotest.test_case "router resend cache" `Quick test_router_resend_cache;
         Alcotest.test_case "outstanding bound" `Quick test_router_outstanding_bound;
-        Alcotest.test_case "onion layers" `Quick test_onion_layers;
         Alcotest.test_case "router redundancy" `Quick test_router_redundancy;
         Alcotest.test_case "full-security end-to-end" `Slow test_full_security_handshake;
         Alcotest.test_case "puzzle module" `Quick test_puzzle_module;

@@ -129,6 +129,49 @@ let test_registry_enumeration_and_delta () =
     [ ("test.obs.enum_a", 3) ]
     (List.filter (fun (n, _) -> String.length n >= 13 && String.sub n 0 13 = "test.obs.enum") moved)
 
+(* a registry value shares nothing with the process-wide one: neither
+   sees the other's series, even under the same name *)
+let test_registry_values_independent () =
+  let run = R.create () in
+  R.Counter.add (R.counter ~registry:run "test.obs.indep_run") 3;
+  R.Gauge.set (R.gauge ~registry:run "test.obs.indep_run_gauge") 4;
+  R.Histogram.observe (R.histogram ~registry:run "test.obs.indep_run_hist") 5;
+  R.Counter.add (R.counter ~registry:run "test.obs.indep_both") 1;
+  R.Counter.add (R.counter "test.obs.indep_global") 2;
+  R.Counter.add (R.counter "test.obs.indep_both") 10;
+  let names l = List.map fst l in
+  let in_process l = List.filter (fun n -> List.mem n (names l)) in
+  Alcotest.(check (list string)) "process-wide enumerations hold no run series"
+    []
+    (in_process (R.counters ()) [ "test.obs.indep_run" ]
+    @ in_process (R.gauges ()) [ "test.obs.indep_run_gauge" ]
+    @ in_process (R.histograms ()) [ "test.obs.indep_run_hist" ]);
+  Alcotest.(check (option (float 0.0))) "process-wide lookup: run counter"
+    None (R.lookup "test.obs.indep_run");
+  Alcotest.(check (option (float 0.0))) "process-wide lookup: run histogram"
+    None (R.lookup "test.obs.indep_run_hist");
+  Alcotest.(check (option (float 0.0))) "process-wide lookup: same name"
+    (Some 10.0) (R.lookup "test.obs.indep_both");
+  let prom = Expo.prometheus () in
+  let has sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length prom && (String.sub prom i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "/metrics shows the process-wide series" true
+    (has "peace_test_obs_indep_global 2\n" && has "peace_test_obs_indep_both 10\n");
+  Alcotest.(check bool) "/metrics shows no run series" false
+    (has "indep_run" || has "peace_test_obs_indep_both 1\n");
+  Alcotest.(check (list (pair string int))) "the run sees only its own counters"
+    [ ("test.obs.indep_both", 1); ("test.obs.indep_run", 3) ]
+    (R.counters ~registry:run ());
+  Alcotest.(check (option (float 0.0))) "run lookup: process-wide counter"
+    None (R.lookup ~registry:run "test.obs.indep_global");
+  Alcotest.(check (option (float 0.0))) "run lookup: same name" (Some 1.0)
+    (R.lookup ~registry:run "test.obs.indep_both")
+
 (* --- spans --- *)
 
 let capture_spans f =
@@ -2138,6 +2181,8 @@ let () =
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "enumeration and delta" `Quick test_registry_enumeration_and_delta;
+          Alcotest.test_case "values are independent" `Quick
+            test_registry_values_independent;
         ] );
       ( "trace",
         [

@@ -89,78 +89,71 @@ let test_sim_rand () =
     (List.init 10 (fun _ -> Sim_rand.int a 1000))
     (List.init 10 (fun _ -> Sim_rand.int b 1000))
 
+module Registry = Peace_obs.Registry
+
+let sorted l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  a
+
+(* floats compared by [=], printed to the last digit *)
+let exact = Alcotest.testable (fun ppf x -> Format.fprintf ppf "%.17g" x) ( = )
+
+(* a scenario's store: a registry value of its own, read without
+   creating anything *)
 let test_metrics () =
-  let m = Metrics.create () in
-  Metrics.incr m "x";
-  Metrics.incr m "x";
+  let m = Registry.create () in
+  let incr name = Registry.Counter.incr (Registry.counter ~registry:m name) in
+  incr "x";
+  incr "x";
   for _ = 1 to 5 do
-    Metrics.incr m "y"
+    incr "y"
   done;
-  Alcotest.(check int) "count" 2 (Metrics.count m "x");
-  Alcotest.(check int) "count y" 5 (Metrics.count m "y");
+  let lookup = Registry.lookup ~registry:m in
+  Alcotest.(check (option (float 0.0))) "count" (Some 2.0) (lookup "x");
+  Alcotest.(check (option (float 0.0))) "count y" (Some 5.0) (lookup "y");
+  Alcotest.(check (option (float 0.0))) "unknown" None (lookup "z");
   Alcotest.(check (list (pair string int))) "counters sorted by name"
-    [ ("x", 2); ("y", 5) ] (Metrics.counters m);
-  Alcotest.(check int) "unknown" 0 (Metrics.count m "z");
-  List.iter (fun v -> Metrics.sample m "lat" v) [ 1.0; 2.0; 3.0; 4.0; 100.0 ];
-  (match Metrics.mean m "lat" with
-  | Some mean -> Alcotest.(check (float 0.01)) "mean" 22.0 mean
-  | None -> Alcotest.fail "no mean");
-  match Metrics.percentile m "lat" 50.0 with
-  | Some p -> Alcotest.(check bool) "median sane" true (p >= 2.0 && p <= 4.0)
-  | None -> Alcotest.fail "no percentile"
+    [ ("x", 2); ("y", 5) ] (Registry.counters ~registry:m ());
+  let lat = Registry.histogram ~registry:m "lat" in
+  List.iter (Registry.Histogram.observe lat) [ 1; 2; 3; 4; 100 ];
+  Alcotest.(check (option (float 0.0))) "mean" (Some 22.0) (lookup "lat");
+  Alcotest.(check (list (pair string int))) "reads created no counter"
+    [ ("x", 2); ("y", 5) ] (Registry.counters ~registry:m ());
+  let p = Registry.percentile (sorted [ 1.0; 2.0; 3.0; 4.0; 100.0 ]) 50.0 in
+  Alcotest.(check bool) "median sane" true (p >= 2.0 && p <= 4.0)
 
 let test_percentile_edges () =
-  let m = Metrics.create () in
-  (* empty series: no percentile at any p *)
-  Alcotest.(check (option (float 0.0))) "empty series" None
-    (Metrics.percentile m "missing" 50.0);
-  Alcotest.(check (option (float 0.0))) "empty series p=0" None
-    (Metrics.percentile m "missing" 0.0);
+  let pct l p = Registry.percentile (sorted l) p in
+  (* no samples: 0 at any p *)
+  Alcotest.(check (float 0.0)) "empty series" 0.0 (pct [] 50.0);
+  Alcotest.(check (float 0.0)) "empty series p=0" 0.0 (pct [] 0.0);
   (* single sample: every percentile is that sample *)
-  Metrics.sample m "one" 7.5;
   List.iter
     (fun p ->
-      Alcotest.(check (option (float 0.0)))
+      Alcotest.(check (float 0.0))
         (Printf.sprintf "single sample p=%.0f" p)
-        (Some 7.5) (Metrics.percentile m "one" p))
+        7.5 (pct [ 7.5 ] p))
     [ 0.0; 50.0; 95.0; 100.0 ];
   (* p=0 is the minimum, p=100 the maximum, never out of range *)
-  List.iter (fun v -> Metrics.sample m "lat" v) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  Alcotest.(check (option (float 0.0))) "p=0 is the min" (Some 1.0)
-    (Metrics.percentile m "lat" 0.0);
-  Alcotest.(check (option (float 0.0))) "p=100 is the max" (Some 5.0)
-    (Metrics.percentile m "lat" 100.0);
+  let lat = [ 5.0; 1.0; 3.0; 2.0; 4.0 ] in
+  Alcotest.(check (float 0.0)) "p=0 is the min" 1.0 (pct lat 0.0);
+  Alcotest.(check (float 0.0)) "p=100 is the max" 5.0 (pct lat 100.0);
+  Alcotest.(check (float 0.0)) "p<0 clamps to the min" 1.0 (pct lat (-5.0));
+  Alcotest.(check (float 0.0)) "p>100 clamps to the max" 5.0 (pct lat 150.0);
   (* interpolated ranks (linear between closest ranks, numpy default):
      on [1..5], p25 -> rank 1.0 -> 2.0; p90 -> rank 3.6 -> 4.6;
      p95 -> rank 3.8 -> 4.8 *)
-  Alcotest.(check (option (float 1e-9))) "p25 interpolates" (Some 2.0)
-    (Metrics.percentile m "lat" 25.0);
-  Alcotest.(check (option (float 1e-9))) "p90 interpolates" (Some 4.6)
-    (Metrics.percentile m "lat" 90.0);
-  Alcotest.(check (option (float 1e-9))) "p95 interpolates" (Some 4.8)
-    (Metrics.percentile m "lat" 95.0);
+  Alcotest.(check (float 1e-9)) "p25 interpolates" 2.0 (pct lat 25.0);
+  Alcotest.(check (float 1e-9)) "p90 interpolates" 4.6 (pct lat 90.0);
+  Alcotest.(check (float 1e-9)) "p95 interpolates" 4.8 (pct lat 95.0);
   (* between two samples the median is their midpoint *)
-  List.iter (fun v -> Metrics.sample m "two" v) [ 10.0; 20.0 ];
-  Alcotest.(check (option (float 1e-9))) "even-count median" (Some 15.0)
-    (Metrics.percentile m "two" 50.0)
-
-let test_samples_chronological () =
-  let m = Metrics.create () in
-  List.iter (fun v -> Metrics.sample m "s" v) [ 3.0; 1.0; 2.0 ];
-  Alcotest.(check (list (float 0.0))) "insertion order preserved"
-    [ 3.0; 1.0; 2.0 ] (Metrics.samples m "s");
-  (* the cached percentile sort must not leak into reads, and a new
-     sample must invalidate it *)
-  Alcotest.(check (option (float 1e-9))) "p100 before" (Some 3.0)
-    (Metrics.percentile m "s" 100.0);
-  Alcotest.(check (list (float 0.0))) "percentile left samples untouched"
-    [ 3.0; 1.0; 2.0 ] (Metrics.samples m "s");
-  Metrics.sample m "s" 9.0;
-  Alcotest.(check (option (float 1e-9))) "p100 sees the new sample"
-    (Some 9.0)
-    (Metrics.percentile m "s" 100.0);
-  Alcotest.(check (list (float 0.0))) "appended at the end"
-    [ 3.0; 1.0; 2.0; 9.0 ] (Metrics.samples m "s")
+  Alcotest.(check (float 1e-9)) "even-count median" 15.0
+    (pct [ 10.0; 20.0 ] 50.0);
+  (* the blend is a + frac·(b − a): on [1; 6] p95 is 5.75 exactly, where
+     a·(1 − frac) + b·frac reads 5.7499999999999991 *)
+  Alcotest.check exact "blend rounds as a + frac(b - a)" 5.75
+    (pct [ 6.0; 1.0 ] 95.0)
 
 (* handles + explicit ids stitch spans across engine events — the exact
    mechanism the scenarios use for cross-message traces *)
@@ -618,6 +611,110 @@ let test_multihop () =
   Alcotest.(check bool) "peer handshakes ran" true
     (r.Scenario.mh_peer_handshakes >= 4)
 
+(* --- golden results ---
+
+   Each scenario's results at fixed seeds, floats compared by [=]. The
+   means come from histograms of whole simulated milliseconds and the p95
+   from exact samples, so any change to how a run records or reads its
+   metrics must reproduce them bit for bit; only a change to what the
+   simulation does may move them. *)
+
+let test_golden_city () =
+  let faults =
+    match
+      Faults.of_string
+        "burst:0.2:0.3:0.6:0.05,dup:0.05,corrupt:0.05,churn:9000:2500,stale:5000"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let r =
+    Scenario.city_auth ~seed:13 ~faults ~n_routers:3 ~n_users:8 ~area_m:800.0
+      ~range_m:600.0 ~duration_ms:60_000 ~mean_interarrival_ms:6_000.0 ()
+  in
+  Alcotest.(check int) "attempts" 62 r.Scenario.cr_attempts;
+  Alcotest.(check int) "successes" 59 r.Scenario.cr_successes;
+  Alcotest.(check int) "retransmissions" 48 r.Scenario.cr_retransmissions;
+  Alcotest.(check int) "timeouts" 3 r.Scenario.cr_timeouts;
+  Alcotest.(check int) "failovers" 3 r.Scenario.cr_failovers;
+  Alcotest.check exact "handshake mean" 924.01694915254234
+    r.Scenario.cr_handshake_mean_ms;
+  Alcotest.check exact "handshake p95" 3876.3999999999778
+    r.Scenario.cr_handshake_p95_ms;
+  Alcotest.check exact "time to auth mean" 2497.0677966101694
+    r.Scenario.cr_time_to_auth_mean_ms;
+  Alcotest.check exact "recovery mean" 4481.090909090909
+    r.Scenario.cr_recovery_mean_ms;
+  Alcotest.(check (list (pair string int))) "failures"
+    [
+      ("router.rejected.stale timestamp", 3);
+      ("router.rejected.user revoked", 2);
+      ("user.abandoned.timeout", 3);
+      ("user.beacon_rejected.bad beacon signature", 1);
+      ("user.beacon_rejected.bad revocation list", 1);
+      ("user.dropped.malformed frame", 2);
+    ]
+    r.Scenario.cr_failures;
+  Alcotest.(check (list (pair string int))) "fault counters"
+    [
+      ("corrupted", 118);
+      ("duplicated", 127);
+      ("lost", 783);
+      ("reordered", 0);
+      ("crashes", 6);
+      ("restarts", 6);
+      ("stale_accepts", 1);
+      ("dropped_unknown", 7);
+    ]
+    r.Scenario.cr_fault_counters;
+  (* the run counted into its own registry, not the process-wide one *)
+  Alcotest.(check (option (float 0.0))) "no run count in the process-wide registry"
+    None (Registry.lookup "user.authenticated");
+  Alcotest.(check (option (float 0.0))) "no run mean in the process-wide registry"
+    None (Registry.lookup "handshake_ms")
+
+let test_golden_others () =
+  let ro =
+    Scenario.roaming ~seed:7 ~n_routers:4 ~n_users:6 ~duration_ms:40_000
+      ~move_period_ms:6_000 ()
+  in
+  Alcotest.(check int) "roaming handoffs" 39 ro.Scenario.ro_handoffs;
+  Alcotest.(check int) "roaming failures" 0 ro.Scenario.ro_handoff_failures;
+  Alcotest.check exact "roaming handoff mean" 125.76923076923077
+    ro.Scenario.ro_handoff_mean_ms;
+  let ph =
+    Scenario.phishing ~seed:31 ~crl_refresh_ms:60_000 ~revoke_at_ms:123_000
+      ~duration_ms:400_000 ~attempt_period_ms:7_000 ()
+  in
+  Alcotest.(check int) "phishing in window" 8 ph.Scenario.pr_accepted_in_window;
+  Alcotest.(check int) "phishing window" 52_000 ph.Scenario.pr_window_ms;
+  let d =
+    Scenario.dos_attack ~seed:21 ~puzzles:true ~puzzle_difficulty:10
+      ~attacker_hash_rate_per_ms:10.0 ~attack_rate_per_s:20.0
+      ~legit_rate_per_s:1.0 ~duration_ms:15_000 ()
+  in
+  Alcotest.(check (list int)) "dos counts" [ 14; 13; 124; 137; 0; 70_380 ]
+    Scenario.
+      [
+        d.dr_legit_attempts;
+        d.dr_legit_successes;
+        d.dr_bogus_received;
+        d.dr_expensive_verifications;
+        d.dr_cheap_rejections;
+        d.dr_attacker_hashes;
+      ];
+  let m = Scenario.multihop_auth ~seed:5 ~n_near:3 ~n_far:3 ~duration_ms:20_000 () in
+  Alcotest.(check (list int)) "multihop counts" [ 3; 3; 3; 3; 3; 0 ]
+    Scenario.
+      [
+        m.mh_near_successes;
+        m.mh_near_attempts;
+        m.mh_far_successes;
+        m.mh_far_attempts;
+        m.mh_peer_handshakes;
+        m.mh_frames_out_of_range;
+      ]
+
 let suite =
   [
     ( "engine",
@@ -632,7 +729,6 @@ let suite =
         Alcotest.test_case "sim rand" `Quick test_sim_rand;
         Alcotest.test_case "metrics" `Quick test_metrics;
         Alcotest.test_case "percentile edges" `Quick test_percentile_edges;
-        Alcotest.test_case "samples chronological" `Quick test_samples_chronological;
         Alcotest.test_case "span stitching across schedule" `Quick
           test_span_stitching_across_schedule;
         Alcotest.test_case "attach_sampler sim time" `Quick
@@ -648,6 +744,12 @@ let suite =
         Alcotest.test_case "phishing smoke" `Slow test_phishing_smoke;
         Alcotest.test_case "multihop relay" `Slow test_multihop;
         Alcotest.test_case "lossy radio retries" `Slow test_city_with_losses;
+      ] );
+    ( "golden",
+      [
+        Alcotest.test_case "city under a fault plan" `Slow test_golden_city;
+        Alcotest.test_case "roaming, phishing, dos, multihop" `Slow
+          test_golden_others;
       ] );
     ( "faults",
       [
