@@ -1028,7 +1028,7 @@ let experiment_e15 () =
 (* E16: the live authority under wall-clock load                      *)
 (* ================================================================== *)
 
-(* Slo.run boots the real server (acceptor + worker domains, frame codec,
+(* Slo.run boots the real server (worker domains, frame codec,
    group-signature verification) on a private Unix socket and drives it
    with the loadgen client — so unlike the simulator experiments these
    numbers include sockets, scheduling, and lock contention. Three rows:
@@ -1164,24 +1164,22 @@ let ab_overhead ~id ~arm ~switch_on =
   Bench_record.add ~unit_:"pct" (id ^ ".overhead_pct") point
 
 (* ================================================================== *)
-(* E17: the cost of watching — trace propagation + flight recorder    *)
+(* E17: the cost of watching — trace propagation                      *)
 (* ================================================================== *)
 
-(* The E16 closed-loop path, dark against everything the observability
-   layer adds switched on: per-handshake span trees on both sides of the
-   wire (span JSONL into a memory buffer, so the cost measured is
-   instrumentation + the Traced envelope, not disk) and the flight
-   recorder at Debug. The acceptance bar is < 5% throughput overhead:
-   tracing you cannot afford to leave on is tracing nobody turns on. *)
+(* The E16 closed-loop path, dark against per-handshake span trees on
+   both sides of the wire (span JSONL into a memory buffer, so the cost
+   measured is instrumentation + the Traced envelope, not disk). The
+   flight recorder is always on, so both arms pay it. The acceptance bar
+   is < 5% throughput overhead: tracing you cannot afford to leave on is
+   tracing nobody turns on. *)
 
 let experiment_e17 () =
-  hr "E17 Observability overhead: wire tracing + flight recorder on the live path";
+  hr "E17 Observability overhead: wire tracing on the live path";
   let module Trace = Peace_obs.Trace in
-  let module Log = Peace_obs.Log in
   (* jsonl_to serialises its writes under a lock, so a plain Buffer is safe *)
   let buf = Buffer.create (1 lsl 20) in
   ab_overhead ~id:"e17" ~arm:"traced" ~switch_on:(fun () ->
-      Log.set_level Log.Debug;
       Trace.set_collector
         (Some (Peace_obs.Expo.jsonl_to (Buffer.add_string buf)));
       fun () -> Trace.set_collector None);
@@ -1208,26 +1206,11 @@ let experiment_e18 () =
   hr "E18 Audit ledger: append/verify throughput and live-path overhead";
   let module Audit = Peace_obs.Audit in
   let module Ecdsa = Peace_ec.Ecdsa in
-  let module Curve = Peace_ec.Curve in
-  let hex = Peace_hash.Sha256.to_hex and unhex = Peace_hash.Sha256.of_hex in
+  let module Operator = Peace_core.Network_operator in
   let curve = Lazy.force Peace_ec.Curves.secp160r1 in
   let key = Ecdsa.generate curve (drbg "e18-audit") in
   let signer =
-    {
-      Audit.s_algo = "ecdsa-" ^ Curve.name curve;
-      s_pk = hex (Curve.encode curve key.Ecdsa.q);
-      s_sign =
-        (fun payload ->
-          hex (Ecdsa.signature_to_bytes curve (Ecdsa.sign curve ~key payload)));
-    }
-  in
-  let verify_sig ~algo:_ ~pk ~payload ~signature =
-    match
-      ( Option.bind (unhex pk) (Curve.decode curve),
-        Option.bind (unhex signature) (Ecdsa.signature_of_bytes curve) )
-    with
-    | Some public, Some s -> Ecdsa.verify curve ~public payload s
-    | _ -> false
+    Operator.audit_signer curve ~public:key.Ecdsa.q ~sign:(Ecdsa.sign curve ~key)
   in
   subhr "micro: append and verify throughput (checkpoint every 32)";
   let n = if quick then 2_000 else 20_000 in
@@ -1263,7 +1246,9 @@ let experiment_e18 () =
   Printf.printf "%d rounds; median [q1, q3]\n" ab_rounds;
   Printf.printf "%-16s %26s %26s\n" "chain" "append/s" "verify/s";
   let _ = bench_chain "unsigned" None None in
-  let append, verify = bench_chain "signed ckpt/32" (Some signer) (Some verify_sig) in
+  let append, verify =
+    bench_chain "signed ckpt/32" (Some signer) (Some Operator.verify_audit_sig)
+  in
   Bench_record.add ~better:Bench_record.Higher ~unit_:"ops" "e18.append_per_s" append;
   Bench_record.add ~better:Bench_record.Higher ~unit_:"ops" "e18.verify_per_s" verify;
   subhr "macro: closed-loop authority, dark vs audit-enabled";

@@ -272,45 +272,13 @@ let audit gpk_path message sig_hex grt_path =
 
 (* --- the audit ledger (hash chain + signed checkpoints) --- *)
 
-(* a ledger signer backed by an ECDSA key: algorithm and public key are
-   embedded in the genesis record so verification needs no side channel *)
-let audit_signer curve ~public ~sign =
-  {
-    Peace_obs.Audit.s_algo = "ecdsa-" ^ Peace_ec.Curve.name curve;
-    s_pk = Peace_hash.Sha256.to_hex (Peace_ec.Curve.encode curve public);
-    s_sign =
-      (fun payload ->
-        Peace_hash.Sha256.to_hex (Peace_ec.Ecdsa.signature_to_bytes curve (sign payload)));
-  }
-
-(* checkpoint verification from genesis-embedded (algo, pk) alone *)
-let audit_verify_sig ~algo ~pk ~payload ~signature =
-  let curve =
-    match algo with
-    | "ecdsa-secp160r1" -> Some (Lazy.force Peace_ec.Curves.secp160r1)
-    | "ecdsa-secp256r1" -> Some (Lazy.force Peace_ec.Curves.secp256r1)
-    | _ -> None
-  in
-  match curve with
-  | None -> false
-  | Some curve -> (
-    match (hex_decode pk, hex_decode signature) with
-    | Ok pk_bytes, Ok sig_bytes -> (
-      match
-        ( Peace_ec.Curve.decode curve pk_bytes,
-          Peace_ec.Ecdsa.signature_of_bytes curve sig_bytes )
-      with
-      | Some public, Some s -> Peace_ec.Ecdsa.verify curve ~public payload s
-      | _ -> false)
-    | _ -> false)
-
 let audit_verify ledger_path allow_open =
   let lines =
     read_file ledger_path |> String.split_on_char '\n'
     |> List.filter (fun l -> String.trim l <> "")
   in
   match
-    Peace_obs.Audit.verify ~verify_sig:audit_verify_sig
+    Peace_obs.Audit.verify ~verify_sig:Peace_core.Network_operator.verify_audit_sig
       ~require_seal:(not allow_open) lines
   with
   | Ok r ->
@@ -387,8 +355,8 @@ let sim_audit_signer seed =
          ())
   in
   let key = Peace_ec.Ecdsa.generate curve rng in
-  audit_signer curve ~public:key.Peace_ec.Ecdsa.q ~sign:(fun payload ->
-      Peace_ec.Ecdsa.sign curve ~key payload)
+  Peace_core.Network_operator.audit_signer curve ~public:key.Peace_ec.Ecdsa.q
+    ~sign:(Peace_ec.Ecdsa.sign curve ~key)
 
 let simulate trace profile_out timeline faults_spec no_hardening invoices
     audit_path scenario seed =
@@ -1185,9 +1153,9 @@ let serve_auth trace params_src testbed_seed n_users addr workers
       in
       let curve = testbed.Service.Testbed.tb_config.Peace_core.Config.curve in
       let signer =
-        audit_signer curve
-          ~public:(Peace_core.Network_operator.public_key operator)
-          ~sign:(Peace_core.Network_operator.sign_audit operator)
+        Peace_core.Network_operator.(
+          audit_signer curve ~public:(public_key operator)
+            ~sign:(sign_audit operator))
       in
       let oc = open_out path in
       let ledger =
@@ -1306,7 +1274,11 @@ let serve_auth_cmd =
   let workers =
     Arg.(
       value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Connection worker domains.")
+      & info [ "workers" ] ~docv:"N"
+          ~doc:
+            "Worker domains. Each serves the connections it accepted, one \
+             ready request at a time, and a new connection goes to a worker \
+             holding the fewest.")
   in
   let beacon_period =
     Arg.(

@@ -48,14 +48,11 @@ type t = {
   mutable crl : Cert.crl option;
   mutable url : Url.t option;
   mutable puzzle_difficulty : int option;
-  mutable auto_defense : (int * int) option; (* threshold per window, difficulty *)
-  mutable request_times : int list; (* arrival times in the current window *)
   outstanding : (string, outstanding_beacon) Hashtbl.t; (* by g_rr encoding *)
   seen_requests : (string, int) Hashtbl.t; (* transcript hash -> ts (replay cache) *)
   mutable log : log_entry list;
   mutable verifications : int;
   mutable cheap_rejections : int;
-  mutable max_outstanding : int; (* pending-handshake table bound *)
   mutable resend_cache : bool; (* idempotent duplicate-(M.2) handling *)
   completed : (string, int * Messages.access_confirm * Session.t) Hashtbl.t;
       (* transcript hash -> (ts, confirm, session): replays of an
@@ -75,14 +72,11 @@ let create config ~router_id ~gpk ~operator_public ~rng =
     crl = None;
     url = None;
     puzzle_difficulty = None;
-    auto_defense = None;
-    request_times = [];
     outstanding = Hashtbl.create 32;
     seen_requests = Hashtbl.create 64;
     log = [];
     verifications = 0;
     cheap_rejections = 0;
-    max_outstanding = 512;
     resend_cache = false;
     completed = Hashtbl.create 64;
     resends = 0;
@@ -100,38 +94,15 @@ let set_under_attack t ~difficulty = t.puzzle_difficulty <- Some difficulty
 let clear_under_attack t = t.puzzle_difficulty <- None
 let under_attack t = t.puzzle_difficulty <> None
 
-
 let now t = Clock.now t.config.Config.clock
 
-let enable_auto_defense t ~threshold_per_s ~difficulty =
-  if threshold_per_s <= 0 || difficulty < 0 then
-    invalid_arg "Mesh_router.enable_auto_defense";
-  t.auto_defense <- Some (threshold_per_s, difficulty)
-
-let disable_auto_defense t = t.auto_defense <- None
-
-(* one-second sliding window over access-request arrivals; flips the
-   puzzle requirement on when the rate crosses the threshold and off when
-   it falls below half of it (hysteresis) *)
-let note_request_arrival t =
-  match t.auto_defense with
-  | None -> ()
-  | Some (threshold, difficulty) ->
-    let t_now = now t in
-    t.request_times <-
-      t_now :: List.filter (fun ts -> t_now - ts < 1000) t.request_times;
-    let rate = List.length t.request_times in
-    (match t.puzzle_difficulty with
-    | None when rate > threshold -> t.puzzle_difficulty <- Some difficulty
-    | Some _ when rate <= threshold / 2 && rate < threshold ->
-      t.puzzle_difficulty <- None
-    | _ -> ())
+let max_outstanding = 512
 
 (* keep the pending-handshake table bounded: beyond [max_outstanding]
    entries the oldest beacons are evicted first, so a beacon flood (or a
    long-lived router under churn) cannot grow state without limit *)
 let enforce_outstanding_bound t =
-  let excess = Hashtbl.length t.outstanding - t.max_outstanding in
+  let excess = Hashtbl.length t.outstanding - max_outstanding in
   if excess > 0 then begin
     let entries =
       Hashtbl.fold (fun key ob acc -> (ob.ob_ts, key) :: acc) t.outstanding []
@@ -242,7 +213,6 @@ let precheck t ~g_rj ~g_rr ~ts2 ~puzzle_solution =
   Obs.Counter.incr c_requests;
   Obs.Histogram.time h_precheck @@ fun () ->
   let t_now = now t in
-  note_request_arrival t;
   (* cheap checks first: freshness, matching beacon, puzzle *)
   if abs (t_now - ts2) > t.config.Config.ts_window_ms then
     `Reject (cheap_reject t Protocol_error.Stale_timestamp)
@@ -375,10 +345,5 @@ let requests_rejected_cheaply t = t.cheap_rejections
 let enable_resend_cache t = t.resend_cache <- true
 let confirms_resent t = t.resends
 let outstanding_count t = Hashtbl.length t.outstanding
-
-let set_max_outstanding t n =
-  if n <= 0 then invalid_arg "Mesh_router.set_max_outstanding";
-  t.max_outstanding <- n;
-  enforce_outstanding_bound t
 
 let update_gpk t gpk = t.gpk <- gpk

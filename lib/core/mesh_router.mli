@@ -151,19 +151,12 @@ val confirms_resent : t -> int
 val outstanding_count : t -> int
 (** Live entries in the pending-handshake (beacon) table. *)
 
-val set_max_outstanding : t -> int -> unit
-(** Bounds the pending-handshake table (default 512): beyond the bound the
-    oldest beacons are evicted first, so beacon floods cannot exhaust
-    memory. Entries also expire after 2× the timestamp window regardless
-    of pressure. *)
+val max_outstanding : int
+(** The pending-handshake table's bound, 512: beyond it the oldest
+    beacons are evicted first, so beacon floods cannot exhaust memory.
+    Entries also expire after 2× the timestamp window regardless of
+    pressure. *)
 
 val update_gpk : t -> Group_sig.gpk -> unit
 (** Epoch rotation: installs the operator's new group public key. *)
 
-val enable_auto_defense : t -> threshold_per_s:int -> difficulty:int -> unit
-(** Adaptive variant of the §V-A defence: the router monitors its
-    access-request arrival rate over a one-second sliding window and
-    attaches puzzles to beacons automatically while the rate exceeds
-    [threshold_per_s] (clearing with hysteresis at half the threshold). *)
-
-val disable_auto_defense : t -> unit

@@ -73,6 +73,34 @@ let public_key t = t.operator_key.Ecdsa.q
 let sign_audit t payload =
   Ecdsa.sign t.config.Config.curve ~key:t.operator_key payload
 
+(* algorithm and public key go into the genesis record, so a ledger
+   verifies offline with no side channel *)
+let audit_signer curve ~public ~sign =
+  let hex = Peace_hash.Sha256.to_hex in
+  {
+    Audit.s_algo = "ecdsa-" ^ Curve.name curve;
+    s_pk = hex (Curve.encode curve public);
+    s_sign = (fun payload -> hex (Ecdsa.signature_to_bytes curve (sign payload)));
+  }
+
+let verify_audit_sig ~algo ~pk ~payload ~signature =
+  let curve =
+    match algo with
+    | "ecdsa-secp160r1" -> Some Curves.secp160r1
+    | "ecdsa-secp256r1" -> Some Curves.secp256r1
+    | _ -> None
+  in
+  let unhex = Peace_hash.Sha256.of_hex in
+  match Option.map Lazy.force curve with
+  | None -> false
+  | Some curve -> (
+    match
+      ( Option.bind (unhex pk) (Curve.decode curve),
+        Option.bind (unhex signature) (Ecdsa.signature_of_bytes curve) )
+    with
+    | Some public, Some s -> Ecdsa.verify curve ~public payload s
+    | _ -> false)
+
 let group_count t = Hashtbl.length t.groups
 
 let grt_size t =

@@ -42,6 +42,21 @@ val sign_audit : t -> string -> Ecdsa.signature
     certificate key; {!public_key} (already distributed as NPK) verifies
     it, which is what lets anyone re-check a ledger offline. *)
 
+val audit_signer :
+  Curve.t -> public:Curve.point -> sign:(string -> Ecdsa.signature) ->
+  Peace_obs.Audit.signer
+(** An ECDSA ledger signer: [sign] signs each checkpoint payload, and
+    ["ecdsa-<curve>"] with [public] (hex) go into the genesis record. The
+    operator's is [audit_signer curve ~public:(public_key t)
+    ~sign:(sign_audit t)]. *)
+
+val verify_audit_sig :
+  algo:string -> pk:string -> payload:string -> signature:string -> bool
+(** The checkpoint verifier for {!Peace_obs.Audit.verify}: picks the curve
+    from the genesis record's [algo] (["ecdsa-secp160r1"] or
+    ["ecdsa-secp256r1"]); any other algorithm, or undecodable hex, is
+    [false]. *)
+
 (** {1 User group management} *)
 
 val register_group : t -> group_id:int -> size:int -> group_registration

@@ -3,9 +3,9 @@
    The flight recorder is the point: a fixed-capacity ring of the last N
    events that is always on, so when something goes wrong the recent
    past is already captured — no need to have had a sink attached. The
-   record path is lock-free (one atomic threshold read to reject, one
-   fetch-and-add to claim a slot, one atomic store to publish), so any
-   domain can log without contending beyond the cache line.
+   record path is lock-free (one fetch-and-add to claim a slot, one
+   atomic store to publish), so any domain can log without contending
+   beyond the cache line.
 
    Readers snapshot the ring without stopping writers. A slot being
    overwritten during a snapshot yields either the old or the new entry
@@ -37,29 +37,15 @@ type entry = {
   e_dom : int;  (* domain that emitted it *)
 }
 
-let threshold = Atomic.make (severity Debug)
-let set_level l = Atomic.set threshold (severity l)
-
-let level () =
-  match Atomic.get threshold with
-  | 0 -> Debug
-  | 1 -> Info
-  | 2 -> Warn
-  | _ -> Error
-
-let default_capacity = 1024
+let capacity = 1024
 
 type ring = { slots : entry option Atomic.t array; cursor : int Atomic.t }
 
-let make_ring n =
-  let n = Stdlib.max 1 n in
-  { slots = Array.init n (fun _ -> Atomic.make None); cursor = Atomic.make 0 }
+let make_ring () =
+  { slots = Array.init capacity (fun _ -> Atomic.make None); cursor = Atomic.make 0 }
 
-let ring = Atomic.make (make_ring default_capacity)
-let set_capacity n = Atomic.set ring (make_ring n)
-let capacity () = Array.length (Atomic.get ring).slots
-
-let clear () = set_capacity (capacity ())
+let ring = Atomic.make (make_ring ())
+let clear () = Atomic.set ring (make_ring ())
 
 let events_total = Registry.counter_family ~label:"level" "log.events_total"
 
@@ -78,21 +64,19 @@ let entry_json e =
     (Obs_json.str e.e_msg) e.e_dom attrs
 
 let event ?(attrs = []) lvl msg =
-  if severity lvl >= Atomic.get threshold then begin
-    let e =
-      {
-        e_ts = Registry.now_ns ();
-        e_level = lvl;
-        e_msg = msg;
-        e_attrs = attrs;
-        e_dom = (Domain.self () :> int);
-      }
-    in
-    let r = Atomic.get ring in
-    let i = Atomic.fetch_and_add r.cursor 1 in
-    Atomic.set r.slots.(i mod Array.length r.slots) (Some e);
-    Registry.Counter.incr (events_total (level_to_string lvl))
-  end
+  let e =
+    {
+      e_ts = Registry.now_ns ();
+      e_level = lvl;
+      e_msg = msg;
+      e_attrs = attrs;
+      e_dom = (Domain.self () :> int);
+    }
+  in
+  let r = Atomic.get ring in
+  let i = Atomic.fetch_and_add r.cursor 1 in
+  Atomic.set r.slots.(i mod capacity) (Some e);
+  Registry.Counter.incr (events_total (level_to_string lvl))
 
 let debug ?attrs msg = event ?attrs Debug msg
 let info ?attrs msg = event ?attrs Info msg
@@ -106,9 +90,8 @@ let attrs e = e.e_attrs
 
 let recent ?min_level ?label ?n () =
   let r = Atomic.get ring in
-  let cap = Array.length r.slots in
   let cur = Atomic.get r.cursor in
-  let want = match n with Some n -> Stdlib.min n cap | None -> cap in
+  let want = match n with Some n -> Stdlib.min n capacity | None -> capacity in
   let floor = match min_level with None -> 0 | Some l -> severity l in
   let keep e =
     severity e.e_level >= floor
@@ -120,7 +103,7 @@ let recent ?min_level ?label ?n () =
   let out = ref [] in
   (* newest first while scanning backwards, then reverse to oldest-first *)
   for i = cur - 1 downto lo do
-    match Atomic.get r.slots.(i mod cap) with
+    match Atomic.get r.slots.(i mod capacity) with
     | Some e when keep e -> out := e :: !out
     | Some _ | None -> ()
   done;

@@ -1,13 +1,13 @@
 (** Leveled, labeled, domain-safe logging with a flight recorder.
 
-    Every accepted event lands in a fixed-capacity lock-free ring — the
-    flight recorder — so the last N events are always available for a
-    post-hoc look ({!recent}, the authority's [/flight] endpoint) without
-    any sink having been attached in advance. The record path is a
-    threshold check (one atomic read) on rejection and three atomic
-    operations on acceptance; no locks, safe from any domain.
+    Every event, at every level, lands in a lock-free ring of
+    {!capacity} entries — the flight recorder — so the last events are
+    always available for a post-hoc look ({!recent}, the authority's
+    [/flight] endpoint) without any sink having been attached in
+    advance. The record path is three atomic operations; no locks, safe
+    from any domain.
 
-    Each accepted event also bumps the registry counter
+    Each event also bumps the registry counter
     [log.events_total{level="..."}]. *)
 
 type level = Debug | Info | Warn | Error
@@ -15,14 +15,8 @@ type level = Debug | Info | Warn | Error
 val level_to_string : level -> string
 val level_of_string : string -> level option
 
-val set_level : level -> unit
-(** Minimum level recorded (ring and counters both honour it).
-    Default: [Debug] — the flight recorder wants everything. *)
-
-val level : unit -> level
-
 val event : ?attrs:(string * string) list -> level -> string -> unit
-(** Record one event. Below-threshold events cost one atomic read. *)
+(** Record one event. *)
 
 val debug : ?attrs:(string * string) list -> string -> unit
 val info : ?attrs:(string * string) list -> string -> unit
@@ -61,9 +55,8 @@ val recent_jsonl :
     {"ts_ns":...,"level":"warn","msg":"queue full","dom":3,"attrs":{...}}
     v} *)
 
-val capacity : unit -> int
-
-val set_capacity : int -> unit
-(** Resize the ring. Discards current contents. Default capacity 1024. *)
+val capacity : int
+(** The ring's size, 1024: older events are overwritten. *)
 
 val clear : unit -> unit
+(** Empty the ring. *)

@@ -3,7 +3,6 @@ module Obs = Peace_obs.Registry
 module Trace = Peace_obs.Trace
 module Log = Peace_obs.Log
 module Serve = Peace_obs.Serve
-module Bq = Bounded_queue
 
 (* service.* observability: connection lifecycle and per-frame outcomes;
    the service.request span and its decode, verify and encode children
@@ -31,17 +30,24 @@ let total_errors () =
       else acc)
     0 (Obs.counters ())
 
+(* connections held open at once, so every descriptor the authority adds
+   stays below select's FD_SETSIZE (1 024) *)
+let max_conns = 512
+
 type t = {
   listener : Unix.file_descr;
   bound : Peace_sock.addr;
   stop_flag : bool Atomic.t;
-  conns : Unix.file_descr Bq.t;
+  held : int Atomic.t array; (* connections each worker owns *)
+  wake : (Unix.file_descr * Unix.file_descr) array;
+      (* a pipe per worker: a byte on it makes the worker look again at
+         whose turn it is to accept *)
+  waiting : int Atomic.t; (* connections with a frame ready, not yet served *)
   config : Config.t;
   router : Mesh_router.t;
   router_mu : Mutex.t;
   beacon_period_ms : int;
   mutable cached_beacon : (int * Messages.beacon) option;
-  mutable acceptor : unit Domain.t option;
   mutable workers : unit Domain.t list;
   stopped : bool Atomic.t; (* stop() ran to completion (idempotence) *)
 }
@@ -165,110 +171,159 @@ let handle_frame ?ctx t fd tag payload =
     count_error "write";
     false
 
-let serve_conn t fd =
-  (* the receive timeout is what lets an idle connection notice the stop
-     flag: a parked read wakes every 250 ms and re-checks *)
-  Peace_sock.set_timeout fd 0.25;
-  Obs.Counter.incr c_connections;
-  Obs.Gauge.incr g_active;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Gauge.decr g_active;
-      Peace_sock.close_noerr fd)
-    (fun () ->
-      let rec loop () =
-        if not (Atomic.get t.stop_flag) then begin
-          match Frames.read fd with
-          | Error `Timeout -> loop ()
-          | Error `Eof -> ()
-          | Error (`Err reason) ->
-            (* the stream has lost frame sync — count it and hang up; the
-               server itself keeps serving everyone else *)
-            count_error "frame";
-            Log.warn ~attrs:[ ("reason", reason) ] "frame sync lost, closing connection"
-          | Ok (Frames.Traced, payload) -> (
-            (* peel the trace envelope here so the dispatch below sees
-               only ordinary request tags; a bad envelope is a payload
-               error: reject and keep the connection *)
-            match Frames.unwrap_traced payload with
-            | Error reason ->
-              Obs.Counter.incr c_requests;
-              count_error "traced";
-              Log.warn ~attrs:[ ("reason", reason) ] "bad traced envelope";
-              (match
-                 Frames.write fd Frames.Rejected
-                   (Frames.rejected_payload ~code:0 ~detail:reason)
-               with
-              | Ok () -> loop ()
-              | Error _ -> count_error "write")
-            | Ok (tag, payload, ctx) ->
-              if handle_frame ~ctx t fd tag payload then loop ())
-          | Ok (tag, payload) -> if handle_frame t fd tag payload then loop ()
-        end
-      in
-      loop ())
+(* one frame from a connection that select found readable; [false]
+   closes the connection *)
+let serve_frame t fd =
+  match Frames.read fd with
+  | Error `Timeout -> true
+  | Error `Eof -> false
+  | Error (`Err reason) ->
+    (* the stream has lost frame sync — count it and hang up; the server
+       itself keeps serving everyone else *)
+    count_error "frame";
+    Log.warn ~attrs:[ ("reason", reason) ] "frame sync lost, closing connection";
+    false
+  | Ok (Frames.Traced, payload) -> (
+    (* peel the trace envelope here so the dispatch below sees only
+       ordinary request tags; a bad envelope is a payload error: reject
+       and keep the connection *)
+    match Frames.unwrap_traced payload with
+    | Error reason -> (
+      Obs.Counter.incr c_requests;
+      count_error "traced";
+      Log.warn ~attrs:[ ("reason", reason) ] "bad traced envelope";
+      match
+        Frames.write fd Frames.Rejected (Frames.rejected_payload ~code:0 ~detail:reason)
+      with
+      | Ok () -> true
+      | Error _ ->
+        count_error "write";
+        false)
+    | Ok (tag, payload, ctx) -> handle_frame ~ctx t fd tag payload)
+  | Ok (tag, payload) -> handle_frame t fd tag payload
 
-let worker_loop t () =
-  let rec next () =
-    match Bq.pop t.conns with
-    | None -> ()
-    | Some fd ->
-      Obs.Gauge.set g_queue_depth (Bq.length t.conns);
-      if Atomic.get t.stop_flag then Peace_sock.close_noerr fd
-      else begin
-        Obs.Gauge.incr g_workers_busy;
-        (* serve_conn's Fun.protect owns the close — never close here, or
-           a racing accept could reuse the fd number and lose a socket *)
-        (try serve_conn t fd
-         with _ ->
-           count_error "internal";
-           Log.error "worker crashed serving a connection");
-        Obs.Gauge.decr g_workers_busy
-      end;
-      next ()
+(* The next client goes to the worker that holds the fewest connections,
+   ties to the lowest index, while the authority holds fewer than
+   [max_conns]; beyond that, connections wait in the listen backlog.
+   One worker at a time is due, so which worker a client lands on
+   follows from the order of connects and hang-ups alone, never from
+   which worker woke first. *)
+let my_turn t i =
+  let mine = Atomic.get t.held.(i) in
+  let total = ref 0 and turn = ref true in
+  Array.iteri
+    (fun j h ->
+      let h = Atomic.get h in
+      total := !total + h;
+      if h < mine || (h = mine && j < i) then turn := false)
+    t.held;
+  !turn && !total < max_conns
+
+(* after worker [i] accepts or hangs up, the turn may have passed to a
+   worker parked in select without the listener *)
+let wake_others t i =
+  Array.iteri
+    (fun j (_, w) ->
+      if j <> i then
+        try ignore (Unix.single_write_substring w "!" 0 1)
+        with Unix.Unix_error _ -> () (* full: a wake-up is already pending *))
+    t.wake
+
+let drain fd =
+  let buf = Bytes.create 64 in
+  try while Unix.read fd buf 0 64 = 64 do () done with Unix.Unix_error _ -> ()
+
+(* Worker [i] owns the connections it accepted and serves one frame from
+   each that is ready per pass. It watches the listener only while it is
+   its turn to accept, so concurrent clients spread over the workers and
+   verify in parallel. The select timeout is what lets an idle worker see
+   the stop flag. *)
+let worker t i () =
+  let conns = ref [] in
+  let wake_r = fst t.wake.(i) in
+  let close fd =
+    Atomic.decr t.held.(i);
+    wake_others t i;
+    Obs.Gauge.decr g_active;
+    Peace_sock.close_noerr fd
   in
-  next ()
-
-let acceptor_loop t () =
+  let accept () =
+    match Unix.accept t.listener with
+    | exception
+        Unix.Unix_error
+          ((Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+      ->
+      () (* the client already left, or another worker took it *)
+    | exception Unix.Unix_error _ -> Atomic.set t.stop_flag true
+    | fd, _ ->
+      (* a read that select woke but whose frame stalls gives up after
+         250 ms, as a frame cut short *)
+      Peace_sock.set_timeout fd 0.25;
+      Atomic.incr t.held.(i);
+      wake_others t i;
+      Obs.Counter.incr c_connections;
+      Obs.Gauge.incr g_active;
+      conns := fd :: !conns
+  in
+  (* both move by the same delta: a [set] from the count could land out
+     of order with another worker's and leave the gauge stale at rest *)
+  let waiting d =
+    ignore (Atomic.fetch_and_add t.waiting d);
+    Obs.Gauge.add g_queue_depth d
+  in
+  let serve fd =
+    waiting (-1);
+    let keep =
+      try serve_frame t fd
+      with _ ->
+        count_error "internal";
+        Log.error "worker crashed serving a connection";
+        false
+    in
+    if not keep then begin
+      conns := List.filter (fun c -> c <> fd) !conns;
+      close fd
+    end
+  in
   let rec loop () =
     if not (Atomic.get t.stop_flag) then begin
-      (match Unix.select [ t.listener ] [] [] 0.25 with
-      | [], _, _ -> ()
-      | _ -> (
-        match Unix.accept t.listener with
-        | exception
-            Unix.Unix_error
-              ( ( Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN
-                | Unix.EWOULDBLOCK ),
-                _,
-                _ ) ->
-          ()
-        | exception Unix.Unix_error _ -> Atomic.set t.stop_flag true
-        | client, _ -> (
-          try
-            Bq.push t.conns client;
-            Obs.Gauge.set g_queue_depth (Bq.length t.conns)
-          with Bq.Closed -> Peace_sock.close_noerr client))
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      let watched = if my_turn t i then t.listener :: !conns else !conns in
+      (match Unix.select (wake_r :: watched) [] [] 0.25 with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | ready, _, _ ->
+        if List.mem wake_r ready then drain wake_r;
+        let ready_conns =
+          List.filter (fun fd -> fd <> t.listener && fd <> wake_r) ready
+        in
+        if ready_conns <> [] then begin
+          waiting (List.length ready_conns);
+          Obs.Gauge.incr g_workers_busy;
+          List.iter serve ready_conns;
+          Obs.Gauge.decr g_workers_busy
+        end;
+        (* the turn may have passed while this worker waited or served *)
+        if List.mem t.listener ready && my_turn t i then accept ());
       loop ()
     end
   in
-  loop ()
+  Fun.protect ~finally:(fun () -> List.iter close !conns) loop
 
 (* The authority's /healthz contribution. Two checks, re-evaluated per
    scrape:
 
-   - queue saturation: the acceptor's connection queue is at capacity,
-     i.e. producers are blocked and new clients are waiting in the TCP
-     backlog — the first externally visible backpressure signal.
+   - queue saturation: 4 × workers connections have a frame ready that
+     waits for its worker — the first externally visible backpressure
+     signal.
    - error-rate window: the fraction of errors among requests since the
      previous evaluation (stateful delta, so a burst of startup errors
      ages out after one scrape). Degraded above [threshold_pct] once at
      least [min_events] requests are in the window. *)
 let queue_health t () =
-  let len = Bq.length t.conns and cap = Bq.capacity t.conns in
+  let len = Atomic.get t.waiting and cap = 4 * Array.length t.held in
   if len >= cap then
-    Error (Printf.sprintf "connection queue saturated (%d/%d)" len cap)
+    Error
+      (Printf.sprintf "%d connections have a request waiting for their worker (limit %d)"
+         len cap)
   else Ok ()
 
 let error_rate_health ?(threshold_pct = 50) ?(min_events = 10) () =
@@ -305,19 +360,24 @@ let start ?(workers = 2) ?(beacon_period_ms = 1000) ~config ~router addr =
         listener;
         bound;
         stop_flag = Atomic.make false;
-        conns = Bq.create ~capacity:(4 * workers);
+        held = Array.init workers (fun _ -> Atomic.make 0);
+        wake =
+          Array.init workers (fun _ ->
+              let r, w = Unix.pipe ~cloexec:true () in
+              Unix.set_nonblock r;
+              Unix.set_nonblock w;
+              (r, w));
+        waiting = Atomic.make 0;
         config;
         router;
         router_mu = Mutex.create ();
         beacon_period_ms;
         cached_beacon = None;
-        acceptor = None;
         workers = [];
         stopped = Atomic.make false;
       }
     in
-    t.acceptor <- Some (Domain.spawn (acceptor_loop t));
-    t.workers <- List.init workers (fun _ -> Domain.spawn (worker_loop t));
+    t.workers <- List.init workers (fun i -> Domain.spawn (worker t i));
     register_health_checks t;
     Log.info
       ~attrs:[ ("addr", Peace_sock.addr_to_string bound) ]
@@ -329,9 +389,12 @@ let stop t =
     unregister_health_checks ();
     Log.info "authority stopping";
     Atomic.set t.stop_flag true;
-    Bq.close t.conns;
-    (match t.acceptor with Some d -> Domain.join d | None -> ());
     List.iter Domain.join t.workers;
+    Array.iter
+      (fun (r, w) ->
+        Peace_sock.close_noerr r;
+        Peace_sock.close_noerr w)
+      t.wake;
     Peace_sock.close_noerr t.listener;
     match t.bound with
     | Peace_sock.Unix_path path -> Peace_sock.unlink_noerr path

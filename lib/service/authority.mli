@@ -8,19 +8,30 @@
 
     {2 Architecture}
 
-    One {e acceptor} domain multiplexes [accept] against a stop flag and
-    feeds accepted connections into a {!Bounded_queue}
-    (blocking push: a saturated server throttles its accept loop instead
-    of queueing without bound). [workers] connection domains each pop a
-    connection and serve its frames to completion. Router state is
-    serialised behind one mutex, but only the {e cheap} phases of (M.2)
-    handling hold it ({!Mesh_router.access_precheck_frame} /
-    [access_finish]). The precheck reads the frame's encodings: a frame
-    it refuses, at the puzzle gate say, costs no point decode. The points
-    of a frame that passes ({!Mesh_router.access_points}) and the
-    group-signature verification run on the connection worker with the
-    mutex released, so up to [workers] verifications proceed in
-    parallel.
+    [workers] domains each own the connections they accepted. A worker
+    waits in [select] on its connections, and on the listener while it
+    is its turn to accept: the next client goes to the worker that holds
+    the fewest connections, ties to the lowest index, so concurrent
+    clients spread over the workers, and which worker a client lands on
+    follows from the order of connects and hang-ups alone. A worker whose
+    turn comes while it waits is woken through a pipe of its own. It
+    serves one frame from each ready connection per pass, so connections
+    that share a worker interleave their requests, and an idle connection
+    holds no worker. The authority holds at most 512 connections, which
+    keeps every descriptor it adds below [select]'s limit of 1 024;
+    further clients wait in the listen backlog (64). A client that drips
+    a frame byte by byte still holds its worker while it drips, and so
+    delays a new client whose turn falls to that worker; a frame that
+    stalls for 250 ms closes its connection.
+
+    Router state is serialised behind one mutex, but only the {e cheap}
+    phases of (M.2) handling hold it
+    ({!Mesh_router.access_precheck_frame} / [access_finish]). The
+    precheck reads the frame's encodings: a frame it refuses, at the
+    puzzle gate say, costs no point decode. The points of a frame that
+    passes ({!Mesh_router.access_points}) and the group-signature
+    verification run on the worker with the mutex released, so up to
+    [workers] verifications proceed in parallel.
 
     {2 Observability}
 
@@ -45,17 +56,19 @@
     worker crashes) go to the {!Peace_obs.Log} flight recorder.
 
     While running, the authority registers two {!Peace_obs.Serve} health
-    checks — [authority.queue] (connection queue saturated) and
+    checks — [authority.queue] (saturated: [4 * workers] connections
+    have a request ready that waits for its worker, the count
+    [service.conn_queue_depth] reports) and
     [authority.errors] (error rate over the requests since the previous
     evaluation above 50%, min 10 requests) — so a colocated [/healthz]
     returns 503 when the service degrades; {!stop} unregisters them.
 
     {2 Shutdown}
 
-    {!stop} is graceful: the acceptor quits, queued-but-unserved
-    connections are closed, and every worker answers the request it is
-    currently processing before closing its connection; all domains are
-    joined before {!stop} returns. *)
+    {!stop} is graceful: each worker answers the frames it is serving,
+    then closes every connection it holds, idle ones included, within
+    the 250 ms [select] timeout; all workers are joined before {!stop}
+    returns. *)
 
 open Peace_core
 
@@ -68,11 +81,10 @@ val start :
   router:Mesh_router.t ->
   Peace_sock.addr ->
   (t, string) result
-(** Binds [addr] and begins serving. Defaults: 2 connection workers and
-    a 1000 ms beacon refresh period (one broadcast beacon serves every
-    handshake inside the period, as in the paper's §IV-B broadcast
-    model). The connection queue holds [4 * workers] accepted
-    connections. A bind failure (e.g. [EADDRINUSE]) is [Error].
+(** Binds [addr] and begins serving on [workers] domains. Defaults: 2
+    workers and a 1000 ms beacon refresh period (one broadcast beacon
+    serves every handshake inside the period, as in the paper's §IV-B
+    broadcast model). A bind failure (e.g. [EADDRINUSE]) is [Error].
     @raise Invalid_argument if [workers < 1] or [beacon_period_ms < 1]. *)
 
 val bound_addr : t -> Peace_sock.addr

@@ -571,17 +571,14 @@ let test_router_outstanding_bound () =
   let _config, clock, d = make_deployment () in
   let _gm = Deployment.add_group d ~group_id:1 ~size:4 in
   let router = Deployment.add_router d ~router_id:7 in
-  Alcotest.check_raises "bound must be positive"
-    (Invalid_argument "Mesh_router.set_max_outstanding")
-    (fun () -> Mesh_router.set_max_outstanding router 0);
-  Mesh_router.set_max_outstanding router 3;
   (* a beacon flood cannot grow the pending-handshake table past the
      bound; the clock advances so "oldest" is well defined *)
-  for _ = 1 to 10 do
+  for _ = 1 to Mesh_router.max_outstanding + 8 do
     Clock.advance clock 10;
     ignore (Mesh_router.beacon router)
   done;
-  Alcotest.(check int) "table bounded under beacon flood" 3
+  Alcotest.(check int) "table bounded under beacon flood"
+    Mesh_router.max_outstanding
     (Mesh_router.outstanding_count router);
   (* the freshest beacon survived the eviction: a handshake against it works *)
   let bob = ok_or_fail_str "bob" (Deployment.add_user d identity_bob) in
@@ -594,7 +591,8 @@ let test_router_outstanding_bound () =
   | Ok _ -> ()
   | Error e ->
     Alcotest.failf "freshest beacon evicted: %s" (Protocol_error.to_string e));
-  Alcotest.(check int) "still bounded after handshake" 3
+  Alcotest.(check int) "still bounded after handshake"
+    Mesh_router.max_outstanding
     (Mesh_router.outstanding_count router)
 
 let test_relay_envelope () =

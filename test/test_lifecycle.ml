@@ -93,49 +93,6 @@ let test_old_signature_rejected_after_rotation () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "fresh request rejected: %s" (Protocol_error.to_string e)
 
-(* --- adaptive DoS defence --- *)
-
-let test_auto_defense_triggers () =
-  let _config, c, d = make () in
-  ignore (Deployment.add_group d ~group_id:1 ~size:4);
-  let router = Deployment.add_router d ~router_id:1 in
-  let user = ok_str (Deployment.add_user d (ident "u" [ 1 ])) in
-  Mesh_router.enable_auto_defense router ~threshold_per_s:5 ~difficulty:4;
-  Alcotest.(check bool) "initially off" false (Mesh_router.under_attack router);
-  (* a burst of junk requests crosses the threshold *)
-  let beacon = Mesh_router.beacon router in
-  let request, _ = ok (User.process_beacon user beacon) in
-  for _ = 1 to 10 do
-    (* replayed copies: cheap rejections, but they count as arrivals *)
-    ignore (Mesh_router.handle_access_request router request)
-  done;
-  Alcotest.(check bool) "defense engaged" true (Mesh_router.under_attack router);
-  (* beacons now carry puzzles, and legitimate users still get through *)
-  let beacon2 = Mesh_router.beacon router in
-  Alcotest.(check bool) "beacon has puzzle" true (beacon2.Messages.puzzle <> None);
-  let request2, pending2 = ok (User.process_beacon user beacon2) in
-  Alcotest.(check bool) "solution attached" true
-    (request2.Messages.puzzle_solution <> None);
-  let confirm, _ = Result.get_ok (Mesh_router.handle_access_request router request2) in
-  ignore (ok (User.process_confirm user pending2 confirm));
-  (* once quiet for a while, the defence disengages *)
-  Clock.advance c 5_000;
-  let beacon3 = Mesh_router.beacon router in
-  let r3, _ = ok (User.process_beacon user beacon3) in
-  ignore (Mesh_router.handle_access_request router r3);
-  Alcotest.(check bool) "defense released after quiet period" false
-    (Mesh_router.under_attack router)
-
-let test_auto_defense_validation () =
-  let _config, _c, d = make () in
-  let router = Deployment.add_router d ~router_id:1 in
-  Alcotest.check_raises "bad threshold"
-    (Invalid_argument "Mesh_router.enable_auto_defense") (fun () ->
-      Mesh_router.enable_auto_defense router ~threshold_per_s:0 ~difficulty:4);
-  Mesh_router.enable_auto_defense router ~threshold_per_s:5 ~difficulty:4;
-  Mesh_router.disable_auto_defense router;
-  Alcotest.(check bool) "disabled" false (Mesh_router.under_attack router)
-
 (* --- accounting / billing --- *)
 
 let test_accounting () =
@@ -242,11 +199,6 @@ let suite =
         Alcotest.test_case "group-level invoices" `Quick test_accounting;
         Alcotest.test_case "metering edge cases" `Quick test_accounting_edges;
         Alcotest.test_case "roaming handoffs" `Slow test_roaming_scenario;
-      ] );
-    ( "adaptive-defense",
-      [
-        Alcotest.test_case "triggers and releases" `Quick test_auto_defense_triggers;
-        Alcotest.test_case "validation" `Quick test_auto_defense_validation;
       ] );
   ]
 

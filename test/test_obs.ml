@@ -967,89 +967,72 @@ let test_serve_survives_client_disconnect () =
 module Log = Peace_obs.Log
 
 let test_log_ring () =
-  Log.set_capacity 8;
-  Fun.protect
-    ~finally:(fun () ->
-      Log.set_capacity 1024;
-      Log.set_level Log.Debug)
-    (fun () ->
-      Alcotest.(check int) "capacity applied" 8 (Log.capacity ());
-      for i = 1 to 12 do
-        Log.info ~attrs:[ ("i", string_of_int i) ] "wrap"
-      done;
-      let entries = Log.recent () in
-      Alcotest.(check int) "ring keeps exactly the last capacity events" 8
-        (List.length entries);
-      let nth_i k =
-        List.assoc_opt "i" (Log.attrs (List.nth entries k))
-      in
-      Alcotest.(check (option string)) "oldest surviving event first"
-        (Some "5") (nth_i 0);
-      Alcotest.(check (option string)) "newest event last" (Some "12") (nth_i 7);
-      Alcotest.(check bool) "timestamps monotone" true
-        (let rec mono = function
-           | a :: (b :: _ as rest) -> Log.ts a <= Log.ts b && mono rest
-           | _ -> true
-         in
-         mono entries);
-      (* ?n takes the newest n, still oldest-first *)
-      (match Log.recent ~n:2 () with
-      | [ a; b ] ->
-        Alcotest.(check (option string)) "n caps from the newest end"
-          (Some "11")
-          (List.assoc_opt "i" (Log.attrs a));
-        Alcotest.(check (option string)) "…keeping order" (Some "12")
-          (List.assoc_opt "i" (Log.attrs b))
-      | l -> Alcotest.failf "recent ~n:2 returned %d entries" (List.length l));
-      Log.clear ();
-      Alcotest.(check int) "clear empties the ring" 0
-        (List.length (Log.recent ())))
+  Log.clear ();
+  let total = Log.capacity + 4 in
+  for i = 1 to total do
+    Log.info ~attrs:[ ("i", string_of_int i) ] "wrap"
+  done;
+  let entries = Log.recent () in
+  Alcotest.(check int) "ring keeps exactly the last capacity events" Log.capacity
+    (List.length entries);
+  let nth_i k = List.assoc_opt "i" (Log.attrs (List.nth entries k)) in
+  Alcotest.(check (option string)) "oldest surviving event first" (Some "5")
+    (nth_i 0);
+  Alcotest.(check (option string)) "newest event last"
+    (Some (string_of_int total))
+    (nth_i (Log.capacity - 1));
+  Alcotest.(check bool) "timestamps monotone" true
+    (let rec mono = function
+       | a :: (b :: _ as rest) -> Log.ts a <= Log.ts b && mono rest
+       | _ -> true
+     in
+     mono entries);
+  (* ?n takes the newest n, still oldest-first *)
+  (match Log.recent ~n:2 () with
+  | [ a; b ] ->
+    Alcotest.(check (option string)) "n caps from the newest end"
+      (Some (string_of_int (total - 1)))
+      (List.assoc_opt "i" (Log.attrs a));
+    Alcotest.(check (option string)) "…keeping order"
+      (Some (string_of_int total))
+      (List.assoc_opt "i" (Log.attrs b))
+  | l -> Alcotest.failf "recent ~n:2 returned %d entries" (List.length l));
+  Log.clear ();
+  Alcotest.(check int) "clear empties the ring" 0 (List.length (Log.recent ()))
 
 let test_log_levels_and_counters () =
   Log.clear ();
-  Fun.protect
-    ~finally:(fun () -> Log.set_level Log.Debug)
-    (fun () ->
-      let c_warn = R.counter ~labels:[ ("level", "warn") ] "log.events_total" in
-      let before = R.Counter.value c_warn in
-      Log.set_level Log.Warn;
-      Log.debug "below threshold";
-      Log.info "also below";
-      Log.warn "recorded";
-      Log.error "also recorded";
-      let entries = Log.recent () in
-      Alcotest.(check int) "threshold filters the ring" 2 (List.length entries);
-      Alcotest.(check (list string)) "levels survive the ring"
-        [ "warn"; "error" ]
-        (List.map (fun e -> Log.level_to_string (Log.entry_level e)) entries);
-      Alcotest.(check int) "accepted events bump the labeled counter"
-        (before + 1) (R.Counter.value c_warn))
+  let counter level = R.counter ~labels:[ ("level", level) ] "log.events_total" in
+  let levels = [ "debug"; "info"; "warn"; "error" ] in
+  let before = List.map (fun l -> R.Counter.value (counter l)) levels in
+  Log.debug "d";
+  Log.info "i";
+  Log.warn "w";
+  Log.error "e";
+  Alcotest.(check (list string)) "every level lands in the ring" levels
+    (List.map (fun e -> Log.level_to_string (Log.entry_level e)) (Log.recent ()));
+  Alcotest.(check (list int)) "each event bumps its labeled counter"
+    (List.map (( + ) 1) before)
+    (List.map (fun l -> R.Counter.value (counter l)) levels)
 
 let test_log_min_level () =
   Log.clear ();
-  Fun.protect
-    ~finally:(fun () -> Log.set_level Log.Debug)
-    (fun () ->
-      Log.set_level Log.Debug;
-      Log.debug "d";
-      Log.info "i";
-      Log.warn "w";
-      Log.error "e";
-      Alcotest.(check int) "no floor: everything" 4
-        (List.length (Log.recent ()));
-      Alcotest.(check (list string)) "warn floor keeps warn and error"
-        [ "warn"; "error" ]
-        (List.map
-           (fun e -> Log.level_to_string (Log.entry_level e))
-           (Log.recent ~min_level:Log.Warn ()));
-      Alcotest.(check int) "error floor" 1
-        (List.length (Log.recent ~min_level:Log.Error ()));
-      (* the jsonl face — what /flight?level= serves — filters the same *)
-      let lines body =
-        List.filter (fun l -> l <> "") (String.split_on_char '\n' body)
-      in
-      Alcotest.(check int) "recent_jsonl filters too" 2
-        (List.length (lines (Log.recent_jsonl ~min_level:Log.Warn ()))))
+  Log.debug "d";
+  Log.info "i";
+  Log.warn "w";
+  Log.error "e";
+  Alcotest.(check int) "no floor: everything" 4 (List.length (Log.recent ()));
+  Alcotest.(check (list string)) "warn floor keeps warn and error"
+    [ "warn"; "error" ]
+    (List.map
+       (fun e -> Log.level_to_string (Log.entry_level e))
+       (Log.recent ~min_level:Log.Warn ()));
+  Alcotest.(check int) "error floor" 1
+    (List.length (Log.recent ~min_level:Log.Error ()));
+  (* the jsonl face — what /flight?level= serves — filters the same *)
+  let lines body = List.filter (fun l -> l <> "") (String.split_on_char '\n' body) in
+  Alcotest.(check int) "recent_jsonl filters too" 2
+    (List.length (lines (Log.recent_jsonl ~min_level:Log.Warn ())))
 
 let test_log_jsonl () =
   Log.clear ();
@@ -1231,6 +1214,7 @@ let test_live_ops_endpoints () =
 
 module Audit = Peace_obs.Audit
 module Ecdsa = Peace_ec.Ecdsa
+module Operator = Peace_core.Network_operator
 
 let audit_curve = Lazy.force Peace_ec.Curves.secp160r1
 
@@ -1242,24 +1226,8 @@ let audit_key =
 
 let audit_signer () =
   let key = Lazy.force audit_key in
-  {
-    Audit.s_algo = "ecdsa-" ^ Peace_ec.Curve.name audit_curve;
-    s_pk = Peace_hash.Sha256.to_hex (Peace_ec.Curve.encode audit_curve key.Ecdsa.q);
-    s_sign =
-      (fun payload ->
-        Peace_hash.Sha256.to_hex
-          (Ecdsa.signature_to_bytes audit_curve
-             (Ecdsa.sign audit_curve ~key payload)));
-  }
-
-let audit_verify_sig ~algo:_ ~pk ~payload ~signature =
-  match
-    ( Option.bind (Peace_hash.Sha256.of_hex pk) (Peace_ec.Curve.decode audit_curve),
-      Option.bind (Peace_hash.Sha256.of_hex signature)
-        (Ecdsa.signature_of_bytes audit_curve) )
-  with
-  | Some public, Some s -> Ecdsa.verify audit_curve ~public payload s
-  | _ -> false
+  Operator.audit_signer audit_curve ~public:key.Ecdsa.q
+    ~sign:(Ecdsa.sign audit_curve ~key)
 
 (* a sealed 20-event ledger with a checkpoint every 8 records, signed *)
 let audit_fixture () =
@@ -1281,7 +1249,7 @@ let audit_fixture () =
 let expect_break ?(verify_sig = true) lines ~seq ~reason_infix what =
   match
     Audit.verify
-      ?verify_sig:(if verify_sig then Some audit_verify_sig else None)
+      ?verify_sig:(if verify_sig then Some Operator.verify_audit_sig else None)
       lines
   with
   | Ok _ -> Alcotest.failf "%s: verification unexpectedly passed" what
@@ -1306,7 +1274,7 @@ let test_audit_chain_roundtrip () =
   Alcotest.(check int) "append after seal returns head seq" seq_before
     (Audit.append ledger ~kind:"late" []);
   Alcotest.(check int) "…and adds nothing" 24 (Audit.records ledger);
-  (match Audit.verify ~verify_sig:audit_verify_sig lines with
+  (match Audit.verify ~verify_sig:Operator.verify_audit_sig lines with
   | Error b -> Alcotest.failf "clean ledger failed at %d: %s" b.Audit.br_seq b.Audit.br_reason
   | Ok r ->
     Alcotest.(check int) "verify counts records" 24 r.Audit.vr_records;
@@ -1362,7 +1330,7 @@ let test_audit_tamper_truncate () =
   let cut = List.filteri (fun i _ -> i < 22) lines in
   expect_break cut ~seq:21 ~reason_infix:"checkpoint" "truncation";
   (* --allow-open (require_seal:false) accepts the same prefix *)
-  match Audit.verify ~verify_sig:audit_verify_sig ~require_seal:false cut with
+  match Audit.verify ~verify_sig:Operator.verify_audit_sig ~require_seal:false cut with
   | Ok r -> Alcotest.(check int) "open verify sees the prefix" 22 r.Audit.vr_records
   | Error b -> Alcotest.failf "open verify failed: %s" b.Audit.br_reason
 
@@ -1438,6 +1406,52 @@ let test_audit_tamper_signature () =
     Alcotest.failf "re-chained forgery should pass chain-only: %s" b.Audit.br_reason);
   (* …and only the signature check exposes it *)
   expect_break forged ~seq:9 ~reason_infix:"signature" "forged checkpoint"
+
+(* One verifier serves every ledger: it reads the curve from the genesis
+   record's algo, so a secp256r1 ledger verifies as the secp160r1 fixture
+   does, and the same key and signature read under another curve's or an
+   unknown algo do not. *)
+let test_audit_verifier_curves () =
+  let curve = Lazy.force Peace_ec.Curves.secp256r1 in
+  let key =
+    Ecdsa.generate curve
+      (Peace_hash.Drbg.bytes_fn
+         (Peace_hash.Drbg.create ~seed:"test-obs-audit-p256" ()))
+  in
+  let signer =
+    Operator.audit_signer curve ~public:key.Ecdsa.q ~sign:(Ecdsa.sign curve ~key)
+  in
+  Alcotest.(check string) "algo names the curve" "ecdsa-secp256r1"
+    signer.Audit.s_algo;
+  let lines = ref [] in
+  let ledger =
+    Audit.create ~checkpoint_every:4 ~signer
+      ~sink:(fun line -> lines := line :: !lines)
+      ()
+  in
+  for i = 1 to 6 do
+    ignore (Audit.append ledger ~kind:"access_accept" [ ("session", string_of_int i) ])
+  done;
+  Audit.seal ledger;
+  (match Audit.verify ~verify_sig:Operator.verify_audit_sig (List.rev !lines) with
+  | Ok r ->
+    Alcotest.(check bool) "signed" true r.Audit.vr_signed;
+    Alcotest.(check int) "every checkpoint checked" (Audit.checkpoints ledger)
+      r.Audit.vr_checkpoints
+  | Error b ->
+    Alcotest.failf "secp256r1 ledger failed at %d: %s" b.Audit.br_seq
+      b.Audit.br_reason);
+  let payload = "checkpoint payload" in
+  let signature = signer.Audit.s_sign payload in
+  let verify ?(pk = signer.Audit.s_pk) algo =
+    Operator.verify_audit_sig ~algo ~pk ~payload ~signature
+  in
+  Alcotest.(check bool) "its own algo verifies" true (verify "ecdsa-secp256r1");
+  Alcotest.(check bool) "another curve's algo refuses" false
+    (verify "ecdsa-secp160r1");
+  Alcotest.(check bool) "an unknown algo refuses" false (verify "rsa-2048");
+  Alcotest.(check bool) "undecodable hex refuses" false
+    (verify ~pk:"not hex" "ecdsa-secp256r1")
 
 (* --- UTF-16 surrogate pairs in JSON strings --- *)
 
@@ -2262,6 +2276,8 @@ let () =
             test_audit_tamper_reorder;
           Alcotest.test_case "forged checkpoint signature detected" `Quick
             test_audit_tamper_signature;
+          Alcotest.test_case "one verifier for both curves" `Quick
+            test_audit_verifier_curves;
           Alcotest.test_case "installed ledger and emit" `Quick
             test_audit_installed_emit;
         ] );

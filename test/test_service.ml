@@ -1,12 +1,11 @@
-(* Live-service tests: address parsing, the connection queue under
-   contention, the frame codec against hostile streams, the authority
-   end-to-end over real sockets (happy path, malformed payloads, truncated
-   frames, hostile (M.2)s, graceful shutdown), and the load generator's
-   statistics and latency span. *)
+(* Live-service tests: address parsing, the frame codec against hostile
+   streams, the authority end-to-end over real sockets (happy path,
+   malformed payloads, truncated frames, hostile (M.2)s, connections
+   sharing a worker, idle connections, graceful shutdown), and the load
+   generator's statistics and latency span. *)
 
 open Peace_core
 module Sock = Peace_sock
-module Bounded_queue = Peace_service.Bounded_queue
 module Frames = Peace_service.Frames
 module Testbed = Peace_service.Testbed
 module Authority = Peace_service.Authority
@@ -57,93 +56,6 @@ let test_listen_errors () =
     Sock.close_noerr fd;
     Alcotest.fail "over-long unix path accepted"
   | Error _ -> ()
-
-(* --- Bounded_queue --- *)
-
-let test_queue_fifo () =
-  let q = Bounded_queue.create ~capacity:4 in
-  Alcotest.(check int) "capacity" 4 (Bounded_queue.capacity q);
-  List.iter (Bounded_queue.push q) [ 1; 2; 3 ];
-  Alcotest.(check int) "length" 3 (Bounded_queue.length q);
-  Alcotest.(check (option int)) "fifo 1" (Some 1) (Bounded_queue.pop q);
-  Alcotest.(check (option int)) "fifo 2" (Some 2) (Bounded_queue.pop q);
-  Alcotest.(check (option int)) "fifo 3" (Some 3) (Bounded_queue.pop q);
-  Alcotest.check_raises "bad capacity"
-    (Invalid_argument "Bounded_queue.create: capacity must be >= 1") (fun () ->
-      ignore (Bounded_queue.create ~capacity:0))
-
-let test_queue_capacity_and_close () =
-  let q = Bounded_queue.create ~capacity:2 in
-  Bounded_queue.push q 1;
-  Bounded_queue.push q 2;
-  Bounded_queue.close q;
-  Bounded_queue.close q (* idempotent *);
-  Alcotest.check_raises "push after close" Bounded_queue.Closed (fun () ->
-      Bounded_queue.push q 4);
-  (* queued items remain poppable after close, then None *)
-  Alcotest.(check (option int)) "drain 1" (Some 1) (Bounded_queue.pop q);
-  Alcotest.(check (option int)) "drain 2" (Some 2) (Bounded_queue.pop q);
-  Alcotest.(check (option int)) "drained" None (Bounded_queue.pop q)
-
-let test_queue_backpressure () =
-  (* a producer domain pushes far more items than the queue holds; the
-     consumer observes every item in order and the queue never exceeds its
-     capacity — so the producer must have blocked rather than grown it *)
-  let capacity = 3 and total = 200 in
-  let q = Bounded_queue.create ~capacity in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to total do
-          Bounded_queue.push q i
-        done;
-        Bounded_queue.close q)
-  in
-  let seen = ref 0 and in_order = ref true and max_len = ref 0 in
-  let rec drain () =
-    match Bounded_queue.pop q with
-    | None -> ()
-    | Some i ->
-      incr seen;
-      if i <> !seen then in_order := false;
-      max_len := Stdlib.max !max_len (Bounded_queue.length q);
-      drain ()
-  in
-  drain ();
-  Domain.join producer;
-  Alcotest.(check int) "all items" total !seen;
-  Alcotest.(check bool) "in order" true !in_order;
-  Alcotest.(check bool)
-    (Printf.sprintf "bounded (max observed %d <= %d)" !max_len capacity)
-    true (!max_len <= capacity)
-
-let test_queue_mpmc () =
-  (* several producers and consumers hammer one queue; every pushed value
-     is popped exactly once *)
-  let q = Bounded_queue.create ~capacity:4 in
-  let per_producer = 50 and producers = 2 and consumers = 2 in
-  let produce base () =
-    for i = 0 to per_producer - 1 do
-      Bounded_queue.push q (base + i)
-    done
-  in
-  let consume () =
-    let rec go acc = match Bounded_queue.pop q with
-      | None -> acc
-      | Some v -> go (v :: acc)
-    in
-    go []
-  in
-  let prods = List.init producers (fun p -> Domain.spawn (produce (1000 * p))) in
-  let cons = List.init consumers (fun _ -> Domain.spawn consume) in
-  List.iter Domain.join prods;
-  Bounded_queue.close q;
-  let got = List.concat_map Domain.join cons in
-  let expected =
-    List.concat
-      (List.init producers (fun p -> List.init per_producer (fun i -> (1000 * p) + i)))
-  in
-  Alcotest.(check (list int)) "every item exactly once"
-    (List.sort compare expected) (List.sort compare got)
 
 (* --- frame codec over a socketpair --- *)
 
@@ -416,6 +328,192 @@ let test_authority_stop_idempotent () =
          ~router:testbed.Testbed.tb_router (Sock.Unix_path path))
   in
   Authority.stop server2
+
+(* A worker serves every connection it holds, one ready frame at a time:
+   three closed-loop clients on one worker all complete handshakes, and
+   none waits for another to hang up. *)
+let test_authority_one_worker_three_clients () =
+  with_authority ~n_users:3 ~workers:1 (fun testbed server ->
+      let r =
+        ok_or_fail "loadgen"
+          (Loadgen.run
+             ~connect:(Authority.bound_addr server)
+             ~testbed ~concurrency:3 ~duration_s:1.0 ())
+      in
+      Alcotest.(check (list (pair string int))) "no errors" [] r.Loadgen.lr_errors;
+      let latencies = r.Loadgen.lr_latencies_ms in
+      Alcotest.(check bool) "handshakes completed" true (Array.length latencies >= 3);
+      let max_ms = latencies.(Array.length latencies - 1) in
+      Alcotest.(check bool)
+        (Printf.sprintf "max latency %.1f ms under 500 ms" max_ms)
+        true (max_ms < 500.0))
+
+(* A connection that sends nothing holds no worker: with as many idle
+   connections open as there are workers, a member still completes a
+   handshake. *)
+let test_authority_idle_connections () =
+  with_authority ~workers:2 (fun testbed server ->
+      let idle = List.init 2 (fun _ -> connect_to server) in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sock.close_noerr idle)
+        (fun () ->
+          let fd = connect_to server in
+          Fun.protect
+            ~finally:(fun () -> Sock.close_noerr fd)
+            (fun () ->
+              let user = List.hd testbed.Testbed.tb_users in
+              let _session = full_handshake testbed fd ~user in
+              ())))
+
+(* Two clients land on two workers: while one drips a frame a byte at a
+   time, which holds its worker, the other is still answered at once. *)
+let test_authority_spreads_connections () =
+  with_authority ~workers:2 (fun _testbed server ->
+      let slow = connect_to server and fast = connect_to server in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sock.close_noerr [ slow; fast ])
+        (fun () ->
+          (* one answered ping each: the server holds both *)
+          List.iter
+            (fun fd ->
+              match request fd Frames.Ping "" with
+              | Frames.Pong, _ -> ()
+              | _ -> Alcotest.fail "expected Pong")
+            [ slow; fast ];
+          (* 17 bytes, one every 100 ms, each inside the server's 250 ms
+             read timeout *)
+          let frame =
+            let w = Wire.writer () in
+            Wire.u32 w 13;
+            Wire.u8 w (Frames.tag_to_int Frames.Access);
+            Wire.raw w (String.make 12 'x');
+            Wire.contents w
+          in
+          let drip =
+            Domain.spawn (fun () ->
+                String.iter
+                  (fun c ->
+                    ignore (Sock.write_all slow (String.make 1 c));
+                    Unix.sleepf 0.1)
+                  frame)
+          in
+          Unix.sleepf 0.05;
+          let t0 = Unix.gettimeofday () in
+          (match request fast Frames.Ping "" with
+          | Frames.Pong, _ -> ()
+          | _ -> Alcotest.fail "expected Pong");
+          let took = Unix.gettimeofday () -. t0 in
+          Domain.join drip;
+          Alcotest.(check bool)
+            (Printf.sprintf "answered in %.3f s while the other client drips" took)
+            true (took < 0.8)))
+
+(* The worker whose turn to accept comes while it waits in select is
+   woken at once: the first client goes to worker 0, which hands the
+   turn to worker 1, and the second client's first ping is answered
+   without waiting out worker 1's 250 ms select timeout. Seven rounds,
+   so a worker left to its timeout fails one of them all but surely. *)
+let test_authority_hands_over_turn () =
+  with_authority ~workers:2 (fun _testbed server ->
+      for round = 1 to 7 do
+        let ping fd =
+          match request fd Frames.Ping "" with
+          | Frames.Pong, _ -> ()
+          | _ -> Alcotest.fail "expected Pong"
+        in
+        let first = connect_to server in
+        Fun.protect
+          ~finally:(fun () -> Sock.close_noerr first)
+          (fun () ->
+            ping first;
+            let t0 = Unix.gettimeofday () in
+            let second = connect_to server in
+            Fun.protect
+              ~finally:(fun () -> Sock.close_noerr second)
+              (fun () ->
+                ping second;
+                let took = Unix.gettimeofday () -. t0 in
+                Alcotest.(check bool)
+                  (Printf.sprintf "round %d: second client answered in %.3f s" round took)
+                  true (took < 0.1)))
+      done)
+
+(* stop does not wait for idle clients to hang up: it closes the
+   connections the workers hold, and each client then reads end of
+   file *)
+let test_authority_stop_with_idle_connections () =
+  with_authority (fun _testbed server ->
+      let idle = List.init 3 (fun _ -> connect_to server) in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sock.close_noerr idle)
+        (fun () ->
+          (* one answered ping each: the server holds all three *)
+          List.iter
+            (fun fd ->
+              match request fd Frames.Ping "" with
+              | Frames.Pong, _ -> ()
+              | _ -> Alcotest.fail "expected Pong")
+            idle;
+          let t0 = Unix.gettimeofday () in
+          Authority.stop server;
+          let took = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "stop took %.2f s, under 2 s" took)
+            true (took < 2.0);
+          List.iter
+            (fun fd ->
+              match Frames.read fd with
+              | Error `Eof -> ()
+              | _ -> Alcotest.fail "idle client not closed at a frame boundary")
+            idle))
+
+(* One worker holds both connections: when one loses frame sync the
+   worker hangs up on it alone and keeps serving the other. *)
+let test_authority_drops_only_bad_connection () =
+  with_authority ~workers:1 (fun testbed server ->
+      let bad = connect_to server and good = connect_to server in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sock.close_noerr [ bad; good ])
+        (fun () ->
+          (* one answered ping each: the worker holds both *)
+          List.iter
+            (fun fd ->
+              match request fd Frames.Ping "" with
+              | Frames.Pong, _ -> ()
+              | _ -> Alcotest.fail "expected Pong")
+            [ bad; good ];
+          (* a length header past max_frame, and nothing after it, so the
+             server reads every byte sent before it hangs up *)
+          let w = Wire.writer () in
+          Wire.u32 w (Frames.max_frame + 1);
+          ok_or_fail "write" (Sock.write_all bad (Wire.contents w));
+          (match Frames.read bad with
+          | Error `Eof -> ()
+          | _ -> Alcotest.fail "connection kept after losing frame sync");
+          let user = List.hd testbed.Testbed.tb_users in
+          let _session = full_handshake testbed good ~user in
+          ()))
+
+(* The queue-depth gauge counts ready connections up as a pass finds
+   them and down as it serves them: after concurrent traffic over two
+   workers, with the workers joined, it is back where it started. *)
+let test_authority_queue_depth_drains () =
+  let depth = Peace_obs.Registry.gauge "service.conn_queue_depth" in
+  let g = Peace_obs.Registry.Gauge.value in
+  let before = g depth in
+  with_authority ~n_users:3 ~workers:2 (fun testbed server ->
+      let r =
+        ok_or_fail "loadgen"
+          (Loadgen.run
+             ~connect:(Authority.bound_addr server)
+             ~testbed ~concurrency:3 ~duration_s:0.5 ())
+      in
+      Alcotest.(check (list (pair string int))) "no errors" [] r.Loadgen.lr_errors;
+      Alcotest.(check bool) "handshakes completed" true
+        (Array.length r.Loadgen.lr_latencies_ms >= 3);
+      Authority.stop server;
+      Alcotest.(check int) "back to its start once the workers are joined"
+        before (g depth))
 
 let test_authority_traced_requests () =
   with_authority (fun testbed server ->
@@ -897,13 +995,6 @@ let suite =
         Alcotest.test_case "address parsing" `Quick test_addr_parsing;
         Alcotest.test_case "listen errors" `Quick test_listen_errors;
       ] );
-    ( "bounded-queue",
-      [
-        Alcotest.test_case "fifo" `Quick test_queue_fifo;
-        Alcotest.test_case "capacity and close" `Quick test_queue_capacity_and_close;
-        Alcotest.test_case "producer backpressure" `Quick test_queue_backpressure;
-        Alcotest.test_case "mpmc contention" `Quick test_queue_mpmc;
-      ] );
     ( "frames",
       [
         Alcotest.test_case "round trip" `Quick test_frame_round_trip;
@@ -921,6 +1012,20 @@ let suite =
           test_authority_truncated_frame;
         Alcotest.test_case "stop is graceful + idempotent" `Quick
           test_authority_stop_idempotent;
+        Alcotest.test_case "one worker serves three clients" `Quick
+          test_authority_one_worker_three_clients;
+        Alcotest.test_case "idle connections hold no worker" `Quick
+          test_authority_idle_connections;
+        Alcotest.test_case "clients spread over workers" `Quick
+          test_authority_spreads_connections;
+        Alcotest.test_case "turn to accept passes at once" `Quick
+          test_authority_hands_over_turn;
+        Alcotest.test_case "stop closes idle connections" `Quick
+          test_authority_stop_with_idle_connections;
+        Alcotest.test_case "lost frame sync drops one connection" `Quick
+          test_authority_drops_only_bad_connection;
+        Alcotest.test_case "queue depth drains to zero" `Quick
+          test_authority_queue_depth_drains;
         Alcotest.test_case "traced requests" `Quick test_authority_traced_requests;
         Alcotest.test_case "degraded health surfaces on /healthz" `Quick
           test_authority_degraded_health;
