@@ -1196,7 +1196,8 @@ let experiment_e17 () =
 
 (* Two faces of the ledger's price. Micro: raw append and verify
    throughput of the hash chain itself (with signed checkpoints every 32
-   records, the deployed shape). Macro: the E16 closed-loop authority
+   records, the deployed shape) on access_accept records of the live
+   shape at light. Macro: the E16 closed-loop authority
    twice — dark, then with an installed ledger recording every access
    decision and accounting event into a memory sink. The acceptance bar
    matches E17: < 5% throughput overhead, because an audit trail the
@@ -1214,8 +1215,16 @@ let experiment_e18 () =
   in
   subhr "micro: append and verify throughput (checkpoint every 32)";
   let n = if quick then 2_000 else 20_000 in
+  (* what finalize records at light, but for the 64-hex session id *)
+  let fx = make_fixture light "e18" and hex = Peace_hash.Sha256.to_hex in
+  let { Group_sig.t1; t2; _ } = fx.fx_sig and point = G1.encode light in
+  let live =
+    [ ("ts2", "1700000000000");
+      ("transcript", hex (Messages.auth_transcript_of_encodings (point t1) (point t2) 0));
+      ("gsig", hex (Group_sig.signature_to_bytes fx.fx_gpk fx.fx_sig)) ]
+  in
+  let lines = ref [] in
   let bench_chain label signer_opt verify_sig_opt =
-    let lines = ref [] in
     let append_ms =
       rounds_ms (fun () ->
           let acc = ref [] in
@@ -1227,7 +1236,7 @@ let experiment_e18 () =
           for i = 0 to n - 1 do
             ignore
               (Audit.append ledger ~kind:"access_accept"
-                 [ ("router", "1"); ("session", Printf.sprintf "%016x" i) ])
+                 (("router", "1") :: ("session", Printf.sprintf "%064x" i) :: live))
           done;
           Audit.seal ledger;
           lines := List.rev !acc)
@@ -1249,6 +1258,8 @@ let experiment_e18 () =
   let append, verify =
     bench_chain "signed ckpt/32" (Some signer) (Some Operator.verify_audit_sig)
   in
+  Printf.printf "one access_accept record: %d B rendered\n"
+    (String.length (List.nth !lines 1));
   Bench_record.add ~better:Bench_record.Higher ~unit_:"ops" "e18.append_per_s" append;
   Bench_record.add ~better:Bench_record.Higher ~unit_:"ops" "e18.verify_per_s" verify;
   subhr "macro: closed-loop authority, dark vs audit-enabled";
@@ -1267,10 +1278,10 @@ let experiment_e18 () =
         Audit.install None);
   Printf.printf "ledger written by the audited arm: %d B\n" (Buffer.length sink_buf);
   Printf.printf
-    "\nshape check: one append is one SHA-256 over a short line plus a\n\
-     mutex round trip; an ECDSA checkpoint every 32 records amortises to\n\
-     ~3%% of one group-signature verify per handshake — the audited arm\n\
-     should sit within run-to-run noise of the dark one.\n"
+    "\nshape check: one append is one SHA-256 over the record (about 1 kB\n\
+     at light) plus a mutex round trip; an ECDSA checkpoint every 32 records\n\
+     amortises to ~3%% of one group-signature verify per handshake — the\n\
+     audited arm should sit within run-to-run noise of the dark one.\n"
 
 (* ================================================================== *)
 (* E19: the cost of vigilance — alert engine on the live path         *)

@@ -2,8 +2,9 @@
 # End-to-end smoke of the tamper-evident audit ledger on the live path:
 # boot serve-auth with --audit, drive it with a loadgen burst, browse
 # /audit/head and /audit over the metrics listener, shut down cleanly,
-# then prove the produced ledger verifies — and that a tampered copy
-# does not. Driven by `dune build @auditsmoke`.
+# then prove the produced ledger holds an auditable record of every
+# accepted session and verifies — and that a tampered copy does not.
+# Driven by `dune build @auditsmoke`.
 set -euo pipefail
 
 PEACE=${1:?usage: auditsmoke.sh PATH_TO_PEACE_CLI}
@@ -36,7 +37,11 @@ done
 PORT=$(cat "$DIR/port.txt")
 
 # a short burst so the ledger records real access decisions
-"$PEACE" loadgen --addr "$SOCK" --users 2 --concurrency 2 --duration 1
+"$PEACE" loadgen --addr "$SOCK" --users 2 --concurrency 2 --duration 1 \
+  | tee "$DIR/loadgen.txt"
+OK=$(sed -n 's/^ *handshakes: \([0-9]*\) ok.*/\1/p' "$DIR/loadgen.txt")
+[ -n "$OK" ] && [ "$OK" -gt 0 ] \
+  || { echo "auditsmoke: loadgen completed no handshake"; exit 1; }
 
 # the live surfaces answer while the ledger is open
 "$PEACE" watch --port "$PORT" --get /audit/head > "$DIR/head.json"
@@ -56,6 +61,18 @@ SERVER_PID=
 "$PEACE" audit verify "$LEDGER" \
   || { echo "auditsmoke: pristine ledger failed to verify"; exit 1; }
 
+# one access_accept per accepted session, each carrying what the §IV-D
+# audit opens: the full session id, the (M.2) transcript and the group
+# signature
+ACCEPTS=$(grep -c '"kind":"access_accept"' "$LEDGER" || true)
+[ "$ACCEPTS" = "$OK" ] \
+  || { echo "auditsmoke: $ACCEPTS access_accept records for $OK handshakes"; exit 1; }
+AUDITABLE=$(grep '"kind":"access_accept"' "$LEDGER" \
+  | grep -E '"session":"[0-9a-f]{64}"' | grep -E '"transcript":"[0-9a-f]+"' \
+  | grep -Ec '"gsig":"[0-9a-f]+"' || true)
+[ "$AUDITABLE" = "$OK" ] \
+  || { echo "auditsmoke: $AUDITABLE of $OK access_accept records are auditable"; exit 1; }
+
 # a byte flip must be caught
 sed '2s/"ts":"1/"ts":"2/' "$LEDGER" > "$DIR/tampered.jsonl"
 if "$PEACE" audit verify "$DIR/tampered.jsonl" >/dev/null; then
@@ -69,4 +86,4 @@ if "$PEACE" audit verify "$DIR/cut.jsonl" >/dev/null; then
   echo "auditsmoke: truncated ledger verified"; exit 1
 fi
 
-echo "auditsmoke: ok (live /audit surfaces, sealed ledger verifies, tampering detected)"
+echo "auditsmoke: ok (live /audit surfaces, $OK accepted sessions auditable, sealed ledger verifies, tampering detected)"

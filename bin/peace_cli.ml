@@ -343,21 +343,6 @@ let parse_faults_or_exit spec =
       Peace_sim.Faults.grammar;
     exit 1
 
-(* a deterministic ledger signer for simulations: the keypair is derived
-   from the scenario seed, so the ledger's genesis pk — and every
-   checkpoint signature — is reproducible run to run *)
-let sim_audit_signer seed =
-  let curve = Lazy.force Peace_ec.Curves.secp160r1 in
-  let rng =
-    Peace_hash.Drbg.bytes_fn
-      (Peace_hash.Drbg.create
-         ~seed:(Printf.sprintf "peace-sim-audit-%d" seed)
-         ())
-  in
-  let key = Peace_ec.Ecdsa.generate curve rng in
-  Peace_core.Network_operator.audit_signer curve ~public:key.Peace_ec.Ecdsa.q
-    ~sign:(Peace_ec.Ecdsa.sign curve ~key)
-
 let simulate trace profile_out timeline faults_spec no_hardening invoices
     audit_path scenario seed =
   (* --timeline is one JSONL file carrying both faces of the run: span
@@ -393,6 +378,8 @@ let simulate trace profile_out timeline faults_spec no_hardening invoices
     exit 1
   end;
   let sampler = Option.map snd timeline in
+  (* --audit writes the city run's own ledger, the one its invoice reads *)
+  let audit_out = Option.map open_out audit_path in
   let run () =
     let open Peace_sim in
     match scenario with
@@ -406,7 +393,9 @@ let simulate trace profile_out timeline faults_spec no_hardening invoices
     | "city" ->
       let r =
         Scenario.city_auth ~seed ?sampler ~faults
-          ~hardened:(not no_hardening) ~invoices ~n_routers:4 ~n_users:20
+          ~hardened:(not no_hardening) ~invoices
+          ?audit:(Option.map (fun oc line -> output_string oc (line ^ "\n")) audit_out)
+          ~n_routers:4 ~n_users:20
           ~area_m:1500.0 ~range_m:600.0 ~duration_ms:60_000
           ~mean_interarrival_ms:10_000.0 ()
       in
@@ -419,7 +408,10 @@ let simulate trace profile_out timeline faults_spec no_hardening invoices
         Printf.printf "%-6s %9s %9s %12s\n" "group" "sessions" "bytes"
           "duration ms";
         List.iter
-          (fun (g, s, b, d) -> Printf.printf "%-6d %9d %9d %12d\n" g s b d)
+          (fun l ->
+            Peace_core.Accounting.(
+              Printf.printf "%-6d %9d %9d %12d\n" l.il_group_id l.il_sessions
+                l.il_bytes l.il_duration_ms))
           r.Scenario.cr_invoices
       end;
       if have_faults then begin
@@ -477,19 +469,9 @@ let simulate trace profile_out timeline faults_spec no_hardening invoices
         other;
       exit 2
   in
-  let run () =
-    match audit_path with
-    | None -> run ()
-    | Some path ->
-      Peace_obs.Audit.with_file
-        ~signer:(sim_audit_signer seed)
-        ~meta:
-          [ ("source", "simulate-" ^ scenario); ("seed", string_of_int seed) ]
-        path
-        (fun _ -> run ());
-      Printf.eprintf "audit ledger -> %s\n" path
-  in
   run ();
+  Option.iter close_out audit_out;
+  Option.iter (Printf.eprintf "audit ledger -> %s\n") audit_path;
   Option.iter
     (fun (path, sampler) ->
       Printf.eprintf "timeline: %d series, %d samples -> %s\n"
@@ -552,10 +534,10 @@ let simulate_cmd =
       & opt (some string) None
       & info [ "audit" ] ~docv:"FILE"
           ~doc:
-            "Record security events (city only) to a tamper-evident audit \
-             ledger at $(docv): hash-chained JSONL with checkpoints signed \
-             by a seed-derived ECDSA key. Check it afterwards with \
-             $(b,peace audit verify).")
+            "Write the city run's tamper-evident audit ledger, the one its \
+             $(b,--invoices) table reads, to $(docv): hash-chained JSONL \
+             with checkpoints signed by a seed-derived ECDSA key. Check it \
+             afterwards with $(b,peace audit verify).")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a WMN simulation scenario")
@@ -1160,10 +1142,7 @@ let serve_auth trace params_src testbed_seed n_users addr workers
       let oc = open_out path in
       let ledger =
         Peace_obs.Audit.create ~signer
-          ~sink:(fun line ->
-            output_string oc line;
-            output_char oc '\n';
-            flush oc)
+          ~sink:(fun line -> output_string oc (line ^ "\n"); flush oc)
           ~meta:[ ("source", "serve-auth") ]
           ()
       in
@@ -1331,8 +1310,11 @@ let serve_auth_cmd =
             "Append every security event (access accept/reject, revocation \
              reissue, audits, session accounting) to a tamper-evident \
              hash-chained ledger at $(docv), with checkpoints signed by the \
-             operator's certificate key. Verify offline with $(b,peace \
-             audit verify); browse live via /audit on the metrics \
+             operator's certificate key. Each accept carries the session \
+             id, the (M.2) transcript and the group signature, which is \
+             what the §IV-D audit opens. Without this option the authority \
+             keeps no record of accepted sessions. Verify offline with \
+             $(b,peace audit verify); browse live via /audit on the metrics \
              listener.")
   in
   let alerts =

@@ -30,7 +30,11 @@ let () =
     \  pairs, unlinkable to each other and to the user.\n\n"
     r.Peace_sim.Scenario.ro_sessions_per_user;
 
-  (* 2. metering and invoicing on a small deterministic deployment *)
+  (* 2. metering and invoicing on a small deterministic deployment; the
+        audit ledger, kept in memory, records each accepted session *)
+  let ledger = ref [] in
+  Peace_obs.Audit.install
+    (Some (Peace_obs.Audit.create ~sink:(fun line -> ledger := line :: !ledger) ()));
   let config = Config.tiny_test () in
   let d = Deployment.create ~seed:"billing" config in
   ignore (Deployment.add_group d ~group_id:1 ~size:4); (* Company X *)
@@ -64,7 +68,9 @@ let () =
   browse student 500 80_000;
   Printf.printf "metered %d sessions at router 1; producing the operator's invoice:\n\n"
     (List.length (Accounting.usages meter));
-  let lines = Accounting.invoice (Deployment.operator d) ~router meter in
+  let lines =
+    Accounting.invoice (Deployment.operator d) ~ledger:(List.rev !ledger) meter
+  in
   Format.printf "%a" Accounting.pp_invoice lines;
   Printf.printf
     "\nthe invoice names user GROUPS only: Company X pays for three sessions\n\

@@ -19,6 +19,10 @@ let ok = function
 
 let () =
   Printf.printf "== PEACE privacy and accountability walk-through ==\n\n";
+  (* the audit ledger, kept in memory: the only record of each session *)
+  let ledger = ref [] in
+  Peace_obs.Audit.install
+    (Some (Peace_obs.Audit.create ~sink:(fun line -> ledger := line :: !ledger) ()));
   let config = Config.tiny_test () in
   let d = Deployment.create ~seed:"privacy" config in
   let _company = Deployment.add_group d ~group_id:1 ~size:4 in
@@ -55,25 +59,25 @@ let () =
     "\nno identifier, key or signature component repeats across sessions —\n\
      an eavesdropper cannot link them to each other, let alone to carol.\n\n";
 
-  (* the operator audits each logged session: group only *)
+  (* the operator audits each session on the ledger, latest first: group
+     only *)
   Printf.printf "operator audits (reveal the ROLE, not the person):\n";
+  let ledger = List.rev !ledger in
+  let accepted = Option.get (Mesh_router.accepted_sessions (Deployment.gpk d) ledger) in
   List.iter
-    (fun entry ->
-      match
-        Law_authority.audit_only (Deployment.operator d)
-          ~msg:entry.Mesh_router.le_transcript
-          (Option.get (Mesh_router.logged_signature router entry))
-      with
+    (fun s ->
+      let msg, gsig = Option.get (accepted (Session.id s)) in
+      match Law_authority.audit_only (Deployment.operator d) ~msg gsig with
       | Some finding ->
         Printf.printf "  session %s... -> %s\n"
-          (String.sub entry.Mesh_router.le_session_id 0 12)
+          (String.sub (Session.id s) 0 12)
           (Option.value ~default:"?" finding.Law_authority.traced_nonessential)
       | None -> Printf.printf "  audit failed\n")
-    (Mesh_router.access_log router);
+    [ s_golf; s_study; s_work ];
 
   (* full trace of ONE session requires the group manager too *)
   Printf.printf "\nlaw authority traces the golf session with the club's cooperation:\n";
-  (match Deployment.trace_session d router ~session_id:(Session.id s_golf) with
+  (match Deployment.trace_session d ~ledger ~session_id:(Session.id s_golf) with
   | Some result ->
     Printf.printf "  group %d + GM record -> uid %s\n"
       result.Law_authority.traced_group_id

@@ -10,6 +10,11 @@ open Peace_core
 
 let () =
   Printf.printf "== PEACE quickstart ==\n\n";
+  (* The audit ledger, kept in memory here: the router records each
+     accepted session on it, and the §IV-D audit reads it back. *)
+  let ledger = ref [] in
+  Peace_obs.Audit.install
+    (Some (Peace_obs.Audit.create ~sink:(fun line -> ledger := line :: !ledger) ()));
 
   (* 1. Offline setup (paper §IV-A): operator, TTP, one user group. *)
   let config = Config.tiny_test () in
@@ -78,14 +83,15 @@ let () =
   | Some plaintext -> Printf.printf "alice decrypted downlink: %S\n" plaintext
   | None -> failwith "session broken");
 
-  (* 6. Accountability: the operator can attribute the logged session to
-        Company X — and only to Company X. *)
-  let entry = List.hd (Mesh_router.access_log router) in
-  (match
-     Law_authority.audit_only (Deployment.operator deployment)
-       ~msg:entry.Mesh_router.le_transcript
-       (Option.get (Mesh_router.logged_signature router entry))
-   with
+  (* 6. Accountability: the operator can attribute the session the ledger
+        recorded to Company X — and only to Company X. *)
+  let accepted =
+    Option.get
+      (Mesh_router.accepted_sessions (Deployment.gpk deployment)
+         (List.rev !ledger))
+  in
+  let msg, gsig = Option.get (accepted (Session.id router_session)) in
+  (match Law_authority.audit_only (Deployment.operator deployment) ~msg gsig with
   | Some finding ->
     Printf.printf
       "\naudit: session attributable to user group %d (\"Company X\"); the \

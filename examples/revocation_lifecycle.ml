@@ -11,6 +11,10 @@ let ok = function
 
 let () =
   Printf.printf "== PEACE membership lifecycle ==\n\n";
+  (* the audit ledger, kept in memory: the only record of each session *)
+  let ledger = ref [] in
+  Peace_obs.Audit.install
+    (Some (Peace_obs.Audit.create ~sink:(fun line -> ledger := line :: !ledger) ()));
   let config = Config.tiny_test () in
   let d = Deployment.create ~seed:"lifecycle" config in
   let gm = Deployment.add_group d ~group_id:10 ~size:2 in
@@ -32,17 +36,16 @@ let () =
 
   (* both authenticate fine *)
   ignore (ok (Deployment.authenticate d ~user:mallory ~router ()));
-  ignore (ok (Deployment.authenticate d ~user:honest ~router ()));
+  let latest, _ = ok (Deployment.authenticate d ~user:honest ~router ()) in
   Printf.printf "both members authenticated\n\n";
 
-  (* mallory misbehaves: a logged session is audited, her group identified,
-     and the operator revokes the key the audit pinned down *)
-  let entry = List.hd (Mesh_router.access_log router) in
-  (match
-     Network_operator.audit (Deployment.operator d)
-       ~msg:entry.Mesh_router.le_transcript
-       (Option.get (Mesh_router.logged_signature router entry))
-   with
+  (* mallory misbehaves: the latest session on the ledger is audited, its
+     group identified, and the operator revokes mallory's key *)
+  let accepted =
+    Option.get (Mesh_router.accepted_sessions (Deployment.gpk d) (List.rev !ledger))
+  in
+  let msg, gsig = Option.get (accepted (Session.id latest)) in
+  (match Network_operator.audit (Deployment.operator d) ~msg gsig with
   | Some finding ->
     Printf.printf "audit of the suspicious session: user group %d, key index %d\n"
       finding.Network_operator.found_group_id finding.Network_operator.found_index

@@ -50,7 +50,7 @@ let close_session meter ~session_id ~duration_ms =
       :: meter.closed;
     Peace_obs.Audit.emit ~kind:"session_close"
       [
-        ("session", Session.short_id session_id);
+        ("session", session_id);
         ("bytes_up", string_of_int l.bytes_up);
         ("bytes_down", string_of_int l.bytes_down);
         ("duration_ms", string_of_int duration_ms);
@@ -67,38 +67,33 @@ type invoice_line = {
   il_duration_ms : int;
 }
 
-let invoice no ~router meter =
-  let log = Mesh_router.access_log router in
+let invoice no ~ledger meter =
+  let accepted =
+    Option.value ~default:(fun _ -> None)
+      (Mesh_router.accepted_sessions (Network_operator.gpk no) ledger)
+  in
   let by_group = Hashtbl.create 8 in
   List.iter
-    (fun usage ->
-      let ( let* ) = Option.bind in
-      let finding =
-        let* entry =
-          List.find_opt
-            (fun e -> e.Mesh_router.le_session_id = usage.u_session_id)
-            log
-        in
-        let* gsig = Mesh_router.logged_signature router entry in
-        Network_operator.audit no ~msg:entry.Mesh_router.le_transcript gsig
-      in
-      match finding with
+    (fun u ->
+      match
+        Option.bind (accepted u.u_session_id) (fun (msg, gsig) ->
+            Network_operator.audit no ~msg gsig)
+      with
       | None -> ()
-      | Some finding ->
-        let group_id = finding.Network_operator.found_group_id in
-        let sessions, bytes, duration =
-          Option.value ~default:(0, 0, 0) (Hashtbl.find_opt by_group group_id)
+      | Some { Network_operator.found_group_id = g; _ } ->
+        let l =
+          Option.value (Hashtbl.find_opt by_group g)
+            ~default:{ il_group_id = g; il_sessions = 0; il_bytes = 0; il_duration_ms = 0 }
         in
-        Hashtbl.replace by_group group_id
-          ( sessions + 1,
-            bytes + usage.u_bytes_up + usage.u_bytes_down,
-            duration + usage.u_duration_ms ))
+        Hashtbl.replace by_group g
+          {
+            l with
+            il_sessions = l.il_sessions + 1;
+            il_bytes = l.il_bytes + u.u_bytes_up + u.u_bytes_down;
+            il_duration_ms = l.il_duration_ms + u.u_duration_ms;
+          })
     meter.closed;
-  Hashtbl.fold
-    (fun il_group_id (il_sessions, il_bytes, il_duration_ms) acc ->
-      { il_group_id; il_sessions; il_bytes; il_duration_ms } :: acc)
-    by_group []
-  |> List.sort (fun a b -> compare a.il_group_id b.il_group_id)
+  List.sort compare (Hashtbl.fold (fun _ l acc -> l :: acc) by_group [])
 
 let pp_invoice fmt lines =
   List.iter

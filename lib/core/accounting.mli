@@ -50,11 +50,16 @@ type invoice_line = {
 }
 
 val invoice :
-  Network_operator.t -> router:Mesh_router.t -> meter -> invoice_line list
-(** Attributes every metered (closed) session of this router's access log
-    to its user group with {!Network_operator.audit} and aggregates.
-    Sessions whose signature does not open (e.g. foreign/unknown keys) are
-    skipped — they were never granted access in the first place. Lines are
-    sorted by group id. *)
+  Network_operator.t -> ledger:string list -> meter -> invoice_line list
+(** Attributes every metered (closed) session to its user group and
+    aggregates. Each usage joins the [access_accept] record of the same
+    session id in [ledger] (one rendered audit record per line), and that
+    record's transcript and signature open with {!Network_operator.audit}.
+    The ledger's accept records are indexed once, and read only if its
+    chain verifies ({!Mesh_router.accepted_sessions}): a ledger that fails
+    verification bills nothing. Sessions the ledger does not hold, or
+    whose signature does not open (e.g. foreign/unknown keys), are skipped
+    — they were never granted access in the first place. Lines are sorted
+    by group id. *)
 
 val pp_invoice : Format.formatter -> invoice_line list -> unit

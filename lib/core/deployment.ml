@@ -179,19 +179,13 @@ let revoke_router t ~router_id =
   Network_operator.revoke_router t.no ~router_id;
   refresh_routers t
 
-let trace_session t router ~session_id =
-  let entry =
-    List.find_opt
-      (fun e -> e.Mesh_router.le_session_id = session_id)
-      (Mesh_router.access_log router)
-  in
-  match entry with
-  | None -> None
-  | Some entry ->
-    Option.bind (Mesh_router.logged_signature router entry) (fun gsig ->
-        Law_authority.trace t.no
-          ~group_manager_of:(fun group_id -> Hashtbl.find_opt t.gms group_id)
-          ~msg:entry.Mesh_router.le_transcript gsig)
+let trace_session t ~ledger ~session_id =
+  let ( let* ) = Option.bind in
+  let* accepted = Mesh_router.accepted_sessions (gpk t) ledger in
+  let* msg, gsig = accepted session_id in
+  Law_authority.trace t.no
+    ~group_manager_of:(fun group_id -> Hashtbl.find_opt t.gms group_id)
+    ~msg gsig
 
 let rotate_epoch t =
   let batches = Network_operator.rotate_epoch t.no in

@@ -62,9 +62,13 @@ val revoke_user : t -> uid:string -> group_id:int -> (unit, string) result
 val revoke_router : t -> router_id:int -> unit
 
 val trace_session :
-  t -> Mesh_router.t -> session_id:string -> Law_authority.trace_result option
-(** The full audit chain on a logged session: router log → NO audit → GM
-    lookup. *)
+  t -> ledger:string list -> session_id:string ->
+  Law_authority.trace_result option
+(** The full audit chain on a session: its [access_accept] record in
+    [ledger] (one rendered audit record per line) → NO audit → GM lookup.
+    [None] when the ledger's chain does not verify
+    ({!Mesh_router.accepted_sessions}), when it holds no such session, or
+    when the signature does not open. *)
 
 val rotate_epoch : t -> unit
 (** URL compaction (§V-A "group public key update"): the operator rolls

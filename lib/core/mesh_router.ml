@@ -4,6 +4,7 @@ open Peace_pairing
 open Peace_groupsig
 module Obs = Peace_obs.Registry
 module Audit = Peace_obs.Audit
+module Sha256 = Peace_hash.Sha256
 
 (* per-request observability: phase latencies of (M.2) handling and the
    length of the revocation scan each verification pays for; the
@@ -21,13 +22,6 @@ let audit_reject router_id err =
       ("code", string_of_int code);
       ("reason", Protocol_error.code_name code);
     ]
-
-type log_entry = {
-  le_session_id : string;
-  le_ts : int;
-  le_transcript : string;
-  le_gsig_bytes : string;
-}
 
 type outstanding_beacon = {
   ob_g : G1.point;
@@ -50,7 +44,6 @@ type t = {
   mutable puzzle_difficulty : int option;
   outstanding : (string, outstanding_beacon) Hashtbl.t; (* by g_rr encoding *)
   seen_requests : (string, int) Hashtbl.t; (* transcript hash -> ts (replay cache) *)
-  mutable log : log_entry list;
   mutable verifications : int;
   mutable cheap_rejections : int;
   mutable resend_cache : bool; (* idempotent duplicate-(M.2) handling *)
@@ -74,7 +67,6 @@ let create config ~router_id ~gpk ~operator_public ~rng =
     puzzle_difficulty = None;
     outstanding = Hashtbl.create 32;
     seen_requests = Hashtbl.create 64;
-    log = [];
     verifications = 0;
     cheap_rejections = 0;
     resend_cache = false;
@@ -226,7 +218,7 @@ let precheck t ~g_rj ~g_rr ~ts2 ~puzzle_solution =
          answered gets the cached (M.3) back (a lost confirm is then
          recoverable by retransmission); anything else replayed is
          rejected exactly as before. *)
-      let fingerprint = Peace_hash.Sha256.digest transcript in
+      let fingerprint = Sha256.digest transcript in
       if Hashtbl.mem t.seen_requests fingerprint then begin
         match
           if t.resend_cache then Hashtbl.find_opt t.completed fingerprint
@@ -274,7 +266,8 @@ let access_precheck_frame t (f : Messages.access_frame) =
 let access_points t gpk ticket f =
   Messages.access_request_of_frame t.config gpk ~g_rr:ticket.at_beacon.ob_g_rr f
 
-(* the post-verification half: key agreement, audit log, (M.3) *)
+(* the post-verification half: key agreement, the ledger's accept record,
+   (M.3) *)
 let finalize t (m : Messages.access_request) ob transcript =
   let params = t.config.Config.pairing in
   let session =
@@ -282,14 +275,6 @@ let finalize t (m : Messages.access_request) ob transcript =
       ~remote_share:m.Messages.g_rj ~initiator_share:m.Messages.g_rj
       ~responder_share:ob.ob_g_rr
   in
-  t.log <-
-    {
-      le_session_id = Session.id session;
-      le_ts = m.Messages.ts2;
-      le_transcript = transcript;
-      le_gsig_bytes = Group_sig.signature_to_bytes t.gpk m.Messages.gsig;
-    }
-    :: t.log;
   (* (M.3): E_K(MR_k, g^{r_j}, g^{r_R}), and both shares echoed *)
   let g_rj = G1.encode params m.Messages.g_rj in
   let g_rr = G1.encode params ob.ob_g_rr in
@@ -301,15 +286,41 @@ let finalize t (m : Messages.access_request) ob transcript =
   let confirm = { Messages.ac_g_rj = g_rj; ac_g_rr = g_rr; payload } in
   if t.resend_cache then
     Hashtbl.replace t.completed
-      (Peace_hash.Sha256.digest transcript)
+      (Sha256.digest transcript)
       (m.Messages.ts2, confirm, session);
+  (* the only record of an accepted session: what the §IV-D audit opens,
+     read back by [accepted_sessions] *)
   Audit.emit ~kind:"access_accept"
     [
       ("router", string_of_int t.router_id);
-      ("session", Session.short_id (Session.id session));
+      ("session", Session.id session);
       ("ts2", string_of_int m.Messages.ts2);
+      ("transcript", Sha256.to_hex transcript);
+      ("gsig", Sha256.to_hex (Group_sig.signature_to_bytes t.gpk m.Messages.gsig));
     ];
   Ok (confirm, session)
+
+let accepted_sessions gpk ledger =
+  let ( let* ) = Option.bind in
+  let* report =
+    Result.to_option
+      (Audit.verify ~verify_sig:Network_operator.verify_audit_sig
+         ~require_seal:false ledger)
+  in
+  let index = Hashtbl.create 64 in
+  List.iter
+    (fun (kind, attrs) ->
+      let hex key = Option.bind (List.assoc_opt key attrs) Sha256.of_hex in
+      match (kind, List.assoc_opt "session" attrs, hex "transcript", hex "gsig") with
+      | "access_accept", Some id, Some transcript, Some gsig ->
+        Hashtbl.replace index id (transcript, gsig)
+      | _ -> ())
+    report.Audit.vr_walked;
+  Some
+    (fun session_id ->
+      let* transcript, gsig = Hashtbl.find_opt index session_id in
+      let* signature = Group_sig.signature_of_bytes gpk gsig in
+      Some (transcript, signature))
 
 (* a verdict means a signature was verified: the count is taken here, so a
    request that passed the precheck but whose points did not decode is
@@ -336,10 +347,6 @@ let handle_access_request t (m : Messages.access_request) =
     Group_sig.verify t.gpk ~url ~msg:transcript m.Messages.gsig
     |> access_finish t m ticket
 
-let access_log t = t.log
-
-let logged_signature t entry =
-  Group_sig.signature_of_bytes t.gpk entry.le_gsig_bytes
 let verifications_performed t = t.verifications
 let requests_rejected_cheaply t = t.cheap_rejections
 let enable_resend_cache t = t.resend_cache <- true

@@ -1,6 +1,7 @@
 (** A mesh router (MR_k): broadcasts beacons, authenticates users via their
-    group signatures, establishes per-session keys, and logs access
-    requests for the operator's audit (paper §IV-B).
+    group signatures, establishes per-session keys, and records each
+    accepted session on the audit ledger for the operator's audit (paper
+    §IV-B, §IV-D).
 
     Routers keep the per-beacon DH secret r_R until the beacon expires, so
     an access request can arrive against any recent beacon. Under a
@@ -12,15 +13,6 @@ open Peace_ec
 open Peace_groupsig
 
 type t
-
-(** A logged (M.2) for the audit trail of §IV-D. The group signature is
-    kept as its wire bytes; {!logged_signature} decodes it for an audit. *)
-type log_entry = {
-  le_session_id : string;
-  le_ts : int;
-  le_transcript : string;
-  le_gsig_bytes : string;
-}
 
 val create :
   Config.t -> router_id:int -> gpk:Group_sig.gpk ->
@@ -57,8 +49,8 @@ val handle_access_request :
     check outside it (the live {!Peace_service.Authority} server: cheap
     phases under its router mutex, verification on the connection
     worker with the mutex released). {!access_precheck} and
-    {!access_finish} mutate router state (replay cache, sessions, audit
-    log) and must run under whatever lock guards the router; the verify
+    {!access_finish} mutate router state (replay cache, resend cache) and
+    must run under whatever lock guards the router; the verify
     inputs they hand over — transcript, URL snapshot, {!current_gpk} —
     are immutable and safe to use from any domain.
 
@@ -112,18 +104,25 @@ val access_finish :
   t -> Messages.access_request -> access_ticket ->
   Group_sig.verify_result ->
   (Messages.access_confirm * Session.t, Protocol_error.t) result
-(** Key agreement, audit log and (M.3) on [Valid]; the matching protocol
-    error otherwise. *)
+(** Key agreement, (M.3) and the session's [access_accept] record on the
+    installed audit ledger on [Valid]: the router, [ts2], the full
+    {!Session.id}, and the (M.2) transcript and group-signature bytes in
+    hex. The router keeps no copy, so with no ledger installed nothing
+    records the session. The matching protocol error otherwise. *)
 
 val current_gpk : t -> Group_sig.gpk
 (** The group public key this router currently verifies against. *)
 
-val access_log : t -> log_entry list
-(** Most recent first. *)
-
-val logged_signature : t -> log_entry -> Group_sig.signature option
-(** The entry's group signature, decoded; [None] only if its bytes were
-    not written by this router's parameters. *)
+val accepted_sessions :
+  Group_sig.gpk -> string list ->
+  (string -> (string * Group_sig.signature) option) option
+(** The [access_accept] records of a ledger (one rendered record per line)
+    read back as the input of the §IV-D audit: a lookup from session id
+    to the (M.2) transcript and its group signature, decoded with [gpk]'s
+    parameters. The chain is verified first ({!Peace_obs.Audit.verify}
+    with {!Network_operator.verify_audit_sig}; an open ledger passes):
+    [None] when it fails, so no record the chain does not vouch for is
+    read. The lookup answers [None] for a session the ledger lacks. *)
 
 val verifications_performed : t -> int
 (** Number of group-signature verifications this router has executed —

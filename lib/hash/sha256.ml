@@ -147,9 +147,9 @@ let digest s =
   finalize ctx
 
 let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+  String.init (2 * String.length s) (fun i ->
+      let c = Char.code s.[i / 2] in
+      "0123456789abcdef".[if i land 1 = 0 then c lsr 4 else c land 15])
 
 let of_hex h =
   let digit = function

@@ -194,22 +194,6 @@ let emit ~kind attrs =
   | None -> ()
   | Some t -> ignore (append t ~kind attrs)
 
-let with_file ?checkpoint_every ?signer ?meta path f =
-  let oc = open_out path in
-  let sink line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
-  in
-  let t = create ?checkpoint_every ?signer ~sink ?meta () in
-  install (Some t);
-  Fun.protect
-    ~finally:(fun () ->
-      install None;
-      seal t;
-      close_out oc)
-    (fun () -> f t)
-
 (* --- offline verification --- *)
 
 type report = {
@@ -218,6 +202,7 @@ type report = {
   vr_last_seq : int;
   vr_head : string;
   vr_signed : bool;
+  vr_walked : (string * (string * string) list) list;
 }
 
 type break_ = { br_seq : int; br_reason : string }
@@ -274,6 +259,7 @@ let verify ?verify_sig ?(require_seal = true) lines =
     let n_checkpoints = ref 0 in
     let last_kind = ref "" in
     let prev = ref zero_hash in
+    let walked = ref [] in
     let rec walk expected = function
       | [] ->
         if require_seal && !last_kind <> "checkpoint" then
@@ -287,6 +273,7 @@ let verify ?verify_sig ?(require_seal = true) lines =
               vr_last_seq = expected - 1;
               vr_head = !prev;
               vr_signed = !genesis_algo <> "none";
+              vr_walked = List.rev !walked;
             }
       | line :: rest -> (
         match parse_record line with
@@ -343,6 +330,7 @@ let verify ?verify_sig ?(require_seal = true) lines =
               | None ->
                 prev := r.p_hash;
                 last_kind := r.p_kind;
+                walked := (r.p_kind, r.p_attrs) :: !walked;
                 walk (expected + 1) rest
             end
           end)

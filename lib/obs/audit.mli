@@ -2,21 +2,25 @@
     signed checkpoints.
 
     PEACE is privacy-enhanced {e yet accountable}: the §IV-D audit
-    protocols attribute sessions to groups (NO) or users (LA+GM), and the
-    access log decides billing. This module makes those decisions durable
-    and independently verifiable. Every security-relevant event — access
-    accept/reject with its stable rejection code, CRL/URL revocation
-    updates, group audits, user-level opens, session-close accounting —
-    becomes one append-only record carrying a sequence number and
+    protocols attribute sessions to groups (NO) or users (LA+GM), and
+    billing attributes each metered session the same way, all from this
+    ledger. Every security-relevant event — access accept/reject with its
+    stable rejection code, CRL/URL revocation updates, group audits,
+    user-level opens, session-close accounting — becomes one append-only
+    record carrying a sequence number and
 
     {v hash = SHA-256(prev_hash ‖ canonical-JSON record) v}
 
-    so in-place tampering and reordering break the chain. Every K records
-    (and once more when the ledger is {!seal}ed) a {b checkpoint} record
-    is appended whose ECDSA signature — produced by the injected
-    {!signer}, normally the network operator's certificate key — covers
-    the chain head, so truncating the tail is detectable offline too:
-    {!verify} requires the ledger to end at a checkpoint.
+    so in-place tampering and reordering break the chain. An
+    [access_accept], the only record of an accepted session, carries its
+    id, (M.2) transcript and group signature: what the audit opens, read
+    back once the chain verifies (by [Mesh_router.accepted_sessions]).
+    Every K records (and once more when the ledger is {!seal}ed) a
+    {b checkpoint} record is appended whose ECDSA signature — produced
+    by the injected {!signer}, normally the network operator's
+    certificate key — covers the chain head, so truncating the tail is
+    detectable offline too: {!verify} requires the ledger to end at a
+    checkpoint.
 
     The module is deliberately crypto-agnostic: it hashes with
     {!Peace_hash} but takes signing and verification as functions, so the
@@ -44,8 +48,10 @@ val create :
     embeds the chain parameters, the signer identity (or [algo=none]) and
     [meta]. [checkpoint_every] is K (default 32 event records between
     checkpoints); the in-memory ring behind {!since} keeps the last 4096
-    records. [sink] receives every rendered line (no trailing
-    newline), serialised under the ledger lock. *)
+    records, which bounds the ledger's memory: an [access_accept] renders
+    to about 1.1 kB at [light] parameters, so the ring holds about
+    4.6 MB. [sink] receives every rendered line (no trailing newline),
+    serialised under the ledger lock. *)
 
 val append : t -> kind:string -> (string * string) list -> int
 (** Append one event record; returns its sequence number. Attribute
@@ -93,16 +99,6 @@ val set_tap : (string -> (string * string) list -> unit) option -> unit
     before the ledger append. Exceptions in the tap are swallowed. The
     alert layer's stream detectors ({!Alert.install_tap}) subscribe here. *)
 
-val with_file :
-  ?checkpoint_every:int ->
-  ?signer:signer ->
-  ?meta:(string * string) list ->
-  string ->
-  (t -> 'a) ->
-  'a
-(** Create a ledger whose sink appends (flushed) lines to a fresh file,
-    install it, run the thunk, then seal, uninstall and close. *)
-
 (** {1 Offline verification} *)
 
 type report = {
@@ -111,6 +107,9 @@ type report = {
   vr_last_seq : int;
   vr_head : string;
   vr_signed : bool;  (** genesis declared a signing algorithm *)
+  vr_walked : (string * (string * string) list) list;
+      (** every record's kind and attributes, oldest first: what a reader
+          may believe once the chain verifies *)
 }
 
 type break_ = { br_seq : int; br_reason : string }

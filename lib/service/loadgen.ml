@@ -249,6 +249,16 @@ let worker ~connect ~config ~gpk ~user ~deadline ~interarrival_s ~impair ~seed
   in
   loop ();
   disconnect st;
+  (* open loop: the arrivals scheduled before the deadline that the worker
+     never reached are attempts too, so a stalled run cannot read clean *)
+  Option.iter
+    (fun mean ->
+      while !next_arrival < deadline do
+        tally.t_attempted <- tally.t_attempted + 1;
+        count tally "unsent";
+        next_arrival := !next_arrival +. Peace_sim.Sim_rand.exponential rand ~mean
+      done)
+    interarrival_s;
   tally
 
 let run ~connect ~testbed ?(concurrency = 2) ?rate ?(duration_s = 2.0)

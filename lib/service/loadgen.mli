@@ -17,7 +17,9 @@
       [rate] handshakes/s spread over the workers, and latency is
       measured from the {e scheduled} arrival time: the same M.1 -> M.3
       span plus the wait for the worker, so queueing delay is charged
-      to the server (no coordinated omission).
+      to the server (no coordinated omission). An arrival scheduled
+      before the deadline that its worker never reached counts as
+      attempted and as the error [unsent].
 
     Impairments make the client adversarial: per-handshake probabilistic
     connection drops, malformed (M.2) payloads, truncated frames cut
@@ -43,7 +45,7 @@ type report = {
   lr_duration_s : float;  (** measured wall-clock run length *)
   lr_mode : string;  (** ["closed-loop"] or ["open-loop @ R/s"] *)
   lr_concurrency : int;
-  lr_attempted : int;  (** handshakes started *)
+  lr_attempted : int;  (** handshakes started, and open-loop [unsent] arrivals *)
   lr_ok : int;  (** confirms received and validated *)
   lr_impaired : int;  (** sends sacrificed to impairments *)
   lr_errors : (string * int) list;  (** error kind -> count, sorted *)

@@ -3,6 +3,7 @@ open Peace_pairing
 open Peace_groupsig
 open Peace_core
 module Registry = Peace_obs.Registry
+module Audit = Peace_obs.Audit
 
 (* Per-operation processing costs in milliseconds of simulated time,
    with magnitudes from the light-parameter measurements of this repo's
@@ -489,7 +490,7 @@ type city_result = {
   cr_failovers : int;
   cr_recovery_mean_ms : float;
   cr_fault_counters : (string * int) list;
-  cr_invoices : (int * int * int * int) list;
+  cr_invoices : Accounting.invoice_line list;
   cr_alerts : (int * string * Peace_obs.Alert.state) list;
 }
 
@@ -505,10 +506,33 @@ let retx_max = 4
 let retx_jitter_ms = 250
 let legacy_timeout_ms = 3_000
 
+(* the run's ledger signer: the keypair is derived from the seed, so the
+   genesis pk and every checkpoint signature repeat run to run *)
+let audit_signer seed =
+  let open Peace_ec in
+  let curve = Lazy.force Curves.secp160r1 in
+  let seed = Printf.sprintf "peace-sim-audit-%d" seed in
+  let key = Ecdsa.generate curve Peace_hash.Drbg.(bytes_fn (create ~seed ())) in
+  Network_operator.audit_signer curve ~public:key.Ecdsa.q ~sign:(Ecdsa.sign curve ~key)
+
 let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
     ?(beacon_period_ms = 500) ?(url_size = 0) ?(faults = Faults.none)
     ?(hardened = true) ?(invoices = false) ?sampler ?(alert_rules = [])
-    ~n_routers ~n_users ~duration_ms ~mean_interarrival_ms () =
+    ?(audit = ignore) ~n_routers ~n_users ~duration_ms ~mean_interarrival_ms ()
+    =
+  (* the run keeps its own ledger, in memory and installed for the run:
+     the invoice reads it, and [audit] sees each line as it is appended *)
+  let ledger_lines = ref [] in
+  let ledger =
+    Audit.create ~signer:(audit_signer seed)
+      ~sink:(fun line -> ledger_lines := line :: !ledger_lines; audit line)
+      ~meta:[ ("source", "simulate-city"); ("seed", string_of_int seed) ]
+      ()
+  in
+  let installed = Audit.installed () in
+  Audit.install (Some ledger);
+  Fun.protect ~finally:(fun () -> Audit.seal ledger; Audit.install installed)
+  @@ fun () ->
   let world = make_world ~seed ~faults () in
   (* alert rules evaluate on simulated time: the evaluator clock is the
      engine clock and an eval tick runs once per simulated second, so a
@@ -550,16 +574,14 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
     if node.rn_addr = stale_router_addr && sender = !revoked_addr then
       tally world "faults.stale_accepts"
   in
-  (* per-router session meters, kept for §IV-D attribution after the run *)
-  let meters = ref [] in
+  (* the city's session meter, kept for §IV-D attribution after the run *)
+  let meter = if invoices then Some (Accounting.create_meter ()) else None in
   let routers =
     List.init n_routers (fun i ->
         let router = Deployment.add_router world.deployment ~router_id:i in
         if hardened then Mesh_router.enable_resend_cache router;
         let pos = grid_position ~n:n_routers ~area:area_m i in
         let node = make_router_node ~addr:i router in
-        let meter = if invoices then Some (Accounting.create_meter ()) else None in
-        Option.iter (fun m -> meters := (node, m) :: !meters) meter;
         let handler =
           router_endpoint ~on_accept:(on_accept node) ?meter world node
             ~url_size ~under_attack:false
@@ -776,31 +798,12 @@ let city_auth ?(seed = 42) ?(area_m = 2000.0) ?(range_m = 450.0)
       0.0 router_nodes
     /. float_of_int (List.length router_nodes)
   in
-  (* §IV-D attribution: open every metered session's logged signature at
-     the operator to find its group, then merge the per-router invoices
-     into one city-wide table *)
+  (* §IV-D attribution: every metered session's accept record, read from
+     the run's ledger, opens at the operator to its group *)
   let invoice_table =
-    if not invoices then []
-    else begin
-      let no = Deployment.operator world.deployment in
-      let by_group = Hashtbl.create 8 in
-      List.iter
-        (fun (node, m) ->
-          List.iter
-            (fun line ->
-              let g = line.Accounting.il_group_id in
-              let s, b, d =
-                Option.value ~default:(0, 0, 0) (Hashtbl.find_opt by_group g)
-              in
-              Hashtbl.replace by_group g
-                ( s + line.Accounting.il_sessions,
-                  b + line.Accounting.il_bytes,
-                  d + line.Accounting.il_duration_ms ))
-            (Accounting.invoice no ~router:node.rn m))
-        !meters;
-      Hashtbl.fold (fun g (s, b, d) acc -> (g, s, b, d) :: acc) by_group []
-      |> List.sort compare
-    end
+    Option.fold meter ~none:[] ~some:(fun m ->
+        Accounting.invoice (Deployment.operator world.deployment)
+          ~ledger:(List.rev !ledger_lines) m)
   in
   {
     cr_attempts = !attempts;

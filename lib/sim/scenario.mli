@@ -32,12 +32,13 @@ type city_result = {
       (** injected-fault bookkeeping: link counters (frames lost /
           duplicated / corrupted / reordered) plus crashes, restarts,
           stale-list acceptances and unknown-destination drops *)
-  cr_invoices : (int * int * int * int) list;
-      (** with [~invoices:true]: the city-wide per-group billing table
-          [(group id, sessions, bytes, duration ms)], sorted by group —
+  cr_invoices : Peace_core.Accounting.invoice_line list;
+      (** with [~invoices:true]: the city-wide per-group billing table,
+          sorted by group —
           every accepted handshake is metered (M.2 bytes up, M.3 bytes
           down, modeled service time as duration) and attributed to its
-          user group through the §IV-D audit path. Empty otherwise. *)
+          user group through the §IV-D audit path, from the run's audit
+          ledger. Empty otherwise. *)
   cr_alerts : (int * string * Peace_obs.Alert.state) list;
       (** with [~alert_rules]: every alert state transition as
           [(sim ms, rule name, new state)], oldest first — deterministic
@@ -50,6 +51,7 @@ val city_auth :
   ?hardened:bool -> ?invoices:bool ->
   ?sampler:Peace_obs.Timeseries.t ->
   ?alert_rules:Peace_obs.Alert.rule list ->
+  ?audit:(string -> unit) ->
   n_routers:int -> n_users:int -> duration_ms:int ->
   mean_interarrival_ms:float -> unit -> city_result
 (** Routers on a grid over an [area_m]² city; users placed uniformly;
@@ -86,6 +88,11 @@ val city_auth :
     feeds its stream detectors from the routers' reject/revocation
     events — so a fault plan provably trips the matching rules at
     reproducible sim timestamps ([cr_alerts]).
+
+    The run keeps its own audit ledger in memory, signed with a key
+    derived from [seed] and installed for the run (then the previous one
+    is restored): the invoice reads it, and [audit] receives each of its
+    lines as it is appended ([peace simulate city --audit FILE]).
 
     A [sampler] is attached to the engine ({!Engine.attach_sampler}) and
     tracks city-wide gauges on simulated time, one sample per simulated

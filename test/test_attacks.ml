@@ -6,6 +6,7 @@
 open Peace_bigint
 open Peace_pairing
 open Peace_core
+open Ledger_fixture
 
 let make () =
   let c = Clock.manual ~start:1_000_000 () in
@@ -291,6 +292,7 @@ let test_mitm_peer_protocol () =
 (* --- key misuse: a gsk from one group cannot claim another group --- *)
 
 let test_group_binding () =
+  with_ledger @@ fun ledger ->
   let config, _c, d, _router = make () in
   ignore (Deployment.add_group d ~group_id:2 ~size:4);
   let alice =
@@ -313,12 +315,9 @@ let test_group_binding () =
   let user = Option.get (Deployment.user d ~uid:"dual") in
   let router = Option.get (Deployment.router d ~router_id:1) in
   let session, _ = ok (Deployment.authenticate d ~user ~router ~group_id:1 ()) in
-  ignore session;
-  let entry = List.hd (Mesh_router.access_log router) in
-  (match
-     Network_operator.audit no ~msg:entry.Mesh_router.le_transcript
-       (Option.get (Mesh_router.logged_signature router entry))
-   with
+  let accepted = Option.get (Mesh_router.accepted_sessions gpk (ledger ())) in
+  let msg, gsig = Option.get (accepted (Session.id session)) in
+  (match Network_operator.audit no ~msg gsig with
   | Some finding ->
     Alcotest.(check int) "attributed to group 1" 1
       finding.Network_operator.found_group_id
@@ -361,6 +360,7 @@ let test_interleaving_fuzzer () =
      the global invariants: the router holds exactly one session per
      successfully-confirmed handshake, every session matches its user's,
      and no session exists that a user cannot account for. *)
+  with_ledger @@ fun ledger ->
   let _config, c, d, router = make () in
   let users =
     List.init 3 (fun i -> ok_str (Deployment.add_user d (ident (Printf.sprintf "f%d" i))))
@@ -447,15 +447,13 @@ let test_interleaving_fuzzer () =
   (* global invariants: the router commits exactly once per verified M.2
      (never for replays/stale/cross-wired forgeries), and user-side
      confirmations are a subset of those *)
+  let logged = List.filter_map (List.assoc_opt "session") (accepts (ledger ())) in
   Alcotest.(check int) "router sessions = verified M.2s" !router_accepted
-    (List.length (Mesh_router.access_log router));
+    (List.length logged);
   Alcotest.(check bool) "confirmed <= router sessions" true
     (List.length !confirmed <= !router_accepted);
-  (* every confirmed user session is logged at the router and matches the
-     session the router returned for it *)
-  let logged =
-    List.map (fun e -> e.Mesh_router.le_session_id) (Mesh_router.access_log router)
-  in
+  (* every confirmed user session is on the ledger and matches the session
+     the router returned for it *)
   List.iter
     (fun (user_session, router_session) ->
       if not (List.mem (Session.id user_session) logged) then

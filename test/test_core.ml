@@ -6,6 +6,7 @@ open Peace_bigint
 open Peace_pairing
 open Peace_groupsig
 open Peace_core
+open Ledger_fixture
 
 let clock () = Clock.manual ~start:1_000_000 ()
 
@@ -78,6 +79,7 @@ let test_blinding_involution () =
 (* --- user-router protocol --- *)
 
 let test_user_router_handshake () =
+  with_ledger @@ fun ledger ->
   let _config, _clock, d = make_deployment () in
   let _gm = Deployment.add_group d ~group_id:1 ~size:4 in
   let router = Deployment.add_router d ~router_id:7 in
@@ -87,8 +89,9 @@ let test_user_router_handshake () =
   in
   Alcotest.(check bool) "sessions match" true
     (Session.matches user_session router_session);
-  Alcotest.(check int) "router logged the session" 1
-    (List.length (Mesh_router.access_log router));
+  Alcotest.(check (list (option string))) "router logged the session"
+    [ Some (Session.id router_session) ]
+    (List.map (List.assoc_opt "session") (accepts (ledger ())));
   (* data flows both ways with replay protection *)
   let data = Session.seal user_session "uplink packet" in
   (match Session.open_ router_session data with
@@ -292,6 +295,7 @@ let test_peer_revoked_rejected () =
 (* --- audit & tracing --- *)
 
 let test_audit_and_trace () =
+  with_ledger @@ fun ledger ->
   let _config, _clock, d = make_deployment () in
   let _gm1 = Deployment.add_group d ~group_id:1 ~size:4 in
   let _gm2 = Deployment.add_group d ~group_id:2 ~size:4 in
@@ -304,18 +308,23 @@ let test_audit_and_trace () =
   in
   let sid = Session.id user_session in
   (* the operator's audit reveals the group only *)
-  let entry = List.hd (Mesh_router.access_log router) in
-  Alcotest.(check string) "log entry matches session" sid
-    entry.Mesh_router.le_session_id;
-  (* the log keeps the signature's wire bytes, not the decoded points *)
-  Alcotest.(check int) "log keeps wire bytes"
-    (Group_sig.signature_size (Deployment.gpk d))
-    (String.length entry.Mesh_router.le_gsig_bytes);
-  (match
-     Law_authority.audit_only (Deployment.operator d)
-       ~msg:entry.Mesh_router.le_transcript
-       (Option.get (Mesh_router.logged_signature router entry))
-   with
+  let record =
+    match accepts (ledger ()) with
+    | [ record ] -> record
+    | records -> Alcotest.failf "%d accept records, expected 1" (List.length records)
+  in
+  Alcotest.(check (option string)) "log entry matches session" (Some sid)
+    (List.assoc_opt "session" record);
+  (* the record keeps the signature's wire bytes, not the decoded points *)
+  Alcotest.(check (option int)) "log keeps wire bytes"
+    (Some (Group_sig.signature_size (Deployment.gpk d)))
+    (Option.map String.length
+       (Option.bind (List.assoc_opt "gsig" record) Peace_hash.Sha256.of_hex));
+  let accepted =
+    Option.get (Mesh_router.accepted_sessions (Deployment.gpk d) (ledger ()))
+  in
+  let msg, gsig = Option.get (accepted sid) in
+  (match Law_authority.audit_only (Deployment.operator d) ~msg gsig with
   | None -> Alcotest.fail "audit found nothing"
   | Some finding ->
     Alcotest.(check int) "audit reveals group 2" 2
@@ -323,7 +332,7 @@ let test_audit_and_trace () =
     Alcotest.(check (option string)) "audit does NOT reveal uid" None
       finding.Law_authority.traced_uid);
   (* the full trace (with GM cooperation) reveals alice *)
-  (match Deployment.trace_session d router ~session_id:sid with
+  (match Deployment.trace_session d ~ledger:(ledger ()) ~session_id:sid with
   | None -> Alcotest.fail "trace found nothing"
   | Some result ->
     Alcotest.(check int) "trace group" 2 result.Law_authority.traced_group_id;
@@ -331,11 +340,12 @@ let test_audit_and_trace () =
       result.Law_authority.traced_uid);
   (* an unknown session does not trace *)
   Alcotest.(check bool) "unknown session" true
-    (Deployment.trace_session d router ~session_id:"nope" = None)
+    (Deployment.trace_session d ~ledger:(ledger ()) ~session_id:"nope" = None)
 
 let test_audit_role_separation () =
   (* the same user audited under different roles yields different groups —
      the "sophisticated privacy" property *)
+  with_ledger @@ fun ledger ->
   let _config, _clock, d = make_deployment () in
   let _gm1 = Deployment.add_group d ~group_id:1 ~size:4 in
   let _gm2 = Deployment.add_group d ~group_id:2 ~size:4 in
@@ -344,12 +354,102 @@ let test_audit_role_separation () =
   let s1, _ = ok_or_fail "as engineer" (Deployment.authenticate d ~user:alice ~router ~group_id:1 ()) in
   let s2, _ = ok_or_fail "as golfer" (Deployment.authenticate d ~user:alice ~router ~group_id:2 ()) in
   let find sid =
-    match Deployment.trace_session d router ~session_id:sid with
+    match Deployment.trace_session d ~ledger:(ledger ()) ~session_id:sid with
     | Some r -> r.Law_authority.traced_group_id
     | None -> Alcotest.fail "trace failed"
   in
   Alcotest.(check int) "session 1 -> company" 1 (find (Session.id s1));
   Alcotest.(check int) "session 2 -> club" 2 (find (Session.id s2))
+
+(* [s] with the hex digit at [pos] changed *)
+let flip_at s pos =
+  let b = Bytes.of_string s in
+  Bytes.set b pos (if Bytes.get b pos = '0' then '1' else '0');
+  Bytes.to_string b
+
+(* an accept record's line with the first hex digit of attribute [key]
+   changed; any other line as it is *)
+let tamper_accept ~key line =
+  let field = Printf.sprintf "\"%s\":\"" key in
+  if not (Astring.String.is_infix ~affix:"\"kind\":\"access_accept\"" line) then line
+  else
+    match Astring.String.find_sub ~sub:field line with
+    | None -> line
+    | Some i -> flip_at line (i + String.length field)
+
+(* an audit reads only records the chain vouches for: one altered hex digit
+   of an accept record makes the trace and the invoice refuse the whole
+   ledger *)
+let test_audit_refuses_tampered_ledger () =
+  with_ledger @@ fun ledger ->
+  let _config, _clock, d = make_deployment () in
+  let _gm = Deployment.add_group d ~group_id:1 ~size:4 in
+  let router = Deployment.add_router d ~router_id:7 in
+  let bob = ok_or_fail_str "bob" (Deployment.add_user d identity_bob) in
+  let _, session = ok_or_fail "auth" (Deployment.authenticate d ~user:bob ~router ()) in
+  let sid = Session.id session in
+  let meter = Accounting.create_meter () in
+  Accounting.record_up meter ~session_id:sid ~bytes:100;
+  ignore (Accounting.close_session meter ~session_id:sid ~duration_ms:10);
+  let lines = ledger () in
+  let attribution ?(sid = sid) lines =
+    ( Option.map
+        (fun r -> r.Law_authority.traced_uid)
+        (Deployment.trace_session d ~ledger:lines ~session_id:sid),
+      List.length (Accounting.invoice (Deployment.operator d) ~ledger:lines meter) )
+  in
+  let check = Alcotest.(check (pair (option (option string)) int)) in
+  check "pristine ledger attributes" (Some (Some "bob"), 1) (attribution lines);
+  check "altered gsig refused" (None, 0)
+    (attribution (List.map (tamper_accept ~key:"gsig") lines));
+  (* re-keyed to another session id, the record's transcript and signature
+     would still open: only the chain refuses it *)
+  check "re-keyed record refused" (None, 0)
+    (attribution ~sid:(flip_at sid 0) (List.map (tamper_accept ~key:"session") lines))
+
+(* what the ledger reveals: the signatures M.2 already puts on the air.
+   Read without the revocation tokens it links no two sessions of one
+   member — no value but the router repeats across their accept records,
+   not even one of a signature's seven components *)
+let test_ledger_links_no_sessions () =
+  with_ledger @@ fun ledger ->
+  let _config, clock, d = make_deployment () in
+  let _gm = Deployment.add_group d ~group_id:1 ~size:4 in
+  let router = Deployment.add_router d ~router_id:7 in
+  let bob = ok_or_fail_str "bob" (Deployment.add_user d identity_bob) in
+  let sessions =
+    List.init 5 (fun _ ->
+        Clock.advance clock 1_000;
+        Session.id (snd (ok_or_fail "auth" (Deployment.authenticate d ~user:bob ~router ()))))
+  in
+  let records = accepts (ledger ()) in
+  Alcotest.(check int) "five accept records" 5 (List.length records);
+  let accepted =
+    Option.get (Mesh_router.accepted_sessions (Deployment.gpk d) (ledger ()))
+  in
+  let params = (Deployment.gpk d).Group_sig.params in
+  let components sid =
+    let _, s = Option.get (accepted sid) in
+    Group_sig.
+      [
+        ("r", s.r_nonce);
+        ("T1", G1.encode params s.t1);
+        ("T2", G1.encode params s.t2);
+        ("c", Bigint.to_string s.c);
+        ("s_alpha", Bigint.to_string s.s_alpha);
+        ("s_x", Bigint.to_string s.s_x);
+        ("s_delta", Bigint.to_string s.s_delta);
+      ]
+  in
+  let values =
+    List.concat_map (List.filter (fun (key, _) -> key <> "router")) records
+    @ List.concat_map components sessions
+  in
+  List.iter
+    (fun (key, v) ->
+      Alcotest.(check int) (key ^ " appears in one session only") 1
+        (List.length (List.filter (fun (k, w) -> k = key && w = v) values)))
+    values
 
 (* --- wire formats --- *)
 
@@ -551,6 +651,7 @@ let test_router_resend_cache () =
   Alcotest.(check int) "strict mode never resends" 0
     (Mesh_router.confirms_resent router);
   (* resend-cache mode *)
+  with_ledger @@ fun ledger ->
   let router, request, (confirm, session), verifications =
     run_with ~cache:true
   in
@@ -565,7 +666,28 @@ let test_router_resend_cache () =
   Alcotest.(check int) "no re-verification" verifications
     (Mesh_router.verifications_performed router);
   Alcotest.(check int) "no duplicate session" 1
-    (List.length (Mesh_router.access_log router))
+    (List.length (accepts (ledger ())))
+
+(* the router keeps no record of a session: ten rounds of handshakes, each
+   round past the replay window, leave it no larger than after round 2 *)
+let test_router_state_bounded () =
+  let config, clock, d = make_deployment () in
+  let _gm = Deployment.add_group d ~group_id:1 ~size:4 in
+  let router = Deployment.add_router d ~router_id:7 in
+  let bob = ok_or_fail_str "bob" (Deployment.add_user d identity_bob) in
+  let words =
+    List.init 10 (fun _ ->
+        for _ = 1 to 20 do
+          ignore (ok_or_fail "auth" (Deployment.authenticate d ~user:bob ~router ()))
+        done;
+        let words = Obj.reachable_words (Obj.repr router) in
+        Clock.advance clock ((2 * config.Config.ts_window_ms) + 1);
+        words)
+  in
+  let round2 = List.nth words 1 and round10 = List.nth words 9 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words after round 10 <= %d after round 2" round10 round2)
+    true (round10 <= round2)
 
 let test_router_outstanding_bound () =
   let _config, clock, d = make_deployment () in
@@ -658,6 +780,7 @@ let test_router_redundancy () =
 let test_full_security_handshake () =
   (* the entire stack at the paper's security level (512-bit field,
      160-bit group): setup, enrollment, handshake, audit *)
+  with_ledger @@ fun ledger ->
   let c = clock () in
   let config =
     Config.default ~clock:c (Lazy.force Peace_pairing.Params.light)
@@ -674,7 +797,7 @@ let test_full_security_handshake () =
   let su, sr = ok_or_fail "light auth" (Deployment.authenticate d ~user ~router ()) in
   Alcotest.(check bool) "sessions match at light params" true
     (Session.matches su sr);
-  match Deployment.trace_session d router ~session_id:(Session.id su) with
+  match Deployment.trace_session d ~ledger:(ledger ()) ~session_id:(Session.id su) with
   | Some r ->
     Alcotest.(check (option string)) "traces at light params" (Some "u")
       r.Law_authority.traced_uid
@@ -1099,6 +1222,10 @@ let suite =
       [
         Alcotest.test_case "audit and trace" `Quick test_audit_and_trace;
         Alcotest.test_case "role separation" `Quick test_audit_role_separation;
+        Alcotest.test_case "tampered ledger refused" `Quick
+          test_audit_refuses_tampered_ledger;
+        Alcotest.test_case "ledger links no sessions" `Quick
+          test_ledger_links_no_sessions;
       ] );
     ( "infrastructure",
       [
@@ -1110,6 +1237,7 @@ let suite =
         Alcotest.test_case "session adversity" `Quick test_session_adversity;
         Alcotest.test_case "router resend cache" `Quick test_router_resend_cache;
         Alcotest.test_case "outstanding bound" `Quick test_router_outstanding_bound;
+        Alcotest.test_case "router state bounded" `Quick test_router_state_bounded;
         Alcotest.test_case "router redundancy" `Quick test_router_redundancy;
         Alcotest.test_case "full-security end-to-end" `Slow test_full_security_handshake;
         Alcotest.test_case "puzzle module" `Quick test_puzzle_module;

@@ -2,6 +2,7 @@
    DoS defence, and multi-epoch accountability. *)
 
 open Peace_core
+open Ledger_fixture
 
 let clock () = Clock.manual ~start:1_000_000 ()
 
@@ -49,6 +50,7 @@ let test_rotation_compacts_url () =
   ignore bad2
 
 let test_rotation_preserves_audit () =
+  with_ledger @@ fun ledger ->
   let _config, _c, d = make () in
   ignore (Deployment.add_group d ~group_id:1 ~size:4);
   let router = Deployment.add_router d ~router_id:1 in
@@ -56,7 +58,7 @@ let test_rotation_preserves_audit () =
   Deployment.rotate_epoch d;
   let session, _ = ok (Deployment.authenticate d ~user ~router ()) in
   (* sessions signed under the new epoch still trace to the member *)
-  match Deployment.trace_session d router ~session_id:(Session.id session) with
+  match Deployment.trace_session d ~ledger:(ledger ()) ~session_id:(Session.id session) with
   | Some r ->
     Alcotest.(check (option string)) "traces to carol" (Some "carol")
       r.Law_authority.traced_uid
@@ -96,6 +98,7 @@ let test_old_signature_rejected_after_rotation () =
 (* --- accounting / billing --- *)
 
 let test_accounting () =
+  with_ledger @@ fun ledger ->
   let _config, _c, d = make () in
   ignore (Deployment.add_group d ~group_id:1 ~size:4);
   ignore (Deployment.add_group d ~group_id:2 ~size:4);
@@ -118,7 +121,7 @@ let test_accounting () =
   Alcotest.(check int) "all sessions closed" 0 (Accounting.open_sessions meter);
   Alcotest.(check int) "three usage records" 3
     (List.length (Accounting.usages meter));
-  let lines = Accounting.invoice (Deployment.operator d) ~router meter in
+  let lines = Accounting.invoice (Deployment.operator d) ~ledger:(ledger ()) meter in
   (match lines with
   | [ g1; g2 ] ->
     Alcotest.(check int) "group 1 first" 1 g1.Accounting.il_group_id;
@@ -132,7 +135,8 @@ let test_accounting () =
   Accounting.record_up meter2 ~session_id:"ghost" ~bytes:999;
   ignore (Accounting.close_session meter2 ~session_id:"ghost" ~duration_ms:1);
   Alcotest.(check int) "ghost session unbillable" 0
-    (List.length (Accounting.invoice (Deployment.operator d) ~router meter2))
+    (List.length
+       (Accounting.invoice (Deployment.operator d) ~ledger:(ledger ()) meter2))
 
 (* billing must be impossible to inflate from the metering side: unknown
    or repeated closes produce nothing, and only a close makes a session

@@ -697,6 +697,27 @@ let test_authority_start_validates () =
     (Invalid_argument "Authority.start: beacon_period_ms must be >= 1")
     (start ~beacon_period_ms:0)
 
+(* the ledger's record of a session the live authority accepted is enough
+   for the §IV-D audit: read back, it traces to the member's group and
+   uid *)
+let test_authority_session_audited () =
+  Ledger_fixture.with_ledger @@ fun ledger ->
+  with_authority (fun testbed server ->
+      let fd = connect_to server in
+      let session =
+        Fun.protect
+          ~finally:(fun () -> Sock.close_noerr fd)
+          (fun () -> full_handshake testbed fd ~user:(List.hd testbed.Testbed.tb_users))
+      in
+      match
+        Deployment.trace_session testbed.Testbed.tb_deployment ~ledger:(ledger ())
+          ~session_id:(Session.id session)
+      with
+      | None -> Alcotest.fail "the ledger does not attribute the live session"
+      | Some r ->
+        Alcotest.(check int) "group" 1 r.Law_authority.traced_group_id;
+        Alcotest.(check (option string)) "uid" (Some "u0") r.Law_authority.traced_uid)
+
 (* --- distributed trace stitching --- *)
 
 (* tiny fixed-order JSONL field scanners (same trick as test_obs) *)
@@ -880,6 +901,31 @@ let test_authority_degraded_health () =
 
 (* --- loadgen statistics --- *)
 
+(* an open loop whose arrivals find no server still reports them: against
+   a listener that never accepts, each attempt waits out its timeout, and
+   the arrivals scheduled behind it count as attempted and unsent *)
+let test_loadgen_counts_unsent () =
+  let path = fresh_sock_path () in
+  let listener, addr = ok_or_fail "listen" (Sock.listen (Sock.Unix_path path)) in
+  Fun.protect
+    ~finally:(fun () ->
+      Sock.close_noerr listener;
+      Sys.remove path)
+    (fun () ->
+      let testbed = Testbed.make ~seed:"service-test" ~n_users:2 () in
+      let r =
+        ok_or_fail "loadgen"
+          (Loadgen.run ~connect:addr ~testbed ~rate:100. ~duration_s:0.5
+             ~timeout_s:0.2 ())
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d attempted of about 50 scheduled" r.Loadgen.lr_attempted)
+        true (r.Loadgen.lr_attempted >= 30);
+      Alcotest.(check bool) "unsent among the errors" true
+        (List.mem_assoc "unsent" r.Loadgen.lr_errors);
+      Alcotest.(check int) "attempted = ok + errors" r.Loadgen.lr_attempted
+        (r.Loadgen.lr_ok + List.fold_left (fun a (_, n) -> a + n) 0 r.Loadgen.lr_errors))
+
 let test_percentile () =
   let xs = Array.init 100 (fun i -> float_of_int (i + 1)) in
   Alcotest.(check (float 1e-9)) "p0" 1.0 (Loadgen.percentile xs 0.0);
@@ -1027,6 +1073,8 @@ let suite =
         Alcotest.test_case "queue depth drains to zero" `Quick
           test_authority_queue_depth_drains;
         Alcotest.test_case "traced requests" `Quick test_authority_traced_requests;
+        Alcotest.test_case "live session audited from the ledger" `Quick
+          test_authority_session_audited;
         Alcotest.test_case "degraded health surfaces on /healthz" `Quick
           test_authority_degraded_health;
         Alcotest.test_case "hostile M.2 matches router verdict" `Quick
@@ -1047,6 +1095,8 @@ let suite =
           test_loadgen_against_authority;
         Alcotest.test_case "closed-loop latency spans M.1 to M.3" `Quick
           test_loadgen_latency_span;
+        Alcotest.test_case "open loop counts unsent arrivals" `Quick
+          test_loadgen_counts_unsent;
       ] );
   ]
 
